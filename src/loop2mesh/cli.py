@@ -1,7 +1,8 @@
 """Command line interface: train / predict / evaluate / sweep.
 
-Exit codes: 0 success, 2 configuration error, 3 input parse error,
-4 training divergence.
+Exit codes: 0 success, 1 other package error, 2 configuration error,
+3 input parse error (or unreadable file), 4 training divergence; each
+error class carries its code as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -17,18 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    DegenerateDensityError,
-    EmptyDatasetError,
-    FrameMismatchError,
-    InvalidGeometryError,
-    InvalidInputError,
-    ParseError,
-    ShapeMismatchError,
-    TrainingDivergedError,
-)
+from .errors import ConfigError, Loop2MeshError, ParseError
 from .evaluation import KLRow, evaluate, kl_csv_text, kl_sweep, write_kl_csv
 from .fileio import atomic_write_text
 from .geometry import PointSet, points_in_polygon, resample_loop
@@ -83,7 +73,9 @@ def _resolve_config(args) -> TrainConfig:
     raw: dict = {}
     if getattr(args, "config", None):
         raw = _load_config_file(args.config)
-    weights = dict(raw.get("weights", {}))
+    weights = raw.get("weights", {})
+    if not isinstance(weights, dict):
+        raise ConfigError(f"invalid weights {weights!r}: not an object")
     flag_map = {
         "mode": "mode", "nodes": "n_points", "epochs": "epochs", "seed": "seed",
         "lr": "lr", "h1": "h1", "h2": "h2",
@@ -110,10 +102,7 @@ def _resolve_config(args) -> TrainConfig:
             raise ConfigError(f"unknown mode {mode!r}; expected one of "
                               f"{[m.value for m in TrainMode]}") from None
     raw["weights"] = weights
-    try:
-        return TrainConfig.from_dict(raw)
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig.from_dict(raw)
 
 
 def _sha256(path) -> str:
@@ -153,10 +142,7 @@ def _points_csv_text(ps: PointSet) -> str:
 
 def _read_points_csv(path) -> PointSet:
     rows: list[tuple[float, float]] = []
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     for lineno, record in enumerate(csv.reader(text.splitlines()), start=1):
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
@@ -359,8 +345,7 @@ def cmd_sweep(args) -> int:
                     params, cfg = result.params, cell_cfg
                     transform = result.transforms[0] if result.transforms else None
                 pred = predict(params, transform, sample.loop, cfg)
-            except (ConfigError, ParseError, InvalidInputError, TrainingDivergedError,
-                    ShapeMismatchError, DegenerateDataError) as exc:
+            except Loop2MeshError as exc:
                 failures.append(f"ratio={ratio:g} nodes={nodes}: {exc}")
                 log.warning("cell ratio=%g nodes=%d failed: %s", ratio, nodes, exc)
                 predictions[(ratio, nodes)] = None
@@ -461,16 +446,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FrameMismatchError, ShapeMismatchError) as exc:
+    except (Loop2MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, InvalidGeometryError, DegenerateDataError, DegenerateDensityError,
-            InvalidInputError, EmptyDatasetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        # an unreadable file is an input error, like a parse error
+        return getattr(exc, "exit_code", ParseError.exit_code)
 
 
 if __name__ == "__main__":

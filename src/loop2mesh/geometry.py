@@ -70,31 +70,22 @@ def _signed_area(v: np.ndarray) -> float:
     return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
 
 
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _segments_cross(a, b, c, d) -> bool:
-    # proper crossings only; shared endpoints and collinear touches pass
-    d1 = _orient(c, d, a)
-    d2 = _orient(c, d, b)
-    d3 = _orient(a, b, c)
-    d4 = _orient(a, b, d)
-    return ((d1 > 0) != (d2 > 0)) and (d1 != 0) and (d2 != 0) and \
-           ((d3 > 0) != (d4 > 0)) and (d3 != 0) and (d4 != 0)
-
-
 def _is_simple(v: np.ndarray) -> bool:
-    n = v.shape[0]
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        for j in range(i + 1, n):
-            # skip adjacent edges (they share a vertex by construction)
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_cross(a, b, v[j], v[(j + 1) % n]):
-                return False
-    return True
+    """True unless two edges cross properly.
+
+    Edge k runs from v[k] to v[k+1]. ``orient[k, p]`` is the cross product
+    telling which side of edge k's line vertex p lies on; edge p straddles
+    edge k's line when its two endpoints lie strictly on opposite sides.
+    Two edges cross when each straddles the other's line, so shared
+    endpoints and collinear touches pass. Adjacent edges share a vertex
+    whose orientation is exactly 0 and so never count.
+    """
+    e = np.roll(v, -1, axis=0) - v
+    orient = (e[:, 0, None] * (v[None, :, 1] - v[:, 1, None])
+              - e[:, 1, None] * (v[None, :, 0] - v[:, 0, None]))
+    o_start, o_end = orient, np.roll(orient, -1, axis=1)
+    straddle = (o_start != 0.0) & (o_end != 0.0) & ((o_start > 0.0) != (o_end > 0.0))
+    return not np.any(straddle & straddle.T)
 
 
 @dataclass(frozen=True)

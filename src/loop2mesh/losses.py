@@ -117,6 +117,8 @@ class LossWeights:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossWeights":
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"weights must be a mapping, got {d!r}")
         return cls(float(d.get("chamfer", 1.0)), float(d.get("repulsion", 0.0)),
                    float(d.get("interior", 0.0)), float(d.get("epsilon", 1e-8)))
 

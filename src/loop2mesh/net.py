@@ -1,22 +1,22 @@
 """Three-layer fully connected generator with exact analytic backprop.
 
-The network flattens an L-vertex boundary loop into a 2L vector
-(x0, y0, x1, y1, ...), passes it through two ReLU hidden layers, and emits
-2N outputs reshaped to N generated points. Optional output clamping of the
-y coordinates acts as a hard gate: clamped coordinates pass zero gradient.
+The network flattens each L-vertex boundary loop into a 2L row
+(x0, y0, x1, y1, ...), passes a batch of such rows through two ReLU hidden
+layers as matrix products, and emits 2N outputs per row, read as N generated
+points. Optional output clamping of the y coordinates acts as a hard gate:
+clamped coordinates pass zero gradient.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError, ParseError, ShapeMismatchError
 from .fileio import atomic_write_bytes
-from .geometry import PointSet
 
 _ARRAY_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 _CHECKPOINT_FORMAT = "loop2mesh-checkpoint"
@@ -25,7 +25,12 @@ _CHECKPOINT_VERSION = 1
 
 @dataclass
 class NetworkParams:
-    """Weights/biases; layer l computes ``w_l @ x + b_l`` on column vectors."""
+    """Weights/biases; layer l computes ``x @ w_l.T + b_l`` on row batches.
+
+    The constructor copies the six arrays into one contiguous float64
+    vector, ``flat`` (w1, b1, w2, b2, w3, b3 in C order), and rebinds each
+    name to a view into it, so a whole-model update is one vector operation.
+    """
 
     w1: np.ndarray
     b1: np.ndarray
@@ -33,24 +38,27 @@ class NetworkParams:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in _ARRAY_ORDER:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"parameter {name} contains non-finite entries")
-        if self.w1.ndim != 2 or self.w2.ndim != 2 or self.w3.ndim != 2:
+        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _ARRAY_ORDER]
+        w1, b1, w2, b2, w3, b3 = arrays
+        if w1.ndim != 2 or w2.ndim != 2 or w3.ndim != 2:
             raise ShapeMismatchError("weight matrices must be 2-D")
-        if self.w1.shape[1] % 2 or self.w3.shape[0] % 2:
+        if w1.shape[1] % 2 or w3.shape[0] % 2:
             raise ShapeMismatchError("input and output widths must be even (2 per point)")
-        ok = (self.b1.shape == (self.w1.shape[0],)
-              and self.w2.shape[1] == self.w1.shape[0]
-              and self.b2.shape == (self.w2.shape[0],)
-              and self.w3.shape[1] == self.w2.shape[0]
-              and self.b3.shape == (self.w3.shape[0],))
+        ok = (b1.shape == (w1.shape[0],)
+              and w2.shape[1] == w1.shape[0]
+              and b2.shape == (w2.shape[0],)
+              and w3.shape[1] == w2.shape[0]
+              and b3.shape == (w3.shape[0],))
         if not ok:
             raise ShapeMismatchError("parameter shapes are mutually inconsistent")
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        for name, view in zip(_ARRAY_ORDER, _split(self.flat, [a.shape for a in arrays])):
+            if not np.all(np.isfinite(view)):
+                raise InvalidInputError(f"parameter {name} contains non-finite entries")
+            setattr(self, name, view)
 
     @property
     def loop_size(self) -> int:
@@ -68,11 +76,24 @@ class NetworkParams:
     def n_points(self) -> int:
         return self.w3.shape[0] // 2
 
+    def split(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Views of a flat vector shaped like w1, b1, w2, b2, w3, b3."""
+        return _split(vec, [getattr(self, name).shape for name in _ARRAY_ORDER])
+
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in _ARRAY_ORDER]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(*(getattr(self, n).copy() for n in _ARRAY_ORDER))
+        return NetworkParams(*(getattr(self, n) for n in _ARRAY_ORDER))
+
+
+def _split(vec: np.ndarray, shapes) -> list[np.ndarray]:
+    out, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(vec[offset:offset + size].reshape(shape))
+        offset += size
+    return out
 
 
 def init_params(seed: int, loop_size: int, h1: int, h2: int, n_points: int) -> NetworkParams:
@@ -96,32 +117,35 @@ def init_params(seed: int, loop_size: int, h1: int, h2: int, n_points: int) -> N
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Intermediate activations captured before clamping, plus the clamp gate."""
+    """Activations captured before clamping, plus the clamp gate; one row per sample."""
 
-    x: np.ndarray       # flattened input (2L,)
+    x: np.ndarray       # flattened inputs (S, 2L)
     z1: np.ndarray
     a1: np.ndarray
     z2: np.ndarray
     a2: np.ndarray
-    output: np.ndarray  # raw pre-clamp output (2N,)
+    output: np.ndarray  # raw pre-clamp outputs (S, 2N)
     gate: np.ndarray    # 1.0 where gradient flows, 0.0 at clamped coordinates
 
 
-def forward(params: NetworkParams, loop: PointSet,
-            y_clamp: tuple[float, float] | None = None) -> tuple[PointSet, ForwardTrace]:
-    """Run the generator on an L-point loop; prediction inherits the loop's frame.
+def forward(params: NetworkParams, x: np.ndarray,
+            y_clamp: tuple[float, float] | None = None) -> tuple[np.ndarray, ForwardTrace]:
+    """Run the generator on an (S, 2L) batch of flattened loops.
 
-    With ``y_clamp=(lo, hi)`` the y outputs are clipped after the trace is
+    Returns the (S, 2N) outputs, row s holding (x0, y0, x1, y1, ...) of
+    sample s's N points, and the trace for ``backward``. With
+    ``y_clamp=(lo, hi)`` the y outputs are clipped after the trace is
     captured; coordinates at or beyond the bounds get a zero gradient gate.
     """
-    if len(loop) != params.loop_size:
-        raise ShapeMismatchError(f"loop has {len(loop)} points, network expects {params.loop_size}")
-    x = loop.xy.reshape(-1)
-    z1 = params.w1 @ x + params.b1
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != 2 * params.loop_size:
+        raise ShapeMismatchError(f"input batch has shape {x.shape}, network expects "
+                                 f"(S, {2 * params.loop_size}) for {params.loop_size}-point loops")
+    z1 = x @ params.w1.T + params.b1
     a1 = np.maximum(z1, 0.0)
-    z2 = params.w2 @ a1 + params.b2
+    z2 = a1 @ params.w2.T + params.b2
     a2 = np.maximum(z2, 0.0)
-    out = params.w3 @ a2 + params.b3
+    out = a2 @ params.w3.T + params.b3
     gate = np.ones_like(out)
     final = out
     if y_clamp is not None:
@@ -129,42 +153,15 @@ def forward(params: NetworkParams, loop: PointSet,
         if not lo <= hi:
             raise InvalidInputError(f"empty clamp range {y_clamp}")
         final = out.copy()
-        ys = out[1::2]
-        final[1::2] = np.clip(ys, lo, hi)
-        gate[1::2] = ((ys > lo) & (ys < hi)).astype(np.float64)
-    trace = ForwardTrace(x, z1, a1, z2, a2, out, gate)
-    return PointSet(final.reshape(-1, 2), loop.frame), trace
+        ys = out[:, 1::2]
+        final[:, 1::2] = np.clip(ys, lo, hi)
+        gate[:, 1::2] = (ys > lo) & (ys < hi)
+    return final, ForwardTrace(x, z1, a1, z2, a2, out, gate)
 
 
-@dataclass
-class ParamGrads:
-    """Gradient arrays mirroring NetworkParams."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: NetworkParams) -> "ParamGrads":
-        return cls(*(np.zeros_like(getattr(params, n)) for n in _ARRAY_ORDER))
-
-    def arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)) for name in _ARRAY_ORDER]
-
-    def accumulate(self, other: "ParamGrads") -> None:
-        for name in _ARRAY_ORDER:
-            getattr(self, name).__iadd__(getattr(other, name))
-
-    def scale(self, factor: float) -> None:
-        for name in _ARRAY_ORDER:
-            getattr(self, name).__imul__(factor)
-
-
-def backward(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray) -> ParamGrads:
-    """Exact gradients of a scalar loss given d(loss)/d(raw output).
+def backward(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray) -> np.ndarray:
+    """Exact gradient of a scalar loss, summed over the batch, given
+    d(loss)/d(raw output) of shape (S, 2N); laid out like ``params.flat``.
 
     ReLU passes gradient only where its pre-activation is strictly positive;
     the clamp gate zeroes the cotangent of clamped output coordinates.
@@ -173,25 +170,25 @@ def backward(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray) -
     if d_output.shape != trace.output.shape:
         raise ShapeMismatchError(
             f"cotangent shape {d_output.shape} does not match output {trace.output.shape}")
+    grad = np.empty_like(params.flat)
+    gw1, gb1, gw2, gb2, gw3, gb3 = params.split(grad)
     g3 = d_output * trace.gate
-    gw3 = np.outer(g3, trace.a2)
-    gb3 = g3.copy()
-    da2 = params.w3.T @ g3
-    dz2 = da2 * (trace.z2 > 0.0)
-    gw2 = np.outer(dz2, trace.a1)
-    gb2 = dz2
-    da1 = params.w2.T @ dz2
-    dz1 = da1 * (trace.z1 > 0.0)
-    gw1 = np.outer(dz1, trace.x)
-    gb1 = dz1
-    return ParamGrads(gw1, gb1, gw2, gb2, gw3, gb3)
+    np.matmul(g3.T, trace.a2, out=gw3)
+    g3.sum(axis=0, out=gb3)
+    dz2 = (g3 @ params.w3) * (trace.z2 > 0.0)
+    np.matmul(dz2.T, trace.a1, out=gw2)
+    dz2.sum(axis=0, out=gb2)
+    dz1 = (dz2 @ params.w2) * (trace.z1 > 0.0)
+    np.matmul(dz1.T, trace.x, out=gw1)
+    dz1.sum(axis=0, out=gb1)
+    return grad
 
 
 def save_checkpoint(path, params: NetworkParams, meta: dict | None = None) -> None:
     """Write a versioned single-file checkpoint.
 
     Layout: one sorted-keys JSON header line (format, version, shapes, meta),
-    then the raw little-endian float64 bytes of each array in fixed order.
+    then ``params.flat`` (w1, b1, w2, b2, w3, b3) as little-endian float64.
     Identical params + meta always produce identical bytes.
     """
     header = {
@@ -202,8 +199,7 @@ def save_checkpoint(path, params: NetworkParams, meta: dict | None = None) -> No
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    blob += b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in params.arrays())
-    atomic_write_bytes(path, blob)
+    atomic_write_bytes(path, blob + params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, dict]:
@@ -220,18 +216,16 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         raise ParseError(f"{path}: unrecognised checkpoint format")
     if header.get("version") != _CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
-    offset = nl + 1
-    arrays = {}
+    shapes = []
+    end = nl + 1
     for name in _ARRAY_ORDER:
         if name not in header["shapes"]:
             raise ParseError(f"{path}: checkpoint header missing array {name!r}")
-        shape = tuple(header["shapes"][name])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+        shapes.append(tuple(header["shapes"][name]))
+        end += 8 * math.prod(shapes[-1])
         if end > len(blob):
             raise ParseError(f"{path}: checkpoint truncated in array {name!r}")
-        arrays[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
-        offset = end
-    if offset != len(blob):
-        raise ParseError(f"{path}: {len(blob) - offset} trailing bytes after parameter arrays")
-    return NetworkParams(**arrays), header["meta"]
+    if end != len(blob):
+        raise ParseError(f"{path}: {len(blob) - end} trailing bytes after parameter arrays")
+    flat = np.frombuffer(blob, dtype="<f8", offset=nl + 1)
+    return NetworkParams(*_split(flat, shapes)), header["meta"]

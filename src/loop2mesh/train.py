@@ -37,7 +37,7 @@ from .geometry import (
 )
 from .ingest import Dataset
 from .losses import LossWeights, composite, mean_pairwise_distance
-from .net import NetworkParams, ParamGrads, backward, forward, init_params, load_checkpoint, save_checkpoint
+from .net import NetworkParams, backward, forward, init_params, load_checkpoint, save_checkpoint
 
 
 class TrainMode(enum.Enum):
@@ -49,6 +49,11 @@ class TrainMode(enum.Enum):
 def default_interior_weight(mode: TrainMode) -> float:
     """10 when containment relies on the penalty, 0 once clamping confines y."""
     return 0.0 if mode is TrainMode.STANDARDISED_CLAMPED else 10.0
+
+
+def _float_pair(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,8 @@ class TrainConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.loop_size < 3:
             raise ConfigError(f"loop_size must be at least 3, got {self.loop_size}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
@@ -111,19 +118,15 @@ class TrainConfig:
             except ValueError:
                 raise ConfigError(f"unknown mode {d['mode']!r}; expected one of "
                                   f"{[m.value for m in TrainMode]}") from None
-        for name in ("n_points", "loop_size", "upsample_count", "h1", "h2", "epochs", "seed"):
-            if name in d:
-                kw[name] = int(d[name])
-        if "lr" in d:
-            kw["lr"] = float(d["lr"])
-        if "clamp_y" in d:
-            lo, hi = d["clamp_y"]
-            kw["clamp_y"] = (float(lo), float(hi))
-        if "weights" in d:
+        converters = (("n_points", int), ("loop_size", int), ("upsample_count", int),
+                      ("h1", int), ("h2", int), ("epochs", int), ("seed", int), ("lr", float),
+                      ("clamp_y", _float_pair), ("weights", LossWeights.from_dict))
+        for name, convert in converters:
             try:
-                kw["weights"] = LossWeights.from_dict(d["weights"])
-            except InvalidInputError as exc:
-                raise ConfigError(str(exc)) from exc
+                if name in d:
+                    kw[name] = convert(d[name])
+            except (InvalidInputError, TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"invalid {name} {d[name]!r}: {exc}") from None
         cfg = cls(**kw)
         cfg.validate()
         return cfg
@@ -131,36 +134,42 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, aligned with NetworkParams.arrays()."""
+    """First/second moment accumulators, laid out like ``NetworkParams.flat``."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def zeros(cls, params: NetworkParams) -> "AdamState":
-        return cls([np.zeros_like(a) for _, a in params.arrays()],
-                   [np.zeros_like(a) for _, a in params.arrays()])
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(params: NetworkParams, grads: ParamGrads, state: AdamState, *,
+def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState, *,
               lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8, t: int = 1) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update (t is the 1-based step count).
+    """One bias-corrected Adam update (t is the 1-based step count) of the
+    flat parameter vector, given a gradient laid out like ``params.flat``.
 
     Parameters and state are updated in place and returned.
     """
     if t < 1:
         raise InvalidInputError(f"step count t must be >= 1, got {t}")
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for (_, p), (_, g), m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
-        if g.shape != p.shape:
-            raise ShapeMismatchError("gradient shape does not match parameter shape")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    if grads.shape != params.flat.shape:
+        raise ShapeMismatchError("gradient shape does not match parameter shape")
+    m, v = state.m, state.v
+    buf, step = np.empty((2, m.size))
+    m *= beta1
+    m += np.multiply(grads, 1.0 - beta1, out=buf)
+    v *= beta2
+    np.multiply(grads, 1.0 - beta2, out=buf)
+    v += np.multiply(buf, grads, out=buf)
+    # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    np.divide(v, 1.0 - beta2 ** t, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += eps
+    np.divide(m, 1.0 - beta1 ** t, out=step)
+    step *= lr
+    params.flat -= np.divide(step, buf, out=step)
     return params, state
 
 
@@ -203,8 +212,10 @@ class TrainResult:
 def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Train the generator on a dataset; deterministic given (dataset, config).
 
-    Gradients are averaged over samples each epoch (full batch, one Adam step
-    per epoch). A non-finite epoch total aborts with the offending epoch.
+    Each epoch runs one forward and one backward pass over the batch of all
+    samples; only the loss terms are evaluated per sample. Gradients are
+    averaged over samples (full batch, one Adam step per epoch). A
+    non-finite epoch total aborts with the offending epoch.
     """
     config.validate()
     if config.loop_size != dataset.loop_size:
@@ -214,7 +225,6 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     standardise = config.mode is not TrainMode.RAW
     clamp = config.clamp_y if config.mode is TrainMode.STANDARDISED_CLAMPED else None
 
-    inputs: list[PointSet] = []
     refs: list[PointSet] = []
     polys: list[AirfoilLoop] = []
     transforms: list[StandardizeTransform] = []
@@ -222,36 +232,36 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         if standardise:
             t = fit_standardize(s.target)
             transforms.append(t)
-            inputs.append(apply_standardize(t, s.loop.as_pointset()))
             refs.append(apply_standardize(t, s.target))
             polys.append(standardize_loop(t, s.loop))
         else:
-            inputs.append(s.loop.as_pointset())
             refs.append(s.target)
             polys.append(s.loop)
 
+    x = np.stack([poly.vertices.reshape(-1) for poly in polys])  # rows x0, y0, x1, ...
     n_samples = len(dataset.samples)
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
-        acc = ParamGrads.zeros_like(params)
+        out, trace = forward(params, x, y_clamp=clamp)
+        d_out = np.empty_like(out)
         sums = np.zeros(5)  # chamfer, repulsion, interior, total, mean pairwise
-        for inp, ref, poly in zip(inputs, refs, polys):
+        for i, (ref, poly) in enumerate(zip(refs, polys)):
             try:
-                pred, trace = forward(params, inp, y_clamp=clamp)
+                pred = PointSet(out[i].reshape(-1, 2), poly.frame)
             except InvalidInputError as exc:
                 # the only non-finite source here is numeric blow-up
                 raise TrainingDivergedError(
                     epoch, f"non-finite network output at epoch {epoch}") from exc
             bd = composite(pred, ref, poly, config.weights)
-            acc.accumulate(backward(params, trace, bd.grad.reshape(-1)))
+            d_out[i] = bd.grad.reshape(-1)
             sums += (bd.chamfer, bd.repulsion, bd.interior, bd.total,
                      mean_pairwise_distance(pred.xy))
         sums /= n_samples
         record = EpochRecord(epoch, *map(float, sums))
         if not math.isfinite(record.total):
             raise TrainingDivergedError(epoch, f"total loss became non-finite at epoch {epoch}")
-        acc.scale(1.0 / n_samples)
-        adam_step(params, acc, state, lr=config.lr, t=epoch)
+        d_out *= 1.0 / n_samples  # the cotangent of the mean loss
+        adam_step(params, backward(params, trace, d_out), state, lr=config.lr, t=epoch)
         records.append(record)
     return TrainResult(params, transforms if standardise else None, TrainLog(tuple(records)))
 
@@ -273,7 +283,8 @@ def predict(params: NetworkParams, transform: StandardizeTransform | None,
             raise InvalidInputError("standardised modes require the sample's transform")
         inp = apply_standardize(transform, loop.as_pointset())
         clamp = config.clamp_y if config.mode is TrainMode.STANDARDISED_CLAMPED else None
-    pred, _ = forward(params, inp, y_clamp=clamp)
+    out, _ = forward(params, inp.xy.reshape(1, -1), y_clamp=clamp)
+    pred = PointSet(out.reshape(-1, 2), inp.frame)
     if transform is not None:
         pred = invert_standardize(transform, pred)
     return pred

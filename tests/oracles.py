@@ -128,3 +128,30 @@ def vector_to_params(params, vec: np.ndarray):
         offset += n
     assert offset == vec.size
     return out
+
+
+def is_simple_double_loop(vertices) -> bool:
+    """Closed polygon has no two edges that cross properly; pairwise loop.
+
+    Shared endpoints and collinear touches do not count as crossings, and
+    adjacent edges (which share a vertex) are skipped.
+    """
+    v = [(float(x), float(y)) for x, y in vertices]
+    n = len(v)
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def crosses(a, b, c, d):
+        d1, d2 = orient(c, d, a), orient(c, d, b)
+        d3, d4 = orient(a, b, c), orient(a, b, d)
+        return ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0 and \
+               ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            if crosses(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
+                return False
+    return True

@@ -108,15 +108,14 @@ def test_01_network_gradients_match_finite_differences():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         tri = _random_triangle(rng)
-        loop_pts = PointSet(tri)
+        x = tri.reshape(1, -1)
         poly = AirfoilLoop(tri)
         truth = PointSet(rng.uniform(-1.0, 1.0, size=(10, 2)))
         params = init_params(seed=seed, loop_size=3, h1=4, h2=4, n_points=5)
 
-        pred, trace = forward(params, loop_pts, y_clamp=clamp)
-        breakdown = composite(pred, truth, poly, weights)
-        analytic = params_to_vector(backward(params, trace,
-                                             breakdown.grad.reshape(-1)))
+        out, trace = forward(params, x, y_clamp=clamp)
+        breakdown = composite(PointSet(out.reshape(-1, 2)), truth, poly, weights)
+        analytic = backward(params, trace, breakdown.grad.reshape(1, -1))
         f0 = abs(breakdown.total)
         # central differences cancel to ~machine-eps * |f| / eps; give the
         # zero-gradient parameters (fully clamped outputs) that much slack
@@ -124,9 +123,10 @@ def test_01_network_gradients_match_finite_differences():
 
         def value_and_signature(vec):
             p = vector_to_params(params, vec)
-            pr, tr = forward(p, loop_pts, y_clamp=clamp)
+            pr, tr = forward(p, x, y_clamp=clamp)
+            pr = PointSet(pr.reshape(-1, 2))
             bd = composite(pr, truth, poly, weights)
-            return bd.total, _kink_signature(pr.xy, truth.xy, tr.gate)
+            return bd.total, _kink_signature(pr.xy, truth.xy, tr.gate[0])
 
         theta = params_to_vector(params)
         for i in range(theta.size):

@@ -6,7 +6,22 @@ import sys
 import numpy as np
 import pytest
 
+from loop2mesh import cli
 from loop2mesh.cli import main
+from loop2mesh.errors import (
+    ConfigError,
+    DegenerateDataError,
+    DegenerateDensityError,
+    EmptyDatasetError,
+    FrameMismatchError,
+    InvalidGeometryError,
+    InvalidInputError,
+    Loop2MeshError,
+    ParseError,
+    ShapeMismatchError,
+    TrainingDivergedError,
+    WindowMismatchError,
+)
 from loop2mesh.ingest import parse_msh_nodes
 
 FAST = ["--nodes", "40", "--epochs", "30", "--h1", "16", "--h2", "24",
@@ -87,6 +102,18 @@ class TestTrain:
              "--epochs", "0", "--nodes", "40"], capsys)
         assert code == 2
         assert "error:" in stderr
+
+    @pytest.mark.parametrize("bad", [
+        {"n_points": "abc"}, {"lr": "x"}, {"clamp_y": 5}, {"weights": 5}, {"seed": -1},
+    ])
+    def test_config_file_value_of_wrong_type_exits_2(self, tmp_path, manifest_path, bad, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        code, _, stderr = run_cli(
+            ["train", manifest_path, "--out-dir", tmp_path / "r", "--config", cfg], capsys)
+        assert code == 2
+        assert "error:" in stderr
+        assert next(iter(bad)) in stderr
 
     def test_config_file_merges_under_flags(self, tmp_path, manifest_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -358,6 +385,34 @@ class TestSweep:
              "--out-dir", tmp_path / "s", *SWEEP_FAST], capsys)
         assert code == 2
         assert "comma" in stderr
+
+
+# -------------------------------------------------------------- exit codes
+
+EXIT_CODES = {
+    Loop2MeshError: 1,
+    ConfigError: 2, FrameMismatchError: 2, ShapeMismatchError: 2, WindowMismatchError: 2,
+    ParseError: 3, InvalidGeometryError: 3, DegenerateDataError: 3,
+    DegenerateDensityError: 3, InvalidInputError: 3, EmptyDatasetError: 3,
+    TrainingDivergedError: 4,
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    assert set(EXIT_CODES) == {Loop2MeshError, *Loop2MeshError.__subclasses__()}
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda c: c.__name__)
+def test_each_error_class_exits_with_its_own_code(cls, monkeypatch, capsys):
+    exc = cls(7, "boom at epoch 7") if cls is TrainingDivergedError else cls("boom at epoch 7")
+
+    def failing_command(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_evaluate", failing_command)
+    code, _, stderr = run_cli(["evaluate", "--truth", "t.msh"], capsys)
+    assert code == cls.exit_code == EXIT_CODES[cls]
+    assert "error: boom at epoch 7" in stderr.splitlines()
 
 
 # --------------------------------------------------------------------- misc

@@ -11,6 +11,7 @@ from loop2mesh.geometry import (
     AirfoilLoop,
     Frame,
     PointSet,
+    _is_simple,
     apply_standardize,
     clamp_points,
     fit_standardize,
@@ -22,7 +23,7 @@ from loop2mesh.geometry import (
     standardize_loop,
 )
 
-from oracles import winding_inside
+from oracles import is_simple_double_loop, winding_inside
 
 
 # ------------------------------------------------------------- primitives
@@ -67,6 +68,33 @@ class TestAirfoilLoop:
         bowtie = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
         with pytest.raises(InvalidGeometryError):
             AirfoilLoop(bowtie)
+
+    def test_simplicity_check_matches_double_loop_oracle(self):
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for trial in range(600):
+            n = int(rng.integers(3, 13))
+            if trial % 2:
+                # a small integer grid makes shared points, touches and
+                # collinear overlaps common
+                v = rng.integers(0, 4, size=(n, 2)).astype(np.float64)
+            else:
+                v = rng.uniform(-1.0, 1.0, size=(n, 2))
+            got = _is_simple(v)
+            assert got == is_simple_double_loop(v), v.tolist()
+            verdicts.append(got)
+        assert 50 < sum(verdicts) < 550  # both outcomes well represented
+
+    def test_touches_and_collinear_overlaps_are_not_crossings(self):
+        # vertex (1,0) of the first triangle touches the second's edge
+        touch = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        # edges (0,0)-(2,0) and (3,0)-(1,0) overlap on a collinear stretch
+        overlap = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [3.0, 1.0], [3.0, 0.0], [1.0, 0.0], [0.0, 2.0]]
+        bowtie = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        for v, want in ((touch, True), (overlap, True), (bowtie, False)):
+            v = np.array(v)
+            assert _is_simple(v) is want
+            assert is_simple_double_loop(v) is want
 
     def test_signed_area_and_perimeter_unit_square(self, unit_square):
         assert unit_square.signed_area == pytest.approx(1.0)

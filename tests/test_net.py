@@ -1,14 +1,14 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from loop2mesh.errors import InvalidInputError, ParseError, ShapeMismatchError
-from loop2mesh.geometry import Frame, PointSet
+from loop2mesh.geometry import PointSet
 from loop2mesh.net import (
-    ForwardTrace,
     NetworkParams,
-    ParamGrads,
     backward,
     forward,
     init_params,
@@ -22,6 +22,15 @@ from oracles import fd_grad_flat, params_to_vector, vector_to_params
 def tiny_loop(rng, n=3) -> PointSet:
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])[:n]
     return PointSet(base + rng.normal(scale=0.05, size=(n, 2)))
+
+
+def loop_batch(loops) -> np.ndarray:
+    # the network input: one row per loop, interleaved x0, y0, x1, y1, ...
+    return np.stack([loop.xy.reshape(-1) for loop in loops])
+
+
+def tiny_batch(rng, n=3) -> np.ndarray:
+    return loop_batch([tiny_loop(rng, n)])
 
 
 # ----------------------------------------------------------- initialisation
@@ -85,6 +94,13 @@ class TestNetworkParamsValidation:
         with pytest.raises(InvalidInputError):
             NetworkParams(w1, p.b1, p.w2, p.b2, p.w3, p.b3)
 
+    def test_arrays_are_views_of_one_flat_vector(self):
+        p = init_params(0, 3, 4, 4, 5)
+        assert p.flat.flags.c_contiguous and p.flat.dtype == np.float64
+        assert np.array_equal(p.flat, np.concatenate([a.ravel() for _, a in p.arrays()]))
+        p.flat[:] = 0.0
+        assert not any(a.any() for _, a in p.arrays())
+
     def test_copy_is_deep(self):
         p = init_params(0, 3, 4, 4, 5)
         q = p.copy()
@@ -99,65 +115,68 @@ class TestForward:
         rng = np.random.default_rng(0)
         loop = tiny_loop(rng)
         p = init_params(0, 3, 4, 4, 5)
-        _, trace = forward(p, loop)
-        assert np.array_equal(trace.x, loop.xy.reshape(-1))
-        assert trace.x[0] == loop.xy[0, 0] and trace.x[1] == loop.xy[0, 1]
+        _, trace = forward(p, loop_batch([loop]))
+        assert np.array_equal(trace.x, loop.xy.reshape(1, -1))
+        assert trace.x[0, 0] == loop.xy[0, 0] and trace.x[0, 1] == loop.xy[0, 1]
 
-    def test_output_shape_and_frame(self):
+    def test_output_shape(self):
         rng = np.random.default_rng(1)
         p = init_params(2, 3, 4, 4, 5)
-        pred, _ = forward(p, tiny_loop(rng))
-        assert pred.xy.shape == (5, 2)
-        assert pred.frame is Frame.ORIGINAL
-        std_loop = PointSet(tiny_loop(rng).xy, Frame.STANDARDISED)
-        pred_std, _ = forward(p, std_loop)
-        assert pred_std.frame is Frame.STANDARDISED
+        out, _ = forward(p, tiny_batch(rng))
+        assert out.shape == (1, 10)
+        out, _ = forward(p, loop_batch([tiny_loop(rng) for _ in range(3)]))
+        assert out.shape == (3, 10)
 
     def test_matches_manual_matmul(self):
         rng = np.random.default_rng(3)
-        loop = tiny_loop(rng)
+        loops = [tiny_loop(rng) for _ in range(3)]
         p = init_params(4, 3, 4, 4, 5)
-        pred, trace = forward(p, loop)
-        x = loop.xy.reshape(-1)
-        a1 = np.maximum(p.w1 @ x + p.b1, 0.0)
-        a2 = np.maximum(p.w2 @ a1 + p.b2, 0.0)
-        out = p.w3 @ a2 + p.b3
-        assert pred.xy.reshape(-1) == pytest.approx(out, abs=0.0)
+        x = loop_batch(loops)
+        pred, trace = forward(p, x)
+        a1 = np.maximum(x @ p.w1.T + p.b1, 0.0)
+        a2 = np.maximum(a1 @ p.w2.T + p.b2, 0.0)
+        out = a2 @ p.w3.T + p.b3
+        assert pred == pytest.approx(out, abs=0.0)
         assert trace.output == pytest.approx(out, abs=0.0)
+        for s, loop in enumerate(loops):  # row s is loop s's own output
+            row, _ = forward(p, x[s:s + 1])
+            assert row[0] == pytest.approx(out[s], rel=1e-12, abs=1e-15)
 
     def test_loop_size_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         p = init_params(0, 4, 4, 4, 5)
         with pytest.raises(ShapeMismatchError):
-            forward(p, tiny_loop(rng, n=3))
+            forward(p, tiny_batch(rng, n=3))
+        with pytest.raises(ShapeMismatchError):
+            forward(p, np.zeros(8))  # one row per loop, not a flat vector
 
     def test_clamp_clips_y_only_and_gates(self):
         rng = np.random.default_rng(5)
         loop = tiny_loop(rng)
         p = init_params(6, 3, 4, 4, 50)
-        raw, _ = forward(p, loop)
+        raw, _ = forward(p, loop_batch([loop]))
         lo, hi = -0.01, 0.01
-        clamped, trace = forward(p, loop, y_clamp=(lo, hi))
-        assert np.array_equal(clamped.xy[:, 0], raw.xy[:, 0])  # x untouched
-        assert clamped.xy[:, 1].min() >= lo and clamped.xy[:, 1].max() <= hi
-        ys = raw.xy[:, 1]
-        assert np.array_equal(trace.gate[1::2] == 0.0, (ys <= lo) | (ys >= hi))
-        assert np.all(trace.gate[0::2] == 1.0)
-        assert np.array_equal(trace.output, raw.xy.reshape(-1))  # trace pre-clamp
+        clamped, trace = forward(p, loop_batch([loop]), y_clamp=(lo, hi))
+        assert np.array_equal(clamped[:, 0::2], raw[:, 0::2])  # x untouched
+        assert clamped[:, 1::2].min() >= lo and clamped[:, 1::2].max() <= hi
+        ys = raw[:, 1::2]
+        assert np.array_equal(trace.gate[:, 1::2] == 0.0, (ys <= lo) | (ys >= hi))
+        assert np.all(trace.gate[:, 0::2] == 1.0)
+        assert np.array_equal(trace.output, raw)  # trace pre-clamp
 
     def test_boundary_value_counts_as_clamped(self):
         p = NetworkParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
                           np.zeros(4), np.zeros((2, 4)), np.array([0.3, 1.0]))
         loop = PointSet([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
-        pred, trace = forward(p, loop, y_clamp=(-1.0, 1.0))
-        assert pred.xy[0] == pytest.approx([0.3, 1.0])
-        assert trace.gate[1] == 0.0  # y is exactly at the bound
+        pred, trace = forward(p, loop_batch([loop]), y_clamp=(-1.0, 1.0))
+        assert pred[0] == pytest.approx([0.3, 1.0])
+        assert trace.gate[0, 1] == 0.0  # y is exactly at the bound
 
     def test_empty_clamp_range_rejected(self):
         rng = np.random.default_rng(6)
         p = init_params(0, 3, 4, 4, 5)
         with pytest.raises(InvalidInputError):
-            forward(p, tiny_loop(rng), y_clamp=(1.0, -1.0))
+            forward(p, tiny_batch(rng), y_clamp=(1.0, -1.0))
 
 
 # ---------------------------------------------------------------- backward
@@ -171,66 +190,66 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(5))
     def test_param_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(100 + seed)
-        loop = tiny_loop(rng)
+        x = tiny_batch(rng)
         p = init_params(seed, 3, 4, 4, 5)
-        targets = rng.normal(size=10)
+        targets = rng.normal(size=(1, 10))
 
         def loss_of(theta):
             q = vector_to_params(p, theta)
-            _, trace = forward(q, loop)
+            _, trace = forward(q, x)
             val, _ = quadratic_loss_and_cotangent(trace.output, targets)
             return val
 
-        _, trace = forward(p, loop)
+        _, trace = forward(p, x)
         _, cot = quadratic_loss_and_cotangent(trace.output, targets)
-        grads = backward(p, trace, cot)
-        got = np.concatenate([g.ravel() for _, g in grads.arrays()])
+        got = backward(p, trace, cot)
         want = fd_grad_flat(loss_of, params_to_vector(p), eps=1e-6)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
     def test_clamped_outputs_pass_zero_gradient(self):
         rng = np.random.default_rng(200)
-        loop = tiny_loop(rng)
         p = init_params(1, 3, 4, 4, 5)
-        _, trace = forward(p, loop, y_clamp=(-1e-9, 1e-9))  # clamp everything
-        assert np.all(trace.gate[1::2] == 0.0)
+        _, trace = forward(p, tiny_batch(rng), y_clamp=(-1e-9, 1e-9))  # clamp everything
+        assert np.all(trace.gate[:, 1::2] == 0.0)
         cot = np.zeros_like(trace.output)
-        cot[1::2] = 123.0  # gradient only through y outputs
+        cot[:, 1::2] = 123.0  # gradient only through y outputs
         grads = backward(p, trace, cot)
-        for _, g in grads.arrays():
-            assert not g.any()
+        assert grads.shape == p.flat.shape
+        assert not grads.any()
 
     def test_relu_gate_is_strict_at_zero(self):
         # zero weights/biases make every pre-activation exactly 0.0
         p = NetworkParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
                           np.zeros(4), np.zeros((2, 4)), np.zeros(2))
         loop = PointSet([[0.2, 0.1], [1.0, 0.3], [0.5, 1.0]])
-        _, trace = forward(p, loop)
-        grads = backward(p, trace, np.ones(2))
+        _, trace = forward(p, loop_batch([loop]))
+        gw1, gb1, gw2, gb2, gw3, gb3 = p.split(backward(p, trace, np.ones((1, 2))))
         # d/db3 is direct; everything upstream is killed by z==0 gates
-        assert np.array_equal(grads.b3, np.ones(2))
-        assert not grads.w2.any() and not grads.b1.any() and not grads.w1.any()
+        assert np.array_equal(gb3, np.ones(2))
+        assert not gw2.any() and not gb1.any() and not gw1.any()
 
     def test_cotangent_shape_checked(self):
         rng = np.random.default_rng(7)
         p = init_params(0, 3, 4, 4, 5)
-        _, trace = forward(p, tiny_loop(rng))
+        _, trace = forward(p, tiny_batch(rng))
         with pytest.raises(ShapeMismatchError):
-            backward(p, trace, np.ones(4))
+            backward(p, trace, np.ones((1, 4)))
+        with pytest.raises(ShapeMismatchError):
+            backward(p, trace, np.ones(10))  # one row per sample, not flat
 
-    def test_grads_accumulate_and_scale(self):
+    def test_batched_gradient_is_sum_of_per_row_gradients(self):
         rng = np.random.default_rng(8)
         p = init_params(0, 3, 4, 4, 5)
-        loop = tiny_loop(rng)
-        _, trace = forward(p, loop)
-        g1 = backward(p, trace, np.ones_like(trace.output))
-        g2 = backward(p, trace, np.ones_like(trace.output))
-        g2.accumulate(g1)
-        g2.scale(0.5)
-        for (_, a), (_, b) in zip(g1.arrays(), g2.arrays()):
-            assert a == pytest.approx(b)
-        z = ParamGrads.zeros_like(p)
-        assert not any(arr.any() for _, arr in z.arrays())
+        x = loop_batch([tiny_loop(rng) for _ in range(4)])
+        cot = rng.normal(size=(4, 10))
+        _, trace = forward(p, x, y_clamp=(-0.1, 0.1))
+        batched = backward(p, trace, cot)
+        rows = []
+        for s in range(4):
+            _, row_trace = forward(p, x[s:s + 1], y_clamp=(-0.1, 0.1))
+            rows.append(backward(p, row_trace, cot[s:s + 1]))
+        assert batched == pytest.approx(np.sum(rows, axis=0), rel=1e-12, abs=1e-15)
+        assert not np.array_equal(rows[0], rows[1])  # the rows really differ
 
 
 # -------------------------------------------------------------- checkpoint
@@ -245,6 +264,29 @@ class TestCheckpoint:
         assert got_meta == meta
         for (_, a), (_, b) in zip(p.arrays(), q.arrays()):
             assert np.array_equal(a, b) and a.dtype == b.dtype
+
+    def test_blob_built_by_hand_in_documented_layout_loads_bit_exactly(self, tmp_path):
+        # one sorted-keys JSON header line, then w1, b1, w2, b2, w3, b3 as
+        # little-endian float64, packed here without numpy's byte export
+        rng = np.random.default_rng(12)
+        arrays = {"w1": rng.normal(size=(8, 10)), "b1": rng.normal(size=8),
+                  "w2": rng.normal(size=(6, 8)), "b2": rng.normal(size=6),
+                  "w3": rng.normal(size=(4, 6)), "b3": rng.normal(size=4)}
+        meta = {"note": "by hand"}
+        header = {"format": "loop2mesh-checkpoint", "version": 1, "dtype": "<f8",
+                  "shapes": {k: list(a.shape) for k, a in arrays.items()}, "meta": meta}
+        blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+            values = arrays[name].ravel().tolist()
+            blob += struct.pack(f"<{len(values)}d", *values)
+        path = tmp_path / "hand.l2m"
+        path.write_bytes(blob)
+        p, got_meta = load_checkpoint(path)
+        assert got_meta == meta
+        for name, arr in arrays.items():
+            assert np.array_equal(getattr(p, name), arr)
+        save_checkpoint(tmp_path / "again.l2m", p, meta)
+        assert (tmp_path / "again.l2m").read_bytes() == blob
 
     def test_identical_params_produce_identical_bytes(self, tmp_path):
         p = init_params(11, 5, 8, 8, 9)

@@ -1,6 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from loop2mesh import net
 from loop2mesh.errors import (
     ConfigError,
     FrameMismatchError,
@@ -9,7 +12,7 @@ from loop2mesh.errors import (
     ShapeMismatchError,
     TrainingDivergedError,
 )
-from loop2mesh.geometry import Frame, standardize_loop
+from loop2mesh.geometry import Frame, PointSet, invert_standardize, standardize_loop
 from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.losses import LossWeights
 from loop2mesh.net import init_params
@@ -48,10 +51,8 @@ def small_config(**over) -> TrainConfig:
 class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         p = init_params(0, 3, 4, 4, 2)
-        grads = type("G", (), {})()  # not used; build real grads instead
-        from loop2mesh.net import ParamGrads
-        g = ParamGrads.zeros_like(p)
-        g.w1[...] = 0.5  # constant gradient
+        g = np.zeros_like(p.flat)
+        p.split(g)[0][...] = 0.5  # constant gradient on w1
         before = p.w1.copy()
         adam_step(p, g, AdamState.zeros(p), lr=1e-3, t=1)
         step = before - p.w1
@@ -61,15 +62,14 @@ class TestAdam:
     def test_matches_reference_implementation_over_many_steps(self):
         rng = np.random.default_rng(0)
         p = init_params(1, 3, 4, 4, 2)
-        from loop2mesh.net import ParamGrads
         snapshots = [a.copy() for _, a in p.arrays()]
         grads_per_step = []
         state = AdamState.zeros(p)
         for t in range(1, 8):
-            g = ParamGrads.zeros_like(p)
-            for _, arr in g.arrays():
+            g = np.zeros_like(p.flat)
+            for arr in p.split(g):
                 arr[...] = rng.normal(size=arr.shape)
-            grads_per_step.append([a.copy() for _, a in g.arrays()])
+            grads_per_step.append([a.copy() for a in p.split(g)])
             adam_step(p, g, state, lr=1e-2, t=t)
         want = reference_adam(snapshots, grads_per_step, lr=1e-2)
         for (_, got), ref in zip(p.arrays(), want):
@@ -77,9 +77,13 @@ class TestAdam:
 
     def test_rejects_bad_step_count(self):
         p = init_params(0, 3, 4, 4, 2)
-        from loop2mesh.net import ParamGrads
         with pytest.raises(InvalidInputError):
-            adam_step(p, ParamGrads.zeros_like(p), AdamState.zeros(p), t=0)
+            adam_step(p, np.zeros_like(p.flat), AdamState.zeros(p), t=0)
+
+    def test_rejects_gradient_of_wrong_size(self):
+        p = init_params(0, 3, 4, 4, 2)
+        with pytest.raises(ShapeMismatchError):
+            adam_step(p, np.zeros(p.flat.size - 1), AdamState.zeros(p), t=1)
 
 
 # ------------------------------------------------------------------- config
@@ -103,6 +107,10 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         {"epochs": 0}, {"n_points": -1}, {"lr": 0.0}, {"loop_size": 2},
         {"clamp_y": (1.0, -1.0)},
+        # values of the wrong type, as a JSON config file can hold them
+        {"n_points": "abc"}, {"lr": "x"}, {"epochs": None}, {"seed": -1},
+        {"h1": float("inf")}, {"clamp_y": 5}, {"clamp_y": [0.0, 1.0, 2.0]},
+        {"weights": 5}, {"weights": {"repulsion": "x"}},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -122,6 +130,25 @@ class TestTrain:
         assert len(res.log.records) == 15
         assert [r.epoch for r in res.log.records] == list(range(1, 16))
         assert all(np.isfinite(r.total) for r in res.log.records)
+
+    def test_one_forward_and_one_backward_per_epoch(self, small_dataset, monkeypatch):
+        train_mod = importlib.import_module("loop2mesh.train")
+        batches, backward_calls = [], []
+
+        def counting_forward(params, x, y_clamp=None):
+            batches.append(np.shape(x))
+            return net.forward(params, x, y_clamp)
+
+        def counting_backward(params, trace, d_output):
+            backward_calls.append(np.shape(d_output))
+            return net.backward(params, trace, d_output)
+
+        monkeypatch.setattr(train_mod, "forward", counting_forward)
+        monkeypatch.setattr(train_mod, "backward", counting_backward)
+        assert len(small_dataset.samples) == 2
+        train(small_dataset, small_config(epochs=3))
+        assert batches == [(2, 24)] * 3
+        assert backward_calls == [(2, 80)] * 3
 
     def test_loss_decreases_on_small_run(self, small_dataset):
         res = train(small_dataset, small_config(epochs=150))
@@ -185,9 +212,20 @@ class TestPredict:
         res = train(small_dataset, small_config(epochs=2))
         samp = small_dataset.samples[0]
         got = predict(res.params, None, samp.loop, small_config(epochs=2))
-        want, _ = forward(res.params, samp.loop.as_pointset())
-        assert np.array_equal(got.xy, want.xy)
+        want, _ = forward(res.params, samp.loop.vertices.reshape(1, -1))
+        assert np.array_equal(got.xy, want.reshape(-1, 2))
         assert got.frame is Frame.ORIGINAL
+
+    def test_standardised_prediction_is_forward_in_the_standardised_frame(self, small_dataset):
+        from loop2mesh.net import forward
+        cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
+        res = train(small_dataset, cfg)
+        samp, t = small_dataset.samples[0], res.transforms[0]
+        got = predict(res.params, t, samp.loop, cfg)
+        std_loop = standardize_loop(t, samp.loop)
+        out, _ = forward(res.params, std_loop.vertices.reshape(1, -1))
+        want = invert_standardize(t, PointSet(out.reshape(-1, 2), Frame.STANDARDISED))
+        assert np.array_equal(got.xy, want.xy)
 
     def test_standardised_prediction_returns_original_frame(self, small_dataset):
         cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
