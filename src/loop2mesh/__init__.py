@@ -4,159 +4,9 @@ A small fully-connected generator maps a fixed-length boundary loop to a
 point cloud, trained with a composite of Chamfer distance, a spread
 (repulsion) reward, and an interior-exclusion penalty. Evaluation compares
 kernel density estimates of predicted and reference clouds via KL divergence.
+
+The modules are the import surface: ``loop2mesh.train``, ``loop2mesh.losses``
+and so on; the package itself only carries the version.
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    DegenerateDensityError,
-    EmptyDatasetError,
-    FrameMismatchError,
-    InvalidGeometryError,
-    InvalidInputError,
-    Loop2MeshError,
-    ParseError,
-    ShapeMismatchError,
-    TrainingDivergedError,
-    WindowMismatchError,
-)
-from .evaluation import (
-    DensityGrid,
-    EvalWindow,
-    KLRow,
-    center_window,
-    evaluate,
-    kde,
-    kl_divergence,
-    kl_sweep,
-    scott_bandwidth,
-    whole_window,
-)
-from .geometry import (
-    AirfoilLoop,
-    Frame,
-    PointSet,
-    StandardizeTransform,
-    apply_standardize,
-    clamp_points,
-    fit_standardize,
-    invert_standardize,
-    nearest_edge,
-    point_in_polygon,
-    points_in_polygon,
-    resample_loop,
-)
-from .ingest import (
-    ChordTransform,
-    Dataset,
-    MeshSample,
-    assemble_sample,
-    build_dataset,
-    fit_chord,
-    load_manifest,
-    normalise_chord,
-    parse_airfoil_dat,
-    parse_msh_nodes,
-    upsample_target,
-)
-from .losses import (
-    LossBreakdown,
-    LossWeights,
-    chamfer,
-    composite,
-    interior_penalty,
-    mean_pairwise_distance,
-    repulsion,
-)
-from .net import (
-    ForwardTrace,
-    NetworkParams,
-    backward,
-    forward,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .train import (
-    TrainConfig,
-    TrainLog,
-    TrainMode,
-    TrainResult,
-    load_trained,
-    predict,
-    save_trained,
-    train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AirfoilLoop",
-    "ChordTransform",
-    "ConfigError",
-    "Dataset",
-    "DegenerateDataError",
-    "DegenerateDensityError",
-    "DensityGrid",
-    "EmptyDatasetError",
-    "EvalWindow",
-    "ForwardTrace",
-    "Frame",
-    "FrameMismatchError",
-    "InvalidGeometryError",
-    "InvalidInputError",
-    "KLRow",
-    "Loop2MeshError",
-    "LossBreakdown",
-    "LossWeights",
-    "MeshSample",
-    "NetworkParams",
-    "ParseError",
-    "PointSet",
-    "ShapeMismatchError",
-    "StandardizeTransform",
-    "TrainConfig",
-    "TrainLog",
-    "TrainMode",
-    "TrainResult",
-    "TrainingDivergedError",
-    "WindowMismatchError",
-    "apply_standardize",
-    "assemble_sample",
-    "backward",
-    "build_dataset",
-    "center_window",
-    "chamfer",
-    "clamp_points",
-    "composite",
-    "evaluate",
-    "fit_chord",
-    "fit_standardize",
-    "forward",
-    "init_params",
-    "interior_penalty",
-    "invert_standardize",
-    "kde",
-    "kl_divergence",
-    "kl_sweep",
-    "load_checkpoint",
-    "load_manifest",
-    "load_trained",
-    "mean_pairwise_distance",
-    "nearest_edge",
-    "normalise_chord",
-    "parse_airfoil_dat",
-    "parse_msh_nodes",
-    "point_in_polygon",
-    "points_in_polygon",
-    "predict",
-    "repulsion",
-    "resample_loop",
-    "save_checkpoint",
-    "save_trained",
-    "scott_bandwidth",
-    "train",
-    "upsample_target",
-    "whole_window",
-    "__version__",
-]

@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from .evaluation import KLRow, evaluate, kl_csv_text, kl_sweep, write_kl_csv
 from .fileio import atomic_write_text
 from .geometry import PointSet, points_in_polygon, resample_loop
 from .ingest import build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes
-from .losses import LossWeights
 from .svg import render_svg
 from .train import (
     TrainConfig,
@@ -94,13 +94,9 @@ def _resolve_config(args) -> TrainConfig:
         weights["repulsion"] = args.ratio
     if getattr(args, "interior_weight", None) is not None:
         weights["interior"] = args.interior_weight
-    mode = raw.get("mode", TrainConfig().mode.value)
     if "interior" not in weights:
-        try:
-            weights["interior"] = default_interior_weight(TrainMode(mode))
-        except ValueError:
-            raise ConfigError(f"unknown mode {mode!r}; expected one of "
-                              f"{[m.value for m in TrainMode]}") from None
+        mode = TrainMode.parse(raw.get("mode", TrainConfig().mode.value))
+        weights["interior"] = default_interior_weight(mode)
     raw["weights"] = weights
     return TrainConfig.from_dict(raw)
 
@@ -220,21 +216,24 @@ def _prepare_loop(dat_path, config: TrainConfig):
     return resample_loop(chord.apply(contour), config.loop_size), chord
 
 
+def _inference_transform(config: TrainConfig, samples, checkpoint, name=None):
+    """The standardisation transform to predict with: none in raw mode, else
+    the named sample's, or the first sample's when no name is given."""
+    if config.mode is TrainMode.RAW:
+        return None
+    by_name = dict(samples)
+    if name is not None and name not in by_name:
+        raise ConfigError(f"checkpoint has no sample named {name!r}; knows {sorted(by_name)}")
+    transform = samples[0][1] if name is None else by_name[name]
+    if transform is None:
+        raise ParseError(f"{checkpoint}: missing standardise transform for sample")
+    return transform
+
+
 def cmd_predict(args) -> int:
     params, config, samples = load_trained(args.checkpoint)
     loop, chord = _prepare_loop(args.dat, config)
-    transform = None
-    if config.mode is not TrainMode.RAW:
-        by_name = dict(samples)
-        if args.sample is not None:
-            if args.sample not in by_name:
-                raise ConfigError(f"checkpoint has no sample named {args.sample!r}; "
-                                  f"knows {sorted(by_name)}")
-            transform = by_name[args.sample]
-        else:
-            transform = samples[0][1]
-        if transform is None:
-            raise ParseError(f"{args.checkpoint}: missing standardise transform for sample")
+    transform = _inference_transform(config, samples, args.checkpoint, args.sample)
     pred = predict(params, transform, loop, config)
 
     out_dir = Path(args.out_dir)
@@ -269,10 +268,7 @@ def cmd_evaluate(args) -> int:
         if args.dat is None:
             raise ConfigError("--checkpoint needs --dat to build the input loop")
         loop, chord = _prepare_loop(args.dat, config)
-        transform = samples[0][1] if config.mode is not TrainMode.RAW else None
-        if config.mode is not TrainMode.RAW and transform is None:
-            raise ParseError(f"{args.checkpoint}: missing standardise transform")
-        pred = predict(params, transform, loop, config)
+        pred = predict(params, _inference_transform(config, samples, args.checkpoint), loop, config)
         truth = chord.apply(parse_msh_nodes(Path(args.truth).read_text()))
         if ratio is None:
             ratio = config.weights.repulsion
@@ -325,26 +321,18 @@ def cmd_sweep(args) -> int:
     for ratio in ratios:
         for nodes in node_counts:
             try:
-                weights = LossWeights(base.weights.chamfer, ratio,
-                                      base.weights.interior, base.weights.epsilon)
-                cell_cfg = TrainConfig(mode=base.mode, n_points=nodes, loop_size=base.loop_size,
-                                       upsample_count=base.upsample_count, h1=base.h1, h2=base.h2,
-                                       weights=weights, clamp_y=base.clamp_y, lr=base.lr,
-                                       epochs=base.epochs, seed=base.seed)
-                tag = _cell_hash(cell_cfg, input_hashes)
-                ckpt_path = ckpt_dir / f"ckpt_{tag}.l2m"
+                cell_cfg = replace(base, n_points=nodes,
+                                   weights=replace(base.weights, repulsion=ratio))
+                ckpt_path = ckpt_dir / f"ckpt_{_cell_hash(cell_cfg, input_hashes)}.l2m"
                 if ckpt_path.exists():
                     log.info("cell ratio=%g nodes=%d: reusing checkpoint %s", ratio, nodes, ckpt_path.name)
-                    params, cfg, samples = load_trained(ckpt_path)
-                    transform = samples[0][1]
                 else:
                     log.info("cell ratio=%g nodes=%d: training", ratio, nodes)
-                    result = train(dataset, cell_cfg)
-                    save_trained(ckpt_path, result, cell_cfg,
+                    save_trained(ckpt_path, train(dataset, cell_cfg), cell_cfg,
                                  [s.name for s in dataset.samples])
-                    params, cfg = result.params, cell_cfg
-                    transform = result.transforms[0] if result.transforms else None
-                pred = predict(params, transform, sample.loop, cfg)
+                params, cfg, samples = load_trained(ckpt_path)
+                pred = predict(params, _inference_transform(cfg, samples, ckpt_path),
+                               sample.loop, cfg)
             except Loop2MeshError as exc:
                 failures.append(f"ratio={ratio:g} nodes={nodes}: {exc}")
                 log.warning("cell ratio=%g nodes=%d failed: %s", ratio, nodes, exc)

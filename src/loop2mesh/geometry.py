@@ -9,7 +9,7 @@ function is pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -235,17 +235,11 @@ class StandardizeTransform:
             raise InvalidInputError("transform scales must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "mean_x": self.mean_x,
-            "mean_y": self.mean_y,
-            "scale_x": self.scale_x,
-            "scale_y": self.scale_y,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "StandardizeTransform":
-        return cls(float(d["mean_x"]), float(d["mean_y"]),
-                   float(d["scale_x"]), float(d["scale_y"]))
+        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
 
     @property
     def _mean(self) -> np.ndarray:

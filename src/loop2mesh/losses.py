@@ -10,7 +10,7 @@ interior    mean squared intrusion depth behind the boundary loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,39 @@ def chamfer(pred: PointSet, ref: PointSet) -> tuple[float, np.ndarray]:
     return value, grad
 
 
+def _pairwise(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one pairwise kernel of a cloud: per-axis differences
+    ``dx[i, j] = x_i - x_j`` and ``dy`` likewise, and the squared distances,
+    each (N, N). Repulsion and the mean pairwise distance both read it."""
+    dx = xy[:, 0, None] - xy[None, :, 0]
+    dy = xy[:, 1, None] - xy[None, :, 1]
+    return dx, dy, dx * dx + dy * dy
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    return a[~np.eye(len(a), dtype=bool)]
+
+
+def _repulsion(pairs, epsilon: float) -> tuple[float, np.ndarray]:
+    dx, dy, d2 = pairs
+    n = len(d2)
+    if n < 2:
+        raise InvalidInputError("repulsion needs at least 2 points")
+    if not epsilon > 0.0:
+        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
+    r = np.sqrt(d2 + epsilon)
+    value = 1.0 / (float(_off_diagonal(r).sum()) / (n * n))  # 1 / mean distance
+    # d(mean)/d(p_i) = (2/N^2) sum_j (p_i - p_j) / r_ij; self-pairs add 0/r = 0.
+    # dx/r is antisymmetric, so each row sum is minus the column sum, which
+    # NumPy accumulates row by row in index order.
+    d_mean = -2.0 * np.column_stack(((dx / r).sum(axis=0), (dy / r).sum(axis=0))) / (n * n)
+    return value, -(value ** 2) * d_mean
+
+
+def _mean_pairwise(d2: np.ndarray) -> float:
+    return float(_off_diagonal(np.sqrt(d2)).mean()) if len(d2) >= 2 else 0.0
+
+
 def repulsion(pred: PointSet, epsilon: float = 1e-8) -> tuple[float, np.ndarray]:
     """Inverse of the mean pairwise distance over the predicted cloud.
 
@@ -57,21 +90,7 @@ def repulsion(pred: PointSet, epsilon: float = 1e-8) -> tuple[float, np.ndarray]
     sqrt(|pi-pj|^2 + epsilon), so coincident points stay finite. Larger
     spread means a smaller value.
     """
-    n = len(pred)
-    if n < 2:
-        raise InvalidInputError("repulsion needs at least 2 points")
-    if not epsilon > 0.0:
-        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
-    P = pred.xy
-    diff = P[:, None, :] - P[None, :, :]
-    r = np.sqrt((diff ** 2).sum(axis=2) + epsilon)
-    off = ~np.eye(n, dtype=bool)
-    mean_dist = float(r[off].sum()) / (n * n)
-    value = 1.0 / mean_dist
-    w = np.where(off[:, :, None], diff / r[:, :, None], 0.0)
-    d_mean = 2.0 * w.sum(axis=1) / (n * n)
-    grad = -(value ** 2) * d_mean
-    return value, grad
+    return _repulsion(_pairwise(pred.xy), epsilon)
 
 
 def interior_penalty(pred: PointSet, loop: AirfoilLoop) -> tuple[float, np.ndarray]:
@@ -93,6 +112,13 @@ def interior_penalty(pred: PointSet, loop: AirfoilLoop) -> tuple[float, np.ndarr
     return value, grad
 
 
+def as_float(value) -> float:
+    """A config number as a float: an int or a float, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class LossWeights:
     """Non-negative weights for the composite objective (at least one > 0)."""
@@ -112,15 +138,14 @@ class LossWeights:
             raise InvalidInputError(f"epsilon must be positive, got {self.epsilon}")
 
     def to_dict(self) -> dict:
-        return {"chamfer": self.chamfer, "repulsion": self.repulsion,
-                "interior": self.interior, "epsilon": self.epsilon}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossWeights":
+        """Weights from a mapping; missing keys keep their defaults."""
         if not isinstance(d, dict):
             raise InvalidInputError(f"weights must be a mapping, got {d!r}")
-        return cls(float(d.get("chamfer", 1.0)), float(d.get("repulsion", 0.0)),
-                   float(d.get("interior", 0.0)), float(d.get("epsilon", 1e-8)))
+        return cls(**{f.name: as_float(d[f.name]) for f in fields(cls) if f.name in d})
 
 
 @dataclass(frozen=True)
@@ -132,17 +157,23 @@ class LossBreakdown:
     interior: float
     total: float
     grad: np.ndarray  # d(total)/d(pred), (N, 2)
+    mean_pairwise: float  # mean distance over distinct pairs, a logged statistic
 
 
 def composite(pred: PointSet, ref: PointSet, loop: AirfoilLoop,
               weights: LossWeights) -> LossBreakdown:
-    """Weighted sum of the three terms; gradients combine linearly."""
+    """Weighted sum of the three terms; gradients combine linearly.
+
+    The cloud's pairwise kernel is built once and feeds both the repulsion
+    term and the reported mean pairwise distance.
+    """
+    pairs = _pairwise(pred.xy)
     c_val, c_grad = chamfer(pred, ref)
-    r_val, r_grad = repulsion(pred, weights.epsilon)
+    r_val, r_grad = _repulsion(pairs, weights.epsilon)
     i_val, i_grad = interior_penalty(pred, loop)
     total = weights.chamfer * c_val + weights.repulsion * r_val + weights.interior * i_val
     grad = weights.chamfer * c_grad + weights.repulsion * r_grad + weights.interior * i_grad
-    return LossBreakdown(c_val, r_val, i_val, float(total), grad)
+    return LossBreakdown(c_val, r_val, i_val, float(total), grad, _mean_pairwise(pairs[2]))
 
 
 def mean_pairwise_distance(points) -> float:
@@ -151,9 +182,4 @@ def mean_pairwise_distance(points) -> float:
     Accepts a PointSet or any (N, 2) array-like.
     """
     xy = as_point_array(points.xy if isinstance(points, PointSet) else points)
-    n = xy.shape[0]
-    if n < 2:
-        return 0.0
-    diff = xy[:, None, :] - xy[None, :, :]
-    r = np.sqrt((diff ** 2).sum(axis=2))
-    return float(r[~np.eye(n, dtype=bool)].mean())
+    return _mean_pairwise(_pairwise(xy)[2])

@@ -212,17 +212,25 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: invalid checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format") != _CHECKPOINT_FORMAT:
         raise ParseError(f"{path}: unrecognised checkpoint format")
     if header.get("version") != _CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    table = header.get("shapes")
+    if not isinstance(table, dict) or "meta" not in header:
+        raise ParseError(f"{path}: checkpoint header needs a 'shapes' object and a 'meta' entry")
     shapes = []
     end = nl + 1
     for name in _ARRAY_ORDER:
-        if name not in header["shapes"]:
+        if name not in table:
             raise ParseError(f"{path}: checkpoint header missing array {name!r}")
-        shapes.append(tuple(header["shapes"][name]))
-        end += 8 * math.prod(shapes[-1])
+        shape = table[name]
+        if not isinstance(shape, list) or not all(type(k) is int and k >= 0 for k in shape):
+            raise ParseError(f"{path}: array {name!r} has invalid shape {shape!r}")
+        shapes.append(tuple(shape))
+        end += 8 * math.prod(shape)
         if end > len(blob):
             raise ParseError(f"{path}: checkpoint truncated in array {name!r}")
     if end != len(blob):

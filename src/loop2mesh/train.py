@@ -18,7 +18,7 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ from .geometry import (
     standardize_loop,
 )
 from .ingest import Dataset
-from .losses import LossWeights, composite, mean_pairwise_distance
+from .losses import LossWeights, as_float, composite
 from .net import NetworkParams, backward, forward, init_params, load_checkpoint, save_checkpoint
 
 
@@ -45,22 +45,43 @@ class TrainMode(enum.Enum):
     STANDARDISED = "stand"
     STANDARDISED_CLAMPED = "stand-clamp"
 
+    @classmethod
+    def parse(cls, value) -> "TrainMode":
+        try:
+            return cls(value)
+        except ValueError:
+            raise ConfigError(f"unknown mode {value!r}; expected one of "
+                              f"{[m.value for m in cls]}") from None
+
 
 def default_interior_weight(mode: TrainMode) -> float:
     """10 when containment relies on the penalty, 0 once clamping confines y."""
     return 0.0 if mode is TrainMode.STANDARDISED_CLAMPED else 10.0
 
 
+def _as_int(value) -> int:
+    if type(value) is not int:  # a bool is an int subclass, not a count
+        raise InvalidInputError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _float_pair(value) -> tuple[float, float]:
     lo, hi = value
-    return float(lo), float(hi)
+    return as_float(lo), as_float(hi)
+
+
+# config-file value -> field value, keyed by the field's annotation
+_CONVERTERS = {"TrainMode": TrainMode.parse, "int": _as_int, "float": as_float,
+               "tuple[float, float]": _float_pair, "LossWeights": LossWeights.from_dict}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every int field must be at least its ``min`` (default 1)."""
+
     mode: TrainMode = TrainMode.RAW
     n_points: int = 400
-    loop_size: int = 35
+    loop_size: int = field(default=35, metadata={"min": 3})
     upsample_count: int = 1500
     h1: int = 256
     h2: int = 512
@@ -68,19 +89,16 @@ class TrainConfig:
     clamp_y: tuple[float, float] = (-1.0, 1.0)
     lr: float = 1e-3
     epochs: int = 5000
-    seed: int = 0
+    seed: int = field(default=0, metadata={"min": 0})
 
     def validate(self) -> None:
         if not isinstance(self.mode, TrainMode):
             raise ConfigError(f"mode must be one of {[m.value for m in TrainMode]}")
-        for name in ("n_points", "loop_size", "upsample_count", "h1", "h2", "epochs"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.loop_size < 3:
-            raise ConfigError(f"loop_size must be at least 3, got {self.loop_size}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            low = f.metadata.get("min", 1)
+            if f.type == "int" and not (type(v) is int and v >= low):
+                raise ConfigError(f"{f.name} must be an integer >= {low}, got {v!r}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be positive, got {self.lr}")
         lo, hi = self.clamp_y
@@ -89,44 +107,26 @@ class TrainConfig:
         if not isinstance(self.weights, LossWeights):
             raise ConfigError("weights must be a LossWeights instance")
 
+    @property
+    def y_clamp(self) -> tuple[float, float] | None:
+        """The clamp on the network's y outputs: ``clamp_y`` in stand-clamp mode only."""
+        return self.clamp_y if self.mode is TrainMode.STANDARDISED_CLAMPED else None
+
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "n_points": self.n_points,
-            "loop_size": self.loop_size,
-            "upsample_count": self.upsample_count,
-            "h1": self.h1,
-            "h2": self.h2,
-            "weights": self.weights.to_dict(),
-            "clamp_y": [self.clamp_y[0], self.clamp_y[1]],
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "seed": self.seed,
-        }
+        return dict(asdict(self), mode=self.mode.value, clamp_y=list(self.clamp_y))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {"mode", "n_points", "loop_size", "upsample_count", "h1", "h2",
-                 "weights", "clamp_y", "lr", "epochs", "seed"}
-        unknown = set(d) - known
+        table = {f.name: _CONVERTERS[f.type] for f in fields(cls)}
+        unknown = set(d) - set(table)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kw: dict = {}
-        if "mode" in d:
+        for name, value in d.items():
             try:
-                kw["mode"] = TrainMode(d["mode"])
-            except ValueError:
-                raise ConfigError(f"unknown mode {d['mode']!r}; expected one of "
-                                  f"{[m.value for m in TrainMode]}") from None
-        converters = (("n_points", int), ("loop_size", int), ("upsample_count", int),
-                      ("h1", int), ("h2", int), ("epochs", int), ("seed", int), ("lr", float),
-                      ("clamp_y", _float_pair), ("weights", LossWeights.from_dict))
-        for name, convert in converters:
-            try:
-                if name in d:
-                    kw[name] = convert(d[name])
+                kw[name] = table[name](value)
             except (InvalidInputError, TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"invalid {name} {d[name]!r}: {exc}") from None
+                raise ConfigError(f"invalid {name} {value!r}: {exc}") from None
         cfg = cls(**kw)
         cfg.validate()
         return cfg
@@ -222,27 +222,20 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         raise ConfigError(f"config loop_size {config.loop_size} != dataset loop size {dataset.loop_size}")
     params = init_params(config.seed, config.loop_size, config.h1, config.h2, config.n_points)
     state = AdamState.zeros(params)
-    standardise = config.mode is not TrainMode.RAW
-    clamp = config.clamp_y if config.mode is TrainMode.STANDARDISED_CLAMPED else None
 
-    refs: list[PointSet] = []
-    polys: list[AirfoilLoop] = []
-    transforms: list[StandardizeTransform] = []
-    for s in dataset.samples:
-        if standardise:
-            t = fit_standardize(s.target)
-            transforms.append(t)
-            refs.append(apply_standardize(t, s.target))
-            polys.append(standardize_loop(t, s.loop))
-        else:
-            refs.append(s.target)
-            polys.append(s.loop)
-
+    samples = dataset.samples
+    if config.mode is TrainMode.RAW:
+        transforms = None
+        refs, polys = [s.target for s in samples], [s.loop for s in samples]
+    else:
+        transforms = [fit_standardize(s.target) for s in samples]
+        refs = [apply_standardize(t, s.target) for t, s in zip(transforms, samples)]
+        polys = [standardize_loop(t, s.loop) for t, s in zip(transforms, samples)]
     x = np.stack([poly.vertices.reshape(-1) for poly in polys])  # rows x0, y0, x1, ...
-    n_samples = len(dataset.samples)
+    n_samples = len(samples)
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
-        out, trace = forward(params, x, y_clamp=clamp)
+        out, trace = forward(params, x, y_clamp=config.y_clamp)
         d_out = np.empty_like(out)
         sums = np.zeros(5)  # chamfer, repulsion, interior, total, mean pairwise
         for i, (ref, poly) in enumerate(zip(refs, polys)):
@@ -254,8 +247,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                     epoch, f"non-finite network output at epoch {epoch}") from exc
             bd = composite(pred, ref, poly, config.weights)
             d_out[i] = bd.grad.reshape(-1)
-            sums += (bd.chamfer, bd.repulsion, bd.interior, bd.total,
-                     mean_pairwise_distance(pred.xy))
+            sums += (bd.chamfer, bd.repulsion, bd.interior, bd.total, bd.mean_pairwise)
         sums /= n_samples
         record = EpochRecord(epoch, *map(float, sums))
         if not math.isfinite(record.total):
@@ -263,7 +255,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         d_out *= 1.0 / n_samples  # the cotangent of the mean loss
         adam_step(params, backward(params, trace, d_out), state, lr=config.lr, t=epoch)
         records.append(record)
-    return TrainResult(params, transforms if standardise else None, TrainLog(tuple(records)))
+    return TrainResult(params, transforms, TrainLog(tuple(records)))
 
 
 def predict(params: NetworkParams, transform: StandardizeTransform | None,
@@ -273,21 +265,14 @@ def predict(params: NetworkParams, transform: StandardizeTransform | None,
         raise ShapeMismatchError("checkpoint dimensions do not match the configuration")
     if loop.frame is not Frame.ORIGINAL:
         raise InvalidInputError("predict expects a loop in original coordinates")
-    if config.mode is TrainMode.RAW:
-        if transform is not None:
-            raise InvalidInputError("raw mode takes no standardise transform")
-        inp = loop.as_pointset()
-        clamp = None
-    else:
-        if transform is None:
-            raise InvalidInputError("standardised modes require the sample's transform")
-        inp = apply_standardize(transform, loop.as_pointset())
-        clamp = config.clamp_y if config.mode is TrainMode.STANDARDISED_CLAMPED else None
-    out, _ = forward(params, inp.xy.reshape(1, -1), y_clamp=clamp)
+    if config.mode is TrainMode.RAW and transform is not None:
+        raise InvalidInputError("raw mode takes no standardise transform")
+    if config.mode is not TrainMode.RAW and transform is None:
+        raise InvalidInputError("standardised modes require the sample's transform")
+    inp = loop.as_pointset() if transform is None else apply_standardize(transform, loop.as_pointset())
+    out, _ = forward(params, inp.xy.reshape(1, -1), y_clamp=config.y_clamp)
     pred = PointSet(out.reshape(-1, 2), inp.frame)
-    if transform is not None:
-        pred = invert_standardize(transform, pred)
-    return pred
+    return pred if transform is None else invert_standardize(transform, pred)
 
 
 def save_trained(path, result: TrainResult, config: TrainConfig, sample_names: list[str]) -> None:

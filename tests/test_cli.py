@@ -22,7 +22,8 @@ from loop2mesh.errors import (
     TrainingDivergedError,
     WindowMismatchError,
 )
-from loop2mesh.ingest import parse_msh_nodes
+from loop2mesh.ingest import load_manifest, parse_msh_nodes
+from loop2mesh.train import TrainConfig
 
 FAST = ["--nodes", "40", "--epochs", "30", "--h1", "16", "--h2", "24",
         "--upsample-count", "200", "--seed", "0"]
@@ -102,6 +103,15 @@ class TestTrain:
              "--epochs", "0", "--nodes", "40"], capsys)
         assert code == 2
         assert "error:" in stderr
+        # a config file value that would need coercing is an error, not a guess
+        cfg = tmp_path / "cfg.json"
+        for bad in ({"n_points": 3.7}, {"epochs": True}, {"lr": True},
+                    {"weights": {"repulsion": True}}):
+            cfg.write_text(json.dumps(bad))
+            code, _, stderr = run_cli(
+                ["train", manifest_path, "--out-dir", tmp_path / "r", "--config", cfg], capsys)
+            assert code == 2, bad
+            assert "error: invalid " + next(iter(bad)) in stderr
 
     @pytest.mark.parametrize("bad", [
         {"n_points": "abc"}, {"lr": "x"}, {"clamp_y": 5}, {"weights": 5}, {"seed": -1},
@@ -216,6 +226,24 @@ class TestPredict:
         assert code == 2
         assert "bogus" in stderr
 
+    def test_checkpoint_without_the_chosen_transform_exits_3(self, tmp_path, trained, capsys):
+        head, rest = trained["checkpoint"].read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["meta"]["samples"][0]["transform"] = None
+        bad = tmp_path / "bad.l2m"
+        bad.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
+        for argv in (["predict", "--out-dir", tmp_path / "p"],
+                     ["evaluate", "--truth", trained["msh"], "--out", tmp_path / "kl.csv"]):
+            code, _, stderr = run_cli(
+                argv + ["--checkpoint", bad, "--dat", trained["dat"]], capsys)
+            assert code == 3
+            assert "missing standardise transform" in stderr
+        # the second sample still has its transform and can be chosen by name
+        second = header["meta"]["samples"][1]["name"]
+        code, _, _ = run_cli(["predict", "--checkpoint", bad, "--dat", trained["dat"],
+                              "--sample", second, "--out-dir", tmp_path / "p2"], capsys)
+        assert code == 0
+
     def test_explicit_viewport_accepted(self, tmp_path, trained, capsys):
         out = tmp_path / "pred"
         code, _, _ = run_cli(
@@ -238,6 +266,18 @@ class TestPredict:
             ["predict", "--checkpoint", tmp_path / "none.l2m",
              "--dat", trained["dat"], "--out-dir", tmp_path / "p"], capsys)
         assert code == 3
+
+    def test_malformed_checkpoint_header_exits_3(self, tmp_path, trained, capsys):
+        head, rest = trained["checkpoint"].read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["shapes"]["w1"] = ["16", 70]
+        bad = tmp_path / "bad.l2m"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        code, _, stderr = run_cli(
+            ["predict", "--checkpoint", bad, "--dat", trained["dat"],
+             "--out-dir", tmp_path / "p"], capsys)
+        assert code == 3
+        assert "invalid shape" in stderr
 
 
 # ----------------------------------------------------------------- evaluate
@@ -378,6 +418,28 @@ class TestSweep:
         assert len(empties) == 2  # both regions of the nodes=0 cell
         assert all(l.split(",")[2] == "0" for l in empties)
         assert len(list((out / "checkpoints").glob("*.l2m"))) == 1
+
+    def test_cell_checkpoints_are_named_by_the_full_cell_config(self, sweep_run, manifest_path):
+        inputs = cli._input_hashes(manifest_path, load_manifest(manifest_path))
+        want = set()
+        for ratio in (0.0, 1.0):
+            for nodes in (30, 40):
+                cell = TrainConfig.from_dict({
+                    "n_points": nodes, "epochs": 20, "h1": 16, "h2": 24,
+                    "upsample_count": 150, "seed": 0,
+                    "weights": {"repulsion": ratio, "interior": 10.0}})
+                want.add(f"ckpt_{cli._cell_hash(cell, inputs)}.l2m")
+        assert {p.name for p in (sweep_run / "checkpoints").glob("*.l2m")} == want
+
+    def test_cell_hash_of_desk_cells_is_pinned(self):
+        inputs = [{"path": "m", "sha256": "0" * 64}, {"path": "d", "sha256": "1" * 64}]
+        for ratio, nodes, want in ((0.0, 100, "7df4e758b1a373ae"),
+                                   (2.5, 400, "9cba15dda7166b97")):
+            cell = TrainConfig.from_dict({
+                "mode": "stand-clamp", "n_points": nodes, "loop_size": 35,
+                "upsample_count": 1500,
+                "weights": {"chamfer": 1.0, "repulsion": ratio, "interior": 10.0}})
+            assert cli._cell_hash(cell, inputs) == want
 
     def test_bad_ratio_list_exits_2(self, tmp_path, manifest_path, capsys):
         code, _, stderr = run_cli(

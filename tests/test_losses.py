@@ -236,6 +236,11 @@ class TestLossWeights:
         w = LossWeights(1.0, 2.5, 10.0, 1e-9)
         assert LossWeights.from_dict(w.to_dict()) == w
 
+    @pytest.mark.parametrize("bad", [{"repulsion": True}, {"chamfer": "1"}, {"epsilon": None}])
+    def test_from_dict_does_not_coerce(self, bad):
+        with pytest.raises(InvalidInputError):
+            LossWeights.from_dict(bad)
+
 
 class TestComposite:
     def test_total_is_weighted_sum_of_reported_terms(self, unit_square):
@@ -279,6 +284,15 @@ class TestComposite:
 
         br = composite(pred, ref, unit_square, w)
         assert br.grad == pytest.approx(fd_grad_points(f, pred.xy), rel=1e-4, abs=1e-7)
+
+
+    def test_reports_mean_pairwise_distance(self, unit_square):
+        rng = np.random.default_rng(14)
+        pred = cloud(rng, 31, lo=-0.5, hi=1.5)
+        ref = cloud(rng, 12, lo=-0.5, hi=1.5)
+        br = composite(pred, ref, unit_square, LossWeights(1.0, 1.0, 10.0))
+        assert br.mean_pairwise == pytest.approx(brute_mean_pairwise(pred.xy), rel=1e-12)
+        assert br.mean_pairwise == mean_pairwise_distance(pred)
 
 
 class TestMeanPairwiseDistance:

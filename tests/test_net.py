@@ -334,3 +334,22 @@ class TestCheckpoint:
         path.write_bytes(head + b"\n" + rest)
         with pytest.raises(ParseError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: [h],                                              # a JSON list
+        lambda h: dict(h, shapes=5),                                # shapes not an object
+        lambda h: dict(h, shapes=dict(h["shapes"], w1=["4", 6])),  # string size
+        lambda h: dict(h, shapes=dict(h["shapes"], w1=[4.0, 6])),  # float size
+        lambda h: dict(h, shapes=dict(h["shapes"], w1=[True, 6])), # bool size
+        lambda h: dict(h, shapes=dict(h["shapes"], b1=[-4])),      # negative size
+        lambda h: {k: v for k, v in h.items() if k != "shapes"},
+        lambda h: {k: v for k, v in h.items() if k != "meta"},
+    ], ids=["list", "shapes-int", "size-str", "size-float", "size-bool", "size-negative",
+            "no-shapes", "no-meta"])
+    def test_malformed_header_raises_parse_error(self, tmp_path, edit):
+        path = tmp_path / "net.l2m"
+        save_checkpoint(path, init_params(0, 3, 4, 4, 5))
+        head, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + rest)
+        with pytest.raises(ParseError):
+            load_checkpoint(path)

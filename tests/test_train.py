@@ -1,8 +1,10 @@
-import importlib
+import json
 
 import numpy as np
 import pytest
 
+import loop2mesh.losses as losses_mod
+import loop2mesh.train as train_mod
 from loop2mesh import net
 from loop2mesh.errors import (
     ConfigError,
@@ -12,7 +14,13 @@ from loop2mesh.errors import (
     ShapeMismatchError,
     TrainingDivergedError,
 )
-from loop2mesh.geometry import Frame, PointSet, invert_standardize, standardize_loop
+from loop2mesh.geometry import (
+    Frame,
+    PointSet,
+    StandardizeTransform,
+    invert_standardize,
+    standardize_loop,
+)
 from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.losses import LossWeights
 from loop2mesh.net import init_params
@@ -21,6 +29,7 @@ from loop2mesh.train import (
     TrainConfig,
     TrainLog,
     TrainMode,
+    TrainResult,
     adam_step,
     default_interior_weight,
     load_trained,
@@ -36,6 +45,11 @@ from oracles import reference_adam
 def small_dataset(manifest_path):
     return build_dataset(load_manifest(manifest_path), loop_size=12,
                          target_count=150, seed=0)
+
+
+# the paper's desk configuration, as a config file holds it
+DESK_CONFIG = {"mode": "stand-clamp", "n_points": 400, "loop_size": 35, "upsample_count": 1500,
+               "weights": {"chamfer": 1.0, "repulsion": 1.0, "interior": 10.0}}
 
 
 def small_config(**over) -> TrainConfig:
@@ -111,10 +125,41 @@ class TestTrainConfig:
         {"n_points": "abc"}, {"lr": "x"}, {"epochs": None}, {"seed": -1},
         {"h1": float("inf")}, {"clamp_y": 5}, {"clamp_y": [0.0, 1.0, 2.0]},
         {"weights": 5}, {"weights": {"repulsion": "x"}},
+        # no silent coercion: ints stay ints, and a bool is not a number
+        {"n_points": 3.7}, {"n_points": 400.0}, {"epochs": True}, {"seed": False},
+        {"lr": True}, {"clamp_y": [True, 1.0]}, {"weights": {"repulsion": True}},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict(bad)
+
+    def test_ints_accepted_for_float_fields(self):
+        cfg = TrainConfig.from_dict({"lr": 1, "clamp_y": [-2, 2], "weights": {"repulsion": 3}})
+        assert (cfg.lr, cfg.clamp_y, cfg.weights.repulsion) == (1.0, (-2.0, 2.0), 3.0)
+        assert type(cfg.lr) is float and type(cfg.weights.repulsion) is float
+
+    def test_desk_config_dict_is_pinned(self):
+        assert json.dumps(TrainConfig.from_dict(DESK_CONFIG).to_dict(), sort_keys=True) == (
+            '{"clamp_y": [-1.0, 1.0], "epochs": 5000, "h1": 256, "h2": 512, "loop_size": 35, '
+            '"lr": 0.001, "mode": "stand-clamp", "n_points": 400, "seed": 0, '
+            '"upsample_count": 1500, "weights": {"chamfer": 1.0, "epsilon": 1e-08, '
+            '"interior": 10.0, "repulsion": 1.0}}')
+
+    def test_desk_checkpoint_header_is_pinned(self, tmp_path):
+        cfg = TrainConfig.from_dict(DESK_CONFIG)
+        result = TrainResult(init_params(0, 35, 256, 512, 400),
+                             [StandardizeTransform(0.5, 0.25, 0.125, 2.0)], TrainLog(()))
+        save_trained(tmp_path / "desk.l2m", result, cfg, ["naca2220"])
+        header = (tmp_path / "desk.l2m").read_bytes().split(b"\n", 1)[0]
+        assert header == (
+            b'{"dtype": "<f8", "format": "loop2mesh-checkpoint", "meta": {"config": '
+            b'{"clamp_y": [-1.0, 1.0], "epochs": 5000, "h1": 256, "h2": 512, "loop_size": 35, '
+            b'"lr": 0.001, "mode": "stand-clamp", "n_points": 400, "seed": 0, '
+            b'"upsample_count": 1500, "weights": {"chamfer": 1.0, "epsilon": 1e-08, '
+            b'"interior": 10.0, "repulsion": 1.0}}, "samples": [{"name": "naca2220", '
+            b'"transform": {"mean_x": 0.5, "mean_y": 0.25, "scale_x": 0.125, "scale_y": 2.0}}]}, '
+            b'"shapes": {"b1": [256], "b2": [512], "b3": [800], "w1": [256, 70], '
+            b'"w2": [512, 256], "w3": [800, 512]}, "version": 1}')
 
     def test_default_interior_weight_by_mode(self):
         assert default_interior_weight(TrainMode.RAW) == 10.0
@@ -132,7 +177,6 @@ class TestTrain:
         assert all(np.isfinite(r.total) for r in res.log.records)
 
     def test_one_forward_and_one_backward_per_epoch(self, small_dataset, monkeypatch):
-        train_mod = importlib.import_module("loop2mesh.train")
         batches, backward_calls = [], []
 
         def counting_forward(params, x, y_clamp=None):
@@ -149,6 +193,19 @@ class TestTrain:
         train(small_dataset, small_config(epochs=3))
         assert batches == [(2, 24)] * 3
         assert backward_calls == [(2, 80)] * 3
+
+    def test_one_pairwise_kernel_per_sample_per_epoch(self, small_dataset, monkeypatch):
+        kernel, calls = losses_mod._pairwise, []
+
+        def counting_pairwise(xy):
+            calls.append(xy.shape)
+            return kernel(xy)
+
+        monkeypatch.setattr(losses_mod, "_pairwise", counting_pairwise)
+        assert len(small_dataset.samples) == 2
+        res = train(small_dataset, small_config(epochs=3))
+        assert calls == [(40, 2)] * 6
+        assert all(r.mean_pairwise > 0.0 for r in res.log.records)
 
     def test_loss_decreases_on_small_run(self, small_dataset):
         res = train(small_dataset, small_config(epochs=150))
