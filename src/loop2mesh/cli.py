@@ -101,20 +101,10 @@ def _resolve_config(args) -> TrainConfig:
     return TrainConfig.from_dict(raw)
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _input_hashes(manifest_path, entries) -> list[dict]:
-    records = [{"path": str(manifest_path), "sha256": _sha256(manifest_path)}]
-    for _, dat, msh in entries:
-        records.append({"path": str(dat), "sha256": _sha256(dat)})
-        records.append({"path": str(msh), "sha256": _sha256(msh)})
-    return records
+    paths = [manifest_path] + [p for _, dat, msh in entries for p in (dat, msh)]
+    return [{"path": str(p), "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+            for p in paths]
 
 
 def _write_run_manifest(path, command: str, config: TrainConfig,

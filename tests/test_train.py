@@ -89,6 +89,20 @@ class TestAdam:
         for (_, got), ref in zip(p.arrays(), want):
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
+    def test_block_size_does_not_change_the_update(self, monkeypatch):
+        results = []
+        for block in (10, 10 ** 9):  # many blocks with a short last one; one block
+            monkeypatch.setattr(train_mod, "_ADAM_BLOCK", block)
+            p = init_params(2, 3, 4, 5, 2)
+            state = AdamState.zeros(p)
+            for t in range(1, 4):
+                adam_step(p, np.random.default_rng(t).normal(size=p.flat.size), state,
+                          lr=1e-2, t=t)
+            results.append((p.flat.copy(), state.m.copy(), state.v.copy()))
+        assert p.flat.size % 10 != 0
+        for blocked, whole in zip(*results):
+            assert np.array_equal(blocked, whole)
+
     def test_rejects_bad_step_count(self):
         p = init_params(0, 3, 4, 4, 2)
         with pytest.raises(InvalidInputError):
