@@ -121,9 +121,7 @@ def _write_run_manifest(path, command: str, config: TrainConfig,
 
 
 def _points_csv_text(ps: PointSet) -> str:
-    lines = ["x,y"]
-    lines += [f"{repr(float(x))},{repr(float(y))}" for x, y in ps.xy]
-    return "\n".join(lines) + "\n"
+    return "\n".join(["x,y", *(f"{x!r},{y!r}" for x, y in ps.xy.tolist())]) + "\n"
 
 
 def _read_points_csv(path) -> PointSet:
@@ -220,11 +218,19 @@ def _inference_transform(config: TrainConfig, samples, checkpoint, name=None):
     return transform
 
 
+def _checkpoint_prediction(checkpoint, dat, name=None):
+    """Predict for a ``.dat`` contour; the network is released on return,
+    before the command writes or scores anything."""
+    params, config, samples = load_trained(checkpoint)
+    if dat is None:
+        raise ConfigError("--checkpoint needs --dat to build the input loop")
+    loop, chord = _prepare_loop(dat, config)
+    pred = predict(params, _inference_transform(config, samples, checkpoint, name), loop, config)
+    return pred, loop, chord, config
+
+
 def cmd_predict(args) -> int:
-    params, config, samples = load_trained(args.checkpoint)
-    loop, chord = _prepare_loop(args.dat, config)
-    transform = _inference_transform(config, samples, args.checkpoint, args.sample)
-    pred = predict(params, transform, loop, config)
+    pred, loop, chord, _ = _checkpoint_prediction(args.checkpoint, args.dat, args.sample)
 
     out_dir = Path(args.out_dir)
     csv_path = out_dir / "points.csv"
@@ -254,11 +260,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("provide exactly one of --pred or --checkpoint")
     ratio = args.ratio
     if args.checkpoint is not None:
-        params, config, samples = load_trained(args.checkpoint)
-        if args.dat is None:
-            raise ConfigError("--checkpoint needs --dat to build the input loop")
-        loop, chord = _prepare_loop(args.dat, config)
-        pred = predict(params, _inference_transform(config, samples, args.checkpoint), loop, config)
+        pred, _, chord, config = _checkpoint_prediction(args.checkpoint, args.dat)
         truth = chord.apply(parse_msh_nodes(Path(args.truth).read_text()))
         if ratio is None:
             ratio = config.weights.repulsion

@@ -113,6 +113,15 @@ def scott_bandwidth(ps: PointSet, window: EvalWindow) -> tuple[float, float]:
     return float(sigma[0] * factor), float(sigma[1] * factor)
 
 
+def _gaussian_factor(centers: np.ndarray, coords: np.ndarray, h: float) -> np.ndarray:
+    """exp(-0.5 * ((centers[:, None] - coords) / h) ** 2), built in one buffer."""
+    f = np.subtract.outer(centers, coords)
+    f /= h
+    np.square(f, out=f)
+    f *= -0.5
+    return np.exp(f, out=f)
+
+
 def kde(ps: PointSet, window: EvalWindow,
         bandwidth: float | tuple[float, float] | None = None) -> DensityGrid:
     """Gaussian kernel sum at the window's cell centers, normalised to mass 1.
@@ -131,9 +140,7 @@ def kde(ps: PointSet, window: EvalWindow,
         raise InvalidInputError(f"bandwidth must be positive and finite, got ({hx}, {hy})")
     cx, cy = window.cell_centers()
     # separable kernel: mass[i, j] = sum_p fx[i, p] * fy[j, p]
-    fx = np.exp(-0.5 * ((cx[:, None] - ps.xy[None, :, 0]) / hx) ** 2)
-    fy = np.exp(-0.5 * ((cy[:, None] - ps.xy[None, :, 1]) / hy) ** 2)
-    mass = fx @ fy.T
+    mass = _gaussian_factor(cx, ps.xy[:, 0], hx) @ _gaussian_factor(cy, ps.xy[:, 1], hy).T
     total = float(mass.sum())
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateDensityError("kernel mass inside the window is numerically zero")

@@ -218,6 +218,13 @@ def resample_loop(raw: PointSet, target: int) -> AirfoilLoop:
     return AirfoilLoop(pts, raw.frame)
 
 
+def as_float(value) -> float:
+    """A JSON number as a float: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StandardizeTransform:
     """Per-axis affine map to zero mean and unit variance (population sigma)."""
@@ -239,7 +246,7 @@ class StandardizeTransform:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StandardizeTransform":
-        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
+        return cls(**{f.name: as_float(d[f.name]) for f in fields(cls)})
 
     @property
     def _mean(self) -> np.ndarray:

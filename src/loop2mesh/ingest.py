@@ -7,6 +7,7 @@ fixed count, and assembly of (loop, target) training pairs.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -102,6 +103,33 @@ def normalise_chord(ps: PointSet) -> PointSet:
     return fit_chord(ps).apply(ps)
 
 
+_NODE_DTYPE = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64), ("z", np.float64)])
+_read_nodes = functools.partial(np.loadtxt, dtype=_NODE_DTYPE, comments=None, ndmin=1)
+
+
+def _parse_node_block(block: list[str], first_lineno: int) -> np.ndarray:
+    """Parse stripped ``id x y z`` lines (blank ones skipped) in one call; on
+    failure, re-read them one at a time to name the first bad line."""
+    try:
+        nodes = _read_nodes(block) if any(block) else np.empty(0, _NODE_DTYPE)
+        if np.isfinite(nodes["x"]).all() and np.isfinite(nodes["y"]).all():
+            return nodes
+    except ValueError:
+        pass
+    for lineno, line in enumerate(block, start=first_lineno):
+        if not line:
+            continue
+        if len(line.split()) != 4:
+            raise ParseError(f"line {lineno}: expected 'id x y z', got {line!r}")
+        try:
+            node = _read_nodes([line])[0]
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed node line {line!r}") from None
+        if not (math.isfinite(node["x"]) and math.isfinite(node["y"])):
+            raise ParseError(f"line {lineno}: non-finite coordinate {line!r}")
+    raise ParseError("malformed $Nodes block")
+
+
 def parse_msh_nodes(text: str | bytes) -> PointSet:
     """Extract node coordinates from a Gmsh ASCII v2 mesh.
 
@@ -111,53 +139,27 @@ def parse_msh_nodes(text: str | bytes) -> PointSet:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = text.splitlines()
-    start = None
-    for i, line in enumerate(lines):
-        if line.strip() == "$Nodes":
-            start = i
-            break
-    if start is None:
-        raise ParseError("missing $Nodes block")
+    lines = [line.strip() for line in text.splitlines()]
+    try:
+        start = lines.index("$Nodes")
+    except ValueError:
+        raise ParseError("missing $Nodes block") from None
     if start + 1 >= len(lines):
         raise ParseError("truncated $Nodes block: node count line missing")
-    count_line = lines[start + 1].strip()
     try:
-        declared = int(count_line)
+        declared = int(lines[start + 1])
     except ValueError:
-        raise ParseError(f"line {start + 2}: invalid node count {count_line!r}") from None
-
-    ids: list[int] = []
-    coords: list[tuple[float, float]] = []
-    terminated = False
-    for offset, line in enumerate(lines[start + 2:], start=start + 3):
-        stripped = line.strip()
-        if stripped == "$EndNodes":
-            terminated = True
-            break
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 4:
-            raise ParseError(f"line {offset}: expected 'id x y z', got {stripped!r}")
-        try:
-            node_id = int(tokens[0])
-            x, y = float(tokens[1]), float(tokens[2])
-            float(tokens[3])  # z parsed for validity, then discarded
-        except ValueError:
-            raise ParseError(f"line {offset}: malformed node line {stripped!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"line {offset}: non-finite coordinate {stripped!r}")
-        ids.append(node_id)
-        coords.append((x, y))
-    if not terminated:
+        raise ParseError(f"line {start + 2}: invalid node count {lines[start + 1]!r}") from None
+    end = (lines + ["$EndNodes"]).index("$EndNodes", start + 2)  # no $EndNodes: the rest
+    nodes = _parse_node_block(lines[start + 2:end], start + 3)
+    if end == len(lines):
         raise ParseError("unterminated $Nodes block: $EndNodes missing")
-    if len(coords) != declared:
-        raise ParseError(f"node count mismatch: header declares {declared}, found {len(coords)}")
-    if not coords:
+    if len(nodes) != declared:
+        raise ParseError(f"node count mismatch: header declares {declared}, found {len(nodes)}")
+    if not len(nodes):
         raise ParseError("mesh contains no nodes")
-    order = np.argsort(np.asarray(ids), kind="stable")
-    return PointSet(np.asarray(coords, dtype=np.float64)[order])
+    order = np.argsort(nodes["id"], kind="stable")
+    return PointSet(np.column_stack((nodes["x"], nodes["y"]))[order])
 
 
 def upsample_target(ps: PointSet, m: int, seed: int) -> PointSet:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import FrameMismatchError, InvalidInputError
-from .geometry import AirfoilLoop, PointSet, as_point_array, nearest_edge, points_in_polygon
+from .geometry import AirfoilLoop, PointSet, as_float, as_point_array, nearest_edge, points_in_polygon
 
 
 def _check_frames(pred: PointSet, other) -> None:
@@ -112,13 +112,6 @@ def interior_penalty(pred: PointSet, loop: AirfoilLoop) -> tuple[float, np.ndarr
     return value, grad
 
 
-def as_float(value) -> float:
-    """A config number as a float: an int or a float, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidInputError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class LossWeights:
     """Non-negative weights for the composite objective (at least one > 0)."""
@@ -145,6 +138,9 @@ class LossWeights:
         """Weights from a mapping; missing keys keep their defaults."""
         if not isinstance(d, dict):
             raise InvalidInputError(f"weights must be a mapping, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise InvalidInputError(f"unknown weight keys: {sorted(unknown)}")
         return cls(**{f.name: as_float(d[f.name]) for f in fields(cls) if f.name in d})
 
 

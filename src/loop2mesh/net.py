@@ -42,7 +42,17 @@ class NetworkParams:
 
     def __post_init__(self):
         arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _ARRAY_ORDER]
-        w1, b1, w2, b2, w3, b3 = arrays
+        self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes) -> "NetworkParams":
+        """Parameters viewing ``flat`` (float64) itself, without a copy."""
+        params = cls.__new__(cls)
+        params._bind(flat, shapes)
+        return params
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        w1, b1, w2, b2, w3, b3 = views = _split(flat, shapes)
         if w1.ndim != 2 or w2.ndim != 2 or w3.ndim != 2:
             raise ShapeMismatchError("weight matrices must be 2-D")
         if w1.shape[1] % 2 or w3.shape[0] % 2:
@@ -54,10 +64,11 @@ class NetworkParams:
               and b3.shape == (w3.shape[0],))
         if not ok:
             raise ShapeMismatchError("parameter shapes are mutually inconsistent")
-        self.flat = np.concatenate([a.ravel() for a in arrays])
-        for name, view in zip(_ARRAY_ORDER, _split(self.flat, [a.shape for a in arrays])):
-            if not np.all(np.isfinite(view)):
-                raise InvalidInputError(f"parameter {name} contains non-finite entries")
+        if not np.isfinite(flat).all():
+            name = next(n for n, v in zip(_ARRAY_ORDER, views) if not np.isfinite(v).all())
+            raise InvalidInputError(f"parameter {name} contains non-finite entries")
+        self.flat = flat
+        for name, view in zip(_ARRAY_ORDER, views):
             setattr(self, name, view)
 
     @property
@@ -203,13 +214,17 @@ def save_checkpoint(path, params: NetworkParams, meta: dict | None = None) -> No
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, dict]:
-    """Read a checkpoint written by save_checkpoint; round-trips bit-exactly."""
-    blob = open(path, "rb").read()
-    nl = blob.find(b"\n")
-    if nl < 0:
+    """Read a checkpoint written by save_checkpoint; round-trips bit-exactly.
+    The payload is read once, into the vector that becomes ``params.flat``."""
+    with open(path, "rb") as f:
+        line = f.readline()
+        # fromfile needs the file position, which a pipe lacks
+        payload = (np.fromfile(f, dtype=np.uint8) if f.seekable()
+                   else np.frombuffer(bytearray(f.read()), dtype=np.uint8))
+    if not line.endswith(b"\n"):
         raise ParseError(f"{path}: not a checkpoint (missing header line)")
     try:
-        header = json.loads(blob[:nl].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: invalid checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
@@ -222,7 +237,7 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     if not isinstance(table, dict) or "meta" not in header:
         raise ParseError(f"{path}: checkpoint header needs a 'shapes' object and a 'meta' entry")
     shapes = []
-    end = nl + 1
+    end = 0
     for name in _ARRAY_ORDER:
         if name not in table:
             raise ParseError(f"{path}: checkpoint header missing array {name!r}")
@@ -231,9 +246,12 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
             raise ParseError(f"{path}: array {name!r} has invalid shape {shape!r}")
         shapes.append(tuple(shape))
         end += 8 * math.prod(shape)
-        if end > len(blob):
+        if end > payload.size:
             raise ParseError(f"{path}: checkpoint truncated in array {name!r}")
-    if end != len(blob):
-        raise ParseError(f"{path}: {len(blob) - end} trailing bytes after parameter arrays")
-    flat = np.frombuffer(blob, dtype="<f8", offset=nl + 1)
-    return NetworkParams(*_split(flat, shapes)), header["meta"]
+    if end != payload.size:
+        raise ParseError(f"{path}: {payload.size - end} trailing bytes after parameter arrays")
+    try:  # a header whose shapes cannot form a network is a malformed file
+        params = NetworkParams.from_flat(payload.view("<f8").astype(np.float64, copy=False), shapes)
+    except ShapeMismatchError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return params, header["meta"]

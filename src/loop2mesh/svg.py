@@ -49,13 +49,13 @@ def render_svg(path, *, viewport, polylines=(), point_layers=(),
         if closed and xy.shape[0] > 1:
             xy = np.vstack([xy, xy[:1]])
         px, py = to_px(xy)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())])
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
                      f'stroke-width="{stroke_width}"/>')
     for xy, fill, radius in point_layers:
         px, py = to_px(np.asarray(xy, dtype=np.float64))
-        parts.append(f'<g fill="{fill}">')
-        parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}"/>' for x, y in zip(px, py)]
-        parts.append("</g>")
+        tail = f' r="{radius}"/>'
+        circles = [f'<circle cx="{x:.2f}" cy="{y:.2f}"{tail}' for x, y in zip(px.tolist(), py.tolist())]
+        parts.append("\n".join([f'<g fill="{fill}">', *circles, "</g>"]))
     parts.append("</svg>")
     atomic_write_text(path, "\n".join(parts) + "\n")

@@ -31,12 +31,13 @@ from .geometry import (
     PointSet,
     StandardizeTransform,
     apply_standardize,
+    as_float,
     fit_standardize,
     invert_standardize,
     standardize_loop,
 )
 from .ingest import Dataset
-from .losses import LossWeights, as_float, composite
+from .losses import LossWeights, composite
 from .net import NetworkParams, backward, forward, init_params, load_checkpoint, save_checkpoint
 
 
@@ -301,7 +302,7 @@ def load_trained(path) -> tuple[NetworkParams, TrainConfig, list[tuple[str, Stan
         samples = [(str(rec["name"]),
                     StandardizeTransform.from_dict(rec["transform"]) if rec["transform"] else None)
                    for rec in meta["samples"]]
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, InvalidInputError) as exc:
         raise ParseError(f"{path}: invalid checkpoint metadata: {exc}") from exc
     if params.n_points != config.n_points or params.loop_size != config.loop_size:
         raise ParseError(f"{path}: checkpoint arrays disagree with its stored config")

@@ -155,3 +155,60 @@ def is_simple_double_loop(vertices) -> bool:
             if crosses(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
                 return False
     return True
+
+
+def parse_msh_nodes_line_by_line(text: str) -> np.ndarray:
+    """Gmsh v2 ``$Nodes`` block read one line at a time with ``int``/``float``.
+
+    Returns the (n, 2) x/y array sorted stably by node id and raises
+    ``ParseError`` with the same messages as ``ingest.parse_msh_nodes``.
+    """
+    from loop2mesh.errors import ParseError
+
+    lines = text.splitlines()
+    start = None
+    for i, line in enumerate(lines):
+        if line.strip() == "$Nodes":
+            start = i
+            break
+    if start is None:
+        raise ParseError("missing $Nodes block")
+    if start + 1 >= len(lines):
+        raise ParseError("truncated $Nodes block: node count line missing")
+    count_line = lines[start + 1].strip()
+    try:
+        declared = int(count_line)
+    except ValueError:
+        raise ParseError(f"line {start + 2}: invalid node count {count_line!r}") from None
+
+    ids: list[int] = []
+    coords: list[tuple[float, float]] = []
+    terminated = False
+    for offset, line in enumerate(lines[start + 2:], start=start + 3):
+        stripped = line.strip()
+        if stripped == "$EndNodes":
+            terminated = True
+            break
+        if not stripped:
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 4:
+            raise ParseError(f"line {offset}: expected 'id x y z', got {stripped!r}")
+        try:
+            node_id = int(tokens[0])
+            x, y = float(tokens[1]), float(tokens[2])
+            float(tokens[3])  # z parsed for validity, then discarded
+        except ValueError:
+            raise ParseError(f"line {offset}: malformed node line {stripped!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"line {offset}: non-finite coordinate {stripped!r}")
+        ids.append(node_id)
+        coords.append((x, y))
+    if not terminated:
+        raise ParseError("unterminated $Nodes block: $EndNodes missing")
+    if len(coords) != declared:
+        raise ParseError(f"node count mismatch: header declares {declared}, found {len(coords)}")
+    if not coords:
+        raise ParseError("mesh contains no nodes")
+    order = np.argsort(np.asarray(ids), kind="stable")
+    return np.asarray(coords, dtype=np.float64)[order]

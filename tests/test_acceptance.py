@@ -2,7 +2,8 @@
 
 Run ``pytest -v tests/test_acceptance.py`` for a one-line pass/fail view.
 The four shared training runs are desk-scale (single airfoil, 5000 epochs)
-and together take a few minutes; everything else is fast.
+and together take a few minutes; the checks that use them are marked
+``slow``, and everything else is fast (``pytest -m "not slow"``).
 """
 
 import json
@@ -180,6 +181,7 @@ def test_03_repulsion_two_point_closed_form():
     print("repulsion two-point closed form: 2/d at d=0.1, 1, 10")
 
 
+@pytest.mark.slow
 def test_04_trained_points_stay_outside_the_loop(desk_data, clamped_r1):
     """The clamped run with the interior penalty places none of its 400
     points strictly inside the boundary loop, within 5 minutes."""
@@ -191,6 +193,7 @@ def test_04_trained_points_stay_outside_the_loop(desk_data, clamped_r1):
     assert inside == 0
 
 
+@pytest.mark.slow
 def test_05_repulsion_weight_spreads_the_points(clamped_r2, clamped_r0):
     """With everything else identical, weighting the repulsion term (ratio 2
     vs 0) strictly increases the mean pairwise distance of the result."""
@@ -201,6 +204,7 @@ def test_05_repulsion_weight_spreads_the_points(clamped_r2, clamped_r0):
     assert spread_r2 > spread_r0
 
 
+@pytest.mark.slow
 def test_06_training_reduces_chamfer_to_under_a_fifth(clamped_r1):
     """Final Chamfer loss lands below 20% of its first-epoch value."""
     first = clamped_r1["records"][0].chamfer
@@ -210,6 +214,7 @@ def test_06_training_reduces_chamfer_to_under_a_fifth(clamped_r1):
     assert last < 0.20 * first
 
 
+@pytest.mark.slow
 def test_07_density_match_scores_fall_in_expected_ranges(
         desk_data, clamped_r1, clamped_r0, raw_r0_n300):
     """KL scores of the desk runs land in the expected brackets, and the

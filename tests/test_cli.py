@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -115,6 +116,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("bad", [
         {"n_points": "abc"}, {"lr": "x"}, {"clamp_y": 5}, {"weights": 5}, {"seed": -1},
+        {"weights": {"repulsoin": 1}},
     ])
     def test_config_file_value_of_wrong_type_exits_2(self, tmp_path, manifest_path, bad, capsys):
         cfg = tmp_path / "cfg.json"
@@ -278,6 +280,30 @@ class TestPredict:
              "--out-dir", tmp_path / "p"], capsys)
         assert code == 3
         assert "invalid shape" in stderr
+
+    def test_checkpoint_shape_of_wrong_rank_exits_3(self, tmp_path, trained, capsys):
+        head, rest = trained["checkpoint"].read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["shapes"]["w1"] = [math.prod(header["shapes"]["w1"])]
+        bad = tmp_path / "bad.l2m"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        code, _, stderr = run_cli(
+            ["predict", "--checkpoint", bad, "--dat", trained["dat"],
+             "--out-dir", tmp_path / "p"], capsys)
+        assert code == 3
+        assert f"{bad}: weight matrices must be 2-D" in stderr
+
+    def test_checkpoint_transform_that_is_not_a_number_exits_3(self, tmp_path, trained, capsys):
+        head, rest = trained["checkpoint"].read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["meta"]["samples"][0]["transform"]["mean_x"] = True
+        bad = tmp_path / "bad.l2m"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        code, _, stderr = run_cli(
+            ["predict", "--checkpoint", bad, "--dat", trained["dat"],
+             "--out-dir", tmp_path / "p"], capsys)
+        assert code == 3
+        assert f"{bad}: invalid checkpoint metadata" in stderr
 
 
 # ----------------------------------------------------------------- evaluate

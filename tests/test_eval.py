@@ -135,6 +135,20 @@ class TestKde:
         direct /= direct.sum()
         assert grid.mass == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_the_one_expression_form(self, seed):
+        """The in-place Gaussian factors give the same bits as building each
+        factor in one expression with temporaries."""
+        rng = np.random.default_rng(seed)
+        ps = PointSet(rng.normal(scale=0.7, size=(int(rng.integers(50, 3000)), 2)))
+        for w in (center_window(), EvalWindow("w", (-2.0, 3.0), (-1.0, 1.5), 64, 37)):
+            hx, hy = scott_bandwidth(ps, w)
+            cx, cy = w.cell_centers()
+            fx = np.exp(-0.5 * ((cx[:, None] - ps.xy[None, :, 0]) / hx) ** 2)
+            fy = np.exp(-0.5 * ((cy[:, None] - ps.xy[None, :, 1]) / hy) ** 2)
+            mass = fx @ fy.T
+            assert np.array_equal(kde(ps, w).mass, mass / float(mass.sum()))
+
     def test_wider_bandwidth_flattens_the_density(self):
         ps = PointSet([[0.5, 0.5]])
         w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 20, 20)

@@ -303,6 +303,17 @@ class TestStandardize:
         with pytest.raises(InvalidInputError):
             StandardizeTransform(0.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("mean_x", True), ("mean_y", "0.5"), ("scale_x", None), ("scale_y", [1.0]),
+    ])
+    def test_transform_from_dict_does_not_coerce(self, key, value):
+        from loop2mesh.geometry import StandardizeTransform
+        d = dict(StandardizeTransform(0.5, -0.1, 0.3, 0.12).to_dict(), **{key: value})
+        with pytest.raises(InvalidInputError, match="expected a number"):
+            StandardizeTransform.from_dict(d)
+        # ints are numbers
+        assert StandardizeTransform.from_dict(dict(d, **{key: 1})).to_dict()[key] == 1.0
+
 
 class TestClampPoints:
     def test_clamps_only_requested_axis(self):

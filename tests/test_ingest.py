@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from oracles import parse_msh_nodes_line_by_line
 
 from loop2mesh.errors import (
     DegenerateDataError,
@@ -188,6 +189,173 @@ class TestParseMshNodes:
             eol = "\r\n" if rng.random() < 0.5 else "\n"
             got = parse_msh_nodes(eol.join(lines) + eol)
             assert np.array_equal(got.xy, base.xy)
+
+
+def _number_text(rng, value: float) -> str:
+    """One of several spellings of a float that both parsers read alike."""
+    value = float(value)
+    form = int(rng.integers(0, 7))
+    if form == 0:
+        return repr(value)
+    if form == 1:
+        return f"{value:+.6e}"
+    if form == 2:
+        return f"{value:.4E}"
+    if form == 3:
+        return f"{value:+.3f}"
+    if form == 4:
+        return str(int(round(value * 10)))
+    if form == 5:
+        return f"{value:.3f}".replace("0.", ".", 1)
+    return f"{value:.17g}"
+
+
+def _random_mesh(rng) -> tuple[str, list[str]]:
+    """A seeded Gmsh v2 text with shuffled (sometimes repeated) ids, CRLF or
+    LF endings, blank and whitespace-only lines and ragged spacing.
+
+    Returns the text and its node lines so a caller can corrupt one.
+    """
+    n = int(rng.integers(1, 40))
+    ids = rng.permutation(n) + 1
+    if rng.random() < 0.3:
+        ids[rng.integers(0, n)] = ids[0]  # a repeated id keeps file order
+    node_lines = []
+    for node_id in ids:
+        x, y, z = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=3)
+        tokens = [f"{'+' if rng.random() < 0.2 else ''}{node_id}",
+                  _number_text(rng, x), _number_text(rng, y), _number_text(rng, z)]
+        seps = [" " * int(rng.integers(1, 4)) if rng.random() < 0.8 else "\t" for _ in range(3)]
+        line = tokens[0] + "".join(s + t for s, t in zip(seps, tokens[1:]))
+        node_lines.append(" " * int(rng.integers(0, 3)) + line + " " * int(rng.integers(0, 2)))
+    return _gmsh_text(rng, node_lines, n), node_lines
+
+
+def _gmsh_text(rng, node_lines, declared, end_nodes=True) -> str:
+    body = []
+    for line in node_lines:
+        if rng.random() < 0.1:
+            body.append(" \t " if rng.random() < 0.5 else "")
+        body.append(line)
+    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", " $Nodes", f" {declared} ", *body]
+    if end_nodes:
+        lines.append("$EndNodes ")
+    lines += ["$Elements", "0", "$EndElements"]
+    eol = "\r\n" if rng.random() < 0.5 else "\n"
+    return eol.join(lines) + eol
+
+
+def _both_raise(text) -> tuple[str, str]:
+    with pytest.raises(ParseError) as new:
+        parse_msh_nodes(text)
+    with pytest.raises(ParseError) as old:
+        parse_msh_nodes_line_by_line(text)
+    return str(new.value), str(old.value)
+
+
+class TestParseMshNodesAgainstLineByLineOracle:
+    """The one-call parser reads every mesh like the line-at-a-time oracle."""
+
+    def test_random_meshes_parse_bit_equal(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            text, _ = _random_mesh(rng)
+            got = parse_msh_nodes(text).xy
+            want = parse_msh_nodes_line_by_line(text)
+            assert got.tobytes() == want.tobytes(), text
+
+    @pytest.mark.parametrize("kind", [
+        "too few tokens", "too many tokens", "float id", "word id", "exponent id",
+        "word x", "double dot y", "hex y", "word z", "nan x", "inf y", "overflow x",
+        "minus infinity y", "comment",
+    ])
+    def test_malformed_line_names_the_same_line(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(20):
+            _, node_lines = _random_mesh(rng)
+            row = int(rng.integers(0, len(node_lines)))
+            node_id, x, y, z = node_lines[row].split()
+            node_lines[row] = {
+                "too few tokens": f"{node_id} {x} {y}",
+                "too many tokens": f"{node_id} {x} {y} {z} 0",
+                "float id": f"{node_id}.0 {x} {y} {z}",
+                "word id": f"n{node_id} {x} {y} {z}",
+                "exponent id": f"{node_id}e0 {x} {y} {z}",
+                "word x": f"{node_id} abc {y} {z}",
+                "double dot y": f"{node_id} {x} 1..2 {z}",
+                "hex y": f"{node_id} {x} 0x10 {z}",
+                "word z": f"{node_id} {x} {y} zz",
+                "nan x": f"{node_id} nan {y} {z}",
+                "inf y": f"{node_id} {x} +inf {z}",
+                "overflow x": f"{node_id} 1e999 {y} {z}",
+                "minus infinity y": f"{node_id} {x} -Infinity {z}",
+                "comment": f"{node_id} {x} {y} {z} # note",
+            }[kind]
+            text = _gmsh_text(rng, node_lines, len(node_lines))
+            new, old = _both_raise(text)
+            assert new == old
+            assert new.startswith("line ")
+
+    def test_first_bad_line_wins_in_file_order(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            _, node_lines = _random_mesh(rng)
+            if len(node_lines) < 2:
+                continue
+            a, b = sorted(rng.choice(len(node_lines), size=2, replace=False))
+            kinds = ["{} nan 0 0", "{} 0 0", "{} x 0 0"]
+            rng.shuffle(kinds)
+            node_lines[a] = kinds[0].format(a + 1)
+            node_lines[b] = kinds[1].format(b + 1)
+            new, old = _both_raise(_gmsh_text(rng, node_lines, len(node_lines)))
+            assert new == old
+
+    def test_extreme_spellings_parse_bit_equal(self):
+        spellings = ["1e-400", "4.9e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+                     "-0", "-0.0", "0.1", "123456789012345678901234567890", "1E5", "+.5e-3",
+                     "0.30000000000000004", "9007199254740993", "   7   "]
+        lines = [f"{i + 1} {x.strip()} {y.strip()} 0"
+                 for i, (x, y) in enumerate(zip(spellings, reversed(spellings)))]
+        text = GOOD_MSH.split("$Nodes")[0] + "$Nodes\n" + f"{len(lines)}\n" + "\n".join(lines) + "\n$EndNodes\n"
+        assert parse_msh_nodes(text).xy.tobytes() == parse_msh_nodes_line_by_line(text).tobytes()
+
+    def test_non_finite_z_is_accepted_by_both(self):
+        text = GOOD_MSH.replace("3 -1.0 0.0 7.5", "3 -1.0 0.0 nan")
+        assert parse_msh_nodes(text).xy.tobytes() == parse_msh_nodes_line_by_line(text).tobytes()
+
+    def test_block_level_errors_match(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            _, node_lines = _random_mesh(rng)
+            n = len(node_lines)
+            cases = [
+                _gmsh_text(rng, node_lines, n, end_nodes=False),   # runs into $Elements
+                _gmsh_text(rng, node_lines, n + 1),
+                _gmsh_text(rng, node_lines, n - 1),
+                _gmsh_text(rng, [], 0),
+                _gmsh_text(rng, [], 0, end_nodes=False),
+                "$Nodes\n" + "\n".join(node_lines) + "\n",     # count line is a node line
+                "$Nodes\n" + f"{n}\n" + "\n".join(node_lines),  # file ends inside the block
+                "$Nodes",
+                "no nodes here\n",
+            ]
+            for text in cases:
+                new, old = _both_raise(text)
+                assert new == old
+
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0661"])
+    def test_python_only_number_forms_are_rejected(self, spelling):
+        """``int``/``float`` accept underscores and non-ASCII digits; the
+        one-call parser does not, and names the line instead."""
+        text = GOOD_MSH.replace("2 1.5 0.25 0.0", f"2 {spelling} 0.25 0.0")
+        assert len(parse_msh_nodes_line_by_line(text)) == 4
+        with pytest.raises(ParseError, match="^line 7: malformed node line"):
+            parse_msh_nodes(text)
+
+    def test_id_beyond_int64_is_rejected(self):
+        text = GOOD_MSH.replace("2 1.5 0.25 0.0", f"{2**63} 1.5 0.25 0.0")
+        with pytest.raises(ParseError, match="^line 7: malformed node line"):
+            parse_msh_nodes(text)
 
 
 # --------------------------------------------------------------- upsampling

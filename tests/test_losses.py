@@ -241,6 +241,10 @@ class TestLossWeights:
         with pytest.raises(InvalidInputError):
             LossWeights.from_dict(bad)
 
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(InvalidInputError, match=r"unknown weight keys: \['repulsoin'\]"):
+            LossWeights.from_dict({"repulsoin": 1.0})
+
 
 class TestComposite:
     def test_total_is_weighted_sum_of_reported_terms(self, unit_square):

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,3 +356,68 @@ class TestCheckpoint:
         path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + rest)
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b'"w1": [4, 6]', b'"w1": [24]', "weight matrices must be 2-D"),
+        (b'"b1": [4]', b'"b1": [2, 2]', "mutually inconsistent"),
+        (b'"w3": [10, 4]', b'"w3": [40]', "weight matrices must be 2-D"),
+        (b'"w1": [4, 6]', b'"w1": [6, 4]', "mutually inconsistent"),
+        (b'"w1": [4, 6]', b'"w1": [8, 3]', "widths must be even"),
+    ], ids=["w1-rank-1", "b1-rank-2", "w3-rank-1", "inconsistent", "odd-input"])
+    def test_header_shapes_that_cannot_form_a_network_raise_parse_error(
+            self, tmp_path, old, new, message):
+        # same byte count, so only the shapes are wrong
+        path = tmp_path / "net.l2m"
+        save_checkpoint(path, init_params(0, 3, 4, 4, 5))
+        blob = path.read_bytes()
+        assert old in blob
+        path.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(ParseError, match=message):
+            load_checkpoint(path)
+
+    def test_non_finite_payload_names_its_array(self, tmp_path):
+        p = init_params(0, 3, 4, 4, 5)
+        p.b2[1] = np.inf
+        path = tmp_path / "net.l2m"
+        save_checkpoint(path, p)
+        with pytest.raises(InvalidInputError, match="parameter b2 "):
+            load_checkpoint(path)
+
+    def test_loaded_parameters_are_views_of_one_writable_vector(self, tmp_path):
+        path = tmp_path / "net.l2m"
+        save_checkpoint(path, init_params(0, 3, 4, 4, 5))
+        p, _ = load_checkpoint(path)
+        assert p.flat.flags.c_contiguous and p.flat.flags.writeable
+        assert p.flat.dtype == np.float64
+        p.flat[:] = 0.0
+        assert not any(a.any() for _, a in p.arrays())
+
+    def test_load_allocates_the_payload_about_once(self, tmp_path):
+        p = init_params(0, 35, 256, 512, 400)  # the desk network, 4.5 MB
+        path = tmp_path / "net.l2m"
+        save_checkpoint(path, p, {"note": "desk"})
+        payload = p.flat.nbytes
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            q, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(q.flat, p.flat)
+        assert peak < 1.5 * payload, f"peak {peak} B for a {payload} B payload"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_checkpoint_read_from_a_pipe(self, tmp_path):
+        p = init_params(3, 3, 4, 4, 5)
+        save_checkpoint(tmp_path / "net.l2m", p, {"via": "pipe"})
+        blob = (tmp_path / "net.l2m").read_bytes()
+        pipe = tmp_path / "pipe.l2m"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        q, meta = load_checkpoint(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert meta == {"via": "pipe"} and np.array_equal(q.flat, p.flat)
+        assert q.flat.flags.writeable

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,8 @@ class TestTrainConfig:
         # no silent coercion: ints stay ints, and a bool is not a number
         {"n_points": 3.7}, {"n_points": 400.0}, {"epochs": True}, {"seed": False},
         {"lr": True}, {"clamp_y": [True, 1.0]}, {"weights": {"repulsion": True}},
+        # a misspelt weight is not silently dropped
+        {"weights": {"repulsoin": 1}},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -369,6 +372,20 @@ class TestSaveLoadTrained:
         head = head.replace(b'"n_points": 40', b'"n_points": 41')
         path.write_bytes(head + b"\n" + rest)
         with pytest.raises(ParseError):
+            load_trained(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("mean_x", True), ("mean_y", "0.5"), ("scale_x", -1.0), ("scale_y", None),
+    ])
+    def test_transform_metadata_is_not_coerced(self, small_dataset, tmp_path, key, value):
+        cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
+        path = tmp_path / "run.l2m"
+        save_trained(path, train(small_dataset, cfg), cfg, [s.name for s in small_dataset.samples])
+        head, rest = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["meta"]["samples"][0]["transform"][key] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: invalid checkpoint metadata"):
             load_trained(path)
 
 
