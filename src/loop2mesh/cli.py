@@ -23,7 +23,7 @@ from .errors import ConfigError, Loop2MeshError, ParseError
 from .evaluation import KLRow, evaluate, kl_csv_text, kl_sweep, write_kl_csv
 from .fileio import atomic_write_text
 from .geometry import PointSet, points_in_polygon, resample_loop
-from .ingest import build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes
+from .ingest import build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes, read_parsed
 from .svg import render_svg
 from .train import (
     TrainConfig,
@@ -51,7 +51,7 @@ def _comma_floats(text: str) -> list[float]:
 
 def _comma_ints(text: str) -> list[int]:
     vals = _comma_floats(text)
-    if any(v != int(v) for v in vals):
+    if not all(v.is_integer() for v in vals):  # nan and inf are not integers
         raise ConfigError(f"expected integers, got {text!r}")
     return [int(v) for v in vals]
 
@@ -59,7 +59,7 @@ def _comma_ints(text: str) -> list[int]:
 def _load_config_file(path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -124,22 +124,21 @@ def _points_csv_text(ps: PointSet) -> str:
     return "\n".join(["x,y", *(f"{x!r},{y!r}" for x, y in ps.xy.tolist())]) + "\n"
 
 
-def _read_points_csv(path) -> PointSet:
+def _parse_points_csv(text: str) -> PointSet:
     rows: list[tuple[float, float]] = []
-    text = Path(path).read_text()
     for lineno, record in enumerate(csv.reader(text.splitlines()), start=1):
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
         if lineno == 1 and record[:2] == ["x", "y"]:
             continue
         if len(record) != 2:
-            raise ParseError(f"{path}: row {lineno}: expected two fields, got {len(record)}")
+            raise ParseError(f"row {lineno}: expected two fields, got {len(record)}")
         try:
             rows.append((float(record[0]), float(record[1])))
         except ValueError:
-            raise ParseError(f"{path}: row {lineno}: non-numeric coordinate {record!r}") from None
+            raise ParseError(f"row {lineno}: non-numeric coordinate {record!r}") from None
     if not rows:
-        raise ParseError(f"{path}: no data rows")
+        raise ParseError("no data rows")
     return PointSet(np.asarray(rows, dtype=np.float64))
 
 
@@ -199,7 +198,7 @@ def cmd_train(args) -> int:
 
 
 def _prepare_loop(dat_path, config: TrainConfig):
-    contour = parse_airfoil_dat(Path(dat_path).read_text())
+    contour = read_parsed(dat_path, parse_airfoil_dat)
     chord = fit_chord(contour)
     return resample_loop(chord.apply(contour), config.loop_size), chord
 
@@ -240,7 +239,7 @@ def cmd_predict(args) -> int:
     layers = [(pred.xy, PRED_FILL, 2.0)]
     clouds = [pred.xy, loop.vertices]
     if args.truth is not None:
-        truth = chord.apply(parse_msh_nodes(Path(args.truth).read_text()))
+        truth = chord.apply(read_parsed(args.truth, parse_msh_nodes))
         layers.insert(0, (truth.xy, TRUTH_FILL, 1.5))
         clouds.append(truth.xy)
     viewport = _parse_viewport(args.viewport) if args.viewport else _bbox_viewport(*clouds)
@@ -261,14 +260,14 @@ def cmd_evaluate(args) -> int:
     ratio = args.ratio
     if args.checkpoint is not None:
         pred, _, chord, config = _checkpoint_prediction(args.checkpoint, args.dat)
-        truth = chord.apply(parse_msh_nodes(Path(args.truth).read_text()))
+        truth = chord.apply(read_parsed(args.truth, parse_msh_nodes))
         if ratio is None:
             ratio = config.weights.repulsion
     else:
-        pred = _read_points_csv(args.pred)
-        truth = parse_msh_nodes(Path(args.truth).read_text())
+        pred = read_parsed(args.pred, _parse_points_csv)
+        truth = read_parsed(args.truth, parse_msh_nodes)
         if args.dat is not None:
-            chord = fit_chord(parse_airfoil_dat(Path(args.dat).read_text()))
+            chord = fit_chord(read_parsed(args.dat, parse_airfoil_dat))
             truth = chord.apply(truth)
         if ratio is None:
             ratio = 0.0

@@ -1,9 +1,9 @@
 """2D geometric primitives shared by every pipeline stage.
 
-Polygon containment (strict interior, even-odd ray casting), arc-length
-resampling of closed contours, per-axis standardisation, and componentwise
-clamping. Coordinates are float64 ``(N, 2)`` arrays throughout; every
-function is pure.
+One edge query (nearest-edge distance, closest point and strict even-odd
+containment from a single per-axis pass), arc-length resampling of closed
+contours and per-axis standardisation. Coordinates are float64 ``(N, 2)``
+arrays throughout; every function is pure.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .errors import (
     InvalidGeometryError,
     InvalidInputError,
 )
-
-Point2 = tuple[float, float]
 
 
 class Frame(enum.Enum):
@@ -131,61 +129,37 @@ class AirfoilLoop:
         return PointSet(self.vertices, self.frame)
 
 
-def polygon_edges(loop: AirfoilLoop) -> tuple[np.ndarray, np.ndarray]:
-    """Edge start/end vertex arrays, each (L, 2), edge i = a[i] -> b[i]."""
-    a = loop.vertices
-    return a, np.roll(a, -1, axis=0)
+def edge_query(points, loop: AirfoilLoop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distance to and closest point on the nearest loop edge, and strict
+    containment: ``(dist (N,), closest (N, 2), inside bool (N,))``.
 
-
-def nearest_edge(points, loop: AirfoilLoop) -> tuple[np.ndarray, np.ndarray]:
-    """Distance to, and closest point on, the nearest loop edge.
-
-    Returns ``(dist (N,), closest (N, 2))``. Ties between equidistant edges
-    resolve to the lowest edge index.
+    Every term is one (N, L) array per axis, edge k running from vertex k to
+    vertex k+1. Ties between equidistant edges resolve to the lowest edge
+    index. Containment is even-odd ray casting under the half-open rule, so
+    a horizontal edge never straddles and its 0/0 crossing never counts;
+    points exactly on an edge (distance 0) classify as outside, so wall
+    nodes sitting on the boundary are legal.
     """
     pts = as_point_array(points)
-    a, b = polygon_edges(loop)
-    ab = b - a
-    denom = (ab ** 2).sum(axis=1)  # no zero-length edges by loop invariant
-    ap = pts[:, None, :] - a[None, :, :]
-    t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom[None, :], 0.0, 1.0)
-    q = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d2 = ((pts[:, None, :] - q) ** 2).sum(axis=2)
+    (ax, ay), (bx, by) = loop.vertices.T, np.roll(loop.vertices, -1, axis=0).T
+    abx, aby = bx - ax, by - ay  # no zero-length edges by loop invariant
+    px, py = pts[:, 0, None], pts[:, 1, None]
+    dy = py - ay
+    t = np.clip(((px - ax) * abx + dy * aby) / (abx ** 2 + aby ** 2), 0.0, 1.0)
+    qx, qy = ax + t * abx, ay + t * aby
+    d2 = (px - qx) ** 2 + (py - qy) ** 2
     j = d2.argmin(axis=1)
     rows = np.arange(pts.shape[0])
-    return np.sqrt(d2[rows, j]), q[rows, j]
+    dist = np.sqrt(d2[rows, j])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossings = ((ay > py) != (by > py)) & (px < ax + dy * abx / aby)
+    inside = (np.count_nonzero(crossings, axis=1) % 2 == 1) & (dist > 0.0)
+    return dist, np.column_stack((qx[rows, j], qy[rows, j])), inside
 
 
-def _even_odd_inside(pts: np.ndarray, loop: AirfoilLoop) -> np.ndarray:
-    x = pts[:, 0]
-    y = pts[:, 1]
-    a, b = polygon_edges(loop)
-    inside = np.zeros(pts.shape[0], dtype=bool)
-    for (x1, y1), (x2, y2) in zip(a, b):
-        if y1 == y2:
-            continue  # horizontal edges never count under the half-open rule
-        cond = (y1 > y) != (y2 > y)
-        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= cond & (x < xint)
-    return inside
-
-
-def points_in_polygon(points, loop: AirfoilLoop, *, edge_distances: np.ndarray | None = None) -> np.ndarray:
-    """Strict-interior test for many points at once (bool (N,)).
-
-    Even-odd ray casting; points exactly on an edge classify as outside, so
-    wall nodes sitting on the boundary are legal. Pass precomputed
-    ``edge_distances`` (from nearest_edge) to skip recomputing them.
-    """
-    pts = as_point_array(points)
-    if edge_distances is None:
-        edge_distances, _ = nearest_edge(pts, loop)
-    return _even_odd_inside(pts, loop) & (edge_distances > 0.0)
-
-
-def point_in_polygon(p: Point2, loop: AirfoilLoop) -> bool:
-    """True iff ``p`` lies strictly inside the loop (edge points are outside)."""
-    return bool(points_in_polygon(np.asarray([p], dtype=np.float64), loop)[0])
+def points_in_polygon(points, loop: AirfoilLoop) -> np.ndarray:
+    """Strict-interior test for many points at once (bool (N,)); see edge_query."""
+    return edge_query(points, loop)[2]
 
 
 def resample_loop(raw: PointSet, target: int) -> AirfoilLoop:
@@ -285,21 +259,3 @@ def standardize_loop(t: StandardizeTransform, loop: AirfoilLoop) -> AirfoilLoop:
     if loop.frame is not Frame.ORIGINAL:
         raise FrameMismatchError("loop is already standardised")
     return AirfoilLoop((loop.vertices - t._mean) / t._scale, Frame.STANDARDISED)
-
-
-def clamp_points(ps: PointSet,
-                 x_range: tuple[float, float] | None = None,
-                 y_range: tuple[float, float] | None = None) -> PointSet:
-    """Clip coordinates componentwise; ``None`` leaves that axis unconstrained.
-
-    Idempotent; the frame tag is preserved.
-    """
-    for rng in (x_range, y_range):
-        if rng is not None and not (rng[0] <= rng[1]):
-            raise InvalidInputError(f"empty clamp range {rng}")
-    xy = ps.xy.copy()
-    if x_range is not None:
-        xy[:, 0] = np.clip(xy[:, 0], x_range[0], x_range[1])
-    if y_range is not None:
-        xy[:, 1] = np.clip(xy[:, 1], y_range[0], y_range[1])
-    return PointSet(xy, ps.frame)

@@ -94,15 +94,6 @@ def fit_chord(ps: PointSet) -> ChordTransform:
     return ChordTransform(float(x.min()), float(x.max() - x.min()))
 
 
-def normalise_chord(ps: PointSet) -> PointSet:
-    """Chord-normalise a contour: min-x point to x=0, chord scaled to 1.
-
-    Both axes share the uniform 1/chord scale, so the aspect ratio is
-    preserved; already-normalised input passes through unchanged.
-    """
-    return fit_chord(ps).apply(ps)
-
-
 _NODE_DTYPE = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64), ("z", np.float64)])
 _read_nodes = functools.partial(np.loadtxt, dtype=_NODE_DTYPE, comments=None, ndmin=1)
 
@@ -236,9 +227,13 @@ def assemble_sample(name: str, contour: PointSet, mesh_nodes: PointSet, *,
     return MeshSample(name, loop, target)
 
 
-def _read_parsed(path: Path, parser):
+def read_parsed(path, parser):
+    """``parser`` applied to a text file; its errors and undecodable bytes name the path."""
+    path = Path(path)
     try:
         return parser(path.read_text())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except (ParseError, InvalidGeometryError, DegenerateDataError, InvalidInputError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -254,8 +249,8 @@ def build_dataset(entries, *, loop_size: int = 35, target_count: int = 1500, see
         raise EmptyDatasetError("no (dat, msh) pairs supplied")
     samples = []
     for i, (name, dat_path, msh_path) in enumerate(entries):
-        contour = _read_parsed(Path(dat_path), parse_airfoil_dat)
-        nodes = _read_parsed(Path(msh_path), parse_msh_nodes)
+        contour = read_parsed(dat_path, parse_airfoil_dat)
+        nodes = read_parsed(msh_path, parse_msh_nodes)
         samples.append(assemble_sample(name, contour, nodes, loop_size=loop_size,
                                        target_count=target_count, seed=seed + i))
     return Dataset(tuple(samples), loop_size, target_count)
@@ -269,7 +264,7 @@ def load_manifest(path) -> list[tuple[str, Path, Path]]:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError(f"{path}: manifest must be a JSON list of {{name, dat, msh}} records")

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import FrameMismatchError, InvalidInputError
-from .geometry import AirfoilLoop, PointSet, as_float, as_point_array, nearest_edge, points_in_polygon
+from .geometry import AirfoilLoop, PointSet, as_float, as_point_array, edge_query
 
 
 def _check_frames(pred: PointSet, other) -> None:
@@ -103,8 +103,7 @@ def interior_penalty(pred: PointSet, loop: AirfoilLoop) -> tuple[float, np.ndarr
     outside and carry zero gradient.
     """
     _check_frames(pred, loop)
-    dist, closest = nearest_edge(pred.xy, loop)
-    inside = points_in_polygon(pred.xy, loop, edge_distances=dist)
+    dist, closest, inside = edge_query(pred.xy, loop)
     n = len(pred)
     value = float((dist[inside] ** 2).sum()) / n
     grad = np.zeros_like(pred.xy)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fileio import atomic_write_text
-from .geometry import AirfoilLoop, nearest_edge, points_in_polygon
+from .geometry import AirfoilLoop, edge_query
 
 
 def naca4_contour(code: str = "2220", n_points: int = 121) -> np.ndarray:
@@ -107,9 +107,8 @@ def synth_fluid_mesh(contour: np.ndarray, n_nodes: int = 3000, seed: int = 0, *,
     while collected < needed:
         cand = np.column_stack([rng.uniform(xmin, xmax, size=4096),
                                 rng.uniform(ymin, ymax, size=4096)])
-        dist, _ = nearest_edge(cand, poly)
-        ok = (~points_in_polygon(cand, poly, edge_distances=dist)) \
-            & (dist >= wall_offset) \
+        dist, _, inside = edge_query(cand, poly)
+        ok = ~inside & (dist >= wall_offset) \
             & (rng.uniform(size=4096) < np.exp(-dist / decay))
         accepted = cand[ok]
         chunks.append(accepted)

@@ -138,6 +138,8 @@ class TrainConfig:
 # glibc's adaptive mmap threshold low, and predict/evaluate then re-faulted
 # their multi-megabyte checkpoint buffers on every call.
 _ADAM_BLOCK = 32_768
+# moment decay rates and denominator stabiliser (Kingma & Ba's defaults)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -153,8 +155,7 @@ class AdamState:
 
 
 def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState, *,
-              lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8, t: int = 1) -> tuple[NetworkParams, AdamState]:
+              lr: float = 1e-3, t: int = 1) -> tuple[NetworkParams, AdamState]:
     """One bias-corrected Adam update (t is the 1-based step count) of the
     flat parameter vector, given a gradient laid out like ``params.flat``.
 
@@ -164,18 +165,18 @@ def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState, *,
         raise InvalidInputError(f"step count t must be >= 1, got {t}")
     if grads.shape != params.flat.shape:
         raise ShapeMismatchError("gradient shape does not match parameter shape")
-    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
     scratch = np.empty((2, grads.size))
     for lo in range(0, grads.size, _ADAM_BLOCK):  # elementwise, so block by block
         blk = slice(lo, lo + _ADAM_BLOCK)
         g, m, v, buf, step = grads[blk], state.m[blk], state.v[blk], *scratch[:, blk]
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=buf)
-        v *= beta2
-        v += np.multiply(np.multiply(g, 1.0 - beta2, out=buf), g, out=buf)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=buf)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, 1.0 - BETA2, out=buf), g, out=buf)
         # lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.sqrt(np.divide(v, bc2, out=buf), out=buf)
-        buf += eps
+        buf += EPS
         np.divide(m, bc1, out=step)
         step *= lr
         params.flat[blk] -= np.divide(step, buf, out=step)

@@ -30,6 +30,49 @@ def winding_inside(px: float, py: float, vertices) -> bool:
     return abs(total) > math.pi  # ~2*pi inside, ~0 outside
 
 
+def nearest_edge_broadcast(points, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-edge distance and closest point via (N, L, 2) broadcasting.
+
+    The package's former ``geometry.nearest_edge``, kept as the bit-equality
+    oracle for ``edge_query``: same per-element arithmetic, but the two axes
+    are summed over a length-2 axis instead of written out.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    a = np.asarray(vertices, dtype=np.float64)
+    b = np.roll(a, -1, axis=0)
+    ab = b - a
+    denom = (ab ** 2).sum(axis=1)
+    ap = pts[:, None, :] - a[None, :, :]
+    t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom[None, :], 0.0, 1.0)
+    q = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    d2 = ((pts[:, None, :] - q) ** 2).sum(axis=2)
+    j = d2.argmin(axis=1)
+    rows = np.arange(pts.shape[0])
+    return np.sqrt(d2[rows, j]), q[rows, j]
+
+
+def even_odd_edge_loop(points, vertices) -> np.ndarray:
+    """Even-odd ray casting as a Python loop over the edges (bool (N,)).
+
+    The package's former ``geometry._even_odd_inside``; horizontal edges are
+    skipped under the half-open rule. Points on an edge are not excluded
+    here: combine with ``nearest_edge_broadcast``'s distance > 0.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    a = np.asarray(vertices, dtype=np.float64)
+    b = np.roll(a, -1, axis=0)
+    x = pts[:, 0]
+    y = pts[:, 1]
+    inside = np.zeros(pts.shape[0], dtype=bool)
+    for (x1, y1), (x2, y2) in zip(a, b):
+        if y1 == y2:
+            continue
+        cond = (y1 > y) != (y2 > y)
+        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= cond & (x < xint)
+    return inside
+
+
 def brute_chamfer(pred, ref) -> float:
     """Double-loop symmetric sum of nearest-neighbour squared distances."""
     pred = [(float(x), float(y)) for x, y in pred]

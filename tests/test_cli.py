@@ -474,6 +474,76 @@ class TestSweep:
         assert code == 2
         assert "comma" in stderr
 
+    @pytest.mark.parametrize("nodes", ["nan", "inf", "1e400", "30,40.5"])
+    def test_node_count_that_is_not_an_integer_exits_2(self, tmp_path, manifest_path, nodes, capsys):
+        code, _, stderr = run_cli(
+            ["sweep", manifest_path, "--ratios", "0", "--nodes", nodes,
+             "--out-dir", tmp_path / "s", *SWEEP_FAST], capsys)
+        assert code == 2
+        assert f"error: expected integers, got {nodes!r}" in stderr
+
+
+# ------------------------------------------------------- undecodable input
+
+def with_bad_byte(src, dst):
+    """Copy a text file with one 0xff byte, which is never valid UTF-8."""
+    dst.write_bytes(src.read_bytes().replace(b"\n", b"\n\xff", 1))
+    return dst
+
+
+class TestUndecodableInput:
+    def test_dat_in_a_manifest_exits_3_naming_the_file(self, tmp_path, trained, capsys):
+        dat = with_bad_byte(trained["dat"], tmp_path / "bad.dat")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"name": "bad", "dat": dat.name,
+                                         "msh": str(trained["msh"])}]))
+        code, _, stderr = run_cli(
+            ["train", manifest, "--out-dir", tmp_path / "r", *FAST], capsys)
+        assert code == 3
+        assert f"error: {dat}: 'utf-8' codec can't decode" in stderr
+
+    def test_dat_for_predict_exits_3_naming_the_file(self, tmp_path, trained, capsys):
+        dat = with_bad_byte(trained["dat"], tmp_path / "bad.dat")
+        code, _, stderr = run_cli(
+            ["predict", "--checkpoint", trained["checkpoint"], "--dat", dat,
+             "--out-dir", tmp_path / "p"], capsys)
+        assert code == 3
+        assert f"error: {dat}: " in stderr
+
+    def test_truth_msh_exits_3_naming_the_file(self, tmp_path, trained, capsys):
+        msh = with_bad_byte(trained["msh"], tmp_path / "bad.msh")
+        code, _, stderr = run_cli(
+            ["evaluate", "--checkpoint", trained["checkpoint"], "--dat", trained["dat"],
+             "--truth", msh, "--out", tmp_path / "kl.csv"], capsys)
+        assert code == 3
+        assert f"error: {msh}: " in stderr
+
+    def test_manifest_exits_3_naming_the_file(self, tmp_path, manifest_path, capsys):
+        manifest = with_bad_byte(manifest_path, tmp_path / "manifest.json")
+        code, _, stderr = run_cli(
+            ["train", manifest, "--out-dir", tmp_path / "r", *FAST], capsys)
+        assert code == 3
+        assert f"error: {manifest}: invalid JSON: " in stderr
+
+    def test_points_csv_exits_3_naming_the_file(self, tmp_path, trained, capsys):
+        good = tmp_path / "pred.csv"
+        good.write_text("x,y\n0.1,0.2\n0.3,0.4\n")
+        pred = with_bad_byte(good, tmp_path / "bad.csv")
+        code, _, stderr = run_cli(
+            ["evaluate", "--pred", pred, "--truth", trained["msh"],
+             "--out", tmp_path / "kl.csv"], capsys)
+        assert code == 3
+        assert f"error: {pred}: " in stderr
+
+    def test_config_file_exits_2_like_invalid_json(self, tmp_path, manifest_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text('{\n"epochs": 5}\n')
+        cfg = with_bad_byte(good, tmp_path / "cfg.json")
+        code, _, stderr = run_cli(
+            ["train", manifest_path, "--out-dir", tmp_path / "r", "--config", cfg], capsys)
+        assert code == 2
+        assert f"error: {cfg}: invalid JSON: " in stderr
+
 
 # -------------------------------------------------------------- exit codes
 

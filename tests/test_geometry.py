@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loop2mesh.errors import (
     DegenerateDataError,
@@ -13,17 +15,16 @@ from loop2mesh.geometry import (
     PointSet,
     _is_simple,
     apply_standardize,
-    clamp_points,
+    edge_query,
     fit_standardize,
     invert_standardize,
-    nearest_edge,
-    point_in_polygon,
     points_in_polygon,
     resample_loop,
     standardize_loop,
 )
+from loop2mesh.synth import naca4_contour
 
-from oracles import is_simple_double_loop, winding_inside
+from oracles import even_odd_edge_loop, is_simple_double_loop, nearest_edge_broadcast, winding_inside
 
 
 # ------------------------------------------------------------- primitives
@@ -107,88 +108,212 @@ class TestAirfoilLoop:
 
 # ------------------------------------------------------------ containment
 
+def star_polygon(rng, k: int) -> np.ndarray:
+    # stratified angles keep every gap below pi, so a polygon that is
+    # star-shaped about the origin stays simple
+    angles = (np.arange(k) + rng.uniform(0.15, 0.85, size=k)) * (2 * np.pi / k)
+    radii = rng.uniform(0.5, 2.0, size=k)
+    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
+@pytest.fixture()
+def u_notch() -> AirfoilLoop:
+    return AirfoilLoop([[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]])
+
+
 class TestContainment:
     def test_interior_point_of_unit_square(self, unit_square):
-        assert point_in_polygon((0.5, 0.5), unit_square)
+        assert points_in_polygon([[0.5, 0.5]], unit_square)[0]
 
     def test_edge_point_counts_as_outside(self, unit_square):
-        assert not point_in_polygon((0.5, 0.0), unit_square)
-        assert not point_in_polygon((1.0, 0.5), unit_square)
+        assert not points_in_polygon([[0.5, 0.0]], unit_square)[0]
+        assert not points_in_polygon([[1.0, 0.5]], unit_square)[0]
 
     def test_vertex_counts_as_outside(self, unit_square):
-        assert not point_in_polygon((0.0, 0.0), unit_square)
+        assert not points_in_polygon([[0.0, 0.0]], unit_square)[0]
 
     def test_clearly_outside(self, unit_square):
-        assert not point_in_polygon((-0.1, 0.5), unit_square)
-        assert not point_in_polygon((0.5, 1.2), unit_square)
+        assert not points_in_polygon([[-0.1, 0.5]], unit_square)[0]
+        assert not points_in_polygon([[0.5, 1.2]], unit_square)[0]
 
-    def test_concave_polygon_notch(self):
+    def test_concave_polygon_notch(self, u_notch):
         # U-shape: the notch between the prongs is outside
-        u = AirfoilLoop([[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]])
-        assert point_in_polygon((0.5, 2.0), u)
-        assert point_in_polygon((2.5, 2.0), u)
-        assert not point_in_polygon((1.5, 2.0), u)  # inside the notch
-        assert point_in_polygon((1.5, 0.5), u)      # in the base
+        assert points_in_polygon([[0.5, 2.0]], u_notch)[0]
+        assert points_in_polygon([[2.5, 2.0]], u_notch)[0]
+        assert not points_in_polygon([[1.5, 2.0]], u_notch)[0]  # inside the notch
+        assert points_in_polygon([[1.5, 0.5]], u_notch)[0]      # in the base
 
     def test_horizontal_edge_scanline_robust(self):
         # points level with a horizontal edge must classify correctly
         tri = AirfoilLoop([[0.0, 0.0], [4.0, 0.0], [2.0, 2.0]])
-        assert point_in_polygon((2.0, 0.5), tri)
-        assert not point_in_polygon((5.0, 0.0), tri)
-        assert not point_in_polygon((-1.0, 0.0), tri)
+        assert points_in_polygon([[2.0, 0.5]], tri)[0]
+        assert not points_in_polygon([[5.0, 0.0]], tri)[0]
+        assert not points_in_polygon([[-1.0, 0.0]], tri)[0]
 
     def test_matches_winding_oracle_on_random_star_polygons(self):
         rng = np.random.default_rng(42)
         for trial in range(20):
-            k = int(rng.integers(5, 12))
-            # stratified angles keep every gap below pi, so a polygon that is
-            # star-shaped about the origin stays simple
-            angles = (np.arange(k) + rng.uniform(0.15, 0.85, size=k)) * (2 * np.pi / k)
-            radii = rng.uniform(0.5, 2.0, size=k)
-            verts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+            verts = star_polygon(rng, int(rng.integers(5, 12)))
             loop = AirfoilLoop(verts)
             pts = rng.uniform(-2.5, 2.5, size=(200, 2))
-            dist, _ = nearest_edge(pts, loop)
+            dist, _, got = edge_query(pts, loop)
             clear = dist > 1e-9  # winding sum is ill-defined on the boundary
-            got = points_in_polygon(pts, loop)
             want = np.array([winding_inside(x, y, verts) for x, y in pts])
             assert np.array_equal(got[clear], want[clear])
 
-    def test_accepts_precomputed_edge_distances(self, unit_square):
+    def test_interior_and_exterior_points_together(self, unit_square):
         pts = np.array([[0.5, 0.5], [2.0, 0.5]])
-        dist, _ = nearest_edge(pts, unit_square)
-        direct = points_in_polygon(pts, unit_square)
-        cached = points_in_polygon(pts, unit_square, edge_distances=dist)
-        assert np.array_equal(direct, cached)
-        assert direct.tolist() == [True, False]
+        assert points_in_polygon(pts, unit_square).tolist() == [True, False]
 
 
-class TestNearestEdge:
+class TestEdgeQuery:
     def test_interior_distances_unit_square(self, unit_square):
         pts = np.array([[0.5, 0.5], [0.25, 0.5], [0.5, 0.1]])
-        dist, closest = nearest_edge(pts, unit_square)
+        dist, closest, _ = edge_query(pts, unit_square)
         assert dist == pytest.approx([0.5, 0.25, 0.1])
         assert closest[1] == pytest.approx([0.0, 0.5])
         assert closest[2] == pytest.approx([0.5, 0.0])
 
     def test_exterior_point_projects_onto_edge(self, unit_square):
-        dist, closest = nearest_edge(np.array([[2.0, 0.5]]), unit_square)
+        dist, closest, _ = edge_query(np.array([[2.0, 0.5]]), unit_square)
         assert dist[0] == pytest.approx(1.0)
         assert closest[0] == pytest.approx([1.0, 0.5])
 
     def test_exterior_point_near_corner_projects_onto_vertex(self, unit_square):
-        dist, closest = nearest_edge(np.array([[-3.0, -4.0]]), unit_square)
+        dist, closest, _ = edge_query(np.array([[-3.0, -4.0]]), unit_square)
         assert dist[0] == pytest.approx(5.0)
         assert closest[0] == pytest.approx([0.0, 0.0])
 
     def test_tie_resolves_to_lowest_edge_index(self, unit_square):
         # center is equidistant from all four edges; edge 0 is the bottom
-        _, closest = nearest_edge(np.array([[0.5, 0.5]]), unit_square)
+        _, closest, _ = edge_query(np.array([[0.5, 0.5]]), unit_square)
         assert closest[0] == pytest.approx([0.5, 0.0])
 
     def test_on_edge_distance_is_zero(self, unit_square):
-        dist, _ = nearest_edge(np.array([[0.5, 0.0]]), unit_square)
+        dist, _, _ = edge_query(np.array([[0.5, 0.0]]), unit_square)
         assert dist[0] == 0.0
+
+    def test_containment_is_the_third_result(self, unit_square):
+        pts = np.array([[0.5, 0.5], [2.0, 0.5], [0.5, 0.0]])
+        assert edge_query(pts, unit_square)[2].tolist() == [True, False, False]
+        assert np.array_equal(points_in_polygon(pts, unit_square), edge_query(pts, unit_square)[2])
+
+    def test_empty_input(self, unit_square):
+        dist, closest, inside = edge_query(np.zeros((0, 2)), unit_square)
+        assert (dist.shape, closest.shape, inside.shape) == ((0,), (0, 2), (0,))
+        assert inside.dtype == bool
+
+
+# every NACA section the benchmark workloads train on or score
+WORKLOAD_CODES = ("2220", "0009", "0011", "0014", "0017", "0020", "0023", "2411", "2414", "2420",
+                  "4414", "4420", "6414", "0012", "2417", "4417", "6418", "0010", "0015",
+                  "0018", "0021", "0024", "1410", "2412", "2415", "2418", "2421", "4412",
+                  "4415", "4418", "4421", "6412")
+
+
+class TestEdgeQueryMatchesOracle:
+    """Bit equality with the (N, L, 2) broadcast and the loop over edges."""
+
+    @staticmethod
+    def assert_bit_equal(pts, loop):
+        dist, closest, inside = edge_query(pts, loop)
+        want_dist, want_closest = nearest_edge_broadcast(pts, loop.vertices)
+        want_inside = even_odd_edge_loop(pts, loop.vertices) & (want_dist > 0.0)
+        assert np.array_equal(dist, want_dist)
+        assert np.array_equal(closest, want_closest)
+        assert np.array_equal(inside, want_inside)
+
+    @staticmethod
+    def vertices_and_midpoints(loop):
+        v = loop.vertices
+        return np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0))])
+
+    def test_workload_naca_loops(self):
+        rng = np.random.default_rng(11)
+        for code in WORKLOAD_CODES:
+            contour = naca4_contour(code)
+            for loop in (AirfoilLoop(contour[:-1]), resample_loop(PointSet(contour), 35)):
+                pts = np.vstack([rng.uniform([-0.5, -0.4], [1.5, 0.4], size=(300, 2)),
+                                 self.vertices_and_midpoints(loop)])
+                self.assert_bit_equal(pts, loop)
+
+    def test_random_star_polygons(self):
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            loop = AirfoilLoop(star_polygon(rng, int(rng.integers(3, 15))))
+            pts = np.vstack([rng.uniform(-2.5, 2.5, size=(200, 2)),
+                             self.vertices_and_midpoints(loop)])
+            self.assert_bit_equal(pts, loop)
+
+    def test_loops_with_horizontal_edges(self, unit_square, u_notch):
+        rng = np.random.default_rng(13)
+        for loop in (unit_square, u_notch):
+            lo, hi = loop.vertices.min(axis=0) - 0.5, loop.vertices.max(axis=0) + 0.5
+            # grid points sit level with the horizontal edges and on the vertical ones
+            grid = np.stack(np.meshgrid(np.linspace(lo[0], hi[0], 17),
+                                        np.linspace(lo[1], hi[1], 17)), axis=-1).reshape(-1, 2)
+            pts = np.vstack([rng.uniform(lo, hi, size=(200, 2)), grid,
+                             self.vertices_and_midpoints(loop)])
+            self.assert_bit_equal(pts, loop)
+
+    def test_sizes_up_to_3000_points(self, airfoil_loop):
+        rng = np.random.default_rng(14)
+        for n in (0, 1, 2, 3, 17, 100, 400, 1000, 3000):
+            self.assert_bit_equal(rng.uniform([-2.0, -2.0], [3.0, 2.0], size=(n, 2)), airfoil_loop)
+
+
+# a dyadic grid: its sums with offsets on the same grid, and its products
+# with powers of two, are exact in float64
+GRID = 2.0 ** -10
+
+
+@st.composite
+def star_and_points(draw):
+    """A star polygon and test points, every coordinate on the dyadic grid."""
+    k = draw(st.integers(4, 12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    verts = np.round(star_polygon(np.random.default_rng(seed), k) / GRID) * GRID
+    ticks = st.integers(-2560, 2560)
+    pts = draw(st.lists(st.tuples(ticks, ticks), min_size=1, max_size=60))
+    return verts, np.array(pts, dtype=np.float64) * GRID
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+class TestContainmentProperties:
+    @PROPERTY_SETTINGS
+    @given(star_and_points())
+    def test_agrees_with_winding_number_clear_of_the_boundary(self, case):
+        verts, pts = case
+        dist, _, inside = edge_query(pts, AirfoilLoop(verts))
+        want = np.array([winding_inside(x, y, verts) for x, y in pts])
+        clear = dist > 1e-9
+        assert np.array_equal(inside[clear], want[clear])
+
+    @PROPERTY_SETTINGS
+    @given(star_and_points(), st.integers(-16, 16))
+    def test_unchanged_by_power_of_two_scaling(self, case, k):
+        verts, pts = case
+        dist, closest, inside = edge_query(pts, AirfoilLoop(verts))
+        scale = 2.0 ** k  # every rounding step scales exactly, so all bits carry over
+        s_dist, s_closest, s_inside = edge_query(pts * scale, AirfoilLoop(verts * scale))
+        assert np.array_equal(s_inside, inside)
+        assert np.array_equal(s_dist, dist * scale)
+        assert np.array_equal(s_closest, closest * scale)
+
+    @PROPERTY_SETTINGS
+    @given(star_and_points(), st.tuples(st.integers(-2 ** 20, 2 ** 20), st.integers(-2 ** 20, 2 ** 20)))
+    def test_unchanged_by_dyadic_translation(self, case, ticks):
+        verts, pts = case
+        shift = np.array(ticks, dtype=np.float64) * GRID
+        dist, _, inside = edge_query(pts, AirfoilLoop(verts))
+        _, _, moved = edge_query(pts + shift, AirfoilLoop(verts + shift))
+        # the inputs move exactly; only the rounding of a ray's crossing
+        # abscissa changes with the offset, which a point clear of the
+        # boundary cannot feel
+        clear = dist > 1e-9
+        assert np.array_equal(moved[clear], inside[clear])
 
 
 # ------------------------------------------------------------- resampling
@@ -313,24 +438,3 @@ class TestStandardize:
             StandardizeTransform.from_dict(d)
         # ints are numbers
         assert StandardizeTransform.from_dict(dict(d, **{key: 1})).to_dict()[key] == 1.0
-
-
-class TestClampPoints:
-    def test_clamps_only_requested_axis(self):
-        ps = PointSet([[5.0, 5.0], [-5.0, -5.0], [0.2, 0.3]])
-        out = clamp_points(ps, y_range=(-1.0, 1.0))
-        assert out.xy[:, 0] == pytest.approx([5.0, -5.0, 0.2])  # x untouched
-        assert out.xy[:, 1] == pytest.approx([1.0, -1.0, 0.3])
-
-    def test_idempotent_and_frame_preserving(self):
-        ps = PointSet([[2.0, -3.0]], Frame.STANDARDISED)
-        once = clamp_points(ps, x_range=(0.0, 1.0), y_range=(-1.0, 1.0))
-        twice = clamp_points(once, x_range=(0.0, 1.0), y_range=(-1.0, 1.0))
-        assert once.frame is Frame.STANDARDISED
-        assert np.array_equal(once.xy, twice.xy)
-        assert once.xy[0] == pytest.approx([1.0, -1.0])
-
-    def test_empty_range_rejected(self):
-        ps = PointSet([[0.0, 0.0]])
-        with pytest.raises(InvalidInputError):
-            clamp_points(ps, y_range=(1.0, -1.0))

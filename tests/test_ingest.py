@@ -18,7 +18,6 @@ from loop2mesh.ingest import (
     build_dataset,
     fit_chord,
     load_manifest,
-    normalise_chord,
     parse_airfoil_dat,
     parse_msh_nodes,
     upsample_target,
@@ -116,13 +115,13 @@ class TestParseAirfoilDat:
 class TestChordNormalisation:
     def test_x_shifted_and_scaled_y_scaled_only(self):
         ps = PointSet([[2.0, 1.0], [4.0, -1.0], [3.0, 0.5]])
-        out = normalise_chord(ps)
+        out = fit_chord(ps).apply(ps)
         assert out.xy[:, 0] == pytest.approx([0.0, 1.0, 0.5])
         assert out.xy[:, 1] == pytest.approx([0.5, -0.5, 0.25])  # y / chord, no shift
 
     def test_unit_chord_input_unchanged(self):
         ps = PointSet([[0.0, 0.1], [1.0, -0.1], [0.5, 0.0]])
-        assert normalise_chord(ps).xy == pytest.approx(ps.xy)
+        assert fit_chord(ps).apply(ps).xy == pytest.approx(ps.xy)
 
     def test_fit_chord_transform_reusable_on_other_sets(self):
         contour = PointSet([[2.0, 0.0], [4.0, 0.2], [3.0, 1.0]])

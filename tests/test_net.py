@@ -175,6 +175,18 @@ class TestForward:
         assert pred[0] == pytest.approx([0.3, 1.0])
         assert trace.gate[0, 1] == 0.0  # y is exactly at the bound
 
+    def test_clamp_clips_y_values_and_is_idempotent(self):
+        # output (x, y) pairs (5, 5), (-5, -5), (0.2, 0.3) from the biases alone
+        def bias_only(out):
+            return NetworkParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
+                                 np.zeros(4), np.zeros((len(out), 4)), np.asarray(out))
+        x = loop_batch([PointSet([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])])
+        once, _ = forward(bias_only([5.0, 5.0, -5.0, -5.0, 0.2, 0.3]), x, y_clamp=(-1.0, 1.0))
+        assert once[0, 0::2] == pytest.approx([5.0, -5.0, 0.2])  # x untouched
+        assert once[0, 1::2] == pytest.approx([1.0, -1.0, 0.3])
+        twice, _ = forward(bias_only(once[0]), x, y_clamp=(-1.0, 1.0))
+        assert np.array_equal(once, twice)
+
     def test_empty_clamp_range_rejected(self):
         rng = np.random.default_rng(6)
         p = init_params(0, 3, 4, 4, 5)

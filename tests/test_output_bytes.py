@@ -1,17 +1,23 @@
-"""Byte pins for the text outputs whose formatting is hand-written.
+"""Byte pins for the text outputs whose formatting is hand-written, and for
+the synthetic meshes the benchmark generates its inputs from.
 
-The SHA-256 values were computed with the NumPy-scalar formatting these
-outputs used before they were formatted from ``tolist()`` Python floats; any
-change to a digit, a separator or a line break changes them.
+The SHA-256 values of the SVG and CSV were computed with the NumPy-scalar
+formatting these outputs used before they were formatted from ``tolist()``
+Python floats; any change to a digit, a separator or a line break changes
+them. The mesh pins were computed with the edge queries written as an
+(N, L, 2) broadcast and a loop over edges; a single bit moved in a distance
+or a containment verdict changes which candidates are kept.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from loop2mesh.cli import _points_csv_text
 from loop2mesh.geometry import PointSet
 from loop2mesh.svg import render_svg
+from loop2mesh.synth import msh_text, naca4_contour, synth_fluid_mesh
 
 
 def _scene():
@@ -46,3 +52,13 @@ def test_points_csv_round_trips_every_bit():
     rows = _points_csv_text(PointSet(pred)).splitlines()[1:]
     back = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert back.tobytes() == pred.tobytes()
+
+
+@pytest.mark.parametrize("code, nodes, seed, want", [
+    # desk-train and score's training mesh; fleet-train's twelfth training mesh
+    ("2220", 3000, 0, "c73083c8ca6ac6396cad2630d120f80f3b0f70fcd94e88c81dd02dfbfd6ca477"),
+    ("6414", 2000, 11, "8d1a1cb9daa5aadd27a44a5974f0b793bdeddd6fe29691180cdd7ce66ff517b8"),
+])
+def test_benchmark_synth_meshes_are_pinned(code, nodes, seed, want):
+    text = msh_text(synth_fluid_mesh(naca4_contour(code), nodes, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == want

@@ -8,7 +8,7 @@ import pytest
 
 import loop2mesh
 
-# every name the package root used to re-export, by the module that defines it
+# each module's public names
 PUBLIC_NAMES = {
     "errors": ("ConfigError", "DegenerateDataError", "DegenerateDensityError",
                "EmptyDatasetError", "FrameMismatchError", "InvalidGeometryError",
@@ -17,11 +17,11 @@ PUBLIC_NAMES = {
     "evaluation": ("DensityGrid", "EvalWindow", "KLRow", "center_window", "evaluate", "kde",
                    "kl_divergence", "kl_sweep", "scott_bandwidth", "whole_window"),
     "geometry": ("AirfoilLoop", "Frame", "PointSet", "StandardizeTransform",
-                 "apply_standardize", "clamp_points", "fit_standardize", "invert_standardize",
-                 "nearest_edge", "point_in_polygon", "points_in_polygon", "resample_loop"),
+                 "apply_standardize", "edge_query", "fit_standardize", "invert_standardize",
+                 "points_in_polygon", "resample_loop"),
     "ingest": ("ChordTransform", "Dataset", "MeshSample", "assemble_sample", "build_dataset",
-               "fit_chord", "load_manifest", "normalise_chord", "parse_airfoil_dat",
-               "parse_msh_nodes", "upsample_target"),
+               "fit_chord", "load_manifest", "parse_airfoil_dat", "parse_msh_nodes",
+               "read_parsed", "upsample_target"),
     "losses": ("LossBreakdown", "LossWeights", "chamfer", "composite", "interior_penalty",
                "mean_pairwise_distance", "repulsion"),
     "net": ("ForwardTrace", "NetworkParams", "backward", "forward", "init_params",
