@@ -116,45 +116,40 @@ class AirfoilLoop:
     def __len__(self) -> int:
         return int(self.vertices.shape[0])
 
-    @property
-    def signed_area(self) -> float:
-        return _signed_area(self.vertices)
-
-    @property
-    def perimeter(self) -> float:
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
-        return float(np.hypot(e[:, 0], e[:, 1]).sum())
-
-    def as_pointset(self) -> PointSet:
-        return PointSet(self.vertices, self.frame)
-
 
 def edge_query(points, loop: AirfoilLoop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distance to and closest point on the nearest loop edge, and strict
-    containment: ``(dist (N,), closest (N, 2), inside bool (N,))``.
+    containment: ``(dist (N,), closest (N, 2), inside bool (N,))``; the
+    single-cloud call of ``edge_query_batch``."""
+    dist, closest, inside = edge_query_batch(as_point_array(points)[None], loop.vertices[None])
+    return dist[0], closest[0], inside[0]
 
-    Every term is one (N, L) array per axis, edge k running from vertex k to
-    vertex k+1. Ties between equidistant edges resolve to the lowest edge
-    index. Containment is even-odd ray casting under the half-open rule, so
-    a horizontal edge never straddles and its 0/0 crossing never counts;
-    points exactly on an edge (distance 0) classify as outside, so wall
-    nodes sitting on the boundary are legal.
+
+def edge_query_batch(points: np.ndarray, vertices: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``edge_query`` for S clouds at once, cloud s against loop s: finite
+    points (S, N, 2) and loop vertices (S, L, 2) give dist (S, N), closest
+    (S, N, 2) and inside (S, N). Every term is one (S, N, L) array per axis,
+    edge k running from vertex k to vertex k+1. Ties between equidistant
+    edges resolve to the lowest edge index. Containment is even-odd ray
+    casting under the half-open rule, so a horizontal edge never straddles
+    and its 0/0 crossing never counts; points exactly on an edge (distance
+    0) classify as outside, so wall nodes sitting on the boundary are legal.
     """
-    pts = as_point_array(points)
-    (ax, ay), (bx, by) = loop.vertices.T, np.roll(loop.vertices, -1, axis=0).T
+    b = np.roll(vertices, -1, axis=1)
+    ax, ay, bx, by = (v[:, None, :, k] for v in (vertices, b) for k in (0, 1))
     abx, aby = bx - ax, by - ay  # no zero-length edges by loop invariant
-    px, py = pts[:, 0, None], pts[:, 1, None]
+    px, py = points[..., 0, None], points[..., 1, None]
     dy = py - ay
     t = np.clip(((px - ax) * abx + dy * aby) / (abx ** 2 + aby ** 2), 0.0, 1.0)
     qx, qy = ax + t * abx, ay + t * aby
     d2 = (px - qx) ** 2 + (py - qy) ** 2
-    j = d2.argmin(axis=1)
-    rows = np.arange(pts.shape[0])
-    dist = np.sqrt(d2[rows, j])
+    near = np.arange(points.shape[0])[:, None], np.arange(points.shape[1]), d2.argmin(axis=2)
+    dist = np.sqrt(d2[near])
     with np.errstate(divide="ignore", invalid="ignore"):
         crossings = ((ay > py) != (by > py)) & (px < ax + dy * abx / aby)
-    inside = (np.count_nonzero(crossings, axis=1) % 2 == 1) & (dist > 0.0)
-    return dist, np.column_stack((qx[rows, j], qy[rows, j])), inside
+    inside = (np.count_nonzero(crossings, axis=2) % 2 == 1) & (dist > 0.0)
+    return dist, np.stack((qx[near], qy[near]), axis=-1), inside
 
 
 def points_in_polygon(points, loop: AirfoilLoop) -> np.ndarray:

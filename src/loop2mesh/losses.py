@@ -6,21 +6,34 @@ gradient with respect to the predicted coordinates, shaped like the cloud.
 chamfer     two-sided nearest-neighbour squared-distance alignment (sums).
 repulsion   inverse mean pairwise distance; penalises clustering.
 interior    mean squared intrusion depth behind the boundary loop.
+
+``composite_batch`` weighs them over S clouds at once: the pairwise and edge
+kernels take the whole (S, N, 2) batch, Chamfer runs per sample (its (N, M)
+matrix stays in cache), and each per-sample sum keeps its one-cloud order.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import FrameMismatchError, InvalidInputError
-from .geometry import AirfoilLoop, PointSet, as_float, as_point_array, edge_query
+from .geometry import AirfoilLoop, PointSet, as_float, as_point_array, edge_query_batch
 
 
 def _check_frames(pred: PointSet, other) -> None:
     if pred.frame is not other.frame:
         raise FrameMismatchError("operands live in different coordinate frames")
+
+
+def _chamfer(P: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray]:
+    d2 = np.maximum((P ** 2).sum(axis=1)[:, None] + (G ** 2).sum(axis=1) - 2.0 * (P @ G.T), 0.0)
+    nn_pg, nn_gp = d2.argmin(axis=1), d2.argmin(axis=0)
+    value = float(d2[np.arange(P.shape[0]), nn_pg].sum() + d2[nn_gp, np.arange(G.shape[0])].sum())
+    grad = 2.0 * (P - G[nn_pg])
+    np.add.at(grad, nn_gp, 2.0 * (P[nn_gp] - G))
+    return value, grad
 
 
 def chamfer(pred: PointSet, ref: PointSet) -> tuple[float, np.ndarray]:
@@ -34,52 +47,40 @@ def chamfer(pred: PointSet, ref: PointSet) -> tuple[float, np.ndarray]:
     nearest predicted point is p.
     """
     _check_frames(pred, ref)
-    P = pred.xy
-    G = ref.xy
-    d2 = np.maximum(
-        (P ** 2).sum(axis=1)[:, None] + (G ** 2).sum(axis=1)[None, :] - 2.0 * (P @ G.T),
-        0.0,
-    )
-    nn_pg = d2.argmin(axis=1)
-    nn_gp = d2.argmin(axis=0)
-    value = float(d2[np.arange(P.shape[0]), nn_pg].sum()
-                  + d2[nn_gp, np.arange(G.shape[0])].sum())
-    grad = 2.0 * (P - G[nn_pg])
-    np.add.at(grad, nn_gp, 2.0 * (P[nn_gp] - G))
-    return value, grad
+    return _chamfer(pred.xy, ref.xy)
 
 
 def _pairwise(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one pairwise kernel of a cloud: per-axis differences
-    ``dx[i, j] = x_i - x_j`` and ``dy`` likewise, and the squared distances,
-    each (N, N). Repulsion and the mean pairwise distance both read it."""
-    dx = xy[:, 0, None] - xy[None, :, 0]
-    dy = xy[:, 1, None] - xy[None, :, 1]
+    """The one pairwise kernel of S clouds (S, N, 2): per-axis differences
+    ``dx[s, i, j] = x_i - x_j`` and ``dy`` likewise, and the squared
+    distances, each (S, N, N)."""
+    dx = xy[:, :, 0, None] - xy[:, None, :, 0]
+    dy = xy[:, :, 1, None] - xy[:, None, :, 1]
     return dx, dy, dx * dx + dy * dy
 
 
-def _off_diagonal(a: np.ndarray) -> np.ndarray:
-    return a[~np.eye(len(a), dtype=bool)]
+def _off_diagonal(a: np.ndarray, reduce) -> list[float]:
+    # per (N, N) slice: a mask over the whole batch gives strided rows that sum differently
+    off = ~np.eye(a.shape[1], dtype=bool)
+    return [float(reduce(m[off])) for m in a]
 
 
-def _repulsion(pairs, epsilon: float) -> tuple[float, np.ndarray]:
+def _repulsion(pairs, epsilon: float) -> tuple[list[float], np.ndarray]:
     dx, dy, d2 = pairs
-    n = len(d2)
+    n = d2.shape[1]
     if n < 2:
         raise InvalidInputError("repulsion needs at least 2 points")
     if not epsilon > 0.0:
         raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
     r = np.sqrt(d2 + epsilon)
-    value = 1.0 / (float(_off_diagonal(r).sum()) / (n * n))  # 1 / mean distance
+    values = [1.0 / (total / (n * n)) for total in _off_diagonal(r, np.sum)]  # 1 / mean
     # d(mean)/d(p_i) = (2/N^2) sum_j (p_i - p_j) / r_ij; self-pairs add 0/r = 0.
     # dx/r is antisymmetric, so each row sum is minus the column sum, which
     # NumPy accumulates row by row in index order.
-    d_mean = -2.0 * np.column_stack(((dx / r).sum(axis=0), (dy / r).sum(axis=0))) / (n * n)
-    return value, -(value ** 2) * d_mean
-
-
-def _mean_pairwise(d2: np.ndarray) -> float:
-    return float(_off_diagonal(np.sqrt(d2)).mean()) if len(d2) >= 2 else 0.0
+    d_mean = -2.0 * np.stack(((dx / r).sum(axis=1), (dy / r).sum(axis=1)), axis=-1) / (n * n)
+    # value ** 2 as a Python float: NumPy's array square can round differently
+    scale = np.array([-(v ** 2) for v in values])
+    return values, scale[:, None, None] * d_mean
 
 
 def repulsion(pred: PointSet, epsilon: float = 1e-8) -> tuple[float, np.ndarray]:
@@ -90,7 +91,16 @@ def repulsion(pred: PointSet, epsilon: float = 1e-8) -> tuple[float, np.ndarray]
     sqrt(|pi-pj|^2 + epsilon), so coincident points stay finite. Larger
     spread means a smaller value.
     """
-    return _repulsion(_pairwise(pred.xy), epsilon)
+    values, grad = _repulsion(_pairwise(pred.xy[None]), epsilon)
+    return values[0], grad[0]
+
+
+def _interior(xy: np.ndarray, loops: np.ndarray) -> tuple[list[float], np.ndarray]:
+    dist, closest, inside = edge_query_batch(xy, loops)
+    n = xy.shape[1]
+    values = [float((d[i] ** 2).sum()) / n for d, i in zip(dist, inside)]
+    grad = np.where(inside[..., None], (2.0 / n) * (xy - closest), 0.0)
+    return values, grad
 
 
 def interior_penalty(pred: PointSet, loop: AirfoilLoop) -> tuple[float, np.ndarray]:
@@ -103,12 +113,8 @@ def interior_penalty(pred: PointSet, loop: AirfoilLoop) -> tuple[float, np.ndarr
     outside and carry zero gradient.
     """
     _check_frames(pred, loop)
-    dist, closest, inside = edge_query(pred.xy, loop)
-    n = len(pred)
-    value = float((dist[inside] ** 2).sum()) / n
-    grad = np.zeros_like(pred.xy)
-    grad[inside] = (2.0 / n) * (pred.xy[inside] - closest[inside])
-    return value, grad
+    values, grad = _interior(pred.xy[None], loop.vertices[None])
+    return values[0], grad[0]
 
 
 @dataclass(frozen=True)
@@ -129,9 +135,6 @@ class LossWeights:
         if not self.epsilon > 0.0:
             raise InvalidInputError(f"epsilon must be positive, got {self.epsilon}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "LossWeights":
         """Weights from a mapping; missing keys keep their defaults."""
@@ -151,24 +154,39 @@ class LossBreakdown:
     repulsion: float
     interior: float
     total: float
-    grad: np.ndarray  # d(total)/d(pred), (N, 2)
     mean_pairwise: float  # mean distance over distinct pairs, a logged statistic
+    grad: np.ndarray  # d(total)/d(pred), (N, 2)
 
 
 def composite(pred: PointSet, ref: PointSet, loop: AirfoilLoop,
               weights: LossWeights) -> LossBreakdown:
-    """Weighted sum of the three terms; gradients combine linearly.
+    """``composite_batch`` for one cloud."""
+    _check_frames(pred, ref)
+    _check_frames(pred, loop)
+    terms, grad = composite_batch(pred.xy[None], [ref.xy], loop.vertices[None], weights)
+    return LossBreakdown(*terms[0].tolist(), grad[0])
 
-    The cloud's pairwise kernel is built once and feeds both the repulsion
-    term and the reported mean pairwise distance.
+
+def composite_batch(pred: np.ndarray, refs, loops: np.ndarray,
+                    weights: LossWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted sum of the three terms for S clouds (S, N, 2), each against
+    its own reference (one (M, 2) array per cloud) and loop ((S, L, 2)
+    vertices), all finite and in one frame.
+
+    Returns the terms (S, 5), columns chamfer, repulsion, interior, total
+    and mean pairwise distance, and d(total)/d(pred) (S, N, 2); gradients
+    combine linearly. One pairwise kernel feeds both the repulsion term and
+    the mean pairwise distance.
     """
-    pairs = _pairwise(pred.xy)
-    c_val, c_grad = chamfer(pred, ref)
-    r_val, r_grad = _repulsion(pairs, weights.epsilon)
-    i_val, i_grad = interior_penalty(pred, loop)
-    total = weights.chamfer * c_val + weights.repulsion * r_val + weights.interior * i_val
-    grad = weights.chamfer * c_grad + weights.repulsion * r_grad + weights.interior * i_grad
-    return LossBreakdown(c_val, r_val, i_val, float(total), grad, _mean_pairwise(pairs[2]))
+    c_vals, c_grads = zip(*(_chamfer(p, g) for p, g in zip(pred, refs)))
+    pairs = _pairwise(pred)
+    r_vals, r_grad = _repulsion(pairs, weights.epsilon)
+    i_vals, i_grad = _interior(pred, loops)
+    c, r, i = np.array([c_vals, r_vals, i_vals])
+    total = weights.chamfer * c + weights.repulsion * r + weights.interior * i
+    grad = weights.chamfer * np.stack(c_grads) + weights.repulsion * r_grad
+    grad += weights.interior * i_grad
+    return np.column_stack((c, r, i, total, _off_diagonal(np.sqrt(pairs[2]), np.mean))), grad
 
 
 def mean_pairwise_distance(points) -> float:
@@ -177,4 +195,4 @@ def mean_pairwise_distance(points) -> float:
     Accepts a PointSet or any (N, 2) array-like.
     """
     xy = as_point_array(points.xy if isinstance(points, PointSet) else points)
-    return _mean_pairwise(_pairwise(xy)[2])
+    return _off_diagonal(np.sqrt(_pairwise(xy[None])[2]), np.mean)[0] if len(xy) >= 2 else 0.0

@@ -76,14 +76,6 @@ class NetworkParams:
         return self.w1.shape[1] // 2
 
     @property
-    def h1(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def h2(self) -> int:
-        return self.w2.shape[0]
-
-    @property
     def n_points(self) -> int:
         return self.w3.shape[0] // 2
 

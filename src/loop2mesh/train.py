@@ -37,7 +37,7 @@ from .geometry import (
     standardize_loop,
 )
 from .ingest import Dataset
-from .losses import LossWeights, composite
+from .losses import LossWeights, composite_batch
 from .net import NetworkParams, backward, forward, init_params, load_checkpoint, save_checkpoint
 
 
@@ -222,10 +222,12 @@ class TrainResult:
 def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Train the generator on a dataset; deterministic given (dataset, config).
 
-    Each epoch runs one forward and one backward pass over the batch of all
-    samples; only the loss terms are evaluated per sample. Gradients are
-    averaged over samples (full batch, one Adam step per epoch). A
-    non-finite epoch total aborts with the offending epoch.
+    Each epoch runs one forward pass over the batch of all samples, checks
+    the whole (S, N, 2) output for finiteness once, evaluates the loss terms
+    of every sample in one ``composite_batch`` call and runs one backward
+    pass. The logged terms and the gradient are means over samples (full
+    batch, one Adam step per epoch). A non-finite output or epoch total
+    aborts with the offending epoch.
     """
     config.validate()
     if config.loop_size != dataset.loop_size:
@@ -233,35 +235,26 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     params = init_params(config.seed, config.loop_size, config.h1, config.h2, config.n_points)
     state = AdamState.zeros(params)
 
-    samples = dataset.samples
-    if config.mode is TrainMode.RAW:
-        transforms = None
-        refs, polys = [s.target for s in samples], [s.loop for s in samples]
-    else:
-        transforms = [fit_standardize(s.target) for s in samples]
-        refs = [apply_standardize(t, s.target) for t, s in zip(transforms, samples)]
-        polys = [standardize_loop(t, s.loop) for t, s in zip(transforms, samples)]
-    x = np.stack([poly.vertices.reshape(-1) for poly in polys])  # rows x0, y0, x1, ...
-    n_samples = len(samples)
+    refs, polys = [s.target for s in dataset.samples], [s.loop for s in dataset.samples]
+    transforms = None
+    if config.mode is not TrainMode.RAW:
+        transforms = [fit_standardize(ref) for ref in refs]
+        refs = [apply_standardize(t, ref) for t, ref in zip(transforms, refs)]
+        polys = [standardize_loop(t, poly) for t, poly in zip(transforms, polys)]
+    n_samples, refs = len(polys), [ref.xy for ref in refs]
+    loops = np.stack([poly.vertices for poly in polys])
+    x = loops.reshape(n_samples, -1)  # rows x0, y0, x1, ...
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
         out, trace = forward(params, x, y_clamp=config.y_clamp)
-        d_out = np.empty_like(out)
-        sums = np.zeros(5)  # chamfer, repulsion, interior, total, mean pairwise
-        for i, (ref, poly) in enumerate(zip(refs, polys)):
-            try:
-                pred = PointSet(out[i].reshape(-1, 2), poly.frame)
-            except InvalidInputError as exc:
-                # the only non-finite source here is numeric blow-up
-                raise TrainingDivergedError(
-                    epoch, f"non-finite network output at epoch {epoch}") from exc
-            bd = composite(pred, ref, poly, config.weights)
-            d_out[i] = bd.grad.reshape(-1)
-            sums += (bd.chamfer, bd.repulsion, bd.interior, bd.total, bd.mean_pairwise)
-        sums /= n_samples
-        record = EpochRecord(epoch, *map(float, sums))
+        if not np.isfinite(out).all():  # the only non-finite source is numeric blow-up
+            raise TrainingDivergedError(epoch, f"non-finite network output at epoch {epoch}")
+        terms, grad = composite_batch(out.reshape(n_samples, -1, 2), refs, loops, config.weights)
+        # chamfer, repulsion, interior, total, mean pairwise: summed in sample order
+        record = EpochRecord(epoch, *(terms.sum(axis=0) / n_samples).tolist())
         if not math.isfinite(record.total):
             raise TrainingDivergedError(epoch, f"total loss became non-finite at epoch {epoch}")
+        d_out = grad.reshape(n_samples, -1)
         d_out *= 1.0 / n_samples  # the cotangent of the mean loss
         adam_step(params, backward(params, trace, d_out), state, lr=config.lr, t=epoch)
         records.append(record)
@@ -279,7 +272,8 @@ def predict(params: NetworkParams, transform: StandardizeTransform | None,
         raise InvalidInputError("raw mode takes no standardise transform")
     if config.mode is not TrainMode.RAW and transform is None:
         raise InvalidInputError("standardised modes require the sample's transform")
-    inp = loop.as_pointset() if transform is None else apply_standardize(transform, loop.as_pointset())
+    inp = PointSet(loop.vertices, loop.frame)
+    inp = inp if transform is None else apply_standardize(transform, inp)
     out, _ = forward(params, inp.xy.reshape(1, -1), y_clamp=config.y_clamp)
     pred = PointSet(out.reshape(-1, 2), inp.frame)
     return pred if transform is None else invert_standardize(transform, pred)

@@ -73,6 +73,50 @@ def even_odd_edge_loop(points, vertices) -> np.ndarray:
     return inside
 
 
+def per_sample_composite(pred, refs, loops, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The composite objective one cloud at a time, as training evaluated it
+    before the batched loss: per sample a Chamfer matrix, an (N, N) pairwise
+    kernel read by repulsion and the mean pairwise distance, and the edge
+    query as ``nearest_edge_broadcast`` plus ``even_odd_edge_loop``.
+
+    The bit-equality oracle for ``losses.composite_batch``: ``pred`` (S, N, 2),
+    S reference arrays and S loops; returns the per-sample terms (S, 5) as
+    chamfer, repulsion, interior, total, mean pairwise distance, and the
+    gradient of each total (S, N, 2).
+    """
+    terms, grads = [], []
+    for P, G, verts in zip(np.asarray(pred, dtype=np.float64), refs, loops):
+        P, G = P.copy(), np.asarray(G, dtype=np.float64)
+        n = P.shape[0]
+        d2 = np.maximum(
+            (P ** 2).sum(axis=1)[:, None] + (G ** 2).sum(axis=1)[None, :] - 2.0 * (P @ G.T), 0.0)
+        nn_pg, nn_gp = d2.argmin(axis=1), d2.argmin(axis=0)
+        c_val = float(d2[np.arange(n), nn_pg].sum() + d2[nn_gp, np.arange(G.shape[0])].sum())
+        c_grad = 2.0 * (P - G[nn_pg])
+        np.add.at(c_grad, nn_gp, 2.0 * (P[nn_gp] - G))
+
+        dx = P[:, 0, None] - P[None, :, 0]
+        dy = P[:, 1, None] - P[None, :, 1]
+        pd2 = dx * dx + dy * dy
+        off = ~np.eye(n, dtype=bool)
+        r = np.sqrt(pd2 + weights.epsilon)
+        r_val = 1.0 / (float(r[off].sum()) / (n * n))
+        d_mean = -2.0 * np.column_stack(((dx / r).sum(axis=0), (dy / r).sum(axis=0))) / (n * n)
+        r_grad = -(r_val ** 2) * d_mean
+
+        dist, closest = nearest_edge_broadcast(P, verts)
+        inside = even_odd_edge_loop(P, verts) & (dist > 0.0)
+        i_val = float((dist[inside] ** 2).sum()) / n
+        i_grad = np.zeros_like(P)
+        i_grad[inside] = (2.0 / n) * (P[inside] - closest[inside])
+
+        total = weights.chamfer * c_val + weights.repulsion * r_val + weights.interior * i_val
+        grads.append(weights.chamfer * c_grad + weights.repulsion * r_grad
+                     + weights.interior * i_grad)
+        terms.append((c_val, r_val, i_val, float(total), float(np.sqrt(pd2)[off].mean())))
+    return np.array(terms), np.array(grads)
+
+
 def brute_chamfer(pred, ref) -> float:
     """Double-loop symmetric sum of nearest-neighbour squared distances."""
     pred = [(float(x), float(y)) for x, y in pred]

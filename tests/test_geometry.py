@@ -14,6 +14,7 @@ from loop2mesh.geometry import (
     Frame,
     PointSet,
     _is_simple,
+    _signed_area,
     apply_standardize,
     edge_query,
     fit_standardize,
@@ -97,13 +98,12 @@ class TestAirfoilLoop:
             assert _is_simple(v) is want
             assert is_simple_double_loop(v) is want
 
-    def test_signed_area_and_perimeter_unit_square(self, unit_square):
-        assert unit_square.signed_area == pytest.approx(1.0)
-        assert unit_square.perimeter == pytest.approx(4.0)
+    def test_signed_area_unit_square(self, unit_square):
+        assert _signed_area(unit_square.vertices) == pytest.approx(1.0)
 
     def test_orientation_flips_signed_area(self, unit_square):
         rev = AirfoilLoop(unit_square.vertices[::-1])
-        assert rev.signed_area == pytest.approx(-1.0)
+        assert _signed_area(rev.vertices) == pytest.approx(-1.0)
 
 
 # ------------------------------------------------------------ containment
@@ -331,6 +331,15 @@ class TestResampleLoop:
                            [1.0, 1.0], [0.5, 1.0], [0.0, 1.0], [0.0, 0.5]])
         assert loop.vertices == pytest.approx(expect)
 
+    def test_unit_square_spacing_is_perimeter_over_count(self, unit_square):
+        for target in (4, 8, 12, 20):
+            loop = resample_loop(PointSet(unit_square.vertices), target)
+            closed = np.vstack([loop.vertices, loop.vertices[:1]])
+            steps = np.hypot(*np.diff(closed, axis=0).T)
+            # a multiple of 4 samples puts one on every corner, so no step cuts a corner
+            assert steps == pytest.approx(np.full(target, 4.0 / target))
+            assert steps.sum() == pytest.approx(4.0)
+
     def test_vertex_count_and_first_vertex(self, contour_2220):
         loop = resample_loop(PointSet(contour_2220), 35)
         assert len(loop) == 35
@@ -355,7 +364,7 @@ class TestResampleLoop:
     def test_orientation_preserved(self, contour_2220):
         fwd = resample_loop(PointSet(contour_2220), 35)
         rev = resample_loop(PointSet(contour_2220[::-1]), 35)
-        assert np.sign(fwd.signed_area) == -np.sign(rev.signed_area)
+        assert np.sign(_signed_area(fwd.vertices)) == -np.sign(_signed_area(rev.vertices))
 
     def test_frame_carried_through(self, contour_2220):
         ps = PointSet(contour_2220, Frame.STANDARDISED)
@@ -367,6 +376,25 @@ class TestResampleLoop:
             resample_loop(sq, 2)
         with pytest.raises(InvalidGeometryError):
             resample_loop(PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 4)
+
+
+class TestResampleLoopProperties:
+    @PROPERTY_SETTINGS
+    @given(st.integers(4, 12), st.integers(0, 2 ** 32 - 1), st.integers(0, 200),
+           st.booleans(), st.booleans())
+    def test_keeps_first_vertex_closure_orientation_and_count(self, k, seed, extra,
+                                                              closed, reverse):
+        verts = star_polygon(np.random.default_rng(seed), k)
+        if reverse:
+            verts = verts[::-1]
+        area = _signed_area(verts)
+        contour = np.vstack([verts, verts[:1]]) if closed else verts
+        target = 4 * k + extra
+        loop = resample_loop(PointSet(contour), target)
+        assert len(loop) == target
+        assert np.array_equal(loop.vertices[0], verts[0])
+        assert not np.all(loop.vertices[1:] == verts[0], axis=1).any()  # no closing repeat
+        assert np.sign(_signed_area(loop.vertices)) == np.sign(area)
 
 
 # --------------------------------------------------------- standardisation

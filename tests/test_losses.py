@@ -1,5 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loop2mesh.errors import FrameMismatchError, InvalidInputError
 from loop2mesh.geometry import AirfoilLoop, Frame, PointSet
@@ -7,6 +11,7 @@ from loop2mesh.losses import (
     LossWeights,
     chamfer,
     composite,
+    composite_batch,
     interior_penalty,
     mean_pairwise_distance,
     repulsion,
@@ -17,7 +22,9 @@ from oracles import (
     brute_mean_pairwise,
     brute_repulsion_value,
     fd_grad_points,
+    per_sample_composite,
 )
+from test_geometry import GRID, star_polygon
 
 
 def cloud(rng, n, lo=-1.0, hi=1.0, frame=Frame.ORIGINAL) -> PointSet:
@@ -234,7 +241,7 @@ class TestLossWeights:
 
     def test_dict_round_trip(self):
         w = LossWeights(1.0, 2.5, 10.0, 1e-9)
-        assert LossWeights.from_dict(w.to_dict()) == w
+        assert LossWeights.from_dict(asdict(w)) == w
 
     @pytest.mark.parametrize("bad", [{"repulsion": True}, {"chamfer": "1"}, {"epsilon": None}])
     def test_from_dict_does_not_coerce(self, bad):
@@ -297,6 +304,76 @@ class TestComposite:
         br = composite(pred, ref, unit_square, LossWeights(1.0, 1.0, 10.0))
         assert br.mean_pairwise == pytest.approx(brute_mean_pairwise(pred.xy), rel=1e-12)
         assert br.mean_pairwise == mean_pairwise_distance(pred)
+
+
+WEIGHTS = (LossWeights(1.0, 1.0, 10.0), LossWeights(1.0, 0.0, 0.0), LossWeights(0.5, 2.5, 0.0),
+           LossWeights(0.0, 1.0, 10.0, 1e-6), LossWeights(1.0, 3.0, 7.0))
+
+
+@st.composite
+def loss_batches(draw):
+    """S clouds, each with its own reference and its own star loop (one
+    vertex count for all), on the dyadic grid. Some points sit exactly on
+    loop vertices or edge midpoints, and some coincide with another point
+    or with a reference point."""
+    s, k = draw(st.integers(1, 6)), draw(st.integers(4, 12))
+    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 30))
+    on_loop, repeats = draw(st.integers(0, n)), draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    loops = np.stack([np.round(star_polygon(rng, k) / GRID) * GRID for _ in range(s)])
+    pred = rng.integers(-2560, 2561, size=(s, n, 2)) * GRID
+    refs = [rng.integers(-2560, 2561, size=(m, 2)) * GRID for _ in range(s)]
+    for p, g, v in zip(pred, refs, loops):
+        wall = np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0))])
+        p[rng.choice(n, on_loop, replace=False)] = wall[rng.integers(0, len(wall), on_loop)]
+        p[rng.integers(0, n, repeats)] = p[rng.integers(0, n, repeats)]
+        g[rng.integers(0, m, repeats)] = p[rng.integers(0, n, repeats)]
+    return pred, refs, loops, draw(st.sampled_from(WEIGHTS))
+
+
+class TestCompositeBatch:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(loss_batches())
+    def test_equals_the_per_sample_loop_bit_for_bit(self, case):
+        pred, refs, loops, w = case
+        terms, grad = composite_batch(pred, refs, loops, w)
+        want_terms, want_grad = per_sample_composite(pred, refs, loops, w)
+        assert terms.tobytes() == want_terms.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        # the epoch means train logs: per-sample terms summed in sample order
+        sums = np.zeros(5)
+        for row in want_terms:
+            sums += row
+        assert (terms.sum(axis=0) / len(pred)).tobytes() == (sums / len(pred)).tobytes()
+        # composite is the single-sample call of the same path
+        for s in (0, len(pred) - 1):
+            br = composite(PointSet(pred[s]), PointSet(refs[s]), AirfoilLoop(loops[s]), w)
+            assert (br.chamfer, br.repulsion, br.interior, br.total, br.mean_pairwise) \
+                == tuple(terms[s].tolist())
+            assert br.grad.tobytes() == grad[s].tobytes()
+
+    def test_thousands_of_small_clouds_equal_the_per_sample_loop(self, unit_square):
+        # about one repulsion value in a thousand squares to a different last
+        # bit as a NumPy array than as a Python float; this many samples
+        # reaches such values
+        rng = np.random.default_rng(21)
+        pred = rng.uniform(-0.5, 1.5, size=(4000, 3, 2))
+        refs = list(rng.uniform(-0.5, 1.5, size=(4000, 2, 2)))
+        loops = np.broadcast_to(unit_square.vertices, (4000, 4, 2))
+        w = LossWeights(1.0, 1.0, 10.0)
+        terms, grad = composite_batch(pred, refs, loops, w)
+        want_terms, want_grad = per_sample_composite(pred, refs, loops, w)
+        assert terms.tobytes() == want_terms.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_interior_and_mean_distance_are_per_sample(self, unit_square):
+        # sample 0 has an intruder, sample 1 does not
+        pred = np.array([[[0.5, 0.3], [5.0, 5.0]], [[2.0, 0.5], [5.0, 5.0]]])
+        loops = np.stack([unit_square.vertices] * 2)
+        terms, grad = composite_batch(pred, [pred[0], pred[1]], loops, LossWeights(1.0, 1.0, 10.0))
+        assert terms[0, 2] == pytest.approx(0.3 ** 2 / 2)
+        assert terms[1, 2] == 0.0
+        assert terms[:, 4] == pytest.approx([np.hypot(4.5, 4.7), np.hypot(3.0, 4.5)])
 
 
 class TestMeanPairwiseDistance:

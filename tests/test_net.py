@@ -46,7 +46,7 @@ class TestInitParams:
         assert p.w2.shape == (512, 256)
         assert p.w3.shape == (800, 512)
         assert p.b3.shape == (800,)
-        assert (p.loop_size, p.h1, p.h2, p.n_points) == (35, 256, 512, 400)
+        assert (p.loop_size, p.n_points) == (35, 400)
 
     def test_biases_zero(self):
         p = init_params(3, 5, 8, 8, 7)

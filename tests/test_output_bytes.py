@@ -6,7 +6,10 @@ formatting these outputs used before they were formatted from ``tolist()``
 Python floats; any change to a digit, a separator or a line break changes
 them. The mesh pins were computed with the edge queries written as an
 (N, L, 2) broadcast and a loop over edges; a single bit moved in a distance
-or a containment verdict changes which candidates are kept.
+or a containment verdict changes which candidates are kept. The training
+pins were computed with the loss terms evaluated one sample at a time; a
+last-bit change in any loss value or gradient changes the trainlog or the
+checkpoint.
 """
 
 import hashlib
@@ -16,8 +19,10 @@ import pytest
 
 from loop2mesh.cli import _points_csv_text
 from loop2mesh.geometry import PointSet
+from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.svg import render_svg
-from loop2mesh.synth import msh_text, naca4_contour, synth_fluid_mesh
+from loop2mesh.synth import msh_text, naca4_contour, synth_fluid_mesh, write_sample_dataset
+from loop2mesh.train import TrainConfig, save_trained, train
 
 
 def _scene():
@@ -62,3 +67,39 @@ def test_points_csv_round_trips_every_bit():
 def test_benchmark_synth_meshes_are_pinned(code, nodes, seed, want):
     text = msh_text(synth_fluid_mesh(naca4_contour(code), nodes, seed=seed))
     assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+@pytest.fixture(scope="module")
+def fleet_manifest(tmp_path_factory):
+    """Five synthetic sections, as fleet-train trains on twelve."""
+    return write_sample_dataset(tmp_path_factory.mktemp("fleet"),
+                                codes=("0009", "0017", "2414", "4420", "6414"),
+                                mesh_nodes=2000, seed=0)
+
+
+def _train_digests(manifest, config: dict, target_count: int, tmp_path) -> tuple[str, str]:
+    cfg = TrainConfig.from_dict(config)
+    ds = build_dataset(load_manifest(manifest), loop_size=cfg.loop_size,
+                       target_count=target_count, seed=0)
+    result = train(ds, cfg)
+    ckpt = tmp_path / "checkpoint.l2m"
+    save_trained(ckpt, result, cfg, [s.name for s in ds.samples])
+    return (hashlib.sha256(ckpt.read_bytes()).hexdigest(),
+            hashlib.sha256(result.log.to_csv_text().encode()).hexdigest())
+
+
+def test_multi_sample_raw_training_is_pinned(fleet_manifest, tmp_path):
+    # fleet-train's config: raw mode, N=100, M=600, repulsion 1, interior 10
+    config = {"mode": "raw", "n_points": 100, "upsample_count": 600, "epochs": 40,
+              "weights": {"chamfer": 1.0, "repulsion": 1.0, "interior": 10.0}}
+    assert _train_digests(fleet_manifest, config, 600, tmp_path) == (
+        "5dc74082fa4e7a1acf3aed866d84bef4df874f8202cac9790b901ee69c7e29d7",
+        "ab33ddbbc9ad4c374a9799456096cd0f60f0d0221bd1c8ee8f4b24d120a82545")
+
+
+def test_two_sample_stand_clamp_training_is_pinned(manifest_path, tmp_path):
+    config = {"mode": "stand-clamp", "n_points": 200, "upsample_count": 800, "epochs": 40,
+              "h1": 64, "h2": 128, "weights": {"chamfer": 1.0, "repulsion": 1.0, "interior": 10.0}}
+    assert _train_digests(manifest_path, config, 800, tmp_path) == (
+        "de2bbfe4d0427724efab1bf38320bf022b9ec98eeb33ca05a8c9edabbe67f9e7",
+        "2063079c6aa3b8d5a4c6041fcf81996888f90370e64acdc3975c208f87e9a528")

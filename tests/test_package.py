@@ -17,13 +17,13 @@ PUBLIC_NAMES = {
     "evaluation": ("DensityGrid", "EvalWindow", "KLRow", "center_window", "evaluate", "kde",
                    "kl_divergence", "kl_sweep", "scott_bandwidth", "whole_window"),
     "geometry": ("AirfoilLoop", "Frame", "PointSet", "StandardizeTransform",
-                 "apply_standardize", "edge_query", "fit_standardize", "invert_standardize",
-                 "points_in_polygon", "resample_loop"),
+                 "apply_standardize", "edge_query", "edge_query_batch", "fit_standardize",
+                 "invert_standardize", "points_in_polygon", "resample_loop"),
     "ingest": ("ChordTransform", "Dataset", "MeshSample", "assemble_sample", "build_dataset",
                "fit_chord", "load_manifest", "parse_airfoil_dat", "parse_msh_nodes",
                "read_parsed", "upsample_target"),
-    "losses": ("LossBreakdown", "LossWeights", "chamfer", "composite", "interior_penalty",
-               "mean_pairwise_distance", "repulsion"),
+    "losses": ("LossBreakdown", "LossWeights", "chamfer", "composite", "composite_batch",
+               "interior_penalty", "mean_pairwise_distance", "repulsion"),
     "net": ("ForwardTrace", "NetworkParams", "backward", "forward", "init_params",
             "load_checkpoint", "save_checkpoint"),
     "train": ("TrainConfig", "TrainLog", "TrainMode", "TrainResult", "load_trained",

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -211,17 +212,21 @@ class TestTrain:
         assert batches == [(2, 24)] * 3
         assert backward_calls == [(2, 80)] * 3
 
-    def test_one_pairwise_kernel_per_sample_per_epoch(self, small_dataset, monkeypatch):
-        kernel, calls = losses_mod._pairwise, []
+    def test_one_pairwise_and_one_edge_kernel_per_epoch(self, small_dataset, monkeypatch):
+        calls = []
 
-        def counting_pairwise(xy):
-            calls.append(xy.shape)
-            return kernel(xy)
+        def counting(name, kernel):
+            def wrapper(*arrays):
+                calls.append((name, *(a.shape for a in arrays)))
+                return kernel(*arrays)
+            return wrapper
 
-        monkeypatch.setattr(losses_mod, "_pairwise", counting_pairwise)
+        for name in ("_pairwise", "edge_query_batch"):
+            monkeypatch.setattr(losses_mod, name, counting(name, getattr(losses_mod, name)))
         assert len(small_dataset.samples) == 2
         res = train(small_dataset, small_config(epochs=3))
-        assert calls == [(40, 2)] * 6
+        per_epoch = [("_pairwise", (2, 40, 2)), ("edge_query_batch", (2, 40, 2), (2, 12, 2))]
+        assert calls == per_epoch * 3
         assert all(r.mean_pairwise > 0.0 for r in res.log.records)
 
     def test_loss_decreases_on_small_run(self, small_dataset):
@@ -277,6 +282,29 @@ class TestTrain:
         assert exc_info.value.epoch >= 2
         assert str(exc_info.value.epoch) in str(exc_info.value)
 
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_in_a_later_sample_names_the_epoch(self, manifest_path,
+                                                                 monkeypatch, bad):
+        ds = build_dataset(load_manifest(manifest_path) * 2, loop_size=12,
+                           target_count=150, seed=0)
+        calls = []
+
+        def blowing_up_forward(params, x, y_clamp=None):
+            out, trace = net.forward(params, x, y_clamp)
+            calls.append(None)
+            if len(calls) == 3:
+                out[2, 7] = bad  # sample 2's fourth point, third epoch
+            return out, trace
+
+        monkeypatch.setattr(train_mod, "forward", blowing_up_forward)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(TrainingDivergedError,
+                               match="^non-finite network output at epoch 3$") as exc_info:
+                train(ds, small_config(epochs=10))
+        assert exc_info.value.epoch == 3
+        assert len(calls) == 3
 
 # ----------------------------------------------------------------- predict
 
