@@ -1,8 +1,9 @@
 """Command line interface: train / predict / evaluate / sweep.
 
 Exit codes: 0 success, 1 other package error, 2 configuration error,
-3 input parse error (or unreadable file), 4 training divergence; each
-error class carries its code as ``exit_code``.
+3 input parse error (or unreadable file), 4 training divergence, 5 out of
+memory (say for a very fine ``--grid``); each error class carries its code
+as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ log = logging.getLogger(__name__)
 LOOP_STROKE = "red"
 PRED_FILL = "blue"
 TRUTH_FILL = "green"
+MEMORY_EXIT_CODE = 5
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -54,6 +56,13 @@ def _comma_ints(text: str) -> list[int]:
     if not all(v.is_integer() for v in vals):  # nan and inf are not integers
         raise ConfigError(f"expected integers, got {text!r}")
     return [int(v) for v in vals]
+
+
+def _check_kde_flags(args) -> None:
+    if args.grid < 2:
+        raise ConfigError(f"--grid must be an integer >= 2, got {args.grid}")
+    if not (np.isfinite(args.epsilon) and args.epsilon > 0.0):
+        raise ConfigError(f"--epsilon must be finite and positive, got {args.epsilon}")
 
 
 def _load_config_file(path) -> dict:
@@ -257,6 +266,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     if (args.pred is None) == (args.checkpoint is None):
         raise ConfigError("provide exactly one of --pred or --checkpoint")
+    _check_kde_flags(args)
     ratio = args.ratio
     if args.checkpoint is not None:
         pred, _, chord, config = _checkpoint_prediction(args.checkpoint, args.dat)
@@ -295,8 +305,8 @@ def cmd_sweep(args) -> int:
     node_counts = _comma_ints(args.nodes)
     if not ratios or not node_counts:
         raise ConfigError("sweep needs at least one ratio and one node count")
+    _check_kde_flags(args)
     args.nodes = None  # per-cell counts; keep them out of the base config
-    args.ratio = getattr(args, "ratio", None)
     base = _resolve_config(args)
     entries = _load_entries(args, base)
     out_dir = Path(args.out_dir)
@@ -429,6 +439,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # an unreadable file is an input error, like a parse error
         return getattr(exc, "exit_code", ParseError.exit_code)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return MEMORY_EXIT_CODE
 
 
 if __name__ == "__main__":

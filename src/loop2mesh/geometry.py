@@ -1,9 +1,10 @@
 """2D geometric primitives shared by every pipeline stage.
 
-One edge query (nearest-edge distance, closest point and strict even-odd
-containment from a single per-axis pass), arc-length resampling of closed
-contours and per-axis standardisation. Coordinates are float64 ``(N, 2)``
-arrays throughout; every function is pure.
+One edge kernel (nearest-edge distance, closest point and strict even-odd
+containment in one per-axis pass, over every point or only those in a
+loop's bounding box), arc-length resampling of closed contours and per-axis
+standardisation. Coordinates are float64 ``(N, 2)`` arrays throughout;
+every function is pure.
 """
 
 from __future__ import annotations
@@ -117,44 +118,69 @@ class AirfoilLoop:
         return int(self.vertices.shape[0])
 
 
-def edge_query(points, loop: AirfoilLoop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distance to and closest point on the nearest loop edge, and strict
-    containment: ``(dist (N,), closest (N, 2), inside bool (N,))``; the
-    single-cloud call of ``edge_query_batch``."""
-    dist, closest, inside = edge_query_batch(as_point_array(points)[None], loop.vertices[None])
-    return dist[0], closest[0], inside[0]
+def _edges(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Terms of edge k, vertex k to k+1, of loops v (..., L, 2): ax, ay, by, abx, aby, |ab|^2."""
+    b = np.roll(v, -1, axis=-2)
+    ax, ay, by = v[..., 0], v[..., 1], b[..., 1]
+    abx, aby = b[..., 0] - ax, by - ay  # no zero-length edges by loop invariant
+    return ax, ay, by, abx, aby, abx ** 2 + aby ** 2
 
 
-def edge_query_batch(points: np.ndarray, vertices: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``edge_query`` for S clouds at once, cloud s against loop s: finite
-    points (S, N, 2) and loop vertices (S, L, 2) give dist (S, N), closest
-    (S, N, 2) and inside (S, N). Every term is one (S, N, L) array per axis,
-    edge k running from vertex k to vertex k+1. Ties between equidistant
-    edges resolve to the lowest edge index. Containment is even-odd ray
-    casting under the half-open rule, so a horizontal edge never straddles
-    and its 0/0 crossing never counts; points exactly on an edge (distance
-    0) classify as outside, so wall nodes sitting on the boundary are legal.
+def _edge_kernel(p: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one edge kernel: points p (K, 2) against ``_edges`` terms, (L,)
+    for one loop or (K, L) one row per point, give dist (K,), closest (K, 2)
+    and inside (K,). Equidistant edges resolve to the lowest index.
+    Containment is even-odd ray casting under the half-open rule, so a
+    horizontal edge never straddles and its 0/0 crossing never counts;
+    points on an edge (distance 0) are outside, so wall nodes are legal.
     """
-    b = np.roll(vertices, -1, axis=1)
-    ax, ay, bx, by = (v[:, None, :, k] for v in (vertices, b) for k in (0, 1))
-    abx, aby = bx - ax, by - ay  # no zero-length edges by loop invariant
-    px, py = points[..., 0, None], points[..., 1, None]
+    ax, ay, by, abx, aby, ab2 = edges
+    px, py = p[:, 0, None], p[:, 1, None]
     dy = py - ay
-    t = np.clip(((px - ax) * abx + dy * aby) / (abx ** 2 + aby ** 2), 0.0, 1.0)
+    t = np.clip(((px - ax) * abx + dy * aby) / ab2, 0.0, 1.0)
     qx, qy = ax + t * abx, ay + t * aby
     d2 = (px - qx) ** 2 + (py - qy) ** 2
-    near = np.arange(points.shape[0])[:, None], np.arange(points.shape[1]), d2.argmin(axis=2)
+    near = np.arange(len(p)), d2.argmin(axis=1)
     dist = np.sqrt(d2[near])
     with np.errstate(divide="ignore", invalid="ignore"):
         crossings = ((ay > py) != (by > py)) & (px < ax + dy * abx / aby)
-    inside = (np.count_nonzero(crossings, axis=2) % 2 == 1) & (dist > 0.0)
-    return dist, np.stack((qx[near], qy[near]), axis=-1), inside
+    inside = (np.count_nonzero(crossings, axis=1) % 2 == 1) & (dist > 0.0)
+    return dist, np.column_stack((qx[near], qy[near])), inside
+
+
+def edge_query(points, loop: AirfoilLoop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-edge distance (N,), closest edge point (N, 2) and strict
+    containment (bool (N,)) of every point, from (N, L) arrays."""
+    return _edge_kernel(as_point_array(points), _edges(loop.vertices))
+
+
+def intruders(points: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Points strictly inside their loop, cloud s (S, N, 2) against loop s
+    (S, L, 2): sample and point indices (K,), row-major, with their
+    ``edge_query`` distances (K,) and closest points (K, 2).
+
+    Only points in the loop's box, padded in x by 16 eps |x|max, reach the
+    kernel; ``edge_query`` calls every other point outside. Above or below
+    all vertices no edge straddles (an exact test). A straddling edge's
+    crossing ``ax + dy*abx/aby`` lies in [xmin, xmax] and rounds by under
+    6 eps |x|max, so none counts right of the box and all do left of it,
+    an even number around a closed loop; valid unless ``dy*abx`` under- or
+    overflows.
+    """
+    pad = 16.0 * np.finfo(np.float64).eps * np.abs(vertices[..., :1]).max(axis=1) * [1.0, 0.0]
+    lo, hi = vertices.min(axis=1) - pad, vertices.max(axis=1) + pad  # (S, 2)
+    s, n = np.nonzero(np.all((points >= lo[:, None]) & (points <= hi[:, None]), axis=-1))
+    edges = [e[0] if len(e) == 1 else e[s] for e in _edges(vertices)]  # one loop: no per-row copy
+    dist, closest, inside = _edge_kernel(points[s, n], edges)
+    return s[inside], n[inside], dist[inside], closest[inside]
 
 
 def points_in_polygon(points, loop: AirfoilLoop) -> np.ndarray:
-    """Strict-interior test for many points at once (bool (N,)); see edge_query."""
-    return edge_query(points, loop)[2]
+    """Strict containment (bool (N,)) as ``edge_query`` gives it; see ``intruders``."""
+    xy = as_point_array(points)
+    inside = np.zeros(len(xy), dtype=bool)
+    inside[intruders(xy[None], loop.vertices[None])[1]] = True
+    return inside
 
 
 def resample_loop(raw: PointSet, target: int) -> AirfoilLoop:

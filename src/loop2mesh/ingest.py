@@ -37,15 +37,13 @@ def _coordinate_pair(tokens: list[str]) -> tuple[float, float] | None:
         return None
 
 
-def parse_airfoil_dat(text: str | bytes) -> PointSet:
+def parse_airfoil_dat(text: str) -> PointSet:
     """Parse a Selig-style airfoil contour.
 
     Grammar: an optional non-numeric name line, then one ``x y`` pair per
     line; blank lines are ignored anywhere. Any other content line is a
     parse error naming the 1-based line number.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     pts: list[tuple[float, float]] = []
     saw_content = False
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -121,15 +119,13 @@ def _parse_node_block(block: list[str], first_lineno: int) -> np.ndarray:
     raise ParseError("malformed $Nodes block")
 
 
-def parse_msh_nodes(text: str | bytes) -> PointSet:
+def parse_msh_nodes(text: str) -> PointSet:
     """Extract node coordinates from a Gmsh ASCII v2 mesh.
 
     Reads the ``$Nodes`` block (``id x y z`` per line, z discarded) and
     returns the nodes sorted by id. The declared node count must match the
     number of node lines.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     lines = [line.strip() for line in text.splitlines()]
     try:
         start = lines.index("$Nodes")

@@ -7,9 +7,10 @@ chamfer     two-sided nearest-neighbour squared-distance alignment (sums).
 repulsion   inverse mean pairwise distance; penalises clustering.
 interior    mean squared intrusion depth behind the boundary loop.
 
-``composite_batch`` weighs them over S clouds at once: the pairwise and edge
-kernels take the whole (S, N, 2) batch, Chamfer runs per sample (its (N, M)
-matrix stays in cache), and each per-sample sum keeps its one-cloud order.
+``composite_batch`` weighs them over S clouds at once: the pairwise kernel
+takes the whole (S, N, 2) batch, the edge kernel its points in their loop's
+box (``geometry.intruders``), Chamfer runs per sample (its (N, M) matrix
+stays in cache), and each per-sample sum keeps its one-cloud order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import FrameMismatchError, InvalidInputError
-from .geometry import AirfoilLoop, PointSet, as_float, as_point_array, edge_query_batch
+from .geometry import AirfoilLoop, PointSet, as_float, as_point_array, intruders
 
 
 def _check_frames(pred: PointSet, other) -> None:
@@ -96,10 +97,12 @@ def repulsion(pred: PointSet, epsilon: float = 1e-8) -> tuple[float, np.ndarray]
 
 
 def _interior(xy: np.ndarray, loops: np.ndarray) -> tuple[list[float], np.ndarray]:
-    dist, closest, inside = edge_query_batch(xy, loops)
+    s, i, dist, closest = intruders(xy, loops)
     n = xy.shape[1]
-    values = [float((d[i] ** 2).sum()) / n for d, i in zip(dist, inside)]
-    grad = np.where(inside[..., None], (2.0 / n) * (xy - closest), 0.0)
+    # row-major intruders: each sample's depths in point order, summed alone
+    values = [float((d ** 2).sum()) / n for d in np.split(dist, np.searchsorted(s, range(1, len(xy))))]
+    grad = np.zeros_like(xy)
+    grad[s, i] = (2.0 / n) * (xy[s, i] - closest)
     return values, grad
 
 

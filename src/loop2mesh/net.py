@@ -86,9 +86,6 @@ class NetworkParams:
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in _ARRAY_ORDER]
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(*(getattr(self, n) for n in _ARRAY_ORDER))
-
 
 def _split(vec: np.ndarray, shapes) -> list[np.ndarray]:
     out, offset = [], 0
@@ -103,19 +100,20 @@ def init_params(seed: int, loop_size: int, h1: int, h2: int, n_points: int) -> N
     """Xavier-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases.
 
     Draw order is fixed (w1, w2, w3) so a seed fully determines the result.
+    Weights are drawn into the flat vector as ``rng.uniform(-bound, bound)``
+    draws them, -bound + 2 bound u, with no per-matrix temporaries.
     """
     if min(loop_size, h1, h2, n_points) < 1:
         raise InvalidInputError("all layer sizes must be positive")
     rng = np.random.default_rng(seed)
-
-    def xavier(fan_out: int, fan_in: int) -> np.ndarray:
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_out, fan_in))
-
-    w1 = xavier(h1, 2 * loop_size)
-    w2 = xavier(h2, h1)
-    w3 = xavier(2 * n_points, h2)
-    return NetworkParams(w1, np.zeros(h1), w2, np.zeros(h2), w3, np.zeros(2 * n_points))
+    shapes = [(h1, 2 * loop_size), (h1,), (h2, h1), (h2,), (2 * n_points, h2), (2 * n_points,)]
+    params = NetworkParams.from_flat(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+    for w in (params.w1, params.w2, params.w3):
+        bound = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        rng.random(out=w)
+        w *= 2.0 * bound
+        w -= bound
+    return params
 
 
 @dataclass(frozen=True)

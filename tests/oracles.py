@@ -207,7 +207,7 @@ def params_to_vector(params) -> np.ndarray:
 
 def vector_to_params(params, vec: np.ndarray):
     """Return a copy of params with values taken from the flat vector."""
-    out = params.copy()
+    out = type(params)(*(a for _, a in params.arrays()))  # the constructor copies
     offset = 0
     for _, a in out.arrays():
         n = a.size

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from loop2mesh import cli
+from loop2mesh import cli, evaluation
 from loop2mesh.cli import main
 from loop2mesh.errors import (
     ConfigError,
@@ -308,6 +308,16 @@ class TestPredict:
 
 # ----------------------------------------------------------------- evaluate
 
+BAD_KDE_FLAGS = [
+    ("--grid", "1", "error: --grid must be an integer >= 2, got 1"),
+    ("--grid", "-3", "error: --grid must be an integer >= 2, got -3"),
+    ("--epsilon", "nan", "error: --epsilon must be finite and positive, got nan"),
+    ("--epsilon", "inf", "error: --epsilon must be finite and positive, got inf"),
+    ("--epsilon", "0", "error: --epsilon must be finite and positive, got 0.0"),
+    ("--epsilon", "-0.5", "error: --epsilon must be finite and positive, got -0.5"),
+]
+
+
 class TestEvaluate:
     def test_prediction_equal_to_truth_scores_below_1e6(self, tmp_path, trained, capsys):
         nodes = parse_msh_nodes(trained["msh"].read_text())
@@ -372,6 +382,31 @@ class TestEvaluate:
         # the module fixture trained with the default repulsion weight 1
         assert lines[1].startswith("1,c,40,")
         assert "region=c" in stdout and "region=w" in stdout
+
+    @pytest.mark.parametrize("flag, value, message", BAD_KDE_FLAGS)
+    def test_bad_kde_flag_exits_2_before_reading_any_file(self, tmp_path, flag, value, message,
+                                                          capsys):
+        missing = tmp_path / "missing"  # reading any input first would exit 3
+        code, _, stderr = run_cli(
+            ["evaluate", "--checkpoint", missing / "c.l2m", "--dat", missing / "a.dat",
+             "--truth", missing / "t.msh", "--out", tmp_path / "kl.csv", flag, value], capsys)
+        assert code == 2
+        assert stderr.splitlines() == [message]
+
+    def test_failed_allocation_exits_5_with_one_error_line(self, tmp_path, trained, monkeypatch,
+                                                           capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(100000, 100000) and data type float64")
+
+        monkeypatch.setattr(evaluation, "kde", out_of_memory)
+        code, _, stderr = run_cli(
+            ["evaluate", "--checkpoint", trained["checkpoint"], "--dat", trained["dat"],
+             "--truth", trained["msh"], "--out", tmp_path / "kl.csv", "--grid", "100000"], capsys)
+        assert code == cli.MEMORY_EXIT_CODE == 5
+        assert stderr.splitlines() == ["error: out of memory: Unable to allocate 74.5 GiB for an "
+                                       "array with shape (100000, 100000) and data type float64"]
+        assert not (tmp_path / "kl.csv").exists()
 
     def test_rerun_writes_identical_csv(self, tmp_path, trained, capsys):
         outs = []
@@ -481,6 +516,16 @@ class TestSweep:
              "--out-dir", tmp_path / "s", *SWEEP_FAST], capsys)
         assert code == 2
         assert f"error: expected integers, got {nodes!r}" in stderr
+
+    @pytest.mark.parametrize("flag, value, message", BAD_KDE_FLAGS)
+    def test_bad_kde_flag_exits_2_before_reading_any_file(self, tmp_path, flag, value, message,
+                                                          capsys):
+        code, _, stderr = run_cli(
+            ["sweep", tmp_path / "missing.json", "--ratios", "0", "--nodes", "30",
+             "--out-dir", tmp_path / "s", *SWEEP_FAST, flag, value], capsys)
+        assert code == 2
+        assert stderr.splitlines() == [message]
+        assert not (tmp_path / "s").exists()
 
 
 # ------------------------------------------------------- undecodable input

@@ -18,12 +18,13 @@ from loop2mesh.geometry import (
     apply_standardize,
     edge_query,
     fit_standardize,
+    intruders,
     invert_standardize,
     points_in_polygon,
     resample_loop,
     standardize_loop,
 )
-from loop2mesh.synth import naca4_contour
+from loop2mesh.synth import naca4_contour, synth_fluid_mesh
 
 from oracles import even_odd_edge_loop, is_simple_double_loop, nearest_edge_broadcast, winding_inside
 
@@ -314,6 +315,80 @@ class TestContainmentProperties:
         # boundary cannot feel
         clear = dist > 1e-9
         assert np.array_equal(moved[clear], inside[clear])
+
+
+def step_ulps(x: float, k: int) -> float:
+    """x moved k representable doubles up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.copysign(np.inf, k))
+    return x
+
+
+def box_line_points(verts: np.ndarray) -> np.ndarray:
+    """Points on the four lines of the loop's bounding box and 1-4 ulps to
+    either side, each paired with every vertex's and edge midpoint's other
+    coordinate, plus the vertices and edge midpoints themselves."""
+    marks = np.vstack([verts, 0.5 * (verts + np.roll(verts, -1, axis=0))])
+    pts = [marks]
+    for axis in (0, 1):
+        for line in (verts[:, axis].min(), verts[:, axis].max()):
+            for k in range(-4, 5):
+                p = marks.copy()
+                p[:, axis] = step_ulps(line, k)
+                pts.append(p)
+    return np.vstack(pts)
+
+
+@st.composite
+def star_batches(draw):
+    """S = 1..6 star loops of one size on the dyadic grid, each with its own
+    cloud: box-line points, vertices, edge midpoints and dyadic points."""
+    n_loops, k = draw(st.integers(1, 6)), draw(st.integers(4, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    verts = np.stack([np.round(star_polygon(rng, k) / GRID) * GRID for _ in range(n_loops)])
+    ticks = rng.integers(-2560, 2561, size=(n_loops, draw(st.integers(0, 80)), 2))
+    clouds = np.stack([np.vstack([box_line_points(v), t * GRID]) for v, t in zip(verts, ticks)])
+    return verts, clouds
+
+
+class TestIntrudersMatchDenseKernel:
+    """The bounding-box candidate rows give what the dense kernel gives:
+    the same classification of every point, and bit-equal distance and
+    closest point for every intruder."""
+
+    @staticmethod
+    def assert_matches_dense(verts, clouds):
+        s, n, dist, closest = intruders(clouds, verts)
+        dense = [edge_query(c, AirfoilLoop(v)) for c, v in zip(clouds, verts)]
+        inside = np.stack([d[2] for d in dense])
+        want_s, want_n = np.nonzero(inside)
+        assert np.array_equal(s, want_s) and np.array_equal(n, want_n)
+        assert np.array_equal(dist, np.stack([d[0] for d in dense])[want_s, want_n])
+        assert np.array_equal(closest, np.stack([d[1] for d in dense])[want_s, want_n])
+        for c, v, want in zip(clouds, verts, inside):
+            assert np.array_equal(points_in_polygon(c, AirfoilLoop(v)), want)
+
+    @PROPERTY_SETTINGS
+    @given(star_batches())
+    def test_on_box_lines_vertices_midpoints_and_dyadic_points(self, case):
+        self.assert_matches_dense(*case)
+
+    @PROPERTY_SETTINGS
+    @given(star_batches())
+    def test_no_candidates(self, case):
+        verts, clouds = case
+        # moved clear of every loop's box, so no point reaches the kernel
+        clouds = clouds + 2.0 * (np.abs(verts).max() + np.abs(clouds).max())
+        s, n, dist, closest = intruders(clouds, verts)
+        assert (s.shape, n.shape, dist.shape, closest.shape) == ((0,), (0,), (0,), (0, 2))
+        self.assert_matches_dense(verts, clouds)
+
+    def test_workload_naca_meshes(self):
+        for code in ("2220", "0009", "6418"):
+            contour = naca4_contour(code)
+            loop = resample_loop(PointSet(contour), 35)
+            mesh = synth_fluid_mesh(contour, 2000, seed=3)
+            self.assert_matches_dense(loop.vertices[None], mesh[None])
 
 
 # ------------------------------------------------------------- resampling

@@ -104,9 +104,9 @@ class TestNetworkParamsValidation:
         p.flat[:] = 0.0
         assert not any(a.any() for _, a in p.arrays())
 
-    def test_copy_is_deep(self):
+    def test_constructor_copies(self):
         p = init_params(0, 3, 4, 4, 5)
-        q = p.copy()
+        q = NetworkParams(*(a for _, a in p.arrays()))
         q.w1[0, 0] += 1.0
         assert p.w1[0, 0] != q.w1[0, 0]
 
@@ -307,7 +307,7 @@ class TestCheckpoint:
         p = init_params(11, 5, 8, 8, 9)
         a, b = tmp_path / "a.l2m", tmp_path / "b.l2m"
         save_checkpoint(a, p, {"m": 1})
-        save_checkpoint(b, p.copy(), {"m": 1})
+        save_checkpoint(b, NetworkParams(*(a for _, a in p.arrays())), {"m": 1})
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_header_rejected(self, tmp_path):

@@ -221,11 +221,11 @@ class TestTrain:
                 return kernel(*arrays)
             return wrapper
 
-        for name in ("_pairwise", "edge_query_batch"):
+        for name in ("_pairwise", "intruders"):
             monkeypatch.setattr(losses_mod, name, counting(name, getattr(losses_mod, name)))
         assert len(small_dataset.samples) == 2
         res = train(small_dataset, small_config(epochs=3))
-        per_epoch = [("_pairwise", (2, 40, 2)), ("edge_query_batch", (2, 40, 2), (2, 12, 2))]
+        per_epoch = [("_pairwise", (2, 40, 2)), ("intruders", (2, 40, 2), (2, 12, 2))]
         assert calls == per_epoch * 3
         assert all(r.mean_pairwise > 0.0 for r in res.log.records)
 
