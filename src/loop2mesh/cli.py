@@ -9,7 +9,6 @@ as ``exit_code``.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -24,7 +23,8 @@ from .errors import ConfigError, Loop2MeshError, ParseError
 from .evaluation import KLRow, evaluate, kl_csv_text, kl_sweep, write_kl_csv
 from .fileio import atomic_write_text
 from .geometry import PointSet, points_in_polygon, resample_loop
-from .ingest import build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes, read_parsed
+from .ingest import (build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes,
+                     parse_points_csv, read_parsed)
 from .svg import render_svg
 from .train import (
     TrainConfig,
@@ -130,25 +130,7 @@ def _write_run_manifest(path, command: str, config: TrainConfig,
 
 
 def _points_csv_text(ps: PointSet) -> str:
-    return "\n".join(["x,y", *(f"{x!r},{y!r}" for x, y in ps.xy.tolist())]) + "\n"
-
-
-def _parse_points_csv(text: str) -> PointSet:
-    rows: list[tuple[float, float]] = []
-    for lineno, record in enumerate(csv.reader(text.splitlines()), start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        if lineno == 1 and record[:2] == ["x", "y"]:
-            continue
-        if len(record) != 2:
-            raise ParseError(f"row {lineno}: expected two fields, got {len(record)}")
-        try:
-            rows.append((float(record[0]), float(record[1])))
-        except ValueError:
-            raise ParseError(f"row {lineno}: non-numeric coordinate {record!r}") from None
-    if not rows:
-        raise ParseError("no data rows")
-    return PointSet(np.asarray(rows, dtype=np.float64))
+    return "x,y\n" + ("%r,%r\n" * len(ps)) % tuple(ps.xy.ravel().tolist())
 
 
 def _parse_viewport(text: str) -> tuple[float, float, float, float]:
@@ -214,13 +196,17 @@ def _prepare_loop(dat_path, config: TrainConfig):
 
 def _inference_transform(config: TrainConfig, samples, checkpoint, name=None):
     """The standardisation transform to predict with: none in raw mode, else
-    the named sample's, or the first sample's when no name is given."""
+    that of the named sample (the first of that name). Only a checkpoint of
+    one sample may leave it unnamed."""
     if config.mode is TrainMode.RAW:
         return None
-    by_name = dict(samples)
-    if name is not None and name not in by_name:
-        raise ConfigError(f"checkpoint has no sample named {name!r}; knows {sorted(by_name)}")
-    transform = samples[0][1] if name is None else by_name[name]
+    names = [n for n, _ in samples]
+    if name is None and len(names) != 1:
+        raise ConfigError(f"{checkpoint} holds {len(names)} samples; name the one whose "
+                          f"transform to use with --sample, one of {sorted(set(names))}")
+    if name is not None and name not in names:
+        raise ConfigError(f"checkpoint has no sample named {name!r}; knows {sorted(set(names))}")
+    transform = samples[0 if name is None else names.index(name)][1]
     if transform is None:
         raise ParseError(f"{checkpoint}: missing standardise transform for sample")
     return transform
@@ -232,9 +218,9 @@ def _checkpoint_prediction(checkpoint, dat, name=None):
     params, config, samples = load_trained(checkpoint)
     if dat is None:
         raise ConfigError("--checkpoint needs --dat to build the input loop")
+    transform = _inference_transform(config, samples, checkpoint, name)
     loop, chord = _prepare_loop(dat, config)
-    pred = predict(params, _inference_transform(config, samples, checkpoint, name), loop, config)
-    return pred, loop, chord, config
+    return predict(params, transform, loop, config), loop, chord, config
 
 
 def cmd_predict(args) -> int:
@@ -266,15 +252,17 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     if (args.pred is None) == (args.checkpoint is None):
         raise ConfigError("provide exactly one of --pred or --checkpoint")
+    if args.sample is not None and args.checkpoint is None:
+        raise ConfigError("--sample needs --checkpoint")
     _check_kde_flags(args)
     ratio = args.ratio
     if args.checkpoint is not None:
-        pred, _, chord, config = _checkpoint_prediction(args.checkpoint, args.dat)
+        pred, _, chord, config = _checkpoint_prediction(args.checkpoint, args.dat, args.sample)
         truth = chord.apply(read_parsed(args.truth, parse_msh_nodes))
         if ratio is None:
             ratio = config.weights.repulsion
     else:
-        pred = read_parsed(args.pred, _parse_points_csv)
+        pred = read_parsed(args.pred, parse_points_csv)
         truth = read_parsed(args.truth, parse_msh_nodes)
         if args.dat is not None:
             chord = fit_chord(read_parsed(args.dat, parse_airfoil_dat))
@@ -332,7 +320,7 @@ def cmd_sweep(args) -> int:
                     save_trained(ckpt_path, train(dataset, cell_cfg), cell_cfg,
                                  [s.name for s in dataset.samples])
                 params, cfg, samples = load_trained(ckpt_path)
-                pred = predict(params, _inference_transform(cfg, samples, ckpt_path),
+                pred = predict(params, _inference_transform(cfg, samples, ckpt_path, sample.name),
                                sample.loop, cfg)
             except Loop2MeshError as exc:
                 failures.append(f"ratio={ratio:g} nodes={nodes}: {exc}")
@@ -399,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("--dat", required=True, help="airfoil .dat contour")
     p_pred.add_argument("--truth", help="optional .msh overlay")
-    p_pred.add_argument("--sample", help="sample name whose transform to use")
+    p_pred.add_argument("--sample", help="sample whose transform to use (needed when the "
+                        "checkpoint holds several in stand or stand-clamp mode)")
     p_pred.add_argument("--viewport", help="fixed plot viewport 'xmin,xmax,ymin,ymax'")
     p_pred.add_argument("--out-dir", default="runs/predict")
     p_pred.set_defaults(func=cmd_predict)
@@ -408,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", help="points CSV (from predict)")
     p_eval.add_argument("--checkpoint", help="checkpoint to predict with (needs --dat)")
     p_eval.add_argument("--dat", help="contour used for chord normalisation")
+    p_eval.add_argument("--sample", help="with --checkpoint: as for predict")
     p_eval.add_argument("--truth", required=True, help="truth .msh")
     p_eval.add_argument("--ratio", type=float, help="ratio label for the CSV rows")
     p_eval.add_argument("--grid", type=int, default=100)

@@ -299,3 +299,105 @@ def parse_msh_nodes_line_by_line(text: str) -> np.ndarray:
         raise ParseError("mesh contains no nodes")
     order = np.argsort(np.asarray(ids), kind="stable")
     return np.asarray(coords, dtype=np.float64)[order]
+
+
+def parse_airfoil_dat_line_by_line(text: str) -> np.ndarray:
+    """A Selig ``.dat`` contour read one line at a time with ``float``.
+
+    The package's former ``ingest.parse_airfoil_dat``: returns the (n, 2)
+    array and raises ``ParseError`` or ``InvalidGeometryError`` with the
+    same messages.
+    """
+    from loop2mesh.errors import InvalidGeometryError, ParseError
+
+    pts: list[tuple[float, float]] = []
+    saw_content = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            pair = (float(tokens[0]), float(tokens[1])) if len(tokens) == 2 else None
+        except ValueError:
+            pair = None
+        if pair is None:
+            if not saw_content:
+                saw_content = True  # name line
+                continue
+            raise ParseError(f"line {lineno}: expected two numeric coordinates, got {line.strip()!r}")
+        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+            raise ParseError(f"line {lineno}: non-finite coordinate {line.strip()!r}")
+        saw_content = True
+        pts.append(pair)
+    if not pts:
+        raise ParseError("no coordinate data found")
+    if len(pts) < 3:
+        raise InvalidGeometryError(f"airfoil contour needs at least 3 points, got {len(pts)}")
+    return np.asarray(pts, dtype=np.float64)
+
+
+def parse_points_csv_record_by_record(text: str) -> np.ndarray:
+    """A points CSV read record by record with ``csv`` and ``float``.
+
+    The package's former ``cli._parse_points_csv``: returns the (n, 2) array
+    (non-finite values included; ``PointSet`` rejects them) and raises
+    ``ParseError`` with the same messages.
+    """
+    import csv
+
+    from loop2mesh.errors import ParseError
+
+    rows: list[tuple[float, float]] = []
+    for lineno, record in enumerate(csv.reader(text.splitlines()), start=1):
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue
+        if lineno == 1 and record[:2] == ["x", "y"]:
+            continue
+        if len(record) != 2:
+            raise ParseError(f"row {lineno}: expected two fields, got {len(record)}")
+        try:
+            rows.append((float(record[0]), float(record[1])))
+        except ValueError:
+            raise ParseError(f"row {lineno}: non-numeric coordinate {record!r}") from None
+    if not rows:
+        raise ParseError("no data rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def points_csv_text_per_point(xy) -> str:
+    """The points CSV with one f-string per point (the package's former
+    ``cli._points_csv_text``)."""
+    return "\n".join(["x,y", *(f"{x!r},{y!r}" for x, y in np.asarray(xy).tolist())]) + "\n"
+
+
+def svg_text_per_point(*, viewport, polylines=(), point_layers=(),
+                       width: int = 900, height: int = 700) -> str:
+    """The SVG scene with one f-string per point and separate x and y pixel
+    arrays (the package's former ``svg.render_svg``), returned as text."""
+    margin = 12.0
+    xmin, xmax, ymin, ymax = map(float, viewport)
+    sx = (width - 2 * margin) / (xmax - xmin)
+    sy = (height - 2 * margin) / (ymax - ymin)
+
+    def to_px(xy):
+        xy = np.asarray(xy, dtype=np.float64)
+        return (margin + (xy[:, 0] - xmin) * sx).tolist(), \
+            (height - (margin + (xy[:, 1] - ymin) * sy)).tolist()
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for xy, stroke, stroke_width, closed in polylines:
+        xy = np.asarray(xy, dtype=np.float64)
+        if closed and xy.shape[0] > 1:
+            xy = np.vstack([xy, xy[:1]])
+        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(*to_px(xy))])
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
+                     f'stroke-width="{stroke_width}"/>')
+    for xy, fill, radius in point_layers:
+        circles = [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}"/>' for x, y in zip(*to_px(xy))]
+        parts.append("\n".join([f'<g fill="{fill}">', *circles, "</g>"]))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

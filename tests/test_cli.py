@@ -42,7 +42,8 @@ def trained(tmp_path_factory, manifest_path):
     code = main(["train", str(manifest_path), "--out-dir", str(out),
                  "--mode", "stand", "--ratio", "1", *FAST])
     assert code == 0
-    return {"dir": out, "checkpoint": out / "checkpoint.l2m",
+    # two samples in stand mode, so predict and evaluate name the transform
+    return {"dir": out, "checkpoint": out / "checkpoint.l2m", "sample": "naca2220",
             "manifest": manifest_path,
             "dat": manifest_path.parent / "naca2220.dat",
             "msh": manifest_path.parent / "naca2220.msh"}
@@ -195,7 +196,7 @@ class TestPredict:
     def test_csv_has_exactly_n_data_rows(self, tmp_path, trained, capsys):
         out = tmp_path / "pred"
         code, stdout, _ = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"],
+            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
              "--dat", trained["dat"], "--out-dir", out], capsys)
         assert code == 0
         lines = (out / "points.csv").read_text().splitlines()
@@ -207,12 +208,12 @@ class TestPredict:
     def test_truth_flag_adds_green_layer(self, tmp_path, trained, capsys):
         plain = tmp_path / "plain"
         code, _, _ = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"],
+            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
              "--dat", trained["dat"], "--out-dir", plain], capsys)
         assert code == 0
         overlay = tmp_path / "overlay"
         code, _, _ = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"],
+            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
              "--dat", trained["dat"], "--truth", trained["msh"],
              "--out-dir", overlay], capsys)
         assert code == 0
@@ -237,7 +238,8 @@ class TestPredict:
         for argv in (["predict", "--out-dir", tmp_path / "p"],
                      ["evaluate", "--truth", trained["msh"], "--out", tmp_path / "kl.csv"]):
             code, _, stderr = run_cli(
-                argv + ["--checkpoint", bad, "--dat", trained["dat"]], capsys)
+                argv + ["--checkpoint", bad, "--dat", trained["dat"],
+                        "--sample", trained["sample"]], capsys)
             assert code == 3
             assert "missing standardise transform" in stderr
         # the second sample still has its transform and can be chosen by name
@@ -249,7 +251,7 @@ class TestPredict:
     def test_explicit_viewport_accepted(self, tmp_path, trained, capsys):
         out = tmp_path / "pred"
         code, _, _ = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"],
+            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
              "--dat", trained["dat"], "--viewport=-1,2,-1,1",
              "--out-dir", out], capsys)
         assert code == 0
@@ -257,7 +259,7 @@ class TestPredict:
 
     def test_bad_viewport_exits_2(self, tmp_path, trained, capsys):
         code, _, stderr = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"],
+            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
              "--dat", trained["dat"], "--viewport", "0,1",
              "--out-dir", tmp_path / "p"], capsys)
         assert code == 2
@@ -373,7 +375,7 @@ class TestEvaluate:
     def test_checkpoint_route_labels_rows_with_trained_ratio(self, tmp_path, trained, capsys):
         out = tmp_path / "kl.csv"
         code, stdout, _ = run_cli(
-            ["evaluate", "--checkpoint", trained["checkpoint"],
+            ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
              "--dat", trained["dat"], "--truth", trained["msh"],
              "--out", out], capsys)
         assert code == 0
@@ -401,8 +403,9 @@ class TestEvaluate:
 
         monkeypatch.setattr(evaluation, "kde", out_of_memory)
         code, _, stderr = run_cli(
-            ["evaluate", "--checkpoint", trained["checkpoint"], "--dat", trained["dat"],
-             "--truth", trained["msh"], "--out", tmp_path / "kl.csv", "--grid", "100000"], capsys)
+            ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+             "--dat", trained["dat"], "--truth", trained["msh"], "--out", tmp_path / "kl.csv",
+             "--grid", "100000"], capsys)
         assert code == cli.MEMORY_EXIT_CODE == 5
         assert stderr.splitlines() == ["error: out of memory: Unable to allocate 74.5 GiB for an "
                                        "array with shape (100000, 100000) and data type float64"]
@@ -413,12 +416,96 @@ class TestEvaluate:
         for sub in ("a.csv", "b.csv"):
             out = tmp_path / sub
             code, _, _ = run_cli(
-                ["evaluate", "--checkpoint", trained["checkpoint"],
+                ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
                  "--dat", trained["dat"], "--truth", trained["msh"],
                  "--out", out], capsys)
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# ------------------------------------------------------ inference transform
+
+class TestInferenceTransform:
+    """A stand or stand-clamp checkpoint of several samples predicts only with
+    a named sample's transform; raw and single-sample checkpoints need none."""
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_unnamed_sample_exits_2_before_reading_the_dat(self, tmp_path, trained, command,
+                                                           capsys):
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            [command, "--checkpoint", trained["checkpoint"], "--dat", tmp_path / "none.dat",
+             "--truth", trained["msh"], "--out-dir", out], capsys)
+        assert code == 2
+        assert stderr.splitlines() == [
+            f"error: {trained['checkpoint']} holds 2 samples; name the one whose transform to "
+            "use with --sample, one of ['naca2220', 'naca4412']"]
+        assert not out.exists()
+
+    def test_checkpoint_listing_no_sample_exits_2(self, tmp_path, trained, capsys):
+        head, rest = trained["checkpoint"].read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["meta"]["samples"] = []
+        bad = tmp_path / "bad.l2m"
+        bad.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
+        code, _, stderr = run_cli(["predict", "--checkpoint", bad, "--dat", trained["dat"],
+                                   "--out-dir", tmp_path / "p"], capsys)
+        assert code == 2
+        assert "holds 0 samples" in stderr
+
+    def test_evaluate_sample_scores_as_predict_sample_does(self, tmp_path, trained, capsys):
+        """``evaluate --checkpoint --sample`` writes the bytes that scoring the
+        CSV of ``predict --sample`` writes, and the two samples differ."""
+        rows = {}
+        for name in ("naca2220", "naca4412"):
+            common = ["--dat", trained["dat"], "--truth", trained["msh"]]
+            assert run_cli(["predict", "--checkpoint", trained["checkpoint"], "--sample", name,
+                            "--dat", trained["dat"], "--out-dir", tmp_path / name], capsys)[0] == 0
+            assert run_cli(["evaluate", "--checkpoint", trained["checkpoint"], "--sample", name,
+                            *common, "--out", tmp_path / f"{name}.ckpt.csv"], capsys)[0] == 0
+            assert run_cli(["evaluate", "--pred", tmp_path / name / "points.csv", "--ratio", "1",
+                            *common, "--out", tmp_path / f"{name}.pred.csv"], capsys)[0] == 0
+            rows[name] = (tmp_path / f"{name}.ckpt.csv").read_bytes()
+            assert rows[name] == (tmp_path / f"{name}.pred.csv").read_bytes()
+        assert rows["naca2220"] != rows["naca4412"]
+
+    def test_evaluate_unknown_sample_exits_2(self, tmp_path, trained, capsys):
+        code, _, stderr = run_cli(
+            ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", "bogus",
+             "--dat", trained["dat"], "--truth", trained["msh"], "--out", tmp_path / "kl.csv"],
+            capsys)
+        assert code == 2
+        assert "bogus" in stderr
+
+    def test_sample_without_checkpoint_exits_2(self, tmp_path, trained, capsys):
+        code, _, stderr = run_cli(
+            ["evaluate", "--pred", tmp_path / "p.csv", "--sample", "naca2220",
+             "--truth", trained["msh"], "--out", tmp_path / "kl.csv"], capsys)
+        assert code == 2
+        assert stderr.splitlines() == ["error: --sample needs --checkpoint"]
+
+    @pytest.mark.parametrize("train_flags", [["--mode", "raw"],
+                                             ["--mode", "stand", "--holdout", "naca4412"]])
+    def test_raw_or_single_sample_checkpoint_needs_no_name(self, tmp_path, manifest_path,
+                                                           train_flags, capsys):
+        run = tmp_path / "run"
+        assert run_cli(["train", manifest_path, "--out-dir", run, *train_flags, *FAST],
+                       capsys)[0] == 0
+        dat = manifest_path.parent / "naca2220.dat"
+        for command in ("predict", "evaluate"):
+            code, _, _ = run_cli(
+                [command, "--checkpoint", run / "checkpoint.l2m", "--dat", dat,
+                 "--truth", manifest_path.parent / "naca2220.msh", "--out-dir", run], capsys)
+            assert code == 0
+
+    def test_sweep_predicts_with_its_samples_transform(self, tmp_path, manifest_path, capsys):
+        code, _, stderr = run_cli(
+            ["sweep", manifest_path, "--ratios", "1", "--nodes", "30", "--mode", "stand",
+             "--out-dir", tmp_path, *SWEEP_FAST], capsys)
+        assert code == 0
+        assert "failed" not in stderr
+        assert all(row.split(",")[3] for row in (tmp_path / "kl.csv").read_text().splitlines())
 
 
 # -------------------------------------------------------------------- sweep
@@ -550,16 +637,16 @@ class TestUndecodableInput:
     def test_dat_for_predict_exits_3_naming_the_file(self, tmp_path, trained, capsys):
         dat = with_bad_byte(trained["dat"], tmp_path / "bad.dat")
         code, _, stderr = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"], "--dat", dat,
-             "--out-dir", tmp_path / "p"], capsys)
+            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+             "--dat", dat, "--out-dir", tmp_path / "p"], capsys)
         assert code == 3
         assert f"error: {dat}: " in stderr
 
     def test_truth_msh_exits_3_naming_the_file(self, tmp_path, trained, capsys):
         msh = with_bad_byte(trained["msh"], tmp_path / "bad.msh")
         code, _, stderr = run_cli(
-            ["evaluate", "--checkpoint", trained["checkpoint"], "--dat", trained["dat"],
-             "--truth", msh, "--out", tmp_path / "kl.csv"], capsys)
+            ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+             "--dat", trained["dat"], "--truth", msh, "--out", tmp_path / "kl.csv"], capsys)
         assert code == 3
         assert f"error: {msh}: " in stderr
 

@@ -16,6 +16,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import points_csv_text_per_point, svg_text_per_point
 
 from loop2mesh.cli import _points_csv_text
 from loop2mesh.geometry import PointSet
@@ -57,6 +60,58 @@ def test_points_csv_round_trips_every_bit():
     rows = _points_csv_text(PointSet(pred)).splitlines()[1:]
     back = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert back.tobytes() == pred.tobytes()
+
+
+# Coordinates for the formatter properties. With the first viewport a pixel
+# is 12 + (x - 12) and 700 - (12 + (y - 12)), so dyadic x in [6, 24] and y in
+# [676, 688] keep their value and ``.xx5`` ties reach ``%.2f`` exactly, and x
+# just below 0 (or y just above 700) gives ``-0.00``.
+SPECIAL_COORDS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 12.125, 12.375, 687.875,
+                  0.005, -0.001, -0.004999, 700.004, 2.675, 1.005, 0.125]
+COORDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(SPECIAL_COORDS),
+                   st.integers(-8000, 8000).map(lambda k: k / 8))
+CLOUDS = st.lists(st.tuples(COORDS, COORDS), max_size=12).map(
+    lambda pts: np.array(pts, dtype=np.float64).reshape(-1, 2))
+# literal parts of the markup, some holding ``%`` in the spellings ``%`` reads
+LITERALS = st.one_of(st.sampled_from(["red", "%", "%%", "50%", "%s", "%.2f", "%(x)s", "%r%"]),
+                     st.text(alphabet="%sdfr.(){} 0123456789ab", max_size=6))
+FORMATTER_SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+class TestFormattersAgainstPerPointOracles:
+    """One ``%`` operation per layer writes what one f-string per point wrote."""
+
+    @FORMATTER_SETTINGS
+    @given(st.sampled_from([(12.0, 888.0, 12.0, 688.0), (-2.0, 2.0, -1.5, 1.5)]),
+           st.lists(st.tuples(CLOUDS, LITERALS, st.one_of(st.floats(0, 5), LITERALS),
+                              st.booleans()), max_size=3),
+           st.lists(st.tuples(CLOUDS, LITERALS, st.one_of(st.floats(0, 5), LITERALS)),
+                    max_size=3))
+    def test_render_svg(self, tmp_path_factory, viewport, polylines, point_layers):
+        path = tmp_path_factory.mktemp("svg") / "scene.svg"
+        with np.errstate(over="ignore"):  # 1e308 overflows to inf pixels in both
+            render_svg(path, viewport=viewport, polylines=polylines, point_layers=point_layers)
+            want = svg_text_per_point(viewport=viewport, polylines=polylines,
+                                      point_layers=point_layers)
+        assert path.read_bytes() == want.encode("utf-8")
+
+    @FORMATTER_SETTINGS
+    @given(CLOUDS.filter(len))
+    def test_points_csv_text(self, xy):
+        assert _points_csv_text(PointSet(xy)) == points_csv_text_per_point(xy)
+
+    def test_special_values_reach_the_formatter(self, tmp_path):
+        """The pixels of the first viewport hold the values the properties
+        are about: a ``.xx5`` tie and ``-0.00``."""
+        xy = np.array([[12.125, 687.875], [-0.001, 700.004]])
+        path = tmp_path / "s.svg"
+        render_svg(path, viewport=(12.0, 888.0, 12.0, 688.0), point_layers=[(xy, "%", "1%")])
+        text = path.read_text()
+        assert '<g fill="%">\n<circle cx="12.12" cy="12.12" r="1%"/>' in text
+        assert '<circle cx="-0.00" cy="-0.00" r="1%"/>' in text
+        assert text == svg_text_per_point(viewport=(12.0, 888.0, 12.0, 688.0),
+                                          point_layers=[(xy, "%", "1%")])
 
 
 @pytest.mark.parametrize("code, nodes, seed, want", [
