@@ -3,7 +3,7 @@
 
 Writes synthetic NACA 2220 and NACA 2412 sections (3,000 mesh nodes each) to
 a temporary directory, trains the desk configuration (stand-clamp, N=400,
-M=1500) on NACA 2220 for a few epochs, then runs each command ``--calls``
+M=1500) on NACA 2220 for a few epochs, then runs each command ``CALLS``
 times in this process through ``loop2mesh.cli.main`` on NACA 2412 and its
 mesh. Prints one JSON object holding, per command, the median self time of
 each phase in milliseconds, the rest of the call as ``other`` and the whole
@@ -18,7 +18,7 @@ call as ``total``:
     kde                   evaluation.evaluate (both KDE windows and the KL)
     writes                every atomic file write
 
-    PYTHONPATH=src python3 scripts/score_times.py [--calls 40]
+    PYTHONPATH=src python3 scripts/score_times.py
 
 NumPy is pinned to one BLAS thread before it is imported.
 """
@@ -28,7 +28,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse
 import contextlib
 import io
 import json
@@ -54,6 +53,7 @@ PHASES = {  # phase -> the (module, attribute) pairs it times
     "writes": [(cli, "atomic_write_text"), (svg, "atomic_write_text"),
                (evaluation, "atomic_write_text")],
 }
+CALLS = 40  # timed calls per command
 TRAIN = ["--mode", "stand-clamp", "--nodes", "400", "--upsample-count", "1500", "--ratio", "1",
          "--interior-weight", "10", "--epochs", "20", "--seed", "0", "--holdout", "naca2412"]
 
@@ -80,7 +80,7 @@ class PhaseTimer:
         return timed
 
 
-def median_phases(argv, calls: int) -> dict:
+def median_phases(argv) -> dict:
     timer = PhaseTimer()
     originals = [(mod, name, getattr(mod, name))
                  for pairs in PHASES.values() for mod, name in pairs]
@@ -89,7 +89,7 @@ def median_phases(argv, calls: int) -> dict:
             setattr(mod, name, timer.wrap(phase, getattr(mod, name)))
     per_call = []
     try:
-        for i in range(calls + 1):  # the first call warms caches and is dropped
+        for i in range(CALLS + 1):  # the first call warms caches and is dropped
             timer.ms.clear()
             t0 = perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):
@@ -106,9 +106,6 @@ def median_phases(argv, calls: int) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--calls", type=int, default=40, help="timed calls per command")
-    args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         manifest = write_sample_dataset(tmp / "data", codes=("2220", "2412"), mesh_nodes=3000)
@@ -118,9 +115,9 @@ def main() -> None:
         common = ["--checkpoint", str(tmp / "run" / "checkpoint.l2m"),
                   "--dat", str(tmp / "data" / "naca2412.dat"),
                   "--truth", str(tmp / "data" / "naca2412.msh"), "--out-dir", str(tmp / "out")]
-        result = {command: median_phases([command, *common], args.calls)
+        result = {command: median_phases([command, *common])
                   for command in ("predict", "evaluate")}
-    print(json.dumps({"calls": args.calls, "numpy": np.__version__, "median_ms": result}))
+    print(json.dumps({"calls": CALLS, "numpy": np.__version__, "median_ms": result}))
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ as ``exit_code``.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -23,8 +24,7 @@ from .errors import ConfigError, Loop2MeshError, ParseError
 from .evaluation import KLRow, evaluate, kl_csv_text, kl_sweep, write_kl_csv
 from .fileio import atomic_write_text
 from .geometry import PointSet, points_in_polygon, resample_loop
-from .ingest import (build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes,
-                     parse_points_csv, read_parsed)
+from .ingest import build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes, read_parsed
 from .svg import render_svg
 from .train import (
     TrainConfig,
@@ -133,6 +133,24 @@ def _points_csv_text(ps: PointSet) -> str:
     return "x,y\n" + ("%r,%r\n" * len(ps)) % tuple(ps.xy.ravel().tolist())
 
 
+def _parse_points_csv(text: str) -> PointSet:
+    rows: list[tuple[float, float]] = []
+    for lineno, record in enumerate(csv.reader(text.splitlines()), start=1):
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue
+        if lineno == 1 and record[:2] == ["x", "y"]:
+            continue
+        if len(record) != 2:
+            raise ParseError(f"row {lineno}: expected two fields, got {len(record)}")
+        try:
+            rows.append((float(record[0]), float(record[1])))
+        except ValueError:
+            raise ParseError(f"row {lineno}: non-numeric coordinate {record!r}") from None
+    if not rows:
+        raise ParseError("no data rows")
+    return PointSet(np.asarray(rows, dtype=np.float64))
+
+
 def _parse_viewport(text: str) -> tuple[float, float, float, float]:
     vals = _comma_floats(text)
     if len(vals) != 4:
@@ -153,8 +171,7 @@ def _load_entries(args, config: TrainConfig):
     entries = load_manifest(args.manifest)
     holdout = set(getattr(args, "holdout", None) or [])
     if holdout:
-        known = {name for name, _, _ in entries}
-        missing = holdout - known
+        missing = holdout - {name for name, _, _ in entries}
         if missing:
             raise ConfigError(f"holdout names not in manifest: {sorted(missing)}")
         entries = [e for e in entries if e[0] not in holdout]
@@ -262,7 +279,7 @@ def cmd_evaluate(args) -> int:
         if ratio is None:
             ratio = config.weights.repulsion
     else:
-        pred = read_parsed(args.pred, parse_points_csv)
+        pred = read_parsed(args.pred, _parse_points_csv)
         truth = read_parsed(args.truth, parse_msh_nodes)
         if args.dat is not None:
             chord = fit_chord(read_parsed(args.dat, parse_airfoil_dat))

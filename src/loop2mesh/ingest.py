@@ -1,13 +1,13 @@
 """Dataset ingestion.
 
 Selig-style ``.dat`` airfoil contours, Gmsh ASCII v2 ``$Nodes`` blocks,
-points CSVs, chord normalisation, deterministic up/down-sampling of target
-clouds to a fixed count, and assembly of (loop, target) training pairs.
+chord normalisation, deterministic up/down-sampling of target clouds to a
+fixed count, and assembly of (loop, target) training pairs.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import json
 import logging
 import math
@@ -37,77 +37,34 @@ def _coordinate_pair(tokens: list[str]) -> tuple[float, float] | None:
         return None
 
 
-_PAIR_DTYPE = np.dtype([("x", np.float64), ("y", np.float64)])
-_NODE_DTYPE = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64), ("z", np.float64)])
-
-
-def _read_rows(lines: list[str], dtype: np.dtype, delimiter: str | None = None):
-    """``lines`` (blank ones skipped) as a ``dtype`` record array, in one
-    ``loadtxt`` call, or None when a line cannot be read or holds a
-    non-finite x or y."""
-    try:
-        rows = (np.loadtxt(lines, dtype, comments=None, delimiter=delimiter, ndmin=1)
-                if any(map(str.strip, lines)) else np.empty(0, dtype))
-    except ValueError:
-        return None
-    return rows if np.isfinite(rows["x"]).all() and np.isfinite(rows["y"]).all() else None
-
-
 def parse_airfoil_dat(text: str) -> PointSet:
     """Parse a Selig-style airfoil contour.
 
     Grammar: an optional non-numeric name line, then one ``x y`` pair per
     line; blank lines are ignored anywhere. Any other content line is a
-    parse error naming the 1-based line number. Only a file that fails the
-    one-call read is read line by line, with ``float``.
+    parse error naming the 1-based line number.
     """
-    lines = text.splitlines()
-    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
-    if start < len(lines) and _coordinate_pair(lines[start].split()) is None:
-        start += 1  # name line
-    xy = _read_rows(lines[start:], _PAIR_DTYPE)
-    if xy is None or not len(xy):
-        pts = []
-        for lineno, line in enumerate(lines[start:], start=start + 1):
-            tokens = line.split()
-            if not tokens:
+    pts: list[tuple[float, float]] = []
+    saw_content = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        pair = _coordinate_pair(tokens)
+        if pair is None:
+            if not saw_content:
+                saw_content = True  # name line
                 continue
-            pair = _coordinate_pair(tokens)
-            if pair is None:
-                raise ParseError(f"line {lineno}: expected two numeric coordinates, got {line.strip()!r}")
-            if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-                raise ParseError(f"line {lineno}: non-finite coordinate {line.strip()!r}")
-            pts.append(pair)
-        if not pts:
-            raise ParseError("no coordinate data found")
-        xy = np.array(pts, _PAIR_DTYPE)
-    if len(xy) < 3:
-        raise InvalidGeometryError(f"airfoil contour needs at least 3 points, got {len(xy)}")
-    return PointSet(xy.view(np.float64).reshape(-1, 2))
-
-
-def parse_points_csv(text: str) -> PointSet:
-    """Parse a points CSV: an optional ``x,y`` header, then one ``x,y`` row per
-    point. Only a file that fails the one-call read is read by ``csv``."""
-    lines = text.splitlines()
-    xy = _read_rows(lines[lines[:1] == ["x,y"]:], _PAIR_DTYPE, ",")
-    if xy is None or not len(xy):
-        rows: list[tuple[float, float]] = []
-        for lineno, record in enumerate(csv.reader(lines), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if lineno == 1 and record[:2] == ["x", "y"]:
-                continue
-            if len(record) != 2:
-                raise ParseError(f"row {lineno}: expected two fields, got {len(record)}")
-            try:
-                rows.append((float(record[0]), float(record[1])))
-            except ValueError:
-                raise ParseError(f"row {lineno}: non-numeric coordinate {record!r}") from None
-        if not rows:
-            raise ParseError("no data rows")
-        xy = np.array(rows, _PAIR_DTYPE)
-    return PointSet(xy.view(np.float64).reshape(-1, 2))
+            raise ParseError(f"line {lineno}: expected two numeric coordinates, got {line.strip()!r}")
+        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+            raise ParseError(f"line {lineno}: non-finite coordinate {line.strip()!r}")
+        saw_content = True
+        pts.append(pair)
+    if not pts:
+        raise ParseError("no coordinate data found")
+    if len(pts) < 3:
+        raise InvalidGeometryError(f"airfoil contour needs at least 3 points, got {len(pts)}")
+    return PointSet(np.asarray(pts, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -135,45 +92,53 @@ def fit_chord(ps: PointSet) -> ChordTransform:
     return ChordTransform(float(x.min()), float(x.max() - x.min()))
 
 
+_NODE_DTYPE = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64), ("z", np.float64)])
+_read_nodes = functools.partial(np.loadtxt, dtype=_NODE_DTYPE, comments=None, ndmin=1)
+
+
+def _parse_node_block(block: list[str], first_lineno: int) -> np.ndarray:
+    """Parse stripped ``id x y z`` lines (blank ones skipped) in one call; on
+    failure, re-read them one at a time to name the first bad line."""
+    try:
+        nodes = _read_nodes(block) if any(block) else np.empty(0, _NODE_DTYPE)
+        if np.isfinite(nodes["x"]).all() and np.isfinite(nodes["y"]).all():
+            return nodes
+    except ValueError:
+        pass
+    for lineno, line in enumerate(block, start=first_lineno):
+        if not line:
+            continue
+        if len(line.split()) != 4:
+            raise ParseError(f"line {lineno}: expected 'id x y z', got {line!r}")
+        try:
+            node = _read_nodes([line])[0]
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed node line {line!r}") from None
+        if not (math.isfinite(node["x"]) and math.isfinite(node["y"])):
+            raise ParseError(f"line {lineno}: non-finite coordinate {line!r}")
+    raise ParseError("malformed $Nodes block")
+
+
 def parse_msh_nodes(text: str) -> PointSet:
     """Extract node coordinates from a Gmsh ASCII v2 mesh.
 
     Reads the ``$Nodes`` block (``id x y z`` per line, z discarded) and
     returns the nodes sorted by id. The declared node count must match the
-    number of node lines. Only a block that fails the one-call read of the
-    raw lines up to an exact ``$EndNodes`` is read again, stripped.
+    number of node lines.
     """
-    lines = text.splitlines()
-    start = next((i for i, line in enumerate(lines) if line.strip() == "$Nodes"), None)
-    if start is None:
-        raise ParseError("missing $Nodes block")
+    lines = [line.strip() for line in text.splitlines()]
+    try:
+        start = lines.index("$Nodes")
+    except ValueError:
+        raise ParseError("missing $Nodes block") from None
     if start + 1 >= len(lines):
         raise ParseError("truncated $Nodes block: node count line missing")
     try:
         declared = int(lines[start + 1])
     except ValueError:
-        raise ParseError(f"line {start + 2}: invalid node count {lines[start + 1].strip()!r}") from None
-    # loadtxt skips the whitespace strip() removes, and a line that strips to
-    # $EndNodes before the exact one fails the read
-    end = (lines + ["$EndNodes"]).index("$EndNodes", start + 2)
-    nodes = _read_rows(lines[start + 2:end], _NODE_DTYPE) if end < len(lines) else None
-    if nodes is None:
-        lines = [line.strip() for line in lines]
-        end = (lines + ["$EndNodes"]).index("$EndNodes", start + 2)  # no $EndNodes: the rest
-        nodes = _read_rows(lines[start + 2:end], _NODE_DTYPE)
-    if nodes is None:  # re-read one line at a time to name the first bad line
-        for lineno, line in enumerate(lines[start + 2:end], start=start + 3):
-            if not line:
-                continue
-            if len(line.split()) != 4:
-                raise ParseError(f"line {lineno}: expected 'id x y z', got {line!r}")
-            try:
-                node = np.loadtxt([line], _NODE_DTYPE, comments=None, ndmin=1)[0]
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed node line {line!r}") from None
-            if not (math.isfinite(node["x"]) and math.isfinite(node["y"])):
-                raise ParseError(f"line {lineno}: non-finite coordinate {line!r}")
-        raise ParseError("malformed $Nodes block")
+        raise ParseError(f"line {start + 2}: invalid node count {lines[start + 1]!r}") from None
+    end = (lines + ["$EndNodes"]).index("$EndNodes", start + 2)  # no $EndNodes: the rest
+    nodes = _parse_node_block(lines[start + 2:end], start + 3)
     if end == len(lines):
         raise ParseError("unterminated $Nodes block: $EndNodes missing")
     if len(nodes) != declared:

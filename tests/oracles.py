@@ -301,69 +301,6 @@ def parse_msh_nodes_line_by_line(text: str) -> np.ndarray:
     return np.asarray(coords, dtype=np.float64)[order]
 
 
-def parse_airfoil_dat_line_by_line(text: str) -> np.ndarray:
-    """A Selig ``.dat`` contour read one line at a time with ``float``.
-
-    The package's former ``ingest.parse_airfoil_dat``: returns the (n, 2)
-    array and raises ``ParseError`` or ``InvalidGeometryError`` with the
-    same messages.
-    """
-    from loop2mesh.errors import InvalidGeometryError, ParseError
-
-    pts: list[tuple[float, float]] = []
-    saw_content = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            pair = (float(tokens[0]), float(tokens[1])) if len(tokens) == 2 else None
-        except ValueError:
-            pair = None
-        if pair is None:
-            if not saw_content:
-                saw_content = True  # name line
-                continue
-            raise ParseError(f"line {lineno}: expected two numeric coordinates, got {line.strip()!r}")
-        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-            raise ParseError(f"line {lineno}: non-finite coordinate {line.strip()!r}")
-        saw_content = True
-        pts.append(pair)
-    if not pts:
-        raise ParseError("no coordinate data found")
-    if len(pts) < 3:
-        raise InvalidGeometryError(f"airfoil contour needs at least 3 points, got {len(pts)}")
-    return np.asarray(pts, dtype=np.float64)
-
-
-def parse_points_csv_record_by_record(text: str) -> np.ndarray:
-    """A points CSV read record by record with ``csv`` and ``float``.
-
-    The package's former ``cli._parse_points_csv``: returns the (n, 2) array
-    (non-finite values included; ``PointSet`` rejects them) and raises
-    ``ParseError`` with the same messages.
-    """
-    import csv
-
-    from loop2mesh.errors import ParseError
-
-    rows: list[tuple[float, float]] = []
-    for lineno, record in enumerate(csv.reader(text.splitlines()), start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        if lineno == 1 and record[:2] == ["x", "y"]:
-            continue
-        if len(record) != 2:
-            raise ParseError(f"row {lineno}: expected two fields, got {len(record)}")
-        try:
-            rows.append((float(record[0]), float(record[1])))
-        except ValueError:
-            raise ParseError(f"row {lineno}: non-numeric coordinate {record!r}") from None
-    if not rows:
-        raise ParseError("no data rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def points_csv_text_per_point(xy) -> str:
     """The points CSV with one f-string per point (the package's former
     ``cli._points_csv_text``)."""

@@ -1,24 +1,14 @@
 import json
 import logging
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from oracles import (
-    parse_airfoil_dat_line_by_line,
-    parse_msh_nodes_line_by_line,
-    parse_points_csv_record_by_record,
-)
+from oracles import parse_msh_nodes_line_by_line
 
-from loop2mesh import ingest
-from loop2mesh.cli import _points_csv_text
 from loop2mesh.errors import (
     DegenerateDataError,
     EmptyDatasetError,
     InvalidGeometryError,
-    Loop2MeshError,
     ParseError,
 )
 from loop2mesh.geometry import Frame, PointSet
@@ -30,10 +20,8 @@ from loop2mesh.ingest import (
     load_manifest,
     parse_airfoil_dat,
     parse_msh_nodes,
-    parse_points_csv,
     upsample_target,
 )
-from loop2mesh.synth import dat_text, msh_text, naca4_contour, synth_fluid_mesh
 
 GOOD_DAT = """NACA TEST SECTION
 1.000000 0.001260
@@ -122,146 +110,6 @@ class TestParseAirfoilDat:
             fuzzed = eol.join(lines) + (eol if rng.random() < 0.5 else "")
             got = parse_airfoil_dat(fuzzed)
             assert np.array_equal(got.xy, base.xy)
-
-
-# ------------------------------------- .dat and points CSV against oracles
-
-PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
-
-GOOD_NUMBERS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.floats(-2.0, 2.0).map(lambda v: f"{v:.7f}"),
-    st.sampled_from(["0", "-0", "-0.0", "+.5e-3", "1E5", "4.9e-324", "-1e-400",
-                     "1.7976931348623157e308", "0.30000000000000004", "9007199254740993"]),
-)
-# spellings one reader accepts and another may not, or no reader accepts
-ODD_NUMBERS = st.sampled_from(["1e999", "nan", "-inf", "+Infinity", "1_0", "\u0661", "0x10",
-                               "1..2", "abc", "1d0", "#", "1,5", '"1"', "", "NACA"])
-BLANKS = st.sampled_from(["", " ", "\t", "  \t ", "\xa0", "\x1f"])
-SEPARATORS = st.sampled_from([" ", "\t", "   ", " \t", "\xa0", "\u2003"])
-EOLS = st.sampled_from(["\n", "\r\n", "\r"])
-
-
-@st.composite
-def _fuzzed_text(draw, good_line, odd_line, first_lines):
-    """Mostly well-formed lines, an optional first line and up to two odd
-    lines at random positions, joined by one line ending."""
-    lines = draw(st.lists(st.one_of(good_line, BLANKS), max_size=8))
-    lines[:0] = draw(st.lists(first_lines, max_size=1))
-    for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(odd_line))
-    eol = draw(EOLS)
-    return eol.join(lines) + draw(st.sampled_from(["", eol]))
-
-
-@st.composite
-def _dat_line(draw, numbers):
-    tokens = draw(st.lists(numbers, min_size=2, max_size=2))
-    return draw(BLANKS) + draw(SEPARATORS).join(tokens) + draw(BLANKS)
-
-
-@st.composite
-def _csv_line(draw, numbers, fields=st.just(2)):
-    pad = st.sampled_from(["", " ", "\t"])
-    tokens = [draw(pad) + draw(numbers) + draw(pad) for _ in range(draw(fields))]
-    return ",".join(tokens)
-
-
-DAT_TEXT = _fuzzed_text(
-    _dat_line(GOOD_NUMBERS),
-    st.one_of(_dat_line(st.one_of(GOOD_NUMBERS, ODD_NUMBERS)),
-              st.lists(st.one_of(GOOD_NUMBERS, ODD_NUMBERS), max_size=4).map(" ".join)),
-    st.sampled_from(["NACA 2412", "2220 is my airfoil", "name", "1.0 2.0 3.0"]))
-CSV_TEXT = _fuzzed_text(
-    _csv_line(GOOD_NUMBERS),
-    st.one_of(_csv_line(st.one_of(GOOD_NUMBERS, ODD_NUMBERS), st.integers(1, 3)),
-              st.sampled_from(['"1.0",2', '"1.0,\n2"', '1,"2', ",", "x,y"])),
-    st.sampled_from(["x,y", "x,y,z", '"x","y"', "x, y", "X,Y", "x;y"]))
-
-
-def _assert_same_outcome(parse, oracle, text):
-    """``parse`` returns the oracle's array bit for bit, or raises the error
-    (class and message) that the oracle, or ``PointSet`` on its array, raises."""
-    try:
-        want = PointSet(oracle(text)).xy
-    except Loop2MeshError as exc:
-        with pytest.raises(type(exc)) as got:
-            parse(text)
-        assert str(got.value) == str(exc)
-    else:
-        assert parse(text).xy.tobytes() == want.tobytes()
-
-
-class TestParsersAgainstLineByLineOracles:
-    """The one-call ``.dat`` and points-CSV readers give what reading one line
-    (or CSV record) at a time with ``float`` gives: values, error class,
-    message and line number."""
-
-    @PROPERTY_SETTINGS
-    @given(DAT_TEXT)
-    def test_airfoil_dat(self, text):
-        _assert_same_outcome(parse_airfoil_dat, parse_airfoil_dat_line_by_line, text)
-
-    @PROPERTY_SETTINGS
-    @given(CSV_TEXT)
-    def test_points_csv(self, text):
-        _assert_same_outcome(parse_points_csv, parse_points_csv_record_by_record, text)
-
-    @pytest.mark.parametrize("text", [
-        "", "name\n", "name\n1 2\n3 4\n", "1_0 2\n3 4\n5 6\n", "n\n1 2\n3 4\n5 nan\n",
-        "n\n1 2\n\n3 4 5\n", "1 2\nname\n3 4\n5 6\n", " \n\t\nNACA 1\n1 2\n3 4\n5 6\n",
-        "n\n1 2 3\n4 5 6\n7 8 9\n", "n\n1\n2\n3\n"])
-    def test_airfoil_dat_cases(self, text):
-        _assert_same_outcome(parse_airfoil_dat, parse_airfoil_dat_line_by_line, text)
-
-    @pytest.mark.parametrize("text", [
-        "", "x,y\n", "x,y\n1,2\n", "x,y,z\n1,2\n", "1,2\n 3 , 4 \n", "x,y\n1,nan\n",
-        "x,y\n\n  \n1,2\n", 'x,y\n"1",2\n', "x,y\n1,2,\n", "x,y\n1_0,2\n", "\nx,y\n1,2\n",
-        "x,y\n1,2,3\n4,5,6\n", "x,y\n1\n2\n"])
-    def test_points_csv_cases(self, text):
-        _assert_same_outcome(parse_points_csv, parse_points_csv_record_by_record, text)
-
-
-class TestOneCallReads:
-    """Files as the package writes them never take the line-by-line path, and
-    a block of blank lines ends in the parse error, not a ``loadtxt`` warning."""
-
-    def test_written_files_read_in_one_call(self, monkeypatch):
-        calls = []
-
-        def spy(name):
-            real = getattr(ingest, name)
-
-            def wrapped(*args, **kwargs):
-                calls.append((name, args[0][-1]))  # the last line or token read
-                return real(*args, **kwargs)
-            monkeypatch.setattr(ingest, name, wrapped)
-
-        spy("_read_rows")
-        spy("_coordinate_pair")
-        monkeypatch.setattr(ingest.csv, "reader", None)  # the record-by-record path
-        contour = naca4_contour("2412")
-        mesh = synth_fluid_mesh(contour, 300, seed=0)
-        msh = msh_text(mesh).replace(" 0\n", " 0 \n")  # node lines end in a blank
-        assert len(parse_msh_nodes(msh)) == 300
-        assert len(parse_points_csv(_points_csv_text(PointSet(mesh)))) == 300
-        assert len(parse_airfoil_dat(dat_text(contour, name="NACA 2412"))) == len(contour)
-        # one read per file, of the lines as written; the .dat name line alone
-        # is checked with float
-        assert [name for name, _ in calls] == ["_read_rows", "_read_rows", "_coordinate_pair",
-                                               "_read_rows"]
-        assert calls[0][1] == msh.splitlines()[-5]  # the last node line, not stripped
-
-    @pytest.mark.parametrize("parse, text, message", [
-        (parse_msh_nodes, "$Nodes\n0\n \t\n\n\xa0\n$EndNodes\n", "mesh contains no nodes"),
-        (parse_airfoil_dat, "name\n \t\n\n\xa0\n", "no coordinate data found"),
-        (parse_points_csv, "x,y\n \t\n\n", "no data rows"),
-    ])
-    def test_blank_block_raises_without_a_warning(self, parse, text, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ParseError, match=message):
-                parse(text)
 
 
 class TestChordNormalisation:

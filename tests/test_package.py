@@ -21,7 +21,7 @@ PUBLIC_NAMES = {
                  "invert_standardize", "points_in_polygon", "resample_loop"),
     "ingest": ("ChordTransform", "Dataset", "MeshSample", "assemble_sample", "build_dataset",
                "fit_chord", "load_manifest", "parse_airfoil_dat", "parse_msh_nodes",
-               "parse_points_csv", "read_parsed", "upsample_target"),
+               "read_parsed", "upsample_target"),
     "losses": ("LossBreakdown", "LossWeights", "chamfer", "composite", "composite_batch",
                "interior_penalty", "mean_pairwise_distance", "repulsion"),
     "net": ("ForwardTrace", "NetworkParams", "backward", "forward", "init_params",
