@@ -42,6 +42,7 @@ LOOP_STROKE = "red"
 PRED_FILL = "blue"
 TRUTH_FILL = "green"
 MEMORY_EXIT_CODE = 5
+VIEW_PAD = 0.05  # the plot's margin around its clouds, a share of each axis extent
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -155,19 +156,21 @@ def _parse_viewport(text: str) -> tuple[float, float, float, float]:
     vals = _comma_floats(text)
     if len(vals) != 4:
         raise ConfigError(f"--viewport expects 'xmin,xmax,ymin,ymax', got {text!r}")
-    return vals[0], vals[1], vals[2], vals[3]
+    if not (np.isfinite(vals).all() and vals[0] < vals[1] and vals[2] < vals[3]):
+        raise ConfigError(f"--viewport needs finite bounds, xmin < xmax and ymin < ymax; got {text!r}")
+    return tuple(vals)
 
 
-def _bbox_viewport(*clouds: np.ndarray, pad: float = 0.05) -> tuple[float, float, float, float]:
+def _bbox_viewport(*clouds: np.ndarray) -> tuple[float, float, float, float]:
     allpts = np.vstack(clouds)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     extent = np.maximum(hi - lo, 1e-9)
-    return (float(lo[0] - pad * extent[0]), float(hi[0] + pad * extent[0]),
-            float(lo[1] - pad * extent[1]), float(hi[1] + pad * extent[1]))
+    lo, hi = (lo - VIEW_PAD * extent).tolist(), (hi + VIEW_PAD * extent).tolist()
+    return lo[0], hi[0], lo[1], hi[1]
 
 
-def _load_entries(args, config: TrainConfig):
+def _load_entries(args):
     entries = load_manifest(args.manifest)
     holdout = set(getattr(args, "holdout", None) or [])
     if holdout:
@@ -184,7 +187,7 @@ def _load_entries(args, config: TrainConfig):
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
-    entries = _load_entries(args, config)
+    entries = _load_entries(args)
     out_dir = Path(args.out_dir)
     ckpt_path = out_dir / "checkpoint.l2m"
     log_path = out_dir / "trainlog.csv"
@@ -241,6 +244,7 @@ def _checkpoint_prediction(checkpoint, dat, name=None):
 
 
 def cmd_predict(args) -> int:
+    viewport = _parse_viewport(args.viewport) if args.viewport else None
     pred, loop, chord, _ = _checkpoint_prediction(args.checkpoint, args.dat, args.sample)
 
     out_dir = Path(args.out_dir)
@@ -254,8 +258,7 @@ def cmd_predict(args) -> int:
         truth = chord.apply(read_parsed(args.truth, parse_msh_nodes))
         layers.insert(0, (truth.xy, TRUTH_FILL, 1.5))
         clouds.append(truth.xy)
-    viewport = _parse_viewport(args.viewport) if args.viewport else _bbox_viewport(*clouds)
-    render_svg(svg_path, viewport=viewport,
+    render_svg(svg_path, viewport=viewport or _bbox_viewport(*clouds),
                polylines=[(loop.vertices, LOOP_STROKE, 1.5, True)],
                point_layers=layers)
 
@@ -313,7 +316,7 @@ def cmd_sweep(args) -> int:
     _check_kde_flags(args)
     args.nodes = None  # per-cell counts; keep them out of the base config
     base = _resolve_config(args)
-    entries = _load_entries(args, base)
+    entries = _load_entries(args)
     out_dir = Path(args.out_dir)
     ckpt_dir = out_dir / "checkpoints"
     panel_dir = out_dir / "panels"

@@ -27,6 +27,7 @@ from .geometry import PointSet
 log = logging.getLogger(__name__)
 
 _REGION_CODE = {"center": "c", "whole": "w"}
+_WHOLE_PAD = 0.05  # the whole window's margin, a share of each axis extent
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,15 @@ def center_window(grid: int = 100) -> EvalWindow:
     return EvalWindow("center", (-0.5, 1.5), (-0.4, 0.4), grid, grid)
 
 
-def whole_window(truth: PointSet, pad: float = 0.05, grid: int = 100) -> EvalWindow:
-    """Bounding box of the truth cloud, padded by ``pad`` of each axis extent."""
+def whole_window(truth: PointSet, grid: int = 100) -> EvalWindow:
+    """Bounding box of the truth cloud, padded by ``_WHOLE_PAD`` of each axis extent."""
     lo = truth.xy.min(axis=0)
     hi = truth.xy.max(axis=0)
     extent = hi - lo
     if extent[0] <= 0.0 or extent[1] <= 0.0:
         raise DegenerateDataError("truth cloud has zero extent on an axis")
-    return EvalWindow("whole",
-                      (float(lo[0] - pad * extent[0]), float(hi[0] + pad * extent[0])),
-                      (float(lo[1] - pad * extent[1]), float(hi[1] + pad * extent[1])),
-                      grid, grid)
+    lo, hi = (lo - _WHOLE_PAD * extent).tolist(), (hi + _WHOLE_PAD * extent).tolist()
+    return EvalWindow("whole", (lo[0], hi[0]), (lo[1], hi[1]), grid, grid)
 
 
 @dataclass(frozen=True)
@@ -187,8 +186,7 @@ class KLRow:
     kl: Optional[float]  # None marks a missing sweep cell
 
 
-def kl_sweep(predictions: Mapping[tuple[float, int], Optional[PointSet]], truth: PointSet,
-             windows: Optional[list[EvalWindow]] = None, *,
+def kl_sweep(predictions: Mapping[tuple[float, int], Optional[PointSet]], truth: PointSet, *,
              epsilon: float = 1e-10, grid: int = 100) -> list[KLRow]:
     """Score a (ratio x node-count) grid of predictions against one truth cloud.
 
@@ -196,25 +194,21 @@ def kl_sweep(predictions: Mapping[tuple[float, int], Optional[PointSet]], truth:
     "w", node count ascending. Missing cells (absent key or None) produce a
     row with an empty score and a warning.
     """
-    if windows is None:
-        windows = [center_window(grid), whole_window(truth, grid=grid)]
+    windows = [center_window(grid), whole_window(truth, grid=grid)]
     ratios = sorted({r for r, _ in predictions})
     node_counts = sorted({n for _, n in predictions})
     scores: dict[tuple[float, int], Optional[dict[str, float]]] = {}
     for key, pred in predictions.items():
         scores[key] = None if pred is None else evaluate(pred, truth, windows, epsilon=epsilon)
-    ordered = sorted(windows, key=lambda w: _REGION_CODE.get(w.name, w.name))
     rows: list[KLRow] = []
     for ratio in ratios:
-        for window in ordered:
-            region = _REGION_CODE.get(window.name, window.name)
+        for window in windows:  # center ("c") before whole ("w")
+            region = _REGION_CODE[window.name]
             for nodes in node_counts:
                 cell = scores.get((ratio, nodes))
                 if cell is None:
                     log.warning("sweep cell ratio=%s nodes=%s is missing; emitting empty row", ratio, nodes)
-                    rows.append(KLRow(ratio, region, nodes, None))
-                else:
-                    rows.append(KLRow(ratio, region, nodes, cell[window.name]))
+                rows.append(KLRow(ratio, region, nodes, None if cell is None else cell[window.name]))
     return rows
 
 

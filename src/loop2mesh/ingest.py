@@ -169,17 +169,12 @@ def upsample_target(ps: PointSet, m: int, seed: int) -> PointSet:
 
 @dataclass(frozen=True)
 class MeshSample:
-    """One training pair: a boundary loop and its target mesh cloud."""
+    """One training pair: a boundary loop and its target mesh cloud, in one
+    frame, with no target node inside the loop (``assemble_sample`` builds it)."""
 
     name: str
     loop: AirfoilLoop
     target: PointSet
-
-    def __post_init__(self):
-        if self.loop.frame is not self.target.frame:
-            raise InvalidInputError("loop and target must share a frame")
-        if bool(points_in_polygon(self.target.xy, self.loop).any()):
-            raise InvalidGeometryError(f"{self.name}: target nodes intrude into the loop interior")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,11 @@
-"""Objective terms over predicted point clouds.
+"""Objective terms over predicted point clouds, one array function each.
 
-Every term returns ``(value, grad)`` where ``grad`` is the exact analytic
-gradient with respect to the predicted coordinates, shaped like the cloud.
-
-chamfer     two-sided nearest-neighbour squared-distance alignment (sums).
-repulsion   inverse mean pairwise distance; penalises clustering.
-interior    mean squared intrusion depth behind the boundary loop.
-
-``composite_batch`` weighs them over S clouds at once: the pairwise kernel
-takes the whole (S, N, 2) batch, the edge kernel its points in their loop's
-box (``geometry.intruders``), Chamfer runs per sample (its (N, M) matrix
-stays in cache), and each per-sample sum keeps its one-cloud order.
+Every term returns its value and its exact analytic gradient with respect to
+the predicted coordinates, shaped like the cloud. ``composite`` weighs them
+over S clouds (S, N, 2) in one frame: one pairwise kernel feeds repulsion and
+the logged mean pairwise distance, one intruder query (``geometry.intruders``)
+the interior term, and Chamfer runs per sample (its (N, M) matrix stays in
+cache). Each per-sample sum keeps its one-cloud order.
 """
 
 from __future__ import annotations
@@ -19,26 +14,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import FrameMismatchError, InvalidInputError
-from .geometry import AirfoilLoop, PointSet, as_float, as_point_array, intruders
+from .errors import InvalidInputError
+from .geometry import as_float, intruders
 
 
-def _check_frames(pred: PointSet, other) -> None:
-    if pred.frame is not other.frame:
-        raise FrameMismatchError("operands live in different coordinate frames")
-
-
-def _chamfer(P: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray]:
-    d2 = np.maximum((P ** 2).sum(axis=1)[:, None] + (G ** 2).sum(axis=1) - 2.0 * (P @ G.T), 0.0)
-    nn_pg, nn_gp = d2.argmin(axis=1), d2.argmin(axis=0)
-    value = float(d2[np.arange(P.shape[0]), nn_pg].sum() + d2[nn_gp, np.arange(G.shape[0])].sum())
-    grad = 2.0 * (P - G[nn_pg])
-    np.add.at(grad, nn_gp, 2.0 * (P[nn_gp] - G))
-    return value, grad
-
-
-def chamfer(pred: PointSet, ref: PointSet) -> tuple[float, np.ndarray]:
-    """Sum of squared nearest-neighbour distances, both directions.
+def chamfer(P: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sum of squared nearest-neighbour distances of P (N, 2) and G (M, 2),
+    both directions, and its gradient (N, 2).
 
     value = sum_p min_g |p-g|^2  +  sum_g min_p |g-p|^2   (sums, not means).
 
@@ -47,8 +29,12 @@ def chamfer(pred: PointSet, ref: PointSet) -> tuple[float, np.ndarray]:
     2(p - g*) from the first term plus 2(p - g) for every reference g whose
     nearest predicted point is p.
     """
-    _check_frames(pred, ref)
-    return _chamfer(pred.xy, ref.xy)
+    d2 = np.maximum((P ** 2).sum(axis=1)[:, None] + (G ** 2).sum(axis=1) - 2.0 * (P @ G.T), 0.0)
+    nn_pg, nn_gp = d2.argmin(axis=1), d2.argmin(axis=0)
+    value = float(d2[np.arange(P.shape[0]), nn_pg].sum() + d2[nn_gp, np.arange(G.shape[0])].sum())
+    grad = 2.0 * (P - G[nn_pg])
+    np.add.at(grad, nn_gp, 2.0 * (P[nn_gp] - G))
+    return value, grad
 
 
 def _pairwise(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -66,7 +52,15 @@ def _off_diagonal(a: np.ndarray, reduce) -> list[float]:
     return [float(reduce(m[off])) for m in a]
 
 
-def _repulsion(pairs, epsilon: float) -> tuple[list[float], np.ndarray]:
+def repulsion(pairs, epsilon: float) -> tuple[list[float], np.ndarray]:
+    """Inverse of the mean pairwise distance of each of S clouds, from their
+    ``_pairwise`` kernel; returns S values and the gradient (S, N, 2).
+
+    The mean runs over all ordered index pairs (divisor N^2); self-pairs
+    contribute exactly zero while every other pair is stabilised as
+    sqrt(|pi-pj|^2 + epsilon), so coincident points stay finite. Larger
+    spread means a smaller value. Needs N >= 2 and epsilon > 0.
+    """
     dx, dy, d2 = pairs
     n = d2.shape[1]
     if n < 2:
@@ -84,30 +78,15 @@ def _repulsion(pairs, epsilon: float) -> tuple[list[float], np.ndarray]:
     return values, scale[:, None, None] * d_mean
 
 
-def repulsion(pred: PointSet, epsilon: float = 1e-8) -> tuple[float, np.ndarray]:
-    """Inverse of the mean pairwise distance over the predicted cloud.
-
-    The mean runs over all ordered index pairs (divisor N^2); self-pairs
-    contribute exactly zero while every other pair is stabilised as
-    sqrt(|pi-pj|^2 + epsilon), so coincident points stay finite. Larger
-    spread means a smaller value.
-    """
-    values, grad = _repulsion(_pairwise(pred.xy[None]), epsilon)
-    return values[0], grad[0]
+def mean_pairwise_distance(pairs) -> list[float]:
+    """Mean L2 distance over the distinct point pairs of each of S clouds
+    (N >= 2), from their ``_pairwise`` kernel."""
+    return _off_diagonal(np.sqrt(pairs[2]), np.mean)
 
 
-def _interior(xy: np.ndarray, loops: np.ndarray) -> tuple[list[float], np.ndarray]:
-    s, i, dist, closest = intruders(xy, loops)
-    n = xy.shape[1]
-    # row-major intruders: each sample's depths in point order, summed alone
-    values = [float((d ** 2).sum()) / n for d in np.split(dist, np.searchsorted(s, range(1, len(xy))))]
-    grad = np.zeros_like(xy)
-    grad[s, i] = (2.0 / n) * (xy[s, i] - closest)
-    return values, grad
-
-
-def interior_penalty(pred: PointSet, loop: AirfoilLoop) -> tuple[float, np.ndarray]:
-    """Mean squared depth of points strictly inside the loop.
+def interior_penalty(xy: np.ndarray, loops: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Mean squared depth of the points of S clouds (S, N, 2) strictly inside
+    their loops (S, L, 2); returns S values and the gradient (S, N, 2).
 
     value = (1/N) sum over intruders of dist(p, nearest edge)^2; zero for a
     cloud entirely outside or on the boundary. An intruder's gradient is
@@ -115,9 +94,13 @@ def interior_penalty(pred: PointSet, loop: AirfoilLoop) -> tuple[float, np.ndarr
     straight back toward the wall. Points exactly on an edge count as
     outside and carry zero gradient.
     """
-    _check_frames(pred, loop)
-    values, grad = _interior(pred.xy[None], loop.vertices[None])
-    return values[0], grad[0]
+    s, i, dist, closest = intruders(xy, loops)
+    n = xy.shape[1]
+    # row-major intruders: each sample's depths in point order, summed alone
+    values = [float((d ** 2).sum()) / n for d in np.split(dist, np.searchsorted(s, range(1, len(xy))))]
+    grad = np.zeros_like(xy)
+    grad[s, i] = (2.0 / n) * (xy[s, i] - closest)
+    return values, grad
 
 
 @dataclass(frozen=True)
@@ -149,53 +132,18 @@ class LossWeights:
         return cls(**{f.name: as_float(d[f.name]) for f in fields(cls) if f.name in d})
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-term values plus the weighted total and its gradient."""
-
-    chamfer: float
-    repulsion: float
-    interior: float
-    total: float
-    mean_pairwise: float  # mean distance over distinct pairs, a logged statistic
-    grad: np.ndarray  # d(total)/d(pred), (N, 2)
-
-
-def composite(pred: PointSet, ref: PointSet, loop: AirfoilLoop,
-              weights: LossWeights) -> LossBreakdown:
-    """``composite_batch`` for one cloud."""
-    _check_frames(pred, ref)
-    _check_frames(pred, loop)
-    terms, grad = composite_batch(pred.xy[None], [ref.xy], loop.vertices[None], weights)
-    return LossBreakdown(*terms[0].tolist(), grad[0])
-
-
-def composite_batch(pred: np.ndarray, refs, loops: np.ndarray,
-                    weights: LossWeights) -> tuple[np.ndarray, np.ndarray]:
+def composite(pred: np.ndarray, refs, loops: np.ndarray,
+              weights: LossWeights) -> tuple[np.ndarray, np.ndarray]:
     """Weighted sum of the three terms for S clouds (S, N, 2), each against
     its own reference (one (M, 2) array per cloud) and loop ((S, L, 2)
-    vertices), all finite and in one frame.
-
-    Returns the terms (S, 5), columns chamfer, repulsion, interior, total
-    and mean pairwise distance, and d(total)/d(pred) (S, N, 2); gradients
-    combine linearly. One pairwise kernel feeds both the repulsion term and
-    the mean pairwise distance.
-    """
-    c_vals, c_grads = zip(*(_chamfer(p, g) for p, g in zip(pred, refs)))
+    vertices): the terms (S, 5), columns chamfer, repulsion, interior, total
+    and mean pairwise distance, and d(total)/d(pred) (S, N, 2)."""
+    c_vals, c_grads = zip(*(chamfer(p, g) for p, g in zip(pred, refs)))
     pairs = _pairwise(pred)
-    r_vals, r_grad = _repulsion(pairs, weights.epsilon)
-    i_vals, i_grad = _interior(pred, loops)
+    r_vals, r_grad = repulsion(pairs, weights.epsilon)
+    i_vals, i_grad = interior_penalty(pred, loops)
     c, r, i = np.array([c_vals, r_vals, i_vals])
     total = weights.chamfer * c + weights.repulsion * r + weights.interior * i
     grad = weights.chamfer * np.stack(c_grads) + weights.repulsion * r_grad
     grad += weights.interior * i_grad
-    return np.column_stack((c, r, i, total, _off_diagonal(np.sqrt(pairs[2]), np.mean))), grad
-
-
-def mean_pairwise_distance(points) -> float:
-    """Mean L2 distance over distinct point pairs (0.0 for fewer than 2 points).
-
-    Accepts a PointSet or any (N, 2) array-like.
-    """
-    xy = as_point_array(points.xy if isinstance(points, PointSet) else points)
-    return _off_diagonal(np.sqrt(_pairwise(xy[None])[2]), np.mean)[0] if len(xy) >= 2 else 0.0
+    return np.column_stack((c, r, i, total, mean_pairwise_distance(pairs))), grad

@@ -12,11 +12,11 @@ from .errors import InvalidInputError
 from .fileio import atomic_write_text
 
 _MARGIN = 12.0
+_WIDTH, _HEIGHT = 900, 700  # canvas size in pixels
 
 
-def render_svg(path, *, viewport, polylines=(), point_layers=(),
-               width: int = 900, height: int = 700) -> None:
-    """Write an SVG scene.
+def render_svg(path, *, viewport, polylines=(), point_layers=()) -> None:
+    """Write an SVG scene on a ``_WIDTH`` x ``_HEIGHT`` pixel canvas.
 
     polylines:    iterable of (xy (N,2), stroke, stroke_width, closed)
     point_layers: iterable of (xy (N,2), fill, radius)
@@ -25,19 +25,19 @@ def render_svg(path, *, viewport, polylines=(), point_layers=(),
     xmin, xmax, ymin, ymax = map(float, viewport)
     if not (xmin < xmax and ymin < ymax):
         raise InvalidInputError(f"viewport {viewport} must have positive extent")
-    scale = ((width - 2 * _MARGIN) / (xmax - xmin), (height - 2 * _MARGIN) / (ymax - ymin))
+    scale = ((_WIDTH - 2 * _MARGIN) / (xmax - xmin), (_HEIGHT - 2 * _MARGIN) / (ymax - ymin))
 
     def rows(row: str, sep: str, xy) -> str:
         """``row``, a template with an x and a y ``%`` slot, once per point of
         ``xy`` in pixels, joined by ``sep`` and filled by one ``%`` operation."""
         pxy = _MARGIN + (np.asarray(xy, dtype=np.float64) - (xmin, ymin)) * scale
-        pxy[:, 1] = height - pxy[:, 1]  # y grows upward in world space
+        pxy[:, 1] = _HEIGHT - pxy[:, 1]  # y grows upward in world space
         return sep.join([row] * len(pxy)) % tuple(pxy.ravel().tolist())
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     for xy, stroke, stroke_width, closed in polylines:
         xy = np.asarray(xy, dtype=np.float64)

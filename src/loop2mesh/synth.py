@@ -68,18 +68,21 @@ def naca4_contour(code: str = "2220", n_points: int = 121) -> np.ndarray:
     return np.vstack([upper, lower])
 
 
-def synth_fluid_mesh(contour: np.ndarray, n_nodes: int = 3000, seed: int = 0, *,
-                     box: tuple[float, float, float, float] = (-2.0, 3.0, -2.0, 2.0),
-                     decay: float = 0.45, wall_frac: float = 0.15,
-                     wall_offset: float = 0.006) -> np.ndarray:
+# synth_fluid_mesh's sampling box (xmin, xmax, ymin, ymax) and density decay
+# length, and its wall layer's share of the nodes and offset from the contour
+_BOX, _DECAY = (-2.0, 3.0, -2.0, 2.0), 0.45
+_WALL_FRAC, _WALL_OFFSET = 0.15, 0.006
+
+
+def synth_fluid_mesh(contour: np.ndarray, n_nodes: int = 3000, seed: int = 0) -> np.ndarray:
     """Sample a CFD-like node cloud around a closed contour.
 
-    A ``wall_frac`` share of nodes forms a first layer hugging the contour at
-    ``wall_offset`` along the outward normal (node centers sit off the wall,
-    as in a cell-centered viscous mesh); the rest are rejection-sampled in
-    ``box`` with acceptance exp(-d/decay) where d is the distance to the
+    A ``_WALL_FRAC`` share of nodes forms a first layer hugging the contour
+    at ``_WALL_OFFSET`` along the outward normal (node centers sit off the
+    wall, as in a cell-centered viscous mesh); the rest are rejection-sampled
+    in ``_BOX`` with acceptance exp(-d/_DECAY) where d is the distance to the
     contour, so density decays away from the wall. Every node keeps at least
-    ``wall_offset`` clearance from the contour and none falls inside it.
+    ``_WALL_OFFSET`` clearance from the contour and none falls inside it.
     Deterministic in seed.
     """
     contour = np.asarray(contour, dtype=np.float64)
@@ -87,7 +90,7 @@ def synth_fluid_mesh(contour: np.ndarray, n_nodes: int = 3000, seed: int = 0, *,
     poly = AirfoilLoop(body)
     rng = np.random.default_rng(seed)
 
-    n_wall = int(round(wall_frac * n_nodes))
+    n_wall = int(round(_WALL_FRAC * n_nodes))
     closed = np.vstack([body, body[:1]])
     seg = np.diff(closed, axis=0)
     seglen = np.hypot(seg[:, 0], seg[:, 1])
@@ -98,9 +101,9 @@ def synth_fluid_mesh(contour: np.ndarray, n_nodes: int = 3000, seed: int = 0, *,
     # counter-clockwise traversal: outward normal is the edge direction
     # rotated -90 degrees, (dx, dy) -> (dy, -dx)
     outward = np.column_stack([seg[:, 1], -seg[:, 0]]) / seglen[:, None]
-    wall = closed[idx] + frac[:, None] * seg[idx] + wall_offset * outward[idx]
+    wall = closed[idx] + frac[:, None] * seg[idx] + _WALL_OFFSET * outward[idx]
 
-    xmin, xmax, ymin, ymax = box
+    xmin, xmax, ymin, ymax = _BOX
     needed = n_nodes - n_wall
     chunks: list[np.ndarray] = []
     collected = 0
@@ -108,8 +111,8 @@ def synth_fluid_mesh(contour: np.ndarray, n_nodes: int = 3000, seed: int = 0, *,
         cand = np.column_stack([rng.uniform(xmin, xmax, size=4096),
                                 rng.uniform(ymin, ymax, size=4096)])
         dist, _, inside = edge_query(cand, poly)
-        ok = ~inside & (dist >= wall_offset) \
-            & (rng.uniform(size=4096) < np.exp(-dist / decay))
+        ok = ~inside & (dist >= _WALL_OFFSET) \
+            & (rng.uniform(size=4096) < np.exp(-dist / _DECAY))
         accepted = cand[ok]
         chunks.append(accepted)
         collected += accepted.shape[0]

@@ -37,7 +37,7 @@ from .geometry import (
     standardize_loop,
 )
 from .ingest import Dataset
-from .losses import LossWeights, composite_batch
+from .losses import LossWeights, composite
 from .net import NetworkParams, backward, forward, init_params, load_checkpoint, save_checkpoint
 
 
@@ -118,6 +118,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a mapping, got {d!r}")
         table = {f.name: _CONVERTERS[f.type] for f in fields(cls)}
         unknown = set(d) - set(table)
         if unknown:
@@ -224,7 +226,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
 
     Each epoch runs one forward pass over the batch of all samples, checks
     the whole (S, N, 2) output for finiteness once, evaluates the loss terms
-    of every sample in one ``composite_batch`` call and runs one backward
+    of every sample in one ``losses.composite`` call and runs one backward
     pass. The logged terms and the gradient are means over samples (full
     batch, one Adam step per epoch). A non-finite output or epoch total
     aborts with the offending epoch.
@@ -249,7 +251,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         out, trace = forward(params, x, y_clamp=config.y_clamp)
         if not np.isfinite(out).all():  # the only non-finite source is numeric blow-up
             raise TrainingDivergedError(epoch, f"non-finite network output at epoch {epoch}")
-        terms, grad = composite_batch(out.reshape(n_samples, -1, 2), refs, loops, config.weights)
+        terms, grad = composite(out.reshape(n_samples, -1, 2), refs, loops, config.weights)
         # chamfer, repulsion, interior, total, mean pairwise: summed in sample order
         record = EpochRecord(epoch, *(terms.sum(axis=0) / n_samples).tolist())
         if not math.isfinite(record.total):

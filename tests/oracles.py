@@ -79,7 +79,7 @@ def per_sample_composite(pred, refs, loops, weights) -> tuple[np.ndarray, np.nda
     kernel read by repulsion and the mean pairwise distance, and the edge
     query as ``nearest_edge_broadcast`` plus ``even_odd_edge_loop``.
 
-    The bit-equality oracle for ``losses.composite_batch``: ``pred`` (S, N, 2),
+    The bit-equality oracle for ``losses.composite``: ``pred`` (S, N, 2),
     S reference arrays and S loops; returns the per-sample terms (S, 5) as
     chamfer, repulsion, interior, total, mean pairwise distance, and the
     gradient of each total (S, N, 2).

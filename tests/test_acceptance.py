@@ -19,7 +19,7 @@ from loop2mesh.errors import ParseError
 from loop2mesh.evaluation import DensityGrid, EvalWindow, evaluate, kde, kl_divergence
 from loop2mesh.geometry import AirfoilLoop, PointSet, points_in_polygon
 from loop2mesh.ingest import build_dataset, load_manifest, parse_airfoil_dat, parse_msh_nodes
-from loop2mesh.losses import LossWeights, chamfer, composite, repulsion
+from loop2mesh.losses import LossWeights, _pairwise, chamfer, composite, repulsion
 from loop2mesh.net import backward, forward, init_params
 from loop2mesh.synth import write_sample_dataset
 from loop2mesh.train import TrainConfig, TrainMode, predict, train
@@ -110,14 +110,14 @@ def test_01_network_gradients_match_finite_differences():
         rng = np.random.default_rng(seed)
         tri = _random_triangle(rng)
         x = tri.reshape(1, -1)
-        poly = AirfoilLoop(tri)
-        truth = PointSet(rng.uniform(-1.0, 1.0, size=(10, 2)))
+        loops = AirfoilLoop(tri).vertices[None]
+        truth = rng.uniform(-1.0, 1.0, size=(10, 2))
         params = init_params(seed=seed, loop_size=3, h1=4, h2=4, n_points=5)
 
         out, trace = forward(params, x, y_clamp=clamp)
-        breakdown = composite(PointSet(out.reshape(-1, 2)), truth, poly, weights)
-        analytic = backward(params, trace, breakdown.grad.reshape(1, -1))
-        f0 = abs(breakdown.total)
+        terms, grad = composite(out.reshape(1, -1, 2), [truth], loops, weights)
+        analytic = backward(params, trace, grad.reshape(1, -1))
+        f0 = abs(terms[0, 3])  # the total
         # central differences cancel to ~machine-eps * |f| / eps; give the
         # zero-gradient parameters (fully clamped outputs) that much slack
         noise_floor = 1e-10 * max(1.0, f0)
@@ -125,9 +125,8 @@ def test_01_network_gradients_match_finite_differences():
         def value_and_signature(vec):
             p = vector_to_params(params, vec)
             pr, tr = forward(p, x, y_clamp=clamp)
-            pr = PointSet(pr.reshape(-1, 2))
-            bd = composite(pr, truth, poly, weights)
-            return bd.total, _kink_signature(pr.xy, truth.xy, tr.gate[0])
+            terms, _ = composite(pr.reshape(1, -1, 2), [truth], loops, weights)
+            return terms[0, 3], _kink_signature(pr.reshape(-1, 2), truth, tr.gate[0])
 
         theta = params_to_vector(params)
         for i in range(theta.size):
@@ -161,10 +160,10 @@ def test_02_chamfer_matches_brute_force_double_loop():
     for _ in range(200):
         n_p = int(rng.integers(1, 51))
         n_g = int(rng.integers(1, 51))
-        P = PointSet(rng.uniform(-1.0, 1.0, size=(n_p, 2)))
-        G = PointSet(rng.uniform(-1.0, 1.0, size=(n_g, 2)))
+        P = rng.uniform(-1.0, 1.0, size=(n_p, 2))
+        G = rng.uniform(-1.0, 1.0, size=(n_g, 2))
         fast, _ = chamfer(P, G)
-        slow = brute_chamfer(P.xy, G.xy)
+        slow = brute_chamfer(P, G)
         worst = max(worst, abs(fast - slow))
     elapsed = time.perf_counter() - t0
     print(f"chamfer vs brute force: worst |diff|={worst:.3e} in {elapsed:.1f}s")
@@ -176,8 +175,8 @@ def test_03_repulsion_two_point_closed_form():
     """Two points at distance d give exactly the closed form 2/d (within
     1e-6 relative) for d in {0.1, 1, 10} at epsilon=1e-12."""
     for d in (0.1, 1.0, 10.0):
-        value, _ = repulsion(PointSet([[0.0, 0.0], [d, 0.0]]), epsilon=1e-12)
-        assert value == pytest.approx(2.0 / d, rel=1e-6), f"d={d}"
+        values, _ = repulsion(_pairwise(np.array([[[0.0, 0.0], [d, 0.0]]])), epsilon=1e-12)
+        assert values[0] == pytest.approx(2.0 / d, rel=1e-6), f"d={d}"
     print("repulsion two-point closed form: 2/d at d=0.1, 1, 10")
 
 

@@ -257,13 +257,16 @@ class TestPredict:
         assert code == 0
         assert (out / "scatter.svg").is_file()
 
-    def test_bad_viewport_exits_2(self, tmp_path, trained, capsys):
+    @pytest.mark.parametrize("viewport", ["0,1", "-inf,inf,0,1", "0,1,nan,1", "0,0,0,1",
+                                          "0,1,1,-1", "1e400,1,0,1"])
+    def test_bad_viewport_exits_2_before_writing(self, tmp_path, trained, viewport, capsys):
+        out = tmp_path / "p"
         code, _, stderr = run_cli(
             ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
-             "--dat", trained["dat"], "--viewport", "0,1",
-             "--out-dir", tmp_path / "p"], capsys)
+             "--dat", trained["dat"], f"--viewport={viewport}", "--out-dir", out], capsys)
         assert code == 2
         assert "viewport" in stderr
+        assert not out.exists()
 
     def test_missing_checkpoint_file_exits_3(self, tmp_path, trained, capsys):
         code, _, _ = run_cli(

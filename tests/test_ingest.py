@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from oracles import parse_msh_nodes_line_by_line
 
+import loop2mesh.geometry as geometry_mod
 from loop2mesh.errors import (
     DegenerateDataError,
     EmptyDatasetError,
     InvalidGeometryError,
     ParseError,
 )
-from loop2mesh.geometry import Frame, PointSet
+from loop2mesh.geometry import Frame, PointSet, intruders
 from loop2mesh.ingest import (
     ChordTransform,
     assemble_sample,
@@ -447,6 +448,18 @@ class TestBuildDatasetAndManifest:
         for s in ds.samples:
             assert len(s.loop) == 35
             assert len(s.target) == 200
+
+    def test_one_edge_kernel_call_per_section(self, manifest_path, monkeypatch):
+        # assemble_sample drops intruding nodes once; the sample is not checked again
+        calls = []
+
+        def counting(points, vertices):
+            calls.append(len(points))
+            return intruders(points, vertices)
+
+        monkeypatch.setattr(geometry_mod, "intruders", counting)
+        build_dataset(load_manifest(manifest_path), loop_size=35, target_count=200, seed=0)
+        assert calls == [1, 1]
 
     def test_per_sample_seeds_differ(self, tmp_path):
         # two identical entries must not produce identical upsampling picks

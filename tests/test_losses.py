@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loop2mesh.errors import FrameMismatchError, InvalidInputError
-from loop2mesh.geometry import AirfoilLoop, Frame, PointSet
+from loop2mesh.errors import InvalidInputError
 from loop2mesh.losses import (
     LossWeights,
+    _pairwise,
     chamfer,
     composite,
-    composite_batch,
     interior_penalty,
     mean_pairwise_distance,
     repulsion,
@@ -27,17 +26,40 @@ from oracles import (
 from test_geometry import GRID, star_polygon
 
 
-def cloud(rng, n, lo=-1.0, hi=1.0, frame=Frame.ORIGINAL) -> PointSet:
-    return PointSet(rng.uniform(lo, hi, size=(n, 2)), frame)
+def cloud(rng, n, lo=-1.0, hi=1.0) -> np.ndarray:
+    return rng.uniform(lo, hi, size=(n, 2))
+
+
+def xy(points) -> np.ndarray:
+    return np.asarray(points, dtype=np.float64)
+
+
+# one cloud through the batched terms: its value and its gradient (N, 2)
+def one_repulsion(points, epsilon=1e-8):
+    values, grad = repulsion(_pairwise(xy(points)[None]), epsilon)
+    return values[0], grad[0]
+
+
+def one_interior(points, loop):
+    values, grad = interior_penalty(xy(points)[None], loop.vertices[None])
+    return values[0], grad[0]
+
+
+def one_mean_pairwise(points) -> float:
+    return mean_pairwise_distance(_pairwise(xy(points)[None]))[0]
+
+
+def one_composite(pred, ref, loop, weights):
+    """The terms (chamfer, repulsion, interior, total, mean pairwise) and the gradient."""
+    terms, grad = composite(pred[None], [ref], loop.vertices[None], weights)
+    return terms[0], grad[0]
 
 
 # ------------------------------------------------------------------ chamfer
 
 class TestChamfer:
     def test_single_pair_value_and_gradient(self):
-        pred = PointSet([[0.0, 0.0]])
-        ref = PointSet([[1.0, 0.0]])
-        val, grad = chamfer(pred, ref)
+        val, grad = chamfer(xy([[0.0, 0.0]]), xy([[1.0, 0.0]]))
         # both directions pick the same pair: (1^2) + (1^2) = 2
         assert val == pytest.approx(2.0)
         # d/dp of |p-g|^2 + |g-p|^2 = 4(p-g)
@@ -46,7 +68,7 @@ class TestChamfer:
     def test_identical_clouds_zero(self):
         rng = np.random.default_rng(0)
         ps = cloud(rng, 17)
-        val, grad = chamfer(ps, PointSet(ps.xy.copy()))
+        val, grad = chamfer(ps, ps.copy())
         assert val == pytest.approx(0.0, abs=1e-12)  # matmul rounding noise only
         assert grad == pytest.approx(np.zeros_like(grad), abs=1e-12)
 
@@ -56,18 +78,16 @@ class TestChamfer:
             a = cloud(rng, int(rng.integers(1, 30)))
             b = cloud(rng, int(rng.integers(1, 30)))
             val, _ = chamfer(a, b)
-            assert val == pytest.approx(brute_chamfer(a.xy, b.xy), abs=1e-12)
+            assert val == pytest.approx(brute_chamfer(a, b), abs=1e-12)
 
     def test_asymmetric_sizes(self):
-        pred = PointSet([[0.0, 0.0], [2.0, 0.0]])
-        ref = PointSet([[1.0, 0.0]])
-        val, _ = chamfer(pred, ref)
+        val, _ = chamfer(xy([[0.0, 0.0], [2.0, 0.0]]), xy([[1.0, 0.0]]))
         # forward: 1 + 1; reverse: min(1, 1) = 1 -> 3
         assert val == pytest.approx(3.0)
 
     def test_nearest_neighbour_tie_takes_first_index(self):
-        pred = PointSet([[0.0, 0.0]])
-        ref = PointSet([[1.0, 0.0], [-1.0, 0.0]])  # equidistant
+        pred = xy([[0.0, 0.0]])
+        ref = xy([[1.0, 0.0], [-1.0, 0.0]])  # equidistant
         val, grad = chamfer(pred, ref)
         # forward min -> ref[0]; reverse adds both sides
         assert val == pytest.approx(1.0 + 1.0 + 1.0)
@@ -79,22 +99,17 @@ class TestChamfer:
         ref = cloud(rng, 12)
         pred = cloud(rng, 9)
 
-        def f(xy):
-            v, _ = chamfer(PointSet(xy), ref)
+        def f(points):
+            v, _ = chamfer(points, ref)
             return v
 
         _, grad = chamfer(pred, ref)
-        assert grad == pytest.approx(fd_grad_points(f, pred.xy), rel=1e-5, abs=1e-8)
-
-    def test_frame_mismatch_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(FrameMismatchError):
-            chamfer(cloud(rng, 4), cloud(rng, 4, frame=Frame.STANDARDISED))
+        assert grad == pytest.approx(fd_grad_points(f, pred), rel=1e-5, abs=1e-8)
 
     def test_translation_moves_value(self):
         rng = np.random.default_rng(4)
         a = cloud(rng, 8)
-        b = PointSet(a.xy + [10.0, 0.0])
+        b = a + [10.0, 0.0]
         val, _ = chamfer(a, b)
         assert val == pytest.approx(16 * 100.0, rel=0.5)  # ~ n * d^2 both ways
 
@@ -104,32 +119,30 @@ class TestChamfer:
 class TestRepulsion:
     @pytest.mark.parametrize("d", [0.1, 1.0, 10.0])
     def test_two_points_value_is_two_over_distance(self, d):
-        ps = PointSet([[0.0, 0.0], [d, 0.0]])
-        val, _ = repulsion(ps, epsilon=1e-12)
+        val, _ = one_repulsion([[0.0, 0.0], [d, 0.0]], epsilon=1e-12)
         assert val == pytest.approx(2.0 / d, rel=1e-6)
 
     def test_self_pairs_contribute_nothing(self):
         # closed form with self-pairs excluded: n^2 / sum_{i != j} sqrt(d^2+eps)
-        ps = PointSet([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+        ps = xy([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
         eps = 1e-10
-        val, _ = repulsion(ps, epsilon=eps)
-        assert val == pytest.approx(brute_repulsion_value(ps.xy, eps), rel=1e-12)
+        val, _ = one_repulsion(ps, epsilon=eps)
+        assert val == pytest.approx(brute_repulsion_value(ps, eps), rel=1e-12)
 
     def test_matches_brute_force_on_random_clouds(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             ps = cloud(rng, int(rng.integers(2, 25)))
-            val, _ = repulsion(ps, epsilon=1e-8)
-            assert val == pytest.approx(brute_repulsion_value(ps.xy, 1e-8), rel=1e-12)
+            val, _ = one_repulsion(ps, epsilon=1e-8)
+            assert val == pytest.approx(brute_repulsion_value(ps, 1e-8), rel=1e-12)
 
     def test_spreading_points_decreases_value(self):
-        tight = PointSet([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
-        loose = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert repulsion(loose)[0] < repulsion(tight)[0]
+        tight = [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]]
+        loose = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert one_repulsion(loose)[0] < one_repulsion(tight)[0]
 
     def test_coincident_points_stay_finite(self):
-        ps = PointSet([[0.5, 0.5], [0.5, 0.5]])
-        val, grad = repulsion(ps, epsilon=1e-12)
+        val, grad = one_repulsion([[0.5, 0.5], [0.5, 0.5]], epsilon=1e-12)
         assert val == pytest.approx(2.0 / np.sqrt(1e-12))
         assert np.all(np.isfinite(grad))
 
@@ -137,59 +150,57 @@ class TestRepulsion:
         rng = np.random.default_rng(6)
         ps = cloud(rng, 10)
 
-        def f(xy):
-            v, _ = repulsion(PointSet(xy), epsilon=1e-8)
+        def f(points):
+            v, _ = one_repulsion(points, epsilon=1e-8)
             return v
 
-        _, grad = repulsion(ps, epsilon=1e-8)
-        assert grad == pytest.approx(fd_grad_points(f, ps.xy), rel=1e-5, abs=1e-10)
+        _, grad = one_repulsion(ps, epsilon=1e-8)
+        assert grad == pytest.approx(fd_grad_points(f, ps), rel=1e-5, abs=1e-10)
 
     def test_descent_direction_spreads_points_apart(self):
         # the loss is inverse spread, so going downhill increases separation
-        ps = PointSet([[-1.0, 0.0], [1.0, 0.0]])
-        _, grad = repulsion(ps)
-        step = ps.xy - 1e-3 * grad
+        ps = xy([[-1.0, 0.0], [1.0, 0.0]])
+        _, grad = one_repulsion(ps)
+        step = ps - 1e-3 * grad
         assert abs(step[0, 0] - step[1, 0]) > 2.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(7)
         ps = cloud(rng, 8)
-        moved = PointSet(ps.xy + [123.0, -45.0])
-        assert repulsion(moved)[0] == pytest.approx(repulsion(ps)[0], rel=1e-12)
+        moved = ps + [123.0, -45.0]
+        assert one_repulsion(moved)[0] == pytest.approx(one_repulsion(ps)[0], rel=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
-            repulsion(PointSet([[0.0, 0.0]]))
+            one_repulsion([[0.0, 0.0]])
         with pytest.raises(InvalidInputError):
-            repulsion(PointSet([[0.0, 0.0], [1.0, 0.0]]), epsilon=0.0)
+            one_repulsion([[0.0, 0.0], [1.0, 0.0]], epsilon=0.0)
 
 
 # ----------------------------------------------------------------- interior
 
 class TestInteriorPenalty:
     def test_all_outside_gives_zero(self, unit_square):
-        ps = PointSet([[2.0, 0.5], [-1.0, -1.0], [0.5, 1.5]])
-        val, grad = interior_penalty(ps, unit_square)
+        val, grad = one_interior([[2.0, 0.5], [-1.0, -1.0], [0.5, 1.5]], unit_square)
         assert val == 0.0
         assert not grad.any()
 
     def test_on_edge_gives_zero(self, unit_square):
-        ps = PointSet([[0.5, 0.0], [1.0, 0.5]])
-        val, grad = interior_penalty(ps, unit_square)
+        val, grad = one_interior([[0.5, 0.0], [1.0, 0.5]], unit_square)
         assert val == 0.0
         assert not grad.any()
 
     def test_single_interior_point_value_and_gradient(self, unit_square):
-        ps = PointSet([[0.5, 0.3], [5.0, 5.0]])  # one inside, one out; n = 2
-        val, grad = interior_penalty(ps, unit_square)
+        # one inside, one out; n = 2
+        val, grad = one_interior([[0.5, 0.3], [5.0, 5.0]], unit_square)
         assert val == pytest.approx(0.3 ** 2 / 2)
         assert grad[0] == pytest.approx([0.0, 0.3])  # 2/n * (p - q), q=(0.5, 0)
         assert grad[1] == pytest.approx([0.0, 0.0])
 
     def test_descent_pushes_intruder_toward_wall(self, unit_square):
-        ps = PointSet([[0.5, 0.2]])
-        _, grad = interior_penalty(ps, unit_square)
-        stepped = ps.xy - 0.5 * grad
+        ps = xy([[0.5, 0.2]])
+        _, grad = one_interior(ps, unit_square)
+        stepped = ps - 0.5 * grad
         d_before = 0.2
         d_after = abs(stepped[0, 1])
         assert d_after < d_before
@@ -197,26 +208,21 @@ class TestInteriorPenalty:
     def test_value_continuous_at_boundary(self, unit_square):
         vals = []
         for y in [1e-3, 1e-5, 1e-7]:
-            v, _ = interior_penalty(PointSet([[0.5, y]]), unit_square)
+            v, _ = one_interior([[0.5, y]], unit_square)
             vals.append(v)
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-12
 
     def test_gradient_matches_finite_differences_strictly_inside(self, unit_square):
         rng = np.random.default_rng(8)
-        xy = rng.uniform(0.05, 0.45, size=(6, 2))  # well inside, replicas near center
+        pts = rng.uniform(0.05, 0.45, size=(6, 2))  # well inside, replicas near center
 
-        def f(pts):
-            v, _ = interior_penalty(PointSet(pts), unit_square)
+        def f(points):
+            v, _ = one_interior(points, unit_square)
             return v
 
-        _, grad = interior_penalty(PointSet(xy), unit_square)
-        assert grad == pytest.approx(fd_grad_points(f, xy), rel=1e-5, abs=1e-9)
-
-    def test_frame_mismatch_rejected(self, unit_square):
-        ps = PointSet([[0.5, 0.5]], Frame.STANDARDISED)
-        with pytest.raises(FrameMismatchError):
-            interior_penalty(ps, unit_square)
+        _, grad = one_interior(pts, unit_square)
+        assert grad == pytest.approx(fd_grad_points(f, pts), rel=1e-5, abs=1e-9)
 
 
 # ---------------------------------------------------------------- composite
@@ -259,30 +265,29 @@ class TestComposite:
         pred = cloud(rng, 14, lo=-0.5, hi=1.5)
         ref = cloud(rng, 20, lo=-0.5, hi=1.5)
         w = LossWeights(1.0, 2.0, 10.0)
-        br = composite(pred, ref, unit_square, w)
-        assert br.total == pytest.approx(
-            w.chamfer * br.chamfer + w.repulsion * br.repulsion + w.interior * br.interior)
+        (c, r, i, total, _), _ = one_composite(pred, ref, unit_square, w)
+        assert total == pytest.approx(w.chamfer * c + w.repulsion * r + w.interior * i)
 
     def test_all_terms_reported_even_at_zero_weight(self, unit_square):
         rng = np.random.default_rng(10)
         pred = cloud(rng, 8, lo=-0.5, hi=1.5)
         ref = cloud(rng, 8, lo=-0.5, hi=1.5)
-        br = composite(pred, ref, unit_square, LossWeights(1.0, 0.0, 0.0))
-        br_w = composite(pred, ref, unit_square, LossWeights(1.0, 3.0, 7.0))
-        assert br.repulsion == pytest.approx(br_w.repulsion)  # term itself unweighted
-        assert br.interior == pytest.approx(br_w.interior)
-        assert br.repulsion > 0.0
+        terms, _ = one_composite(pred, ref, unit_square, LossWeights(1.0, 0.0, 0.0))
+        terms_w, _ = one_composite(pred, ref, unit_square, LossWeights(1.0, 3.0, 7.0))
+        assert terms[1] == pytest.approx(terms_w[1])  # term itself unweighted
+        assert terms[2] == pytest.approx(terms_w[2])
+        assert terms[1] > 0.0
 
     def test_gradient_is_weighted_sum(self, unit_square):
         rng = np.random.default_rng(11)
         pred = cloud(rng, 10, lo=-0.5, hi=1.5)
         ref = cloud(rng, 12, lo=-0.5, hi=1.5)
         w = LossWeights(1.0, 2.0, 5.0)
-        br = composite(pred, ref, unit_square, w)
+        _, grad = one_composite(pred, ref, unit_square, w)
         g = (w.chamfer * chamfer(pred, ref)[1]
-             + w.repulsion * repulsion(pred, w.epsilon)[1]
-             + w.interior * interior_penalty(pred, unit_square)[1])
-        assert br.grad == pytest.approx(g, abs=0.0)
+             + w.repulsion * one_repulsion(pred, w.epsilon)[1]
+             + w.interior * one_interior(pred, unit_square)[1])
+        assert grad == pytest.approx(g, abs=0.0)
 
     def test_gradient_matches_finite_differences(self, unit_square):
         rng = np.random.default_rng(12)
@@ -290,20 +295,19 @@ class TestComposite:
         ref = cloud(rng, 9, lo=-0.5, hi=1.5)
         w = LossWeights(1.0, 1.5, 4.0)
 
-        def f(xy):
-            return composite(PointSet(xy), ref, unit_square, w).total
+        def f(points):
+            return one_composite(points, ref, unit_square, w)[0][3]
 
-        br = composite(pred, ref, unit_square, w)
-        assert br.grad == pytest.approx(fd_grad_points(f, pred.xy), rel=1e-4, abs=1e-7)
-
+        _, grad = one_composite(pred, ref, unit_square, w)
+        assert grad == pytest.approx(fd_grad_points(f, pred), rel=1e-4, abs=1e-7)
 
     def test_reports_mean_pairwise_distance(self, unit_square):
         rng = np.random.default_rng(14)
         pred = cloud(rng, 31, lo=-0.5, hi=1.5)
         ref = cloud(rng, 12, lo=-0.5, hi=1.5)
-        br = composite(pred, ref, unit_square, LossWeights(1.0, 1.0, 10.0))
-        assert br.mean_pairwise == pytest.approx(brute_mean_pairwise(pred.xy), rel=1e-12)
-        assert br.mean_pairwise == mean_pairwise_distance(pred)
+        terms, _ = one_composite(pred, ref, unit_square, LossWeights(1.0, 1.0, 10.0))
+        assert terms[4] == pytest.approx(brute_mean_pairwise(pred), rel=1e-12)
+        assert terms[4] == one_mean_pairwise(pred)
 
 
 WEIGHTS = (LossWeights(1.0, 1.0, 10.0), LossWeights(1.0, 0.0, 0.0), LossWeights(0.5, 2.5, 0.0),
@@ -336,7 +340,7 @@ class TestCompositeBatch:
     @given(loss_batches())
     def test_equals_the_per_sample_loop_bit_for_bit(self, case):
         pred, refs, loops, w = case
-        terms, grad = composite_batch(pred, refs, loops, w)
+        terms, grad = composite(pred, refs, loops, w)
         want_terms, want_grad = per_sample_composite(pred, refs, loops, w)
         assert terms.tobytes() == want_terms.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
@@ -345,12 +349,11 @@ class TestCompositeBatch:
         for row in want_terms:
             sums += row
         assert (terms.sum(axis=0) / len(pred)).tobytes() == (sums / len(pred)).tobytes()
-        # composite is the single-sample call of the same path
+        # a one-sample call gives that sample's row
         for s in (0, len(pred) - 1):
-            br = composite(PointSet(pred[s]), PointSet(refs[s]), AirfoilLoop(loops[s]), w)
-            assert (br.chamfer, br.repulsion, br.interior, br.total, br.mean_pairwise) \
-                == tuple(terms[s].tolist())
-            assert br.grad.tobytes() == grad[s].tobytes()
+            one_terms, one_grad = composite(pred[s:s + 1], refs[s:s + 1], loops[s:s + 1], w)
+            assert one_terms.tobytes() == terms[s:s + 1].tobytes()
+            assert one_grad.tobytes() == grad[s:s + 1].tobytes()
 
     def test_thousands_of_small_clouds_equal_the_per_sample_loop(self, unit_square):
         # about one repulsion value in a thousand squares to a different last
@@ -361,7 +364,7 @@ class TestCompositeBatch:
         refs = list(rng.uniform(-0.5, 1.5, size=(4000, 2, 2)))
         loops = np.broadcast_to(unit_square.vertices, (4000, 4, 2))
         w = LossWeights(1.0, 1.0, 10.0)
-        terms, grad = composite_batch(pred, refs, loops, w)
+        terms, grad = composite(pred, refs, loops, w)
         want_terms, want_grad = per_sample_composite(pred, refs, loops, w)
         assert terms.tobytes() == want_terms.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
@@ -370,7 +373,7 @@ class TestCompositeBatch:
         # sample 0 has an intruder, sample 1 does not
         pred = np.array([[[0.5, 0.3], [5.0, 5.0]], [[2.0, 0.5], [5.0, 5.0]]])
         loops = np.stack([unit_square.vertices] * 2)
-        terms, grad = composite_batch(pred, [pred[0], pred[1]], loops, LossWeights(1.0, 1.0, 10.0))
+        terms, grad = composite(pred, [pred[0], pred[1]], loops, LossWeights(1.0, 1.0, 10.0))
         assert terms[0, 2] == pytest.approx(0.3 ** 2 / 2)
         assert terms[1, 2] == 0.0
         assert terms[:, 4] == pytest.approx([np.hypot(4.5, 4.7), np.hypot(3.0, 4.5)])
@@ -378,18 +381,17 @@ class TestCompositeBatch:
 
 class TestMeanPairwiseDistance:
     def test_two_points(self):
-        assert mean_pairwise_distance(np.array([[0.0, 0.0], [3.0, 4.0]])) == pytest.approx(5.0)
+        assert one_mean_pairwise([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0)
 
     def test_three_collinear(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        assert mean_pairwise_distance(pts) == pytest.approx(4.0 / 3.0)
+        assert one_mean_pairwise(pts) == pytest.approx(4.0 / 3.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(13)
         pts = rng.normal(size=(23, 2))
-        assert mean_pairwise_distance(pts) == pytest.approx(brute_mean_pairwise(pts), rel=1e-12)
+        assert one_mean_pairwise(pts) == pytest.approx(brute_mean_pairwise(pts), rel=1e-12)
 
-    def test_accepts_pointset_and_degenerate_sizes(self):
-        ps = PointSet([[0.0, 0.0], [3.0, 4.0]])
-        assert mean_pairwise_distance(ps) == pytest.approx(5.0)
-        assert mean_pairwise_distance(np.array([[1.0, 1.0]])) == 0.0
+    def test_one_value_per_cloud(self):
+        pts = np.array([[[0.0, 0.0], [3.0, 4.0]], [[1.0, 1.0], [1.0, 2.0]]])
+        assert mean_pairwise_distance(_pairwise(pts)) == [5.0, 1.0]

@@ -22,8 +22,8 @@ PUBLIC_NAMES = {
     "ingest": ("ChordTransform", "Dataset", "MeshSample", "assemble_sample", "build_dataset",
                "fit_chord", "load_manifest", "parse_airfoil_dat", "parse_msh_nodes",
                "read_parsed", "upsample_target"),
-    "losses": ("LossBreakdown", "LossWeights", "chamfer", "composite", "composite_batch",
-               "interior_penalty", "mean_pairwise_distance", "repulsion"),
+    "losses": ("LossWeights", "chamfer", "composite", "interior_penalty",
+               "mean_pairwise_distance", "repulsion"),
     "net": ("ForwardTrace", "NetworkParams", "backward", "forward", "init_params",
             "load_checkpoint", "save_checkpoint"),
     "train": ("TrainConfig", "TrainLog", "TrainMode", "TrainResult", "load_trained",

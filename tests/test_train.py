@@ -1,9 +1,12 @@
 import json
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop2mesh.losses as losses_mod
 import loop2mesh.train as train_mod
@@ -12,6 +15,7 @@ from loop2mesh.errors import (
     ConfigError,
     FrameMismatchError,
     InvalidInputError,
+    Loop2MeshError,
     ParseError,
     ShapeMismatchError,
     TrainingDivergedError,
@@ -215,17 +219,32 @@ class TestTrain:
     def test_one_pairwise_and_one_edge_kernel_per_epoch(self, small_dataset, monkeypatch):
         calls = []
 
-        def counting(name, kernel):
-            def wrapper(*arrays):
-                calls.append((name, *(a.shape for a in arrays)))
-                return kernel(*arrays)
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append((name, *(np.shape(a) for a in args)))
+                return fn(*args)
             return wrapper
 
-        for name in ("_pairwise", "intruders"):
-            monkeypatch.setattr(losses_mod, name, counting(name, getattr(losses_mod, name)))
+        # rebind every loop2mesh global that names the function, as perfbench's
+        # tracer does: the loss names it reads must be the ones train calls
+        for name in ("composite", "chamfer", "_pairwise", "repulsion", "interior_penalty",
+                     "intruders", "mean_pairwise_distance"):
+            fn = getattr(losses_mod, name)
+            wrapped = counting(name, fn)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("loop2mesh."):
+                    for key, value in list(vars(mod).items()):
+                        if value is fn:
+                            monkeypatch.setattr(mod, key, wrapped)
         assert len(small_dataset.samples) == 2
         res = train(small_dataset, small_config(epochs=3))
-        per_epoch = [("_pairwise", (2, 40, 2)), ("intruders", (2, 40, 2), (2, 12, 2))]
+        pairs = (3, 2, 40, 40)  # dx, dy and d2 of both clouds
+        per_epoch = [("composite", (2, 40, 2), (2, 150, 2), (2, 12, 2), ()),
+                     ("chamfer", (40, 2), (150, 2)), ("chamfer", (40, 2), (150, 2)),
+                     ("_pairwise", (2, 40, 2)), ("repulsion", pairs, ()),
+                     ("interior_penalty", (2, 40, 2), (2, 12, 2)),
+                     ("intruders", (2, 40, 2), (2, 12, 2)),
+                     ("mean_pairwise_distance", pairs)]
         assert calls == per_epoch * 3
         assert all(r.mean_pairwise > 0.0 for r in res.log.records)
 
@@ -414,6 +433,55 @@ class TestSaveLoadTrained:
         header["meta"]["samples"][0]["transform"][key] = value
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: invalid checkpoint metadata"):
+            load_trained(path)
+
+
+# any JSON value, NaN and the infinities included (Python's json reads them)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A valid one-sample stand checkpoint's header and payload."""
+    cfg = TrainConfig(mode=TrainMode.STANDARDISED, n_points=5, loop_size=3, h1=4, h2=4)
+    result = TrainResult(init_params(0, 3, 4, 4, 5),
+                         [StandardizeTransform(0.5, 0.25, 0.125, 2.0)], TrainLog(()))
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.l2m"
+    save_trained(path, result, cfg, ["tiny"])
+    head, rest = path.read_bytes().split(b"\n", 1)
+    load_trained(path)  # the untouched file loads
+    return path, head, rest
+
+
+class TestCheckpointHeaderFuzz:
+    @settings(max_examples=1500, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_field_set_to_any_json_value_raises_only_package_errors(self, tiny_checkpoint,
+                                                                        data):
+        path, head, rest = tiny_checkpoint
+        header = json.loads(head)
+        # walk from the root to one entry, at any depth, and replace it
+        node, key = header, data.draw(st.sampled_from(sorted(header)))
+        while isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+            node = node[key]
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                            else range(len(node))))
+        node[key] = data.draw(JSON_VALUES)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        try:
+            load_trained(path)
+        except Loop2MeshError:
+            pass
+
+    def test_config_that_is_a_list_is_a_parse_error(self, tiny_checkpoint):
+        path, head, rest = tiny_checkpoint
+        header = json.loads(head)
+        header["meta"]["config"] = sorted(header["meta"]["config"])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        with pytest.raises(ParseError, match="invalid checkpoint metadata: config must be a mapping"):
             load_trained(path)
 
 
