@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, Loop2MeshError, ParseError
+from .errors import ConfigError, InvalidInputError, Loop2MeshError, ParseError
 from .evaluation import KLRow, evaluate, kl_csv_text, kl_sweep, write_kl_csv
 from .fileio import atomic_write_text
-from .geometry import PointSet, points_in_polygon, resample_loop
+from .geometry import PointSet, padded_bbox, points_in_polygon, resample_loop
 from .ingest import build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes, read_parsed
-from .svg import render_svg
+from .svg import pixel_scale, render_svg
 from .train import (
     TrainConfig,
     TrainMode,
@@ -42,7 +42,6 @@ LOOP_STROKE = "red"
 PRED_FILL = "blue"
 TRUTH_FILL = "green"
 MEMORY_EXIT_CODE = 5
-VIEW_PAD = 0.05  # the plot's margin around its clouds, a share of each axis extent
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -156,17 +155,15 @@ def _parse_viewport(text: str) -> tuple[float, float, float, float]:
     vals = _comma_floats(text)
     if len(vals) != 4:
         raise ConfigError(f"--viewport expects 'xmin,xmax,ymin,ymax', got {text!r}")
-    if not (np.isfinite(vals).all() and vals[0] < vals[1] and vals[2] < vals[3]):
-        raise ConfigError(f"--viewport needs finite bounds, xmin < xmax and ymin < ymax; got {text!r}")
+    try:
+        pixel_scale(vals)
+    except InvalidInputError as err:
+        raise ConfigError(f"--viewport {text!r}: {err}") from None
     return tuple(vals)
 
 
 def _bbox_viewport(*clouds: np.ndarray) -> tuple[float, float, float, float]:
-    allpts = np.vstack(clouds)
-    lo = allpts.min(axis=0)
-    hi = allpts.max(axis=0)
-    extent = np.maximum(hi - lo, 1e-9)
-    lo, hi = (lo - VIEW_PAD * extent).tolist(), (hi + VIEW_PAD * extent).tolist()
+    lo, hi = padded_bbox(np.vstack(clouds), min_extent=1e-9)
     return lo[0], hi[0], lo[1], hi[1]
 
 

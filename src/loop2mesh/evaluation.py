@@ -22,12 +22,11 @@ from .errors import (
     WindowMismatchError,
 )
 from .fileio import atomic_write_text
-from .geometry import PointSet
+from .geometry import PointSet, padded_bbox
 
 log = logging.getLogger(__name__)
 
 _REGION_CODE = {"center": "c", "whole": "w"}
-_WHOLE_PAD = 0.05  # the whole window's margin, a share of each axis extent
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,10 @@ def center_window(grid: int = 100) -> EvalWindow:
 
 
 def whole_window(truth: PointSet, grid: int = 100) -> EvalWindow:
-    """Bounding box of the truth cloud, padded by ``_WHOLE_PAD`` of each axis extent."""
-    lo = truth.xy.min(axis=0)
-    hi = truth.xy.max(axis=0)
-    extent = hi - lo
-    if extent[0] <= 0.0 or extent[1] <= 0.0:
+    """Bounding box of the truth cloud, padded by ``geometry.BBOX_PAD`` of each axis extent."""
+    lo, hi = padded_bbox(truth.xy)
+    if not (lo[0] < hi[0] and lo[1] < hi[1]):  # padding keeps a zero extent zero
         raise DegenerateDataError("truth cloud has zero extent on an axis")
-    lo, hi = (lo - _WHOLE_PAD * extent).tolist(), (hi + _WHOLE_PAD * extent).tolist()
     return EvalWindow("whole", (lo[0], hi[0]), (lo[1], hi[1]), grid, grid)
 
 
@@ -194,21 +190,21 @@ def kl_sweep(predictions: Mapping[tuple[float, int], Optional[PointSet]], truth:
     "w", node count ascending. Missing cells (absent key or None) produce a
     row with an empty score and a warning.
     """
-    windows = [center_window(grid), whole_window(truth, grid=grid)]
     ratios = sorted({r for r, _ in predictions})
     node_counts = sorted({n for _, n in predictions})
     scores: dict[tuple[float, int], Optional[dict[str, float]]] = {}
     for key, pred in predictions.items():
-        scores[key] = None if pred is None else evaluate(pred, truth, windows, epsilon=epsilon)
+        scores[key] = None if pred is None else evaluate(pred, truth, epsilon=epsilon, grid=grid)
     rows: list[KLRow] = []
     for ratio in ratios:
-        for window in windows:  # center ("c") before whole ("w")
-            region = _REGION_CODE[window.name]
+        for name, region in _REGION_CODE.items():  # center ("c") before whole ("w")
             for nodes in node_counts:
                 cell = scores.get((ratio, nodes))
                 if cell is None:
                     log.warning("sweep cell ratio=%s nodes=%s is missing; emitting empty row", ratio, nodes)
-                rows.append(KLRow(ratio, region, nodes, None if cell is None else cell[window.name]))
+                    rows.append(KLRow(ratio, region, nodes, None))
+                else:
+                    rows.append(KLRow(ratio, region, nodes, cell[name]))
     return rows
 
 

@@ -2,9 +2,9 @@
 
 One edge kernel (nearest-edge distance, closest point and strict even-odd
 containment in one per-axis pass, over every point or only those in a
-loop's bounding box), arc-length resampling of closed contours and per-axis
-standardisation. Coordinates are float64 ``(N, 2)`` arrays throughout;
-every function is pure.
+loop's bounding box), padded bounding boxes, arc-length resampling of closed
+contours and per-axis standardisation. Coordinates are float64 ``(N, 2)``
+arrays throughout; every function is pure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .errors import (
     InvalidGeometryError,
     InvalidInputError,
 )
+
+BBOX_PAD = 0.05  # a padded bounding box's margin, a share of each axis extent
 
 
 class Frame(enum.Enum):
@@ -181,6 +183,15 @@ def points_in_polygon(points, loop: AirfoilLoop) -> np.ndarray:
     inside = np.zeros(len(xy), dtype=bool)
     inside[intruders(xy[None], loop.vertices[None])[1]] = True
     return inside
+
+
+def padded_bbox(xy: np.ndarray, min_extent: float = 0.0) -> tuple[list[float], list[float]]:
+    """Corners [xmin, ymin] and [xmax, ymax] of the bounding box of xy (N, 2),
+    each axis padded by ``BBOX_PAD`` of its extent, taken as at least
+    ``min_extent``; a zero extent stays zero unless ``min_extent`` > 0."""
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    extent = np.maximum(hi - lo, min_extent)
+    return (lo - BBOX_PAD * extent).tolist(), (hi + BBOX_PAD * extent).tolist()
 
 
 def resample_loop(raw: PointSet, target: int) -> AirfoilLoop:

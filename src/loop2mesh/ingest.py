@@ -179,19 +179,12 @@ class MeshSample:
 
 @dataclass(frozen=True)
 class Dataset:
+    """At least one sample, each with a ``loop_size``-vertex loop and a
+    ``target_count``-node target (``build_dataset`` builds it)."""
+
     samples: tuple[MeshSample, ...]
     loop_size: int
     target_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
-            raise EmptyDatasetError("dataset has no samples")
-        for s in self.samples:
-            if len(s.loop) != self.loop_size:
-                raise InvalidInputError(f"{s.name}: loop has {len(s.loop)} vertices, expected {self.loop_size}")
-            if len(s.target) != self.target_count:
-                raise InvalidInputError(f"{s.name}: target has {len(s.target)} nodes, expected {self.target_count}")
 
 
 def assemble_sample(name: str, contour: PointSet, mesh_nodes: PointSet, *,

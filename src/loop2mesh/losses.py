@@ -79,8 +79,10 @@ def repulsion(pairs, epsilon: float) -> tuple[list[float], np.ndarray]:
 
 
 def mean_pairwise_distance(pairs) -> list[float]:
-    """Mean L2 distance over the distinct point pairs of each of S clouds
-    (N >= 2), from their ``_pairwise`` kernel."""
+    """Mean L2 distance over the distinct point pairs of each of S clouds,
+    from their ``_pairwise`` kernel; 0.0 for clouds of fewer than 2 points."""
+    if pairs[2].shape[1] < 2:
+        return [0.0] * len(pairs[2])
     return _off_diagonal(np.sqrt(pairs[2]), np.mean)
 
 

@@ -15,6 +15,18 @@ _MARGIN = 12.0
 _WIDTH, _HEIGHT = 900, 700  # canvas size in pixels
 
 
+def pixel_scale(viewport) -> tuple[float, float]:
+    """Pixels per world unit along x and y for viewport (xmin, xmax, ymin,
+    ymax); InvalidInputError unless both are finite and positive."""
+    xmin, xmax, ymin, ymax = map(float, viewport)
+    if not (xmin < xmax and ymin < ymax):
+        raise InvalidInputError(f"viewport {viewport} must have positive extent")
+    scale = ((_WIDTH - 2 * _MARGIN) / (xmax - xmin), (_HEIGHT - 2 * _MARGIN) / (ymax - ymin))
+    if not all(0.0 < k < np.inf for k in scale):  # an extent too small or too large
+        raise InvalidInputError(f"viewport {viewport} has no finite pixel scale")
+    return scale
+
+
 def render_svg(path, *, viewport, polylines=(), point_layers=()) -> None:
     """Write an SVG scene on a ``_WIDTH`` x ``_HEIGHT`` pixel canvas.
 
@@ -22,10 +34,8 @@ def render_svg(path, *, viewport, polylines=(), point_layers=()) -> None:
     point_layers: iterable of (xy (N,2), fill, radius)
     viewport:     (xmin, xmax, ymin, ymax) in world coordinates
     """
-    xmin, xmax, ymin, ymax = map(float, viewport)
-    if not (xmin < xmax and ymin < ymax):
-        raise InvalidInputError(f"viewport {viewport} must have positive extent")
-    scale = ((_WIDTH - 2 * _MARGIN) / (xmax - xmin), (_HEIGHT - 2 * _MARGIN) / (ymax - ymin))
+    xmin, _, ymin, _ = map(float, viewport)
+    scale = pixel_scale(viewport)
 
     def rows(row: str, sep: str, xy) -> str:
         """``row``, a template with an x and a y ``%`` slot, once per point of

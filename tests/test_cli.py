@@ -258,7 +258,8 @@ class TestPredict:
         assert (out / "scatter.svg").is_file()
 
     @pytest.mark.parametrize("viewport", ["0,1", "-inf,inf,0,1", "0,1,nan,1", "0,0,0,1",
-                                          "0,1,1,-1", "1e400,1,0,1"])
+                                          "0,1,1,-1", "1e400,1,0,1", "0,1e-310,0,1",
+                                          "0,5e-324,0,1", "-1e308,1e308,0,1"])
     def test_bad_viewport_exits_2_before_writing(self, tmp_path, trained, viewport, capsys):
         out = tmp_path / "p"
         code, _, stderr = run_cli(

@@ -20,6 +20,7 @@ from loop2mesh.geometry import (
     fit_standardize,
     intruders,
     invert_standardize,
+    padded_bbox,
     points_in_polygon,
     resample_loop,
     standardize_loop,
@@ -389,6 +390,18 @@ class TestIntrudersMatchDenseKernel:
             loop = resample_loop(PointSet(contour), 35)
             mesh = synth_fluid_mesh(contour, 2000, seed=3)
             self.assert_matches_dense(loop.vertices[None], mesh[None])
+
+
+class TestPaddedBbox:
+    def test_pads_each_axis_by_its_extent(self):
+        lo, hi = padded_bbox(np.array([[0.0, -1.0], [2.0, 3.0], [1.0, 0.0]]))
+        assert lo == [-0.1, -1.2] and hi == [2.1, 3.2]
+
+    def test_zero_extent_stays_zero_unless_floored(self):
+        xy = np.array([[1.0, 0.0], [1.0, 2.0]])
+        assert padded_bbox(xy) == ([1.0, -0.1], [1.0, 2.1])
+        lo, hi = padded_bbox(xy, min_extent=1e-9)
+        assert lo[0] == 1.0 - 0.05 * 1e-9 and hi[0] == 1.0 + 0.05 * 1e-9
 
 
 # ------------------------------------------------------------- resampling

@@ -392,6 +392,8 @@ class TestMeanPairwiseDistance:
         pts = rng.normal(size=(23, 2))
         assert one_mean_pairwise(pts) == pytest.approx(brute_mean_pairwise(pts), rel=1e-12)
 
-    def test_one_value_per_cloud(self):
+    def test_one_value_per_cloud_and_degenerate_sizes(self):
         pts = np.array([[[0.0, 0.0], [3.0, 4.0]], [[1.0, 1.0], [1.0, 2.0]]])
         assert mean_pairwise_distance(_pairwise(pts)) == [5.0, 1.0]
+        assert one_mean_pairwise([[1.0, 1.0]]) == 0.0
+        assert one_mean_pairwise(np.empty((0, 2))) == 0.0

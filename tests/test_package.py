@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
                    "kl_divergence", "kl_sweep", "scott_bandwidth", "whole_window"),
     "geometry": ("AirfoilLoop", "Frame", "PointSet", "StandardizeTransform",
                  "apply_standardize", "edge_query", "fit_standardize", "intruders",
-                 "invert_standardize", "points_in_polygon", "resample_loop"),
+                 "invert_standardize", "padded_bbox", "points_in_polygon", "resample_loop"),
     "ingest": ("ChordTransform", "Dataset", "MeshSample", "assemble_sample", "build_dataset",
                "fit_chord", "load_manifest", "parse_airfoil_dat", "parse_msh_nodes",
                "read_parsed", "upsample_target"),
