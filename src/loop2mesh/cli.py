@@ -68,7 +68,7 @@ def _check_kde_flags(args) -> None:
 def _load_config_file(path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an int over 4300 digits, deep nesting
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -134,8 +134,13 @@ def _points_csv_text(ps: PointSet) -> str:
 
 
 def _parse_points_csv(text: str) -> PointSet:
+    reader = csv.reader(text.splitlines())
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
     rows: list[tuple[float, float]] = []
-    for lineno, record in enumerate(csv.reader(text.splitlines()), start=1):
+    for lineno, record in enumerate(records, start=1):
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
         if lineno == 1 and record[:2] == ["x", "y"]:

@@ -21,11 +21,6 @@ class DegenerateDataError(Loop2MeshError):
     exit_code = 3
 
 
-class FrameMismatchError(Loop2MeshError):
-    """Operation applied to points living in the wrong coordinate frame."""
-    exit_code = 2
-
-
 class ShapeMismatchError(Loop2MeshError):
     """Array shapes are inconsistent with the declared dimensions."""
     exit_code = 2
@@ -53,11 +48,6 @@ class TrainingDivergedError(Loop2MeshError):
     def __init__(self, epoch: int, message: str):
         super().__init__(message)
         self.epoch = epoch
-
-
-class WindowMismatchError(Loop2MeshError):
-    """Density grids being compared were built over different windows."""
-    exit_code = 2
 
 
 class DegenerateDensityError(Loop2MeshError):

@@ -14,13 +14,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    DegenerateDensityError,
-    FrameMismatchError,
-    InvalidInputError,
-    WindowMismatchError,
-)
+from .errors import DegenerateDataError, DegenerateDensityError, InvalidInputError
 from .fileio import atomic_write_text
 from .geometry import PointSet, padded_bbox
 
@@ -73,39 +67,23 @@ def whole_window(truth: PointSet, grid: int = 100) -> EvalWindow:
     return EvalWindow("whole", (lo[0], hi[0]), (lo[1], hi[1]), grid, grid)
 
 
-@dataclass(frozen=True)
-class DensityGrid:
-    """Unit-mass density over a window's cell grid, shape (grid_nx, grid_ny)."""
-
-    window: EvalWindow
-    mass: np.ndarray
-
-    def __post_init__(self):
-        mass = np.asarray(self.mass, dtype=np.float64)
-        if mass.shape != (self.window.grid_nx, self.window.grid_ny):
-            raise InvalidInputError(f"mass shape {mass.shape} does not match the window grid")
-        if not np.all(np.isfinite(mass)) or np.any(mass < 0.0):
-            raise InvalidInputError("density mass must be finite and non-negative")
-        if abs(float(mass.sum()) - 1.0) > 1e-9:
-            raise InvalidInputError("density mass must sum to 1 within 1e-9")
-        mass = mass.copy()
-        mass.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
-
-
-def scott_bandwidth(ps: PointSet, window: EvalWindow) -> tuple[float, float]:
-    """Scott's rule per axis, fitted on the points that fall inside the window.
+def scott_bandwidth(xy: np.ndarray, window: EvalWindow) -> tuple[float, float]:
+    """Scott's rule per axis, (hx, hy), fitted on the points xy (N, 2) that
+    fall inside the window.
 
     h = sigma * n^(-1/6) for 2D data, with the population sigma.
     """
-    pts = ps.xy[window.contains(ps.xy)]
+    pts = xy[window.contains(xy)]
     if pts.shape[0] < 2:
         raise DegenerateDataError("bandwidth fit needs at least 2 points inside the window")
     sigma = pts.std(axis=0)
     if sigma[0] == 0.0 or sigma[1] == 0.0:
         raise DegenerateDataError("zero variance inside the window; cannot fit a bandwidth")
     factor = pts.shape[0] ** (-1.0 / 6.0)
-    return float(sigma[0] * factor), float(sigma[1] * factor)
+    hx, hy = float(sigma[0] * factor), float(sigma[1] * factor)
+    if not (np.isfinite(hx) and np.isfinite(hy) and hx > 0.0 and hy > 0.0):
+        raise InvalidInputError(f"bandwidth must be positive and finite, got ({hx}, {hy})")
+    return hx, hy
 
 
 def _gaussian_factor(centers: np.ndarray, coords: np.ndarray, h: float) -> np.ndarray:
@@ -117,60 +95,46 @@ def _gaussian_factor(centers: np.ndarray, coords: np.ndarray, h: float) -> np.nd
     return np.exp(f, out=f)
 
 
-def kde(ps: PointSet, window: EvalWindow,
-        bandwidth: float | tuple[float, float] | None = None) -> DensityGrid:
-    """Gaussian kernel sum at the window's cell centers, normalised to mass 1.
+def kde(xy: np.ndarray, window: EvalWindow, bandwidth: tuple[float, float]) -> np.ndarray:
+    """Gaussian kernel sum of the points xy (N, 2), bandwidth (hx, hy), at the
+    window's cell centers: a (grid_nx, grid_ny) mass normalised to 1.
 
-    ``bandwidth``: None fits Scott's rule on ``ps`` restricted to the window;
-    a scalar is shared by both axes; a pair is (hx, hy). Points outside the
-    window still contribute kernel mass inside it.
+    Points outside the window still contribute kernel mass inside it.
     """
-    if bandwidth is None:
-        hx, hy = scott_bandwidth(ps, window)
-    elif np.isscalar(bandwidth):
-        hx = hy = float(bandwidth)
-    else:
-        hx, hy = float(bandwidth[0]), float(bandwidth[1])
-    if not (np.isfinite(hx) and np.isfinite(hy) and hx > 0.0 and hy > 0.0):
-        raise InvalidInputError(f"bandwidth must be positive and finite, got ({hx}, {hy})")
+    hx, hy = bandwidth
     cx, cy = window.cell_centers()
     # separable kernel: mass[i, j] = sum_p fx[i, p] * fy[j, p]
-    mass = _gaussian_factor(cx, ps.xy[:, 0], hx) @ _gaussian_factor(cy, ps.xy[:, 1], hy).T
+    mass = _gaussian_factor(cx, xy[:, 0], hx) @ _gaussian_factor(cy, xy[:, 1], hy).T
     total = float(mass.sum())
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateDensityError("kernel mass inside the window is numerically zero")
-    return DensityGrid(window, mass / total)
+    return mass / total
 
 
-def kl_divergence(p: DensityGrid, q: DensityGrid, epsilon: float = 1e-10) -> float:
-    """sum P log(P / (Q + epsilon)) with 0 log 0 = 0, clipped at zero."""
-    if p.window != q.window:
-        raise WindowMismatchError("density grids were built over different windows")
+def kl_divergence(p: np.ndarray, q: np.ndarray, epsilon: float = 1e-10) -> float:
+    """sum P log(P / (Q + epsilon)) over two masses on one grid, with
+    0 log 0 = 0, clipped at zero."""
     if not epsilon > 0.0:
         raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
-    mask = p.mass > 0.0
-    val = float(np.sum(p.mass[mask] * np.log(p.mass[mask] / (q.mass[mask] + epsilon))))
+    mask = p > 0.0
+    val = float(np.sum(p[mask] * np.log(p[mask] / (q[mask] + epsilon))))
     return max(val, 0.0)
 
 
-def evaluate(pred: PointSet, truth: PointSet,
-             windows: Optional[list[EvalWindow]] = None, *,
+def evaluate(pred: PointSet, truth: PointSet, *,
              epsilon: float = 1e-10, grid: int = 100) -> dict[str, float]:
-    """KL(pred density || truth density) per window, name -> score.
+    """KL(pred density || truth density) over the center and whole windows,
+    name -> score.
 
     The bandwidth is fitted on the truth cloud per window and shared by both
     densities, so identical clouds score exactly zero.
     """
-    if pred.frame is not truth.frame:
-        raise FrameMismatchError("prediction and truth live in different frames")
-    if windows is None:
-        windows = [center_window(grid), whole_window(truth, grid=grid)]
     out: dict[str, float] = {}
-    for window in windows:
-        bw = scott_bandwidth(truth, window)
-        p_density = kde(pred, window, bw)
-        q_density = kde(truth, window, bw)
-        out[window.name] = kl_divergence(p_density, q_density, epsilon)
+    for window in (center_window(grid), whole_window(truth, grid=grid)):
+        bw = scott_bandwidth(truth.xy, window)
+        p_mass = kde(pred.xy, window, bw)
+        q_mass = kde(truth.xy, window, bw)
+        out[window.name] = kl_divergence(p_mass, q_mass, epsilon)
     return out
 
 

@@ -9,26 +9,13 @@ arrays throughout; every function is pure.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    FrameMismatchError,
-    InvalidGeometryError,
-    InvalidInputError,
-)
+from .errors import DegenerateDataError, InvalidGeometryError, InvalidInputError
 
 BBOX_PAD = 0.05  # a padded bounding box's margin, a share of each axis extent
-
-
-class Frame(enum.Enum):
-    """Coordinate frame tag: raw chord units vs standardised units."""
-
-    ORIGINAL = "original"
-    STANDARDISED = "standardised"
 
 
 def as_point_array(points, *, name: str = "points") -> np.ndarray:
@@ -49,17 +36,14 @@ def _frozen(xy: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Ordered 2D point cloud tagged with the frame it lives in."""
+    """Ordered, non-empty 2D point cloud."""
 
     xy: np.ndarray
-    frame: Frame = Frame.ORIGINAL
 
     def __post_init__(self):
         xy = as_point_array(self.xy, name="point set")
         if xy.shape[0] == 0:
             raise InvalidInputError("point set must be non-empty")
-        if not isinstance(self.frame, Frame):
-            raise InvalidInputError(f"frame must be a Frame member, got {self.frame!r}")
         object.__setattr__(self, "xy", _frozen(xy))
 
     def __len__(self) -> int:
@@ -99,14 +83,11 @@ class AirfoilLoop:
     """
 
     vertices: np.ndarray
-    frame: Frame = Frame.ORIGINAL
 
     def __post_init__(self):
         v = as_point_array(self.vertices, name="loop vertices")
         if v.shape[0] < 3:
             raise InvalidGeometryError(f"a loop needs at least 3 vertices, got {v.shape[0]}")
-        if not isinstance(self.frame, Frame):
-            raise InvalidInputError(f"frame must be a Frame member, got {self.frame!r}")
         if np.any(np.all(v == np.roll(v, -1, axis=0), axis=1)):
             raise InvalidGeometryError("loop has zero-length edges (repeated consecutive vertices)")
         span = v.max(axis=0) - v.min(axis=0)
@@ -221,7 +202,7 @@ def resample_loop(raw: PointSet, target: int) -> AirfoilLoop:
     idx = np.clip(np.searchsorted(s, tpos, side="right") - 1, 0, seglen.shape[0] - 1)
     frac = (tpos - s[idx]) / seglen[idx]
     pts = closed[idx] + frac[:, None] * seg[idx]
-    return AirfoilLoop(pts, raw.frame)
+    return AirfoilLoop(pts)
 
 
 def as_float(value) -> float:
@@ -263,31 +244,24 @@ class StandardizeTransform:
         return np.array([self.scale_x, self.scale_y])
 
 
-def fit_standardize(ps: PointSet) -> StandardizeTransform:
-    """Fit per-axis mean/sigma on a point set; sigma is the population value."""
-    if len(ps) < 2:
+def fit_standardize(xy: np.ndarray) -> StandardizeTransform:
+    """Fit per-axis mean/sigma on points xy (N, 2); sigma is the population value."""
+    if len(xy) < 2:
         raise DegenerateDataError("standardisation needs at least 2 points")
-    mean = ps.xy.mean(axis=0)
-    sigma = ps.xy.std(axis=0)  # divides by N, not N-1
+    mean = xy.mean(axis=0)
+    sigma = xy.std(axis=0)  # divides by N, not N-1
     if sigma[0] == 0.0 or sigma[1] == 0.0:
         raise DegenerateDataError("zero variance on an axis; cannot standardise")
     return StandardizeTransform(float(mean[0]), float(mean[1]), float(sigma[0]), float(sigma[1]))
 
 
-def apply_standardize(t: StandardizeTransform, ps: PointSet) -> PointSet:
-    if ps.frame is not Frame.ORIGINAL:
-        raise FrameMismatchError("point set is already standardised")
-    return PointSet((ps.xy - t._mean) / t._scale, Frame.STANDARDISED)
+def standardize_loop(t: StandardizeTransform, xy: np.ndarray) -> np.ndarray:
+    """The one forward map: points or loop vertices xy (..., 2) to standardised
+    units. Its scales are positive, so a simple loop stays simple and
+    containment is preserved."""
+    return (xy - t._mean) / t._scale
 
 
-def invert_standardize(t: StandardizeTransform, ps: PointSet) -> PointSet:
-    if ps.frame is not Frame.STANDARDISED:
-        raise FrameMismatchError("point set is not in the standardised frame")
-    return PointSet(ps.xy * t._scale + t._mean, Frame.ORIGINAL)
-
-
-def standardize_loop(t: StandardizeTransform, loop: AirfoilLoop) -> AirfoilLoop:
-    """Standardise loop vertices (containment is preserved under affine maps)."""
-    if loop.frame is not Frame.ORIGINAL:
-        raise FrameMismatchError("loop is already standardised")
-    return AirfoilLoop((loop.vertices - t._mean) / t._scale, Frame.STANDARDISED)
+def invert_standardize(t: StandardizeTransform, xy: np.ndarray) -> np.ndarray:
+    """Standardised points xy (..., 2) back to original units."""
+    return xy * t._scale + t._mean

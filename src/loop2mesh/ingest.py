@@ -84,7 +84,7 @@ class ChordTransform:
         xy = ps.xy.copy()
         xy[:, 0] -= self.x_min
         xy /= self.chord
-        return PointSet(xy, ps.frame)
+        return PointSet(xy)
 
 
 def fit_chord(ps: PointSet) -> ChordTransform:
@@ -164,13 +164,13 @@ def upsample_target(ps: PointSet, m: int, seed: int) -> PointSet:
         idx = np.sort(rng.choice(n, size=m, replace=False))
     else:
         idx = np.concatenate([np.arange(n), rng.choice(n, size=m - n, replace=True)])
-    return PointSet(ps.xy[idx], ps.frame)
+    return PointSet(ps.xy[idx])
 
 
 @dataclass(frozen=True)
 class MeshSample:
-    """One training pair: a boundary loop and its target mesh cloud, in one
-    frame, with no target node inside the loop (``assemble_sample`` builds it)."""
+    """One training pair: a boundary loop and its target mesh cloud, with no
+    target node inside the loop (``assemble_sample`` builds it)."""
 
     name: str
     loop: AirfoilLoop
@@ -206,18 +206,21 @@ def assemble_sample(name: str, contour: PointSet, mesh_nodes: PointSet, *,
         survivors = mesh.xy[~inside]
         if survivors.shape[0] == 0:
             raise DegenerateDataError(f"{name}: every mesh node lies inside the loop")
-        mesh = PointSet(survivors, mesh.frame)
+        mesh = PointSet(survivors)
     target = upsample_target(mesh, target_count, seed)
     return MeshSample(name, loop, target)
 
 
 def read_parsed(path, parser):
-    """``parser`` applied to a text file; its errors and undecodable bytes name the path."""
+    """``parser`` applied to a text file; its errors, undecodable bytes and a
+    name no file can have (a NUL or an unencodable character) name the path."""
     path = Path(path)
     try:
-        return parser(path.read_text())
-    except UnicodeDecodeError as exc:
+        text = path.read_text()
+    except ValueError as exc:  # UnicodeDecodeError, or a name open() cannot take
         raise ParseError(f"{path}: {exc}") from None
+    try:
+        return parser(text)
     except (ParseError, InvalidGeometryError, DegenerateDataError, InvalidInputError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -248,7 +251,7 @@ def load_manifest(path) -> list[tuple[str, Path, Path]]:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an int over 4300 digits, deep nesting
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError(f"{path}: manifest must be a JSON list of {{name, dat, msh}} records")

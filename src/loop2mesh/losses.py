@@ -2,9 +2,9 @@
 
 Every term returns its value and its exact analytic gradient with respect to
 the predicted coordinates, shaped like the cloud. ``composite`` weighs them
-over S clouds (S, N, 2) in one frame: one pairwise kernel feeds repulsion and
-the logged mean pairwise distance, one intruder query (``geometry.intruders``)
-the interior term, and Chamfer runs per sample (its (N, M) matrix stays in
+over S clouds (S, N, 2): one pairwise kernel feeds repulsion and the logged
+mean pairwise distance, one intruder query (``geometry.intruders``) the
+interior term, and Chamfer runs per sample (its (N, M) matrix stays in
 cache). Each per-sample sum keeps its one-cloud order.
 """
 

@@ -215,7 +215,7 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         raise ParseError(f"{path}: not a checkpoint (missing header line)")
     try:
         header = json.loads(line[:-1].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an int over 4300 digits, deep nesting
         raise ParseError(f"{path}: invalid checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise ParseError(f"{path}: checkpoint header is not a JSON object")

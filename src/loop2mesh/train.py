@@ -27,10 +27,8 @@ from .errors import ConfigError, InvalidInputError, ParseError, ShapeMismatchErr
 from .fileio import atomic_write_text
 from .geometry import (
     AirfoilLoop,
-    Frame,
     PointSet,
     StandardizeTransform,
-    apply_standardize,
     as_float,
     fit_standardize,
     invert_standardize,
@@ -237,14 +235,15 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     params = init_params(config.seed, config.loop_size, config.h1, config.h2, config.n_points)
     state = AdamState.zeros(params)
 
-    refs, polys = [s.target for s in dataset.samples], [s.loop for s in dataset.samples]
+    refs = [s.target.xy for s in dataset.samples]
+    polys = [s.loop.vertices for s in dataset.samples]
     transforms = None
     if config.mode is not TrainMode.RAW:
         transforms = [fit_standardize(ref) for ref in refs]
-        refs = [apply_standardize(t, ref) for t, ref in zip(transforms, refs)]
+        refs = [standardize_loop(t, ref) for t, ref in zip(transforms, refs)]
         polys = [standardize_loop(t, poly) for t, poly in zip(transforms, polys)]
-    n_samples, refs = len(polys), [ref.xy for ref in refs]
-    loops = np.stack([poly.vertices for poly in polys])
+    n_samples = len(polys)
+    loops = np.stack(polys)
     x = loops.reshape(n_samples, -1)  # rows x0, y0, x1, ...
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
@@ -268,17 +267,14 @@ def predict(params: NetworkParams, transform: StandardizeTransform | None,
     """Generate a cloud for a loop and map it back to original coordinates."""
     if params.n_points != config.n_points or params.loop_size != config.loop_size:
         raise ShapeMismatchError("checkpoint dimensions do not match the configuration")
-    if loop.frame is not Frame.ORIGINAL:
-        raise InvalidInputError("predict expects a loop in original coordinates")
     if config.mode is TrainMode.RAW and transform is not None:
         raise InvalidInputError("raw mode takes no standardise transform")
     if config.mode is not TrainMode.RAW and transform is None:
         raise InvalidInputError("standardised modes require the sample's transform")
-    inp = PointSet(loop.vertices, loop.frame)
-    inp = inp if transform is None else apply_standardize(transform, inp)
-    out, _ = forward(params, inp.xy.reshape(1, -1), y_clamp=config.y_clamp)
-    pred = PointSet(out.reshape(-1, 2), inp.frame)
-    return pred if transform is None else invert_standardize(transform, pred)
+    inp = loop.vertices if transform is None else standardize_loop(transform, loop.vertices)
+    out, _ = forward(params, inp.reshape(1, -1), y_clamp=config.y_clamp)
+    out = out.reshape(-1, 2)
+    return PointSet(out if transform is None else invert_standardize(transform, out))
 
 
 def save_trained(path, result: TrainResult, config: TrainConfig, sample_names: list[str]) -> None:

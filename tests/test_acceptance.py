@@ -16,7 +16,7 @@ from oracles import brute_chamfer, params_to_vector, vector_to_params
 
 from loop2mesh.cli import main
 from loop2mesh.errors import ParseError
-from loop2mesh.evaluation import DensityGrid, EvalWindow, evaluate, kde, kl_divergence
+from loop2mesh.evaluation import EvalWindow, evaluate, kde, kl_divergence, scott_bandwidth
 from loop2mesh.geometry import AirfoilLoop, PointSet, points_in_polygon
 from loop2mesh.ingest import build_dataset, load_manifest, parse_airfoil_dat, parse_msh_nodes
 from loop2mesh.losses import LossWeights, _pairwise, chamfer, composite, repulsion
@@ -242,12 +242,11 @@ def test_08_kl_evaluator_self_consistency(desk_data):
     for cloud in (truth.xy, rng.normal(size=(200, 2))):
         for window in (EvalWindow("w", (-3.0, 3.0), (-3.0, 3.0)),
                        EvalWindow("t", (-0.5, 1.5), (-0.4, 0.4), 64, 64)):
-            grid = kde(PointSet(cloud), window)
-            assert abs(float(grid.mass.sum()) - 1.0) <= 1e-9
+            mass = kde(cloud, window, scott_bandwidth(cloud, window))
+            assert abs(float(mass.sum()) - 1.0) <= 1e-9
 
-    w = EvalWindow("hand", (0.0, 2.0), (0.0, 1.0), 2, 2)
-    p = DensityGrid(w, np.array([[0.25, 0.25], [0.25, 0.25]]))
-    q = DensityGrid(w, np.array([[0.45, 0.45], [0.05, 0.05]]))
+    p = np.array([[0.25, 0.25], [0.25, 0.25]])  # a 2x2 grid
+    q = np.array([[0.45, 0.45], [0.05, 0.05]])
     hand = kl_divergence(p, q)  # 0.5*ln(0.5/0.9) + 0.5*ln(0.5/0.1)
     print(f"kl self-consistency: kl(D,D)={scores['center']:.2e}, "
           f"two-cell example {hand:.6f}")

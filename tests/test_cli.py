@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loop2mesh import cli, evaluation
 from loop2mesh.cli import main
@@ -14,14 +16,12 @@ from loop2mesh.errors import (
     DegenerateDataError,
     DegenerateDensityError,
     EmptyDatasetError,
-    FrameMismatchError,
     InvalidGeometryError,
     InvalidInputError,
     Loop2MeshError,
     ParseError,
     ShapeMismatchError,
     TrainingDivergedError,
-    WindowMismatchError,
 )
 from loop2mesh.ingest import load_manifest, parse_msh_nodes
 from loop2mesh.train import TrainConfig
@@ -149,6 +149,16 @@ class TestTrain:
              "--config", cfg], capsys)
         assert code == 2
         assert "cfg.json" in stderr
+
+    @pytest.mark.parametrize("text", ['{"epochs": ' + "1" * 5000 + "}", "[" * 5000],
+                             ids=["int-over-4300-digits", "deep-nesting"])
+    def test_json_that_python_cannot_read_exits_2(self, tmp_path, manifest_path, text, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, stderr = run_cli(
+            ["train", manifest_path, "--out-dir", tmp_path / "r", "--config", cfg], capsys)
+        assert code == 2
+        assert f"error: {cfg}: invalid JSON: " in stderr
 
     def test_holdout_excludes_named_sample(self, tmp_path, manifest_path, capsys):
         code, stdout, _ = run_cli(
@@ -427,6 +437,21 @@ class TestEvaluate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.std overflows on the far node
+    def test_truth_node_that_overflows_the_bandwidth_exits_3(self, tmp_path, trained, capsys):
+        nodes = parse_msh_nodes(trained["msh"].read_text()).xy.tolist() + [[1e200, 1e200]]
+        body = "".join(f"{i} {x!r} {y!r} 0.0\n" for i, (x, y) in enumerate(nodes, start=1))
+        truth = tmp_path / "far.msh"
+        truth.write_text(f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{len(nodes)}\n"
+                         f"{body}$EndNodes\n")
+        out = tmp_path / "kl.csv"
+        code, _, stderr = run_cli(
+            ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+             "--dat", trained["dat"], "--truth", truth, "--out", out], capsys)
+        assert code == 3
+        assert "error: bandwidth must be positive and finite" in stderr
+        assert not out.exists()
+
 
 # ------------------------------------------------------ inference transform
 
@@ -681,11 +706,37 @@ class TestUndecodableInput:
         assert f"error: {cfg}: invalid JSON: " in stderr
 
 
+# ------------------------------------------------------- points CSV input
+
+CSV_FIELDS = st.one_of(
+    st.floats().map(repr), st.sampled_from(["x", "y", "nan", "1e999", '"1', '"', " ", ""]),
+    st.text(max_size=5))
+CSV_TEXTS = st.one_of(
+    st.tuples(st.sampled_from(["\n", "\r\n", "\r"]),
+              st.lists(st.lists(CSV_FIELDS, max_size=3).map(",".join), max_size=8)).map(
+        lambda t: t[0].join(t[1])),
+    st.text(max_size=120))
+
+
+class TestPointsCsv:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(CSV_TEXTS)
+    def test_fuzzed_text_raises_only_package_errors(self, text):
+        try:
+            cli._parse_points_csv(text)
+        except Loop2MeshError:
+            pass
+
+    def test_field_over_the_csv_size_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^row 3: field larger than field limit"):
+            cli._parse_points_csv("x,y\n0.1,0.2\n" + "1" * 200_000 + ",0.5\n")
+
+
 # -------------------------------------------------------------- exit codes
 
 EXIT_CODES = {
     Loop2MeshError: 1,
-    ConfigError: 2, FrameMismatchError: 2, ShapeMismatchError: 2, WindowMismatchError: 2,
+    ConfigError: 2, ShapeMismatchError: 2,
     ParseError: 3, InvalidGeometryError: 3, DegenerateDataError: 3,
     DegenerateDensityError: 3, InvalidInputError: 3, EmptyDatasetError: 3,
     TrainingDivergedError: 4,

@@ -2,16 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loop2mesh.errors import (
-    DegenerateDataError,
-    DegenerateDensityError,
-    FrameMismatchError,
-    InvalidInputError,
-    WindowMismatchError,
-)
+from loop2mesh.errors import DegenerateDataError, DegenerateDensityError, InvalidInputError
 from loop2mesh.evaluation import (
-    DensityGrid,
     EvalWindow,
     KLRow,
     center_window,
@@ -23,11 +18,11 @@ from loop2mesh.evaluation import (
     scott_bandwidth,
     whole_window,
 )
-from loop2mesh.geometry import Frame, PointSet
+from loop2mesh.geometry import PointSet
 
 
-def gauss_cloud(rng, n, center=(0.5, 0.0), spread=(0.6, 0.2)) -> PointSet:
-    return PointSet(rng.normal(size=(n, 2)) * spread + center)
+def gauss_cloud(rng, n, center=(0.5, 0.0), spread=(0.6, 0.2)) -> np.ndarray:
+    return rng.normal(size=(n, 2)) * spread + center
 
 
 # ------------------------------------------------------------------ windows
@@ -80,9 +75,8 @@ class TestScottBandwidth:
         # 64 points: factor = 64^(-1/6) = 0.5
         xs = np.linspace(0.0, 1.0, 64)
         ys = np.linspace(0.0, 0.5, 64)
-        ps = PointSet(np.column_stack([xs, ys]))
         w = EvalWindow("w", (-1.0, 2.0), (-1.0, 2.0))
-        hx, hy = scott_bandwidth(ps, w)
+        hx, hy = scott_bandwidth(np.column_stack([xs, ys]), w)
         assert hx == pytest.approx(xs.std() * 64 ** (-1 / 6))
         assert hy == pytest.approx(ys.std() * 64 ** (-1 / 6))
         assert hx == pytest.approx(2 * hy, rel=1e-12)
@@ -92,15 +86,21 @@ class TestScottBandwidth:
         inside = rng.uniform(0.0, 1.0, size=(50, 2))
         outliers = np.array([[50.0, 50.0], [-50.0, -50.0]])
         w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0))
-        a = scott_bandwidth(PointSet(inside), w)
-        b = scott_bandwidth(PointSet(np.vstack([inside, outliers])), w)
+        a = scott_bandwidth(inside, w)
+        b = scott_bandwidth(np.vstack([inside, outliers]), w)
         assert a == pytest.approx(b)
 
     def test_too_few_points_in_window_rejected(self):
         w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0))
-        ps = PointSet([[0.5, 0.5], [3.0, 3.0], [4.0, 4.0]])
+        xy = np.array([[0.5, 0.5], [3.0, 3.0], [4.0, 4.0]])
         with pytest.raises(DegenerateDataError):
-            scott_bandwidth(ps, w)
+            scott_bandwidth(xy, w)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.std overflows
+    def test_bad_bandwidth_rejected(self):
+        w = EvalWindow("w", (-1e201, 1e201), (-1e201, 1e201))
+        with pytest.raises(InvalidInputError, match="bandwidth must be positive and finite"):
+            scott_bandwidth(np.array([[0.5, 0.5], [1e200, 1e200]]), w)  # sigma is inf
 
 
 # ---------------------------------------------------------------------- KDE
@@ -109,91 +109,89 @@ class TestKde:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mass_sums_to_one(self, seed):
         rng = np.random.default_rng(seed)
-        ps = gauss_cloud(rng, 200)
-        grid = kde(ps, center_window())
-        assert float(grid.mass.sum()) == pytest.approx(1.0, abs=1e-9)
-        assert np.all(grid.mass >= 0.0)
+        xy = gauss_cloud(rng, 200)
+        w = center_window()
+        mass = kde(xy, w, scott_bandwidth(xy, w))
+        assert float(mass.sum()) == pytest.approx(1.0, abs=1e-9)
+        assert np.all(mass >= 0.0)
 
     def test_single_point_peaks_at_its_cell(self):
         w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 10, 10)
-        ps = PointSet([[0.55, 0.35]])  # exactly the center of cell (5, 3)
-        grid = kde(ps, w, bandwidth=0.1)
-        assert np.unravel_index(grid.mass.argmax(), grid.mass.shape) == (5, 3)
+        xy = np.array([[0.55, 0.35]])  # exactly the center of cell (5, 3)
+        mass = kde(xy, w, (0.1, 0.1))
+        assert np.unravel_index(mass.argmax(), mass.shape) == (5, 3)
 
     def test_separable_kernel_matches_direct_sum(self):
         rng = np.random.default_rng(3)
-        ps = PointSet(rng.uniform(0.0, 1.0, size=(7, 2)))
+        xy = rng.uniform(0.0, 1.0, size=(7, 2))
         w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 6, 5)
-        grid = kde(ps, w, bandwidth=(0.2, 0.3))
+        mass = kde(xy, w, (0.2, 0.3))
         cx, cy = w.cell_centers()
         direct = np.zeros((6, 5))
         for i, x in enumerate(cx):
             for j, y in enumerate(cy):
-                for px, py in ps.xy:
+                for px, py in xy:
                     direct[i, j] += math.exp(-0.5 * ((x - px) / 0.2) ** 2
                                              - 0.5 * ((y - py) / 0.3) ** 2)
         direct /= direct.sum()
-        assert grid.mass == pytest.approx(direct, rel=1e-12)
+        assert mass == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_equals_the_one_expression_form(self, seed):
         """The in-place Gaussian factors give the same bits as building each
         factor in one expression with temporaries."""
         rng = np.random.default_rng(seed)
-        ps = PointSet(rng.normal(scale=0.7, size=(int(rng.integers(50, 3000)), 2)))
+        xy = rng.normal(scale=0.7, size=(int(rng.integers(50, 3000)), 2))
         for w in (center_window(), EvalWindow("w", (-2.0, 3.0), (-1.0, 1.5), 64, 37)):
-            hx, hy = scott_bandwidth(ps, w)
+            hx, hy = scott_bandwidth(xy, w)
             cx, cy = w.cell_centers()
-            fx = np.exp(-0.5 * ((cx[:, None] - ps.xy[None, :, 0]) / hx) ** 2)
-            fy = np.exp(-0.5 * ((cy[:, None] - ps.xy[None, :, 1]) / hy) ** 2)
+            fx = np.exp(-0.5 * ((cx[:, None] - xy[None, :, 0]) / hx) ** 2)
+            fy = np.exp(-0.5 * ((cy[:, None] - xy[None, :, 1]) / hy) ** 2)
             mass = fx @ fy.T
-            assert np.array_equal(kde(ps, w).mass, mass / float(mass.sum()))
+            assert np.array_equal(kde(xy, w, (hx, hy)), mass / float(mass.sum()))
 
     def test_wider_bandwidth_flattens_the_density(self):
-        ps = PointSet([[0.5, 0.5]])
+        xy = np.array([[0.5, 0.5]])
         w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 20, 20)
-        sharp = kde(ps, w, bandwidth=0.05)
-        flat = kde(ps, w, bandwidth=5.0)
-        assert sharp.mass.max() > flat.mass.max()
-        assert flat.mass.max() < 2.0 * flat.mass.min()
-
-    def test_scalar_bandwidth_equals_symmetric_pair(self):
-        rng = np.random.default_rng(4)
-        ps = gauss_cloud(rng, 30)
-        w = center_window(grid=20)
-        a = kde(ps, w, bandwidth=0.2)
-        b = kde(ps, w, bandwidth=(0.2, 0.2))
-        assert np.array_equal(a.mass, b.mass)
+        sharp = kde(xy, w, (0.05, 0.05))
+        flat = kde(xy, w, (5.0, 5.0))
+        assert sharp.max() > flat.max()
+        assert flat.max() < 2.0 * flat.min()
 
     def test_far_away_cloud_underflows_to_error(self):
-        ps = PointSet([[1e6, 1e6], [1e6 + 1, 1e6]])
+        xy = np.array([[1e6, 1e6], [1e6 + 1, 1e6]])
         with pytest.raises(DegenerateDensityError):
-            kde(ps, center_window(grid=10), bandwidth=1e-3)
-
-    def test_bad_bandwidth_rejected(self):
-        ps = PointSet([[0.5, 0.5], [0.6, 0.6]])
-        with pytest.raises(InvalidInputError):
-            kde(ps, center_window(grid=10), bandwidth=0.0)
-        with pytest.raises(InvalidInputError):
-            kde(ps, center_window(grid=10), bandwidth=(0.1, -0.1))
+            kde(xy, center_window(grid=10), (1e-3, 1e-3))
 
 
-class TestDensityGrid:
-    def test_validation(self):
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 2, 2)
-        DensityGrid(w, np.full((2, 2), 0.25))
-        with pytest.raises(InvalidInputError):
-            DensityGrid(w, np.full((2, 3), 1.0 / 6.0))  # wrong shape
-        with pytest.raises(InvalidInputError):
-            DensityGrid(w, np.array([[0.5, 0.5], [0.5, -0.5]]))  # negative
-        with pytest.raises(InvalidInputError):
-            DensityGrid(w, np.full((2, 2), 0.3))  # sums to 1.2
+COORD = st.floats(-8.0, 8.0)
 
-    def test_mass_is_read_only(self):
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 2, 2)
-        g = DensityGrid(w, np.full((2, 2), 0.25))
-        with pytest.raises(ValueError):
-            g.mass[0, 0] = 1.0
+
+@st.composite
+def kde_inputs(draw):
+    """A cloud, a window and a positive bandwidth pair; points may lie outside the window."""
+    n = draw(st.integers(1, 40))
+    xy = np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
+    x0, y0 = draw(COORD), draw(COORD)
+    width, height = draw(st.floats(0.01, 10.0)), draw(st.floats(0.01, 10.0))
+    window = EvalWindow("w", (x0, x0 + width), (y0, y0 + height),
+                        draw(st.integers(2, 30)), draw(st.integers(2, 30)))
+    bandwidth = draw(st.floats(1e-3, 10.0)), draw(st.floats(1e-3, 10.0))
+    return xy, window, bandwidth
+
+
+class TestKdeMassProperties:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(kde_inputs())
+    def test_mass_is_finite_non_negative_on_the_grid_and_sums_to_one(self, case):
+        xy, window, bandwidth = case
+        try:
+            mass = kde(xy, window, bandwidth)
+        except DegenerateDensityError:  # every kernel underflows inside the window
+            return
+        assert mass.shape == (window.grid_nx, window.grid_ny)
+        assert np.all(np.isfinite(mass)) and np.all(mass >= 0.0)
+        assert abs(float(mass.sum()) - 1.0) <= 1e-9
 
 
 # ------------------------------------------------------------ KL divergence
@@ -201,16 +199,16 @@ class TestDensityGrid:
 class TestKlDivergence:
     def test_identical_grids_score_zero(self):
         rng = np.random.default_rng(5)
-        ps = gauss_cloud(rng, 100)
-        g = kde(ps, center_window(grid=50))
+        xy = gauss_cloud(rng, 100)
+        w = center_window(grid=50)
+        g = kde(xy, w, scott_bandwidth(xy, w))
         assert kl_divergence(g, g) < 1e-6
 
     def test_two_cell_hand_example(self):
-        w = EvalWindow("w", (0.0, 2.0), (0.0, 1.0), 2, 2)
-        p = DensityGrid(w, np.array([[0.25, 0.25], [0.25, 0.25]]))
+        p = np.array([[0.25, 0.25], [0.25, 0.25]])
         # build a 2x2 from the 1D example [.5,.5] vs [.9,.1] by splitting rows
-        p2 = DensityGrid(w, np.array([[0.25, 0.25], [0.25, 0.25]]))
-        q = DensityGrid(w, np.array([[0.45, 0.45], [0.05, 0.05]]))
+        p2 = np.array([[0.25, 0.25], [0.25, 0.25]])
+        q = np.array([[0.45, 0.45], [0.05, 0.05]])
         # KL = 0.5 ln(0.5/0.9) + 0.5 ln(0.5/0.1) = 0.5 ln(25/9)
         want = 0.5 * math.log(25.0 / 9.0)
         assert kl_divergence(p, q) == pytest.approx(want, abs=1e-4)
@@ -218,32 +216,21 @@ class TestKlDivergence:
         assert kl_divergence(p2, q) == pytest.approx(want, abs=1e-4)
 
     def test_asymmetric(self):
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 2, 2)
-        p = DensityGrid(w, np.array([[0.7, 0.1], [0.1, 0.1]]))
-        q = DensityGrid(w, np.array([[0.1, 0.3], [0.3, 0.3]]))
+        p = np.array([[0.7, 0.1], [0.1, 0.1]])
+        q = np.array([[0.1, 0.3], [0.3, 0.3]])
         assert kl_divergence(p, q) != pytest.approx(kl_divergence(q, p))
 
     def test_zero_reference_cells_stay_finite(self):
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 2, 2)
-        p = DensityGrid(w, np.array([[0.5, 0.5], [0.0, 0.0]]))
-        q = DensityGrid(w, np.array([[0.0, 0.0], [0.5, 0.5]]))
+        p = np.array([[0.5, 0.5], [0.0, 0.0]])
+        q = np.array([[0.0, 0.0], [0.5, 0.5]])
         val = kl_divergence(p, q, epsilon=1e-10)
         assert np.isfinite(val)
         assert val == pytest.approx(math.log(0.5 / 1e-10), rel=1e-6)
 
-    def test_window_mismatch_rejected(self):
-        w1 = EvalWindow("a", (0.0, 1.0), (0.0, 1.0), 2, 2)
-        w2 = EvalWindow("b", (0.0, 1.0), (0.0, 1.0), 2, 2)
-        g1 = DensityGrid(w1, np.full((2, 2), 0.25))
-        g2 = DensityGrid(w2, np.full((2, 2), 0.25))
-        with pytest.raises(WindowMismatchError):
-            kl_divergence(g1, g2)
-
     def test_clipped_at_zero(self):
         # the epsilon in the denominator makes the raw sum slightly negative
         # for identical grids; the score must clip to exactly >= 0
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 2, 2)
-        g = DensityGrid(w, np.full((2, 2), 0.25))
+        g = np.full((2, 2), 0.25)
         assert kl_divergence(g, g) >= 0.0
 
 
@@ -273,21 +260,9 @@ class TestEvaluate:
         truth = dataset.samples[0].target
         tight = PointSet(truth.xy[rng.integers(0, len(truth), 40)] * 0.01
                          + np.array([0.5, 0.0]))
-        a = evaluate(tight, truth, [center_window(grid=40)])["center"]
-        b = evaluate(truth, tight, [center_window(grid=40)])["center"]
+        a = evaluate(tight, truth, grid=40)["center"]
+        b = evaluate(truth, tight, grid=40)["center"]
         assert a != pytest.approx(b, rel=1e-3)
-
-    def test_frame_mismatch_rejected(self, dataset):
-        truth = dataset.samples[0].target
-        std = PointSet(truth.xy.copy(), Frame.STANDARDISED)
-        with pytest.raises(FrameMismatchError):
-            evaluate(std, truth)
-
-    def test_custom_windows_respected(self, dataset):
-        truth = dataset.samples[0].target
-        w = EvalWindow("mine", (0.0, 1.0), (-0.5, 0.5), 30, 30)
-        scores = evaluate(PointSet(truth.xy.copy()), truth, [w])
-        assert list(scores) == ["mine"]
 
 
 # -------------------------------------------------------------------- sweep

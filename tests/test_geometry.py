@@ -3,19 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loop2mesh.errors import (
-    DegenerateDataError,
-    FrameMismatchError,
-    InvalidGeometryError,
-    InvalidInputError,
-)
+from loop2mesh.errors import DegenerateDataError, InvalidGeometryError, InvalidInputError
 from loop2mesh.geometry import (
     AirfoilLoop,
-    Frame,
     PointSet,
     _is_simple,
     _signed_area,
-    apply_standardize,
     edge_query,
     fit_standardize,
     intruders,
@@ -49,9 +42,8 @@ class TestPointSet:
         with pytest.raises(InvalidInputError):
             PointSet([[0.0, np.nan]])
 
-    def test_default_frame_and_len(self):
+    def test_len(self):
         ps = PointSet([[1.0, 2.0], [3.0, 4.0]])
-        assert ps.frame is Frame.ORIGINAL
         assert len(ps) == 2
 
 
@@ -454,10 +446,6 @@ class TestResampleLoop:
         rev = resample_loop(PointSet(contour_2220[::-1]), 35)
         assert np.sign(_signed_area(fwd.vertices)) == -np.sign(_signed_area(rev.vertices))
 
-    def test_frame_carried_through(self, contour_2220):
-        ps = PointSet(contour_2220, Frame.STANDARDISED)
-        assert resample_loop(ps, 35).frame is Frame.STANDARDISED
-
     def test_rejects_tiny_targets_and_degenerate_input(self):
         sq = PointSet([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(InvalidGeometryError):
@@ -489,8 +477,7 @@ class TestResampleLoopProperties:
 
 class TestStandardize:
     def test_population_sigma_two_points(self):
-        ps = PointSet([[0.0, 10.0], [2.0, 14.0]])
-        t = fit_standardize(ps)
+        t = fit_standardize(np.array([[0.0, 10.0], [2.0, 14.0]]))
         assert t.mean_x == pytest.approx(1.0)
         assert t.mean_y == pytest.approx(12.0)
         assert t.scale_x == pytest.approx(1.0)  # population sigma, not sample
@@ -498,38 +485,27 @@ class TestStandardize:
 
     def test_apply_gives_zero_mean_unit_variance(self):
         rng = np.random.default_rng(3)
-        ps = PointSet(rng.normal(size=(500, 2)) * [2.0, 0.3] + [5.0, -1.0])
-        out = apply_standardize(fit_standardize(ps), ps)
-        assert out.frame is Frame.STANDARDISED
-        assert out.xy.mean(axis=0) == pytest.approx([0.0, 0.0], abs=1e-12)
-        assert out.xy.std(axis=0) == pytest.approx([1.0, 1.0], rel=1e-12)
+        xy = rng.normal(size=(500, 2)) * [2.0, 0.3] + [5.0, -1.0]
+        out = standardize_loop(fit_standardize(xy), xy)
+        assert out.mean(axis=0) == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert out.std(axis=0) == pytest.approx([1.0, 1.0], rel=1e-12)
 
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(4)
-        ps = PointSet(rng.uniform(-3, 3, size=(50, 2)))
-        t = fit_standardize(ps)
-        back = invert_standardize(t, apply_standardize(t, ps))
-        assert back.frame is Frame.ORIGINAL
-        assert back.xy == pytest.approx(ps.xy, abs=1e-12)
-
-    def test_frame_mismatch_raises(self):
-        ps = PointSet([[0.0, 0.0], [1.0, 1.0]])
-        t = fit_standardize(ps)
-        std = apply_standardize(t, ps)
-        with pytest.raises(FrameMismatchError):
-            apply_standardize(t, std)
-        with pytest.raises(FrameMismatchError):
-            invert_standardize(t, ps)
+        xy = rng.uniform(-3, 3, size=(50, 2))
+        t = fit_standardize(xy)
+        back = invert_standardize(t, standardize_loop(t, xy))
+        assert back == pytest.approx(xy, abs=1e-12)
 
     def test_zero_variance_axis_rejected(self):
         with pytest.raises(DegenerateDataError):
-            fit_standardize(PointSet([[0.0, 1.0], [1.0, 1.0]]))
+            fit_standardize(np.array([[0.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(DegenerateDataError):
-            fit_standardize(PointSet([[2.0, 3.0]]))
+            fit_standardize(np.array([[2.0, 3.0]]))
 
     def test_loop_standardisation_preserves_containment(self, airfoil_loop, dataset):
-        t = fit_standardize(dataset.samples[0].target)
-        std_loop = standardize_loop(t, airfoil_loop)
+        t = fit_standardize(dataset.samples[0].target.xy)
+        std_loop = AirfoilLoop(standardize_loop(t, airfoil_loop.vertices))
         rng = np.random.default_rng(9)
         pts = rng.uniform([-0.2, -0.3], [1.2, 0.3], size=(300, 2))
         before = points_in_polygon(pts, airfoil_loop)

@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import parse_msh_nodes_line_by_line
 
 import loop2mesh.geometry as geometry_mod
@@ -10,9 +12,10 @@ from loop2mesh.errors import (
     DegenerateDataError,
     EmptyDatasetError,
     InvalidGeometryError,
+    Loop2MeshError,
     ParseError,
 )
-from loop2mesh.geometry import Frame, PointSet, intruders
+from loop2mesh.geometry import PointSet, intruders
 from loop2mesh.ingest import (
     ChordTransform,
     assemble_sample,
@@ -55,7 +58,6 @@ class TestParseAirfoilDat:
         ps = parse_airfoil_dat(GOOD_DAT)
         assert len(ps) == 5
         assert ps.xy[0] == pytest.approx([1.0, 0.00126])
-        assert ps.frame is Frame.ORIGINAL
 
     def test_headerless_file_parses_every_row(self):
         text = "\n".join(line for line in GOOD_DAT.splitlines()[1:]) + "\n"
@@ -405,7 +407,7 @@ def _mesh_text(nodes: np.ndarray) -> str:
 
 
 class TestAssembleSample:
-    def test_happy_path_counts_and_frames(self):
+    def test_happy_path_counts(self):
         contour = parse_airfoil_dat(_square_contour_text())
         rng = np.random.default_rng(0)
         nodes = PointSet(rng.uniform([-1.0, -1.5], [2.0, 1.5], size=(300, 2)))
@@ -414,8 +416,6 @@ class TestAssembleSample:
         assert sample.name == "hex"
         assert len(sample.loop) == 6
         assert len(sample.target) == 120
-        assert sample.loop.frame is Frame.ORIGINAL
-        assert sample.target.frame is Frame.ORIGINAL
 
     def test_interior_mesh_nodes_dropped_with_warning(self, caplog):
         contour = parse_airfoil_dat(_square_contour_text())
@@ -516,3 +516,91 @@ class TestBuildDatasetAndManifest:
         p.write_text(json.dumps([{"name": "x", "dat": "a.dat"}]))  # msh missing
         with pytest.raises(ParseError):
             load_manifest(p)
+
+
+# ----------------------------------------------------------- fuzzed input
+
+FUZZ_SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+TOKENS = st.one_of(
+    st.floats().map(repr), st.integers(-3, 2 ** 70).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "+.5", "1_0", "0x1p3", "$Nodes", "$EndNodes", ""]),
+    st.text(max_size=5))
+EOLS = st.sampled_from(["\n", "\r\n", "\r"])
+NODE_LINES = st.one_of(
+    st.tuples(st.integers(-2, 9), st.floats(), st.floats(), st.floats()).map(
+        lambda node: " ".join(map(repr, node))),
+    st.lists(TOKENS, max_size=5).map(" ".join))
+
+
+def fuzzed_text(lines):
+    """Lines joined by one line ending, or any text at all."""
+    joined = st.tuples(EOLS, st.lists(lines, max_size=12)).map(lambda t: t[0].join(t[1]))
+    return st.one_of(joined, st.text(max_size=120))
+
+
+@st.composite
+def msh_texts(draw):
+    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes",
+             draw(st.one_of(st.integers(-1, 9).map(str), TOKENS)), *draw(st.lists(NODE_LINES))]
+    if draw(st.booleans()):
+        lines.append("$EndNodes")
+    return draw(EOLS).join(lines)
+
+
+# file names in a manifest: files in its directory, the directory itself, a
+# missing file, or any name without a separator (a NUL, an unpaired surrogate)
+MANIFEST_PATHS = st.one_of(
+    st.sampled_from(["good.dat", "good.msh", "bad.dat", "missing.msh", "", ".", "a\0b", "\ud800",
+                     7, None]),
+    st.text(st.characters(exclude_characters="/\\", exclude_categories=()), max_size=8))
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+MANIFEST_RECORDS = st.fixed_dictionaries(
+    {"name": st.text(max_size=4), "dat": MANIFEST_PATHS, "msh": MANIFEST_PATHS},
+    optional={"extra": JSON_VALUES})
+MANIFEST_TEXTS = st.one_of(
+    st.lists(MANIFEST_RECORDS, min_size=1, max_size=3).map(json.dumps),
+    st.lists(st.one_of(MANIFEST_RECORDS, JSON_VALUES), max_size=3).map(json.dumps),
+    JSON_VALUES.map(json.dumps),
+    st.sampled_from(["[" * 5000, "[" + "1" * 5000 + "]", '{"a": 1', "[]"]),
+    st.text(max_size=60))
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzzed_manifest")
+    (d / "good.dat").write_text(_square_contour_text())
+    nodes = np.random.default_rng(5).uniform([1.2, -1.0], [3.0, 1.0], size=(50, 2))
+    (d / "good.msh").write_text(_mesh_text(nodes))
+    (d / "bad.dat").write_text("name\n0.0 zero\n")
+    return d
+
+
+class TestFuzzedInputRaisesOnlyPackageErrors:
+    """Malformed input ends in a Loop2MeshError, which the command line turns
+    into its exit code, never in a traceback."""
+
+    @FUZZ_SETTINGS
+    @given(fuzzed_text(st.lists(TOKENS, max_size=3).map(" ".join)))
+    def test_dat(self, text):
+        try:
+            parse_airfoil_dat(text)
+        except Loop2MeshError:
+            pass
+
+    @FUZZ_SETTINGS
+    @given(st.one_of(msh_texts(), fuzzed_text(NODE_LINES)))
+    def test_msh(self, text):
+        try:
+            parse_msh_nodes(text)
+        except Loop2MeshError:
+            pass
+
+    @FUZZ_SETTINGS
+    @given(MANIFEST_TEXTS)
+    def test_manifest(self, manifest_dir, text):
+        path = manifest_dir / "manifest.json"
+        path.write_text(text)
+        try:
+            build_dataset(load_manifest(path), loop_size=6, target_count=20, seed=0)
+        except (Loop2MeshError, OSError):  # OSError: a name that is no readable file
+            pass

@@ -369,6 +369,14 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header", [b'{"n": ' + b"1" * 5000 + b"}", b"[" * 5000],
+                             ids=["int-over-4300-digits", "deep-nesting"])
+    def test_header_python_cannot_read_raises_parse_error(self, tmp_path, header):
+        path = tmp_path / "net.l2m"
+        path.write_bytes(header + b"\n")
+        with pytest.raises(ParseError, match="invalid checkpoint header"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("old, new, message", [
         (b'"w1": [4, 6]', b'"w1": [24]', "weight matrices must be 2-D"),
         (b'"b1": [4]', b'"b1": [2, 2]', "mutually inconsistent"),

@@ -1,8 +1,10 @@
 """The package root carries only the version; the modules are the API."""
 
 import importlib
+import json
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +13,13 @@ import loop2mesh
 # each module's public names
 PUBLIC_NAMES = {
     "errors": ("ConfigError", "DegenerateDataError", "DegenerateDensityError",
-               "EmptyDatasetError", "FrameMismatchError", "InvalidGeometryError",
-               "InvalidInputError", "Loop2MeshError", "ParseError", "ShapeMismatchError",
-               "TrainingDivergedError", "WindowMismatchError"),
-    "evaluation": ("DensityGrid", "EvalWindow", "KLRow", "center_window", "evaluate", "kde",
+               "EmptyDatasetError", "InvalidGeometryError", "InvalidInputError",
+               "Loop2MeshError", "ParseError", "ShapeMismatchError", "TrainingDivergedError"),
+    "evaluation": ("EvalWindow", "KLRow", "center_window", "evaluate", "kde",
                    "kl_divergence", "kl_sweep", "scott_bandwidth", "whole_window"),
-    "geometry": ("AirfoilLoop", "Frame", "PointSet", "StandardizeTransform",
-                 "apply_standardize", "edge_query", "fit_standardize", "intruders",
-                 "invert_standardize", "padded_bbox", "points_in_polygon", "resample_loop"),
+    "geometry": ("AirfoilLoop", "PointSet", "StandardizeTransform", "edge_query",
+                 "fit_standardize", "intruders", "invert_standardize", "padded_bbox",
+                 "points_in_polygon", "resample_loop", "standardize_loop"),
     "ingest": ("ChordTransform", "Dataset", "MeshSample", "assemble_sample", "build_dataset",
                "fit_chord", "load_manifest", "parse_airfoil_dat", "parse_msh_nodes",
                "read_parsed", "upsample_target"),
@@ -64,3 +65,14 @@ def test_package_root_holds_only_the_version():
               if not k.startswith("_") and not isinstance(v, types.ModuleType)}
     assert public == set()
     assert isinstance(loop2mesh.__version__, str)
+
+
+def test_benchmark_traced_names_resolve():
+    """Every ``layer.func.calls`` metric the benchmark declares names a function
+    the tracer can wrap; a name that stops resolving would drop its metrics."""
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    names = [m["name"][:-len(".calls")] for m in spec["per_layer"] if m["name"].endswith(".calls")]
+    assert names
+    for name in names:
+        layer, func = name.split(".")
+        assert callable(getattr(importlib.import_module(f"loop2mesh.{layer}"), func, None)), name

@@ -13,20 +13,13 @@ import loop2mesh.train as train_mod
 from loop2mesh import net
 from loop2mesh.errors import (
     ConfigError,
-    FrameMismatchError,
     InvalidInputError,
     Loop2MeshError,
     ParseError,
     ShapeMismatchError,
     TrainingDivergedError,
 )
-from loop2mesh.geometry import (
-    Frame,
-    PointSet,
-    StandardizeTransform,
-    invert_standardize,
-    standardize_loop,
-)
+from loop2mesh.geometry import StandardizeTransform, invert_standardize, standardize_loop
 from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.losses import LossWeights
 from loop2mesh.net import init_params
@@ -335,7 +328,6 @@ class TestPredict:
         got = predict(res.params, None, samp.loop, small_config(epochs=2))
         want, _ = forward(res.params, samp.loop.vertices.reshape(1, -1))
         assert np.array_equal(got.xy, want.reshape(-1, 2))
-        assert got.frame is Frame.ORIGINAL
 
     def test_standardised_prediction_is_forward_in_the_standardised_frame(self, small_dataset):
         from loop2mesh.net import forward
@@ -343,17 +335,16 @@ class TestPredict:
         res = train(small_dataset, cfg)
         samp, t = small_dataset.samples[0], res.transforms[0]
         got = predict(res.params, t, samp.loop, cfg)
-        std_loop = standardize_loop(t, samp.loop)
-        out, _ = forward(res.params, std_loop.vertices.reshape(1, -1))
-        want = invert_standardize(t, PointSet(out.reshape(-1, 2), Frame.STANDARDISED))
-        assert np.array_equal(got.xy, want.xy)
+        std_loop = standardize_loop(t, samp.loop.vertices)
+        out, _ = forward(res.params, std_loop.reshape(1, -1))
+        want = invert_standardize(t, out.reshape(-1, 2))
+        assert np.array_equal(got.xy, want)
 
-    def test_standardised_prediction_returns_original_frame(self, small_dataset):
+    def test_standardised_prediction_has_n_points(self, small_dataset):
         cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
         res = train(small_dataset, cfg)
         samp = small_dataset.samples[0]
         pred = predict(res.params, res.transforms[0], samp.loop, cfg)
-        assert pred.frame is Frame.ORIGINAL
         assert len(pred) == cfg.n_points
 
     def test_raw_mode_rejects_transform(self, small_dataset):
@@ -376,13 +367,6 @@ class TestPredict:
         with pytest.raises(ShapeMismatchError):
             predict(res.params, None, small_dataset.samples[0].loop,
                     small_config(epochs=2, n_points=99))
-
-    def test_standardised_loop_input_rejected(self, small_dataset):
-        cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
-        res = train(small_dataset, cfg)
-        std_loop = standardize_loop(res.transforms[0], small_dataset.samples[0].loop)
-        with pytest.raises(InvalidInputError):
-            predict(res.params, res.transforms[0], std_loop, cfg)
 
 
 # ------------------------------------------------------------- persistence
