@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -216,38 +217,19 @@ def _prepare_loop(dat_path, config: TrainConfig):
     return resample_loop(chord.apply(contour), config.loop_size), chord
 
 
-def _inference_transform(config: TrainConfig, samples, checkpoint, name=None):
-    """The standardisation transform to predict with: none in raw mode, else
-    that of the named sample (the first of that name). Only a checkpoint of
-    one sample may leave it unnamed."""
-    if config.mode is TrainMode.RAW:
-        return None
-    names = [n for n, _ in samples]
-    if name is None and len(names) != 1:
-        raise ConfigError(f"{checkpoint} holds {len(names)} samples; name the one whose "
-                          f"transform to use with --sample, one of {sorted(set(names))}")
-    if name is not None and name not in names:
-        raise ConfigError(f"checkpoint has no sample named {name!r}; knows {sorted(set(names))}")
-    transform = samples[0 if name is None else names.index(name)][1]
-    if transform is None:
-        raise ParseError(f"{checkpoint}: missing standardise transform for sample")
-    return transform
-
-
-def _checkpoint_prediction(checkpoint, dat, name=None):
+def _checkpoint_prediction(checkpoint, dat):
     """Predict for a ``.dat`` contour; the network is released on return,
     before the command writes or scores anything."""
-    params, config, samples = load_trained(checkpoint)
+    params, config, transform = load_trained(checkpoint)
     if dat is None:
         raise ConfigError("--checkpoint needs --dat to build the input loop")
-    transform = _inference_transform(config, samples, checkpoint, name)
     loop, chord = _prepare_loop(dat, config)
     return predict(params, transform, loop, config), loop, chord, config
 
 
 def cmd_predict(args) -> int:
     viewport = _parse_viewport(args.viewport) if args.viewport else None
-    pred, loop, chord, _ = _checkpoint_prediction(args.checkpoint, args.dat, args.sample)
+    pred, loop, chord, _ = _checkpoint_prediction(args.checkpoint, args.dat)
 
     out_dir = Path(args.out_dir)
     csv_path = out_dir / "points.csv"
@@ -274,12 +256,10 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     if (args.pred is None) == (args.checkpoint is None):
         raise ConfigError("provide exactly one of --pred or --checkpoint")
-    if args.sample is not None and args.checkpoint is None:
-        raise ConfigError("--sample needs --checkpoint")
     _check_kde_flags(args)
     ratio = args.ratio
     if args.checkpoint is not None:
-        pred, _, chord, config = _checkpoint_prediction(args.checkpoint, args.dat, args.sample)
+        pred, _, chord, config = _checkpoint_prediction(args.checkpoint, args.dat)
         truth = chord.apply(read_parsed(args.truth, parse_msh_nodes))
         if ratio is None:
             ratio = config.weights.repulsion
@@ -341,9 +321,8 @@ def cmd_sweep(args) -> int:
                     log.info("cell ratio=%g nodes=%d: training", ratio, nodes)
                     save_trained(ckpt_path, train(dataset, cell_cfg), cell_cfg,
                                  [s.name for s in dataset.samples])
-                params, cfg, samples = load_trained(ckpt_path)
-                pred = predict(params, _inference_transform(cfg, samples, ckpt_path, sample.name),
-                               sample.loop, cfg)
+                params, cfg, transform = load_trained(ckpt_path)
+                pred = predict(params, transform, sample.loop, cfg)
             except Loop2MeshError as exc:
                 failures.append(f"ratio={ratio:g} nodes={nodes}: {exc}")
                 log.warning("cell ratio=%g nodes=%d failed: %s", ratio, nodes, exc)
@@ -392,6 +371,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="sample name to exclude from training (repeatable)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loop2mesh",
                                      description="Generate dense 2D mesh point clouds around airfoil loops.")
@@ -403,30 +383,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out-dir", default="runs/train")
     p_train.add_argument("--nodes", type=int, help="generated point count")
     _add_config_flags(p_train)
-    p_train.set_defaults(func=cmd_train)
 
     p_pred = sub.add_parser("predict", help="generate points for an airfoil contour")
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("--dat", required=True, help="airfoil .dat contour")
     p_pred.add_argument("--truth", help="optional .msh overlay")
-    p_pred.add_argument("--sample", help="sample whose transform to use (needed when the "
-                        "checkpoint holds several in stand or stand-clamp mode)")
     p_pred.add_argument("--viewport", help="fixed plot viewport 'xmin,xmax,ymin,ymax'")
     p_pred.add_argument("--out-dir", default="runs/predict")
-    p_pred.set_defaults(func=cmd_predict)
 
     p_eval = sub.add_parser("evaluate", help="score a prediction against a truth mesh")
     p_eval.add_argument("--pred", help="points CSV (from predict)")
     p_eval.add_argument("--checkpoint", help="checkpoint to predict with (needs --dat)")
     p_eval.add_argument("--dat", help="contour used for chord normalisation")
-    p_eval.add_argument("--sample", help="with --checkpoint: as for predict")
     p_eval.add_argument("--truth", required=True, help="truth .msh")
     p_eval.add_argument("--ratio", type=float, help="ratio label for the CSV rows")
     p_eval.add_argument("--grid", type=int, default=100)
     p_eval.add_argument("--epsilon", type=float, default=1e-10)
     p_eval.add_argument("--out", help="KL CSV path (default <out-dir>/kl.csv)")
     p_eval.add_argument("--out-dir", default="runs/evaluate")
-    p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="train/evaluate a (ratio x nodes) grid")
     p_sweep.add_argument("manifest")
@@ -436,17 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", type=int, default=100)
     p_sweep.add_argument("--epsilon", type=float, default=1e-10)
     _add_config_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a rebound ``cmd_*`` (a tracer, a test) is the one run
+        return globals()["cmd_" + args.command](args)
     except (Loop2MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # an unreadable file is an input error, like a parse error

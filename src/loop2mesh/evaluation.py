@@ -76,7 +76,8 @@ def scott_bandwidth(xy: np.ndarray, window: EvalWindow) -> tuple[float, float]:
     pts = xy[window.contains(xy)]
     if pts.shape[0] < 2:
         raise DegenerateDataError("bandwidth fit needs at least 2 points inside the window")
-    sigma = pts.std(axis=0)
+    with np.errstate(over="ignore"):  # a far point gives sigma inf, rejected below
+        sigma = pts.std(axis=0)
     if sigma[0] == 0.0 or sigma[1] == 0.0:
         raise DegenerateDataError("zero variance inside the window; cannot fit a bandwidth")
     factor = pts.shape[0] ** (-1.0 / 6.0)
@@ -90,7 +91,8 @@ def _gaussian_factor(centers: np.ndarray, coords: np.ndarray, h: float) -> np.nd
     """exp(-0.5 * ((centers[:, None] - coords) / h) ** 2), built in one buffer."""
     f = np.subtract.outer(centers, coords)
     f /= h
-    np.square(f, out=f)
+    with np.errstate(over="ignore"):  # a far coordinate squares to inf: exp(-inf) = 0
+        np.square(f, out=f)
     f *= -0.5
     return np.exp(f, out=f)
 

@@ -4,8 +4,8 @@ Full-batch Adam on the generator under the composite objective, with three
 coordinate-handling modes:
 
 raw          train directly on chord-normalised coordinates.
-stand        per-sample standardisation fitted on the ground-truth mesh and
-             applied to both loop and mesh.
+stand        one standardisation, fitted on the pooled ground-truth meshes of
+             all training samples and applied to every loop and mesh.
 stand-clamp  as ``stand``, plus hard clamping of predicted y coordinates.
 
 A full run is a pure function of (dataset, config): logs, parameters and
@@ -19,7 +19,6 @@ import enum
 import io
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
 
 import numpy as np
 
@@ -215,7 +214,7 @@ class TrainLog:
 @dataclass
 class TrainResult:
     params: NetworkParams
-    transforms: Optional[list[StandardizeTransform]]  # one per sample; None in raw mode
+    transform: StandardizeTransform | None  # None in raw mode
     log: TrainLog
 
 
@@ -236,14 +235,13 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     state = AdamState.zeros(params)
 
     refs = [s.target.xy for s in dataset.samples]
-    polys = [s.loop.vertices for s in dataset.samples]
-    transforms = None
+    loops = np.stack([s.loop.vertices for s in dataset.samples])
+    transform = None
     if config.mode is not TrainMode.RAW:
-        transforms = [fit_standardize(ref) for ref in refs]
-        refs = [standardize_loop(t, ref) for t, ref in zip(transforms, refs)]
-        polys = [standardize_loop(t, poly) for t, poly in zip(transforms, polys)]
-    n_samples = len(polys)
-    loops = np.stack(polys)
+        transform = fit_standardize(np.concatenate(refs))  # training targets only
+        refs = [standardize_loop(transform, ref) for ref in refs]
+        loops = standardize_loop(transform, loops)
+    n_samples = len(loops)
     x = loops.reshape(n_samples, -1)  # rows x0, y0, x1, ...
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
@@ -259,7 +257,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         d_out *= 1.0 / n_samples  # the cotangent of the mean loss
         adam_step(params, backward(params, trace, d_out), state, lr=config.lr, t=epoch)
         records.append(record)
-    return TrainResult(params, transforms, TrainLog(tuple(records)))
+    return TrainResult(params, transform, TrainLog(tuple(records)))
 
 
 def predict(params: NetworkParams, transform: StandardizeTransform | None,
@@ -270,7 +268,7 @@ def predict(params: NetworkParams, transform: StandardizeTransform | None,
     if config.mode is TrainMode.RAW and transform is not None:
         raise InvalidInputError("raw mode takes no standardise transform")
     if config.mode is not TrainMode.RAW and transform is None:
-        raise InvalidInputError("standardised modes require the sample's transform")
+        raise InvalidInputError("standardised modes require the model's transform")
     inp = loop.vertices if transform is None else standardize_loop(transform, loop.vertices)
     out, _ = forward(params, inp.reshape(1, -1), y_clamp=config.y_clamp)
     out = out.reshape(-1, 2)
@@ -278,25 +276,34 @@ def predict(params: NetworkParams, transform: StandardizeTransform | None,
 
 
 def save_trained(path, result: TrainResult, config: TrainConfig, sample_names: list[str]) -> None:
-    """Checkpoint the trained parameters plus config and per-sample transforms."""
-    transforms = result.transforms or [None] * len(sample_names)
+    """Checkpoint the trained parameters, the config and one record per
+    training sample, each repeating the model's one transform (null in raw mode)."""
+    transform = result.transform.to_dict() if result.transform is not None else None
     meta = {
         "config": config.to_dict(),
-        "samples": [{"name": name, "transform": (t.to_dict() if t is not None else None)}
-                    for name, t in zip(sample_names, transforms)],
+        "samples": [{"name": name, "transform": transform} for name in sample_names],
     }
     save_checkpoint(path, result.params, meta)
 
 
-def load_trained(path) -> tuple[NetworkParams, TrainConfig, list[tuple[str, StandardizeTransform | None]]]:
+def load_trained(path) -> tuple[NetworkParams, TrainConfig, StandardizeTransform | None]:
+    """Parameters, config and the model's transform (None in raw mode)."""
     params, meta = load_checkpoint(path)
     try:
         config = TrainConfig.from_dict(meta["config"])
-        samples = [(str(rec["name"]),
-                    StandardizeTransform.from_dict(rec["transform"]) if rec["transform"] else None)
-                   for rec in meta["samples"]]
+        transforms = [StandardizeTransform.from_dict(rec["transform"]) if rec["transform"] else None
+                      for rec in meta["samples"]]
     except (KeyError, TypeError, ValueError, ConfigError, InvalidInputError) as exc:
         raise ParseError(f"{path}: invalid checkpoint metadata: {exc}") from exc
     if params.n_points != config.n_points or params.loop_size != config.loop_size:
         raise ParseError(f"{path}: checkpoint arrays disagree with its stored config")
-    return params, config, samples
+    if not transforms:
+        raise ParseError(f"{path}: checkpoint lists no sample")
+    if config.mode is TrainMode.RAW:
+        return params, config, None
+    if len(set(transforms)) != 1:
+        raise ParseError(f"{path}: its samples hold different standardise transforms, "
+                         "one fitted per sample; retrain it to fit one on all samples")
+    if transforms[0] is None:
+        raise ParseError(f"{path}: missing standardise transform")
+    return params, config, transforms[0]

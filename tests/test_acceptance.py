@@ -49,8 +49,7 @@ def _desk_run(desk_data, mode, ratio, n_points):
     t0 = time.perf_counter()
     result = train(desk_data["dataset"], cfg)
     elapsed = time.perf_counter() - t0
-    transform = result.transforms[0] if result.transforms else None
-    pred = predict(result.params, transform, desk_data["sample"].loop, cfg)
+    pred = predict(result.params, result.transform, desk_data["sample"].loop, cfg)
     return {"pred": pred, "records": result.log.records, "elapsed": elapsed}
 
 

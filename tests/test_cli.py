@@ -42,8 +42,8 @@ def trained(tmp_path_factory, manifest_path):
     code = main(["train", str(manifest_path), "--out-dir", str(out),
                  "--mode", "stand", "--ratio", "1", *FAST])
     assert code == 0
-    # two samples in stand mode, so predict and evaluate name the transform
-    return {"dir": out, "checkpoint": out / "checkpoint.l2m", "sample": "naca2220",
+    # two samples in stand mode, standardised with one transform fitted on both
+    return {"dir": out, "checkpoint": out / "checkpoint.l2m",
             "manifest": manifest_path,
             "dat": manifest_path.parent / "naca2220.dat",
             "msh": manifest_path.parent / "naca2220.msh"}
@@ -206,7 +206,7 @@ class TestPredict:
     def test_csv_has_exactly_n_data_rows(self, tmp_path, trained, capsys):
         out = tmp_path / "pred"
         code, stdout, _ = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+            ["predict", "--checkpoint", trained["checkpoint"],
              "--dat", trained["dat"], "--out-dir", out], capsys)
         assert code == 0
         lines = (out / "points.csv").read_text().splitlines()
@@ -218,12 +218,12 @@ class TestPredict:
     def test_truth_flag_adds_green_layer(self, tmp_path, trained, capsys):
         plain = tmp_path / "plain"
         code, _, _ = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+            ["predict", "--checkpoint", trained["checkpoint"],
              "--dat", trained["dat"], "--out-dir", plain], capsys)
         assert code == 0
         overlay = tmp_path / "overlay"
         code, _, _ = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+            ["predict", "--checkpoint", trained["checkpoint"],
              "--dat", trained["dat"], "--truth", trained["msh"],
              "--out-dir", overlay], capsys)
         assert code == 0
@@ -232,36 +232,33 @@ class TestPredict:
         assert 'fill="green"' in svg and 'fill="blue"' in svg and 'stroke="red"' in svg
 
     def test_unknown_sample_name_exits_2(self, tmp_path, trained, capsys):
-        code, _, stderr = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"],
-             "--dat", trained["dat"], "--sample", "bogus",
-             "--out-dir", tmp_path / "p"], capsys)
-        assert code == 2
-        assert "bogus" in stderr
+        """``--sample`` is gone: any sample name is an unrecognized argument."""
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--checkpoint", str(trained["checkpoint"]),
+                  "--dat", str(trained["dat"]), "--sample", "bogus",
+                  "--out-dir", str(tmp_path / "p")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sample bogus" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     def test_checkpoint_without_the_chosen_transform_exits_3(self, tmp_path, trained, capsys):
         head, rest = trained["checkpoint"].read_bytes().split(b"\n", 1)
         header = json.loads(head)
-        header["meta"]["samples"][0]["transform"] = None
+        for record in header["meta"]["samples"]:
+            record["transform"] = None
         bad = tmp_path / "bad.l2m"
         bad.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
         for argv in (["predict", "--out-dir", tmp_path / "p"],
                      ["evaluate", "--truth", trained["msh"], "--out", tmp_path / "kl.csv"]):
-            code, _, stderr = run_cli(
-                argv + ["--checkpoint", bad, "--dat", trained["dat"],
-                        "--sample", trained["sample"]], capsys)
+            code, _, stderr = run_cli(argv + ["--checkpoint", bad, "--dat", trained["dat"]],
+                                      capsys)
             assert code == 3
             assert "missing standardise transform" in stderr
-        # the second sample still has its transform and can be chosen by name
-        second = header["meta"]["samples"][1]["name"]
-        code, _, _ = run_cli(["predict", "--checkpoint", bad, "--dat", trained["dat"],
-                              "--sample", second, "--out-dir", tmp_path / "p2"], capsys)
-        assert code == 0
 
     def test_explicit_viewport_accepted(self, tmp_path, trained, capsys):
         out = tmp_path / "pred"
         code, _, _ = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+            ["predict", "--checkpoint", trained["checkpoint"],
              "--dat", trained["dat"], "--viewport=-1,2,-1,1",
              "--out-dir", out], capsys)
         assert code == 0
@@ -273,7 +270,7 @@ class TestPredict:
     def test_bad_viewport_exits_2_before_writing(self, tmp_path, trained, viewport, capsys):
         out = tmp_path / "p"
         code, _, stderr = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+            ["predict", "--checkpoint", trained["checkpoint"],
              "--dat", trained["dat"], f"--viewport={viewport}", "--out-dir", out], capsys)
         assert code == 2
         assert "viewport" in stderr
@@ -389,7 +386,7 @@ class TestEvaluate:
     def test_checkpoint_route_labels_rows_with_trained_ratio(self, tmp_path, trained, capsys):
         out = tmp_path / "kl.csv"
         code, stdout, _ = run_cli(
-            ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+            ["evaluate", "--checkpoint", trained["checkpoint"],
              "--dat", trained["dat"], "--truth", trained["msh"],
              "--out", out], capsys)
         assert code == 0
@@ -417,7 +414,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(evaluation, "kde", out_of_memory)
         code, _, stderr = run_cli(
-            ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+            ["evaluate", "--checkpoint", trained["checkpoint"],
              "--dat", trained["dat"], "--truth", trained["msh"], "--out", tmp_path / "kl.csv",
              "--grid", "100000"], capsys)
         assert code == cli.MEMORY_EXIT_CODE == 5
@@ -430,14 +427,13 @@ class TestEvaluate:
         for sub in ("a.csv", "b.csv"):
             out = tmp_path / sub
             code, _, _ = run_cli(
-                ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+                ["evaluate", "--checkpoint", trained["checkpoint"],
                  "--dat", trained["dat"], "--truth", trained["msh"],
                  "--out", out], capsys)
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.std overflows on the far node
     def test_truth_node_that_overflows_the_bandwidth_exits_3(self, tmp_path, trained, capsys):
         nodes = parse_msh_nodes(trained["msh"].read_text()).xy.tolist() + [[1e200, 1e200]]
         body = "".join(f"{i} {x!r} {y!r} 0.0\n" for i, (x, y) in enumerate(nodes, start=1))
@@ -446,33 +442,40 @@ class TestEvaluate:
                          f"{body}$EndNodes\n")
         out = tmp_path / "kl.csv"
         code, _, stderr = run_cli(
-            ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+            ["evaluate", "--checkpoint", trained["checkpoint"],
              "--dat", trained["dat"], "--truth", truth, "--out", out], capsys)
         assert code == 3
-        assert "error: bandwidth must be positive and finite" in stderr
+        assert len(stderr.splitlines()) == 1  # no RuntimeWarning before the error line
+        assert stderr.startswith("error: bandwidth must be positive and finite")
         assert not out.exists()
 
 
 # ------------------------------------------------------ inference transform
 
 class TestInferenceTransform:
-    """A stand or stand-clamp checkpoint of several samples predicts only with
-    a named sample's transform; raw and single-sample checkpoints need none."""
+    """A model has one standardisation transform, stored in every sample
+    record of its checkpoint; predict and evaluate take no sample name."""
 
-    @pytest.mark.parametrize("command", ["predict", "evaluate"])
-    def test_unnamed_sample_exits_2_before_reading_the_dat(self, tmp_path, trained, command,
-                                                           capsys):
-        out = tmp_path / "out"
-        code, _, stderr = run_cli(
-            [command, "--checkpoint", trained["checkpoint"], "--dat", tmp_path / "none.dat",
-             "--truth", trained["msh"], "--out-dir", out], capsys)
-        assert code == 2
-        assert stderr.splitlines() == [
-            f"error: {trained['checkpoint']} holds 2 samples; name the one whose transform to "
-            "use with --sample, one of ['naca2220', 'naca4412']"]
-        assert not out.exists()
+    def test_evaluate_unknown_sample_exits_2(self, tmp_path, trained, capsys):
+        """``evaluate --checkpoint`` takes no sample name, a trained one included."""
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--checkpoint", str(trained["checkpoint"]),
+                  "--sample", "naca2220", "--dat", str(trained["dat"]),
+                  "--truth", str(trained["msh"]), "--out", str(tmp_path / "kl.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sample naca2220" in capsys.readouterr().err
+        assert not (tmp_path / "kl.csv").exists()
 
-    def test_checkpoint_listing_no_sample_exits_2(self, tmp_path, trained, capsys):
+    def test_sample_without_checkpoint_exits_2(self, tmp_path, trained, capsys):
+        """The ``--pred`` route rejects ``--sample`` as the checkpoint route does."""
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--pred", str(tmp_path / "p.csv"), "--sample", "naca2220",
+                  "--truth", str(trained["msh"]), "--out", str(tmp_path / "kl.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sample naca2220" in capsys.readouterr().err
+        assert not (tmp_path / "kl.csv").exists()
+
+    def test_checkpoint_listing_no_sample_exits_3(self, tmp_path, trained, capsys):
         head, rest = trained["checkpoint"].read_bytes().split(b"\n", 1)
         header = json.loads(head)
         header["meta"]["samples"] = []
@@ -480,39 +483,42 @@ class TestInferenceTransform:
         bad.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
         code, _, stderr = run_cli(["predict", "--checkpoint", bad, "--dat", trained["dat"],
                                    "--out-dir", tmp_path / "p"], capsys)
-        assert code == 2
-        assert "holds 0 samples" in stderr
+        assert code == 3
+        assert stderr.splitlines() == [f"error: {bad}: checkpoint lists no sample"]
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_per_sample_transforms_exit_3_and_write_nothing(self, tmp_path, trained, command,
+                                                            capsys):
+        """A stand checkpoint whose records hold different transforms (one
+        fitted per sample) is refused by predict and evaluate alike."""
+        head, rest = trained["checkpoint"].read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["meta"]["samples"][1]["transform"]["mean_x"] += 0.25
+        bad = tmp_path / "bad.l2m"
+        bad.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
+        out = tmp_path / "out"
+        argv = {"predict": ["predict", "--out-dir", out],
+                "evaluate": ["evaluate", "--truth", trained["msh"], "--out", out / "kl.csv"]}
+        code, stdout, stderr = run_cli(argv[command] + ["--checkpoint", bad,
+                                                        "--dat", trained["dat"]], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            f"error: {bad}: its samples hold different standardise transforms, one fitted "
+            "per sample; retrain it to fit one on all samples"]
+        assert not out.exists()
 
     def test_evaluate_sample_scores_as_predict_sample_does(self, tmp_path, trained, capsys):
-        """``evaluate --checkpoint --sample`` writes the bytes that scoring the
-        CSV of ``predict --sample`` writes, and the two samples differ."""
-        rows = {}
-        for name in ("naca2220", "naca4412"):
-            common = ["--dat", trained["dat"], "--truth", trained["msh"]]
-            assert run_cli(["predict", "--checkpoint", trained["checkpoint"], "--sample", name,
-                            "--dat", trained["dat"], "--out-dir", tmp_path / name], capsys)[0] == 0
-            assert run_cli(["evaluate", "--checkpoint", trained["checkpoint"], "--sample", name,
-                            *common, "--out", tmp_path / f"{name}.ckpt.csv"], capsys)[0] == 0
-            assert run_cli(["evaluate", "--pred", tmp_path / name / "points.csv", "--ratio", "1",
-                            *common, "--out", tmp_path / f"{name}.pred.csv"], capsys)[0] == 0
-            rows[name] = (tmp_path / f"{name}.ckpt.csv").read_bytes()
-            assert rows[name] == (tmp_path / f"{name}.pred.csv").read_bytes()
-        assert rows["naca2220"] != rows["naca4412"]
-
-    def test_evaluate_unknown_sample_exits_2(self, tmp_path, trained, capsys):
-        code, _, stderr = run_cli(
-            ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", "bogus",
-             "--dat", trained["dat"], "--truth", trained["msh"], "--out", tmp_path / "kl.csv"],
-            capsys)
-        assert code == 2
-        assert "bogus" in stderr
-
-    def test_sample_without_checkpoint_exits_2(self, tmp_path, trained, capsys):
-        code, _, stderr = run_cli(
-            ["evaluate", "--pred", tmp_path / "p.csv", "--sample", "naca2220",
-             "--truth", trained["msh"], "--out", tmp_path / "kl.csv"], capsys)
-        assert code == 2
-        assert stderr.splitlines() == ["error: --sample needs --checkpoint"]
+        """``evaluate --checkpoint`` writes the bytes that scoring the CSV of
+        ``predict`` writes."""
+        common = ["--dat", trained["dat"], "--truth", trained["msh"]]
+        assert run_cli(["predict", "--checkpoint", trained["checkpoint"],
+                        "--dat", trained["dat"], "--out-dir", tmp_path / "p"], capsys)[0] == 0
+        assert run_cli(["evaluate", "--checkpoint", trained["checkpoint"],
+                        *common, "--out", tmp_path / "ckpt.csv"], capsys)[0] == 0
+        assert run_cli(["evaluate", "--pred", tmp_path / "p" / "points.csv", "--ratio", "1",
+                        *common, "--out", tmp_path / "pred.csv"], capsys)[0] == 0
+        assert (tmp_path / "ckpt.csv").read_bytes() == (tmp_path / "pred.csv").read_bytes()
 
     @pytest.mark.parametrize("train_flags", [["--mode", "raw"],
                                              ["--mode", "stand", "--holdout", "naca4412"]])
@@ -666,7 +672,7 @@ class TestUndecodableInput:
     def test_dat_for_predict_exits_3_naming_the_file(self, tmp_path, trained, capsys):
         dat = with_bad_byte(trained["dat"], tmp_path / "bad.dat")
         code, _, stderr = run_cli(
-            ["predict", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+            ["predict", "--checkpoint", trained["checkpoint"],
              "--dat", dat, "--out-dir", tmp_path / "p"], capsys)
         assert code == 3
         assert f"error: {dat}: " in stderr
@@ -674,7 +680,7 @@ class TestUndecodableInput:
     def test_truth_msh_exits_3_naming_the_file(self, tmp_path, trained, capsys):
         msh = with_bad_byte(trained["msh"], tmp_path / "bad.msh")
         code, _, stderr = run_cli(
-            ["evaluate", "--checkpoint", trained["checkpoint"], "--sample", trained["sample"],
+            ["evaluate", "--checkpoint", trained["checkpoint"],
              "--dat", trained["dat"], "--truth", msh, "--out", tmp_path / "kl.csv"], capsys)
         assert code == 3
         assert f"error: {msh}: " in stderr

@@ -96,7 +96,6 @@ class TestScottBandwidth:
         with pytest.raises(DegenerateDataError):
             scott_bandwidth(xy, w)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.std overflows
     def test_bad_bandwidth_rejected(self):
         w = EvalWindow("w", (-1e201, 1e201), (-1e201, 1e201))
         with pytest.raises(InvalidInputError, match="bandwidth must be positive and finite"):

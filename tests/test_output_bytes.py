@@ -13,6 +13,8 @@ checkpoint.
 """
 
 import hashlib
+import math
+import statistics
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from loop2mesh.geometry import PointSet
 from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.svg import render_svg
 from loop2mesh.synth import msh_text, naca4_contour, synth_fluid_mesh, write_sample_dataset
-from loop2mesh.train import TrainConfig, save_trained, train
+from loop2mesh.train import TrainConfig, load_trained, save_trained, train
 
 
 def _scene():
@@ -152,9 +154,27 @@ def test_multi_sample_raw_training_is_pinned(fleet_manifest, tmp_path):
         "ab33ddbbc9ad4c374a9799456096cd0f60f0d0221bd1c8ee8f4b24d120a82545")
 
 
-def test_two_sample_stand_clamp_training_is_pinned(manifest_path, tmp_path):
-    config = {"mode": "stand-clamp", "n_points": 200, "upsample_count": 800, "epochs": 40,
-              "h1": 64, "h2": 128, "weights": {"chamfer": 1.0, "repulsion": 1.0, "interior": 10.0}}
-    assert _train_digests(manifest_path, config, 800, tmp_path) == (
-        "de2bbfe4d0427724efab1bf38320bf022b9ec98eeb33ca05a8c9edabbe67f9e7",
-        "2063079c6aa3b8d5a4c6041fcf81996888f90370e64acdc3975c208f87e9a528")
+STAND_CLAMP = {"mode": "stand-clamp", "n_points": 200, "upsample_count": 800, "epochs": 40,
+               "h1": 64, "h2": 128,
+               "weights": {"chamfer": 1.0, "repulsion": 1.0, "interior": 10.0}}
+
+
+def test_one_sample_stand_clamp_training_is_pinned(tmp_path):
+    """At one sample the pooled transform is that sample's own fit: these
+    digests were computed when each sample had its own transform."""
+    manifest = write_sample_dataset(tmp_path / "data", codes=("2220",), mesh_nodes=1500, seed=0)
+    assert _train_digests(manifest, STAND_CLAMP, 800, tmp_path) == (
+        "c68564c9ce975842070139382c376455928035e2a4da51d7540da3148667d052",
+        "60de00954e8b3b9b26d682127c67e7e3abf7c98c4680daeef693843b75d88acc")
+
+
+def test_two_sample_stand_clamp_training_is_pinned(manifest_path, dataset, tmp_path):
+    assert _train_digests(manifest_path, STAND_CLAMP, 800, tmp_path) == (
+        "fd83bca76d0b1ae514455dc6908daeff3f68718ea927b4540b76fd1658bc78c0",
+        "562ec2b750d6b43f94a55e822ae07e04a08015ef64de4af4268afd4cb0366f01")
+    # the one stored transform is the population mean and sigma of both targets
+    _, _, t = load_trained(tmp_path / "checkpoint.l2m")
+    for axis, mean, scale in ((0, t.mean_x, t.scale_x), (1, t.mean_y, t.scale_y)):
+        values = [v for s in dataset.samples for v in s.target.xy[:, axis].tolist()]
+        assert math.isclose(mean, statistics.fmean(values), rel_tol=1e-12)
+        assert math.isclose(scale, statistics.pstdev(values), rel_tol=1e-12)

@@ -163,7 +163,7 @@ class TestTrainConfig:
     def test_desk_checkpoint_header_is_pinned(self, tmp_path):
         cfg = TrainConfig.from_dict(DESK_CONFIG)
         result = TrainResult(init_params(0, 35, 256, 512, 400),
-                             [StandardizeTransform(0.5, 0.25, 0.125, 2.0)], TrainLog(()))
+                             StandardizeTransform(0.5, 0.25, 0.125, 2.0), TrainLog(()))
         save_trained(tmp_path / "desk.l2m", result, cfg, ["naca2220"])
         header = (tmp_path / "desk.l2m").read_bytes().split(b"\n", 1)[0]
         assert header == (
@@ -261,24 +261,23 @@ class TestTrain:
 
     def test_raw_mode_has_no_transforms(self, small_dataset):
         res = train(small_dataset, small_config(epochs=2))
-        assert res.transforms is None
+        assert res.transform is None
 
-    def test_standardised_mode_fits_one_transform_per_sample(self, small_dataset):
+    def test_standardised_mode_fits_one_transform_on_pooled_targets(self, small_dataset):
+        assert len(small_dataset.samples) > 1
         res = train(small_dataset, small_config(mode=TrainMode.STANDARDISED, epochs=2))
-        assert res.transforms is not None
-        assert len(res.transforms) == len(small_dataset.samples)
-        t = res.transforms[0]
-        target = small_dataset.samples[0].target
-        assert t.mean_x == pytest.approx(target.xy[:, 0].mean())
-        assert t.scale_y == pytest.approx(target.xy[:, 1].std())
+        pooled = np.vstack([s.target.xy for s in small_dataset.samples])
+        t = res.transform
+        assert (t.mean_x, t.mean_y) == pytest.approx(pooled.mean(axis=0).tolist())
+        assert (t.scale_x, t.scale_y) == pytest.approx(pooled.std(axis=0).tolist())
 
     def test_clamped_mode_confines_standardised_y(self, small_dataset):
         cfg = small_config(mode=TrainMode.STANDARDISED_CLAMPED, epochs=3,
                            clamp_y=(-1.0, 1.0))
         res = train(small_dataset, cfg)
         samp = small_dataset.samples[0]
-        pred = predict(res.params, res.transforms[0], samp.loop, cfg)
-        t = res.transforms[0]
+        pred = predict(res.params, res.transform, samp.loop, cfg)
+        t = res.transform
         std_y = (pred.xy[:, 1] - t.mean_y) / t.scale_y
         assert std_y.min() >= -1.0 - 1e-12
         assert std_y.max() <= 1.0 + 1e-12
@@ -333,7 +332,7 @@ class TestPredict:
         from loop2mesh.net import forward
         cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
         res = train(small_dataset, cfg)
-        samp, t = small_dataset.samples[0], res.transforms[0]
+        samp, t = small_dataset.samples[0], res.transform
         got = predict(res.params, t, samp.loop, cfg)
         std_loop = standardize_loop(t, samp.loop.vertices)
         out, _ = forward(res.params, std_loop.reshape(1, -1))
@@ -344,7 +343,7 @@ class TestPredict:
         cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
         res = train(small_dataset, cfg)
         samp = small_dataset.samples[0]
-        pred = predict(res.params, res.transforms[0], samp.loop, cfg)
+        pred = predict(res.params, res.transform, samp.loop, cfg)
         assert len(pred) == cfg.n_points
 
     def test_raw_mode_rejects_transform(self, small_dataset):
@@ -354,7 +353,7 @@ class TestPredict:
         t_res = train(small_dataset, t_cfg)
         samp = small_dataset.samples[0]
         with pytest.raises(InvalidInputError):
-            predict(res.params, t_res.transforms[0], samp.loop, cfg)
+            predict(res.params, t_res.transform, samp.loop, cfg)
 
     def test_standardised_mode_requires_transform(self, small_dataset):
         cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
@@ -378,10 +377,11 @@ class TestSaveLoadTrained:
         path = tmp_path / "run.l2m"
         names = [s.name for s in small_dataset.samples]
         save_trained(path, res, cfg, names)
-        params, got_cfg, samples = load_trained(path)
+        params, got_cfg, transform = load_trained(path)
         assert got_cfg == cfg
-        assert [n for n, _ in samples] == names
-        assert samples[0][1] == res.transforms[0]
+        assert transform == res.transform
+        records = json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]["samples"]
+        assert records == [{"name": n, "transform": res.transform.to_dict()} for n in names]
         for (_, a), (_, b) in zip(res.params.arrays(), params.arrays()):
             assert np.array_equal(a, b)
 
@@ -390,8 +390,10 @@ class TestSaveLoadTrained:
         res = train(small_dataset, cfg)
         path = tmp_path / "raw.l2m"
         save_trained(path, res, cfg, [s.name for s in small_dataset.samples])
-        _, _, samples = load_trained(path)
-        assert all(t is None for _, t in samples)
+        _, _, transform = load_trained(path)
+        assert transform is None
+        records = json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]["samples"]
+        assert [rec["transform"] for rec in records] == [None] * len(small_dataset.samples)
 
     def test_tampered_metadata_rejected(self, small_dataset, tmp_path):
         cfg = small_config(epochs=2)
@@ -432,7 +434,7 @@ def tiny_checkpoint(tmp_path_factory):
     """A valid one-sample stand checkpoint's header and payload."""
     cfg = TrainConfig(mode=TrainMode.STANDARDISED, n_points=5, loop_size=3, h1=4, h2=4)
     result = TrainResult(init_params(0, 3, 4, 4, 5),
-                         [StandardizeTransform(0.5, 0.25, 0.125, 2.0)], TrainLog(()))
+                         StandardizeTransform(0.5, 0.25, 0.125, 2.0), TrainLog(()))
     path = tmp_path_factory.mktemp("ckpt") / "tiny.l2m"
     save_trained(path, result, cfg, ["tiny"])
     head, rest = path.read_bytes().split(b"\n", 1)
