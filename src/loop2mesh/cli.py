@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from . import __version__
 from .errors import ConfigError, InvalidInputError, Loop2MeshError, ParseError
 from .evaluation import KLRow, evaluate, kl_csv_text, kl_sweep, write_kl_csv
 from .fileio import atomic_write_text
-from .geometry import PointSet, padded_bbox, points_in_polygon, resample_loop
+from .geometry import padded_bbox, points_in_polygon, resample_loop
 from .ingest import build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes, read_parsed
 from .svg import pixel_scale, render_svg
 from .train import (
@@ -130,11 +131,11 @@ def _write_run_manifest(path, command: str, config: TrainConfig,
     atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _points_csv_text(ps: PointSet) -> str:
-    return "x,y\n" + ("%r,%r\n" * len(ps)) % tuple(ps.xy.ravel().tolist())
+def _points_csv_text(xy: np.ndarray) -> str:
+    return "x,y\n" + ("%r,%r\n" * len(xy)) % tuple(xy.ravel().tolist())
 
 
-def _parse_points_csv(text: str) -> PointSet:
+def _parse_points_csv(text: str) -> np.ndarray:
     reader = csv.reader(text.splitlines())
     try:
         records = list(reader)
@@ -149,12 +150,15 @@ def _parse_points_csv(text: str) -> PointSet:
         if len(record) != 2:
             raise ParseError(f"row {lineno}: expected two fields, got {len(record)}")
         try:
-            rows.append((float(record[0]), float(record[1])))
+            x, y = float(record[0]), float(record[1])
         except ValueError:
             raise ParseError(f"row {lineno}: non-numeric coordinate {record!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"row {lineno}: non-finite coordinate {record!r}")
+        rows.append((x, y))
     if not rows:
         raise ParseError("no data rows")
-    return PointSet(np.asarray(rows, dtype=np.float64))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _parse_viewport(text: str) -> tuple[float, float, float, float]:
@@ -236,17 +240,17 @@ def cmd_predict(args) -> int:
     svg_path = out_dir / "scatter.svg"
     atomic_write_text(csv_path, _points_csv_text(pred))
 
-    layers = [(pred.xy, PRED_FILL, 2.0)]
-    clouds = [pred.xy, loop.vertices]
+    layers = [(pred, PRED_FILL, 2.0)]
+    clouds = [pred, loop.vertices]
     if args.truth is not None:
         truth = chord.apply(read_parsed(args.truth, parse_msh_nodes))
-        layers.insert(0, (truth.xy, TRUTH_FILL, 1.5))
-        clouds.append(truth.xy)
+        layers.insert(0, (truth, TRUTH_FILL, 1.5))
+        clouds.append(truth)
     render_svg(svg_path, viewport=viewport or _bbox_viewport(*clouds),
                polylines=[(loop.vertices, LOOP_STROKE, 1.5, True)],
                point_layers=layers)
 
-    interior = int(points_in_polygon(pred.xy, loop).sum())
+    interior = int(points_in_polygon(pred, loop).sum())
     print(f"wrote {csv_path} ({len(pred)} points)")
     print(f"wrote {svg_path}")
     print(f"interior: {interior}")
@@ -307,7 +311,7 @@ def cmd_sweep(args) -> int:
     dataset = build_dataset(entries, loop_size=base.loop_size,
                             target_count=base.upsample_count, seed=base.seed)
     sample = dataset.samples[0]
-    predictions: dict[tuple[float, int], PointSet | None] = {}
+    predictions: dict[tuple[float, int], np.ndarray | None] = {}
     failures: list[str] = []
     for ratio in ratios:
         for nodes in node_counts:
@@ -330,9 +334,9 @@ def cmd_sweep(args) -> int:
                 continue
             predictions[(ratio, nodes)] = pred
             render_svg(panel_dir / f"cell_r{ratio:g}_n{nodes}.svg",
-                       viewport=_bbox_viewport(pred.xy, sample.loop.vertices),
+                       viewport=_bbox_viewport(pred, sample.loop.vertices),
                        polylines=[(sample.loop.vertices, LOOP_STROKE, 1.5, True)],
-                       point_layers=[(pred.xy, PRED_FILL, 2.0)])
+                       point_layers=[(pred, PRED_FILL, 2.0)])
 
     rows = kl_sweep(predictions, sample.target, epsilon=args.epsilon, grid=args.grid)
     kl_path = out_dir / "kl.csv"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, DegenerateDensityError, InvalidInputError
 from .fileio import atomic_write_text
-from .geometry import PointSet, padded_bbox
+from .geometry import as_point_array, padded_bbox
 
 log = logging.getLogger(__name__)
 
@@ -59,9 +59,11 @@ def center_window(grid: int = 100) -> EvalWindow:
     return EvalWindow("center", (-0.5, 1.5), (-0.4, 0.4), grid, grid)
 
 
-def whole_window(truth: PointSet, grid: int = 100) -> EvalWindow:
-    """Bounding box of the truth cloud, padded by ``geometry.BBOX_PAD`` of each axis extent."""
-    lo, hi = padded_bbox(truth.xy)
+def whole_window(truth: np.ndarray, grid: int = 100) -> EvalWindow:
+    """Truth cloud (N, 2) bounding box, padded by ``geometry.BBOX_PAD`` of each axis extent."""
+    if not len(truth):
+        raise DegenerateDataError("truth cloud is empty")
+    lo, hi = padded_bbox(truth)
     if not (lo[0] < hi[0] and lo[1] < hi[1]):  # padding keeps a zero extent zero
         raise DegenerateDataError("truth cloud has zero extent on an axis")
     return EvalWindow("whole", (lo[0], hi[0]), (lo[1], hi[1]), grid, grid)
@@ -123,19 +125,19 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, epsilon: float = 1e-10) -> float
     return max(val, 0.0)
 
 
-def evaluate(pred: PointSet, truth: PointSet, *,
-             epsilon: float = 1e-10, grid: int = 100) -> dict[str, float]:
-    """KL(pred density || truth density) over the center and whole windows,
-    name -> score.
+def evaluate(pred, truth, *, epsilon: float = 1e-10, grid: int = 100) -> dict[str, float]:
+    """KL(pred density || truth density) of two clouds (N, 2) over the center
+    and whole windows, name -> score.
 
     The bandwidth is fitted on the truth cloud per window and shared by both
     densities, so identical clouds score exactly zero.
     """
+    pred, truth = as_point_array(pred, name="prediction"), as_point_array(truth, name="truth")
     out: dict[str, float] = {}
     for window in (center_window(grid), whole_window(truth, grid=grid)):
-        bw = scott_bandwidth(truth.xy, window)
-        p_mass = kde(pred.xy, window, bw)
-        q_mass = kde(truth.xy, window, bw)
+        bw = scott_bandwidth(truth, window)
+        p_mass = kde(pred, window, bw)
+        q_mass = kde(truth, window, bw)
         out[window.name] = kl_divergence(p_mass, q_mass, epsilon)
     return out
 
@@ -148,7 +150,7 @@ class KLRow:
     kl: Optional[float]  # None marks a missing sweep cell
 
 
-def kl_sweep(predictions: Mapping[tuple[float, int], Optional[PointSet]], truth: PointSet, *,
+def kl_sweep(predictions: Mapping[tuple[float, int], Optional[np.ndarray]], truth: np.ndarray, *,
              epsilon: float = 1e-10, grid: int = 100) -> list[KLRow]:
     """Score a (ratio x node-count) grid of predictions against one truth cloud.
 

@@ -28,28 +28,6 @@ def as_point_array(points, *, name: str = "points") -> np.ndarray:
     return xy
 
 
-def _frozen(xy: np.ndarray) -> np.ndarray:
-    out = xy.copy()
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """Ordered, non-empty 2D point cloud."""
-
-    xy: np.ndarray
-
-    def __post_init__(self):
-        xy = as_point_array(self.xy, name="point set")
-        if xy.shape[0] == 0:
-            raise InvalidInputError("point set must be non-empty")
-        object.__setattr__(self, "xy", _frozen(xy))
-
-    def __len__(self) -> int:
-        return int(self.xy.shape[0])
-
-
 def _signed_area(v: np.ndarray) -> float:
     w = np.roll(v, -1, axis=0)
     return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
@@ -61,16 +39,20 @@ def _is_simple(v: np.ndarray) -> bool:
     Edge k runs from v[k] to v[k+1]. ``orient[k, p]`` is the cross product
     telling which side of edge k's line vertex p lies on; edge p straddles
     edge k's line when its two endpoints lie strictly on opposite sides.
-    Two edges cross when each straddles the other's line, so shared
-    endpoints and collinear touches pass. Adjacent edges share a vertex
-    whose orientation is exactly 0 and so never count.
+    Two edges cross when each straddles the other's line and their boxes
+    meet (rounding can make disjoint, nearly collinear edges straddle), so
+    shared endpoints and collinear touches pass. Adjacent edges share a
+    vertex whose orientation is exactly 0 and so never count.
     """
-    e = np.roll(v, -1, axis=0) - v
+    w = np.roll(v, -1, axis=0)
+    e = w - v
     orient = (e[:, 0, None] * (v[None, :, 1] - v[:, 1, None])
               - e[:, 1, None] * (v[None, :, 0] - v[:, 0, None]))
     o_start, o_end = orient, np.roll(orient, -1, axis=1)
     straddle = (o_start != 0.0) & (o_end != 0.0) & ((o_start > 0.0) != (o_end > 0.0))
-    return not np.any(straddle & straddle.T)
+    k, j = np.nonzero(straddle & straddle.T)  # candidate pairs, as a rule none
+    lo, hi = np.minimum(v, w), np.maximum(v, w)
+    return not np.any(np.all((lo[k] <= hi[j]) & (lo[j] <= hi[k]), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -95,7 +77,9 @@ class AirfoilLoop:
             raise InvalidGeometryError("degenerate loop: enclosed area is numerically zero")
         if not _is_simple(v):
             raise InvalidGeometryError("loop is self-intersecting")
-        object.__setattr__(self, "vertices", _frozen(v))
+        v = v.copy()
+        v.setflags(write=False)
+        object.__setattr__(self, "vertices", v)
 
     def __len__(self) -> int:
         return int(self.vertices.shape[0])
@@ -175,8 +159,8 @@ def padded_bbox(xy: np.ndarray, min_extent: float = 0.0) -> tuple[list[float], l
     return (lo - BBOX_PAD * extent).tolist(), (hi + BBOX_PAD * extent).tolist()
 
 
-def resample_loop(raw: PointSet, target: int) -> AirfoilLoop:
-    """Resample a closed contour to ``target`` vertices at uniform arc-length spacing.
+def resample_loop(raw, target: int) -> AirfoilLoop:
+    """Resample a closed contour (N, 2) to ``target`` vertices at uniform arc-length spacing.
 
     Closure is imposed between the last and first vertex (an explicit closing
     duplicate is dropped first, as are repeated consecutive points). The first
@@ -185,7 +169,7 @@ def resample_loop(raw: PointSet, target: int) -> AirfoilLoop:
     """
     if target < 3:
         raise InvalidGeometryError(f"resample target must be at least 3, got {target}")
-    v = raw.xy
+    v = as_point_array(raw, name="contour")
     keep = np.ones(v.shape[0], dtype=bool)
     keep[1:] = np.any(v[1:] != v[:-1], axis=1)
     v = v[keep]

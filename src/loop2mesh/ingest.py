@@ -23,7 +23,7 @@ from .errors import (
     InvalidInputError,
     ParseError,
 )
-from .geometry import AirfoilLoop, PointSet, points_in_polygon, resample_loop
+from .geometry import AirfoilLoop, as_point_array, points_in_polygon, resample_loop
 
 log = logging.getLogger(__name__)
 
@@ -37,8 +37,8 @@ def _coordinate_pair(tokens: list[str]) -> tuple[float, float] | None:
         return None
 
 
-def parse_airfoil_dat(text: str) -> PointSet:
-    """Parse a Selig-style airfoil contour.
+def parse_airfoil_dat(text: str) -> np.ndarray:
+    """Parse a Selig-style airfoil contour into its points (N, 2).
 
     Grammar: an optional non-numeric name line, then one ``x y`` pair per
     line; blank lines are ignored anywhere. Any other content line is a
@@ -64,7 +64,7 @@ def parse_airfoil_dat(text: str) -> PointSet:
         raise ParseError("no coordinate data found")
     if len(pts) < 3:
         raise InvalidGeometryError(f"airfoil contour needs at least 3 points, got {len(pts)}")
-    return PointSet(np.asarray(pts, dtype=np.float64))
+    return np.asarray(pts, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,17 @@ class ChordTransform:
         if self.chord <= 0.0:
             raise DegenerateDataError("zero chord length; cannot normalise")
 
-    def apply(self, ps: PointSet) -> PointSet:
-        xy = ps.xy.copy()
-        xy[:, 0] -= self.x_min
-        xy /= self.chord
-        return PointSet(xy)
+    def apply(self, points) -> np.ndarray:
+        """Points (N, 2) in chord units; InvalidInputError if a tiny chord overflows them."""
+        with np.errstate(over="ignore"):
+            xy = (as_point_array(points) - (self.x_min, 0.0)) / self.chord
+        return as_point_array(xy, name="chord-normalised cloud")
 
 
-def fit_chord(ps: PointSet) -> ChordTransform:
-    x = ps.xy[:, 0]
+def fit_chord(points) -> ChordTransform:
+    if not len(points):
+        raise DegenerateDataError("empty contour; cannot normalise")
+    x = as_point_array(points, name="contour")[:, 0]
     return ChordTransform(float(x.min()), float(x.max() - x.min()))
 
 
@@ -119,8 +121,8 @@ def _parse_node_block(block: list[str], first_lineno: int) -> np.ndarray:
     raise ParseError("malformed $Nodes block")
 
 
-def parse_msh_nodes(text: str) -> PointSet:
-    """Extract node coordinates from a Gmsh ASCII v2 mesh.
+def parse_msh_nodes(text: str) -> np.ndarray:
+    """Extract node coordinates (N, 2) from a Gmsh ASCII v2 mesh.
 
     Reads the ``$Nodes`` block (``id x y z`` per line, z discarded) and
     returns the nodes sorted by id. The declared node count must match the
@@ -146,11 +148,11 @@ def parse_msh_nodes(text: str) -> PointSet:
     if not len(nodes):
         raise ParseError("mesh contains no nodes")
     order = np.argsort(nodes["id"], kind="stable")
-    return PointSet(np.column_stack((nodes["x"], nodes["y"]))[order])
+    return np.column_stack((nodes["x"], nodes["y"]))[order]
 
 
-def upsample_target(ps: PointSet, m: int, seed: int) -> PointSet:
-    """Deterministically resize a point cloud to exactly ``m`` points.
+def upsample_target(points: np.ndarray, m: int, seed: int) -> np.ndarray:
+    """Deterministically resize a point cloud (n, 2) to exactly ``m`` points.
 
     n >= m: uniform subsample without replacement, original order kept.
     n <  m: all originals, followed by a uniform with-replacement draw of
@@ -158,13 +160,15 @@ def upsample_target(ps: PointSet, m: int, seed: int) -> PointSet:
     """
     if m < 1:
         raise InvalidInputError(f"target count must be positive, got {m}")
-    n = len(ps)
+    n = len(points)
+    if n == 0:
+        raise DegenerateDataError("cannot resize an empty point cloud")
     rng = np.random.default_rng(seed)
     if n >= m:
         idx = np.sort(rng.choice(n, size=m, replace=False))
     else:
         idx = np.concatenate([np.arange(n), rng.choice(n, size=m - n, replace=True)])
-    return PointSet(ps.xy[idx])
+    return points[idx]
 
 
 @dataclass(frozen=True)
@@ -174,7 +178,7 @@ class MeshSample:
 
     name: str
     loop: AirfoilLoop
-    target: PointSet
+    target: np.ndarray  # (target_count, 2)
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,7 @@ class Dataset:
     target_count: int
 
 
-def assemble_sample(name: str, contour: PointSet, mesh_nodes: PointSet, *,
+def assemble_sample(name: str, contour: np.ndarray, mesh_nodes: np.ndarray, *,
                     loop_size: int = 35, target_count: int = 1500, seed: int = 0) -> MeshSample:
     """Build one training pair from parsed raw inputs.
 
@@ -200,13 +204,12 @@ def assemble_sample(name: str, contour: PointSet, mesh_nodes: PointSet, *,
     ct = fit_chord(contour)
     loop = resample_loop(ct.apply(contour), loop_size)
     mesh = ct.apply(mesh_nodes)
-    inside = points_in_polygon(mesh.xy, loop)
+    inside = points_in_polygon(mesh, loop)
     if inside.any():
         log.warning("%s: dropping %d mesh nodes inside the boundary loop", name, int(inside.sum()))
-        survivors = mesh.xy[~inside]
-        if survivors.shape[0] == 0:
+        mesh = mesh[~inside]
+        if mesh.shape[0] == 0:
             raise DegenerateDataError(f"{name}: every mesh node lies inside the loop")
-        mesh = PointSet(survivors)
     target = upsample_target(mesh, target_count, seed)
     return MeshSample(name, loop, target)
 

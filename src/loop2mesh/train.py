@@ -26,7 +26,6 @@ from .errors import ConfigError, InvalidInputError, ParseError, ShapeMismatchErr
 from .fileio import atomic_write_text
 from .geometry import (
     AirfoilLoop,
-    PointSet,
     StandardizeTransform,
     as_float,
     fit_standardize,
@@ -78,7 +77,7 @@ class TrainConfig:
     """Every int field must be at least its ``min`` (default 1)."""
 
     mode: TrainMode = TrainMode.RAW
-    n_points: int = 400
+    n_points: int = field(default=400, metadata={"min": 2})  # repulsion needs a pair
     loop_size: int = field(default=35, metadata={"min": 3})
     upsample_count: int = 1500
     h1: int = 256
@@ -225,8 +224,8 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     the whole (S, N, 2) output for finiteness once, evaluates the loss terms
     of every sample in one ``losses.composite`` call and runs one backward
     pass. The logged terms and the gradient are means over samples (full
-    batch, one Adam step per epoch). A non-finite output or epoch total
-    aborts with the offending epoch.
+    batch, one Adam step per epoch). A non-finite output, epoch total or
+    final parameter vector aborts with the offending epoch.
     """
     config.validate()
     if config.loop_size != dataset.loop_size:
@@ -234,7 +233,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     params = init_params(config.seed, config.loop_size, config.h1, config.h2, config.n_points)
     state = AdamState.zeros(params)
 
-    refs = [s.target.xy for s in dataset.samples]
+    refs = [s.target for s in dataset.samples]
     loops = np.stack([s.loop.vertices for s in dataset.samples])
     transform = None
     if config.mode is not TrainMode.RAW:
@@ -244,25 +243,28 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     n_samples = len(loops)
     x = loops.reshape(n_samples, -1)  # rows x0, y0, x1, ...
     records: list[EpochRecord] = []
-    for epoch in range(1, config.epochs + 1):
-        out, trace = forward(params, x, y_clamp=config.y_clamp)
-        if not np.isfinite(out).all():  # the only non-finite source is numeric blow-up
-            raise TrainingDivergedError(epoch, f"non-finite network output at epoch {epoch}")
-        terms, grad = composite(out.reshape(n_samples, -1, 2), refs, loops, config.weights)
-        # chamfer, repulsion, interior, total, mean pairwise: summed in sample order
-        record = EpochRecord(epoch, *(terms.sum(axis=0) / n_samples).tolist())
-        if not math.isfinite(record.total):
-            raise TrainingDivergedError(epoch, f"total loss became non-finite at epoch {epoch}")
-        d_out = grad.reshape(n_samples, -1)
-        d_out *= 1.0 / n_samples  # the cotangent of the mean loss
-        adam_step(params, backward(params, trace, d_out), state, lr=config.lr, t=epoch)
-        records.append(record)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is caught below, not warned
+        for epoch in range(1, config.epochs + 1):
+            out, trace = forward(params, x, y_clamp=config.y_clamp)
+            if not np.isfinite(out).all():  # the only non-finite source is numeric blow-up
+                raise TrainingDivergedError(epoch, f"non-finite network output at epoch {epoch}")
+            terms, grad = composite(out.reshape(n_samples, -1, 2), refs, loops, config.weights)
+            # chamfer, repulsion, interior, total, mean pairwise: summed in sample order
+            record = EpochRecord(epoch, *(terms.sum(axis=0) / n_samples).tolist())
+            if not math.isfinite(record.total):
+                raise TrainingDivergedError(epoch, f"total loss became non-finite at epoch {epoch}")
+            d_out = grad.reshape(n_samples, -1)
+            d_out *= 1.0 / n_samples  # the cotangent of the mean loss
+            adam_step(params, backward(params, trace, d_out), state, lr=config.lr, t=epoch)
+            records.append(record)
+    if not np.isfinite(params.flat).all():  # the last step, which no forward pass checks
+        raise TrainingDivergedError(epoch, f"non-finite parameters after epoch {epoch}")
     return TrainResult(params, transform, TrainLog(tuple(records)))
 
 
 def predict(params: NetworkParams, transform: StandardizeTransform | None,
-            loop: AirfoilLoop, config: TrainConfig) -> PointSet:
-    """Generate a cloud for a loop and map it back to original coordinates."""
+            loop: AirfoilLoop, config: TrainConfig) -> np.ndarray:
+    """A cloud (N, 2) for a loop, in original coordinates; InvalidInputError if it overflows."""
     if params.n_points != config.n_points or params.loop_size != config.loop_size:
         raise ShapeMismatchError("checkpoint dimensions do not match the configuration")
     if config.mode is TrainMode.RAW and transform is not None:
@@ -270,9 +272,12 @@ def predict(params: NetworkParams, transform: StandardizeTransform | None,
     if config.mode is not TrainMode.RAW and transform is None:
         raise InvalidInputError("standardised modes require the model's transform")
     inp = loop.vertices if transform is None else standardize_loop(transform, loop.vertices)
-    out, _ = forward(params, inp.reshape(1, -1), y_clamp=config.y_clamp)
-    out = out.reshape(-1, 2)
-    return PointSet(out if transform is None else invert_standardize(transform, out))
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        out = forward(params, inp.reshape(1, -1), y_clamp=config.y_clamp)[0].reshape(-1, 2)
+        out = out if transform is None else invert_standardize(transform, out)
+    if not np.isfinite(out).all():
+        raise InvalidInputError("network output contains non-finite coordinates")
+    return out
 
 
 def save_trained(path, result: TrainResult, config: TrainConfig, sample_names: list[str]) -> None:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from loop2mesh.geometry import AirfoilLoop, PointSet, resample_loop
+from loop2mesh.geometry import AirfoilLoop, resample_loop
 from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.synth import naca4_contour, write_sample_dataset
 
@@ -38,7 +38,7 @@ def contour_2220() -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def airfoil_loop(contour_2220) -> AirfoilLoop:
-    return resample_loop(PointSet(contour_2220[:-1]), 35)
+    return resample_loop(contour_2220[:-1], 35)
 
 
 @pytest.fixture()

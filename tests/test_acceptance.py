@@ -17,7 +17,7 @@ from oracles import brute_chamfer, params_to_vector, vector_to_params
 from loop2mesh.cli import main
 from loop2mesh.errors import ParseError
 from loop2mesh.evaluation import EvalWindow, evaluate, kde, kl_divergence, scott_bandwidth
-from loop2mesh.geometry import AirfoilLoop, PointSet, points_in_polygon
+from loop2mesh.geometry import AirfoilLoop, points_in_polygon
 from loop2mesh.ingest import build_dataset, load_manifest, parse_airfoil_dat, parse_msh_nodes
 from loop2mesh.losses import LossWeights, _pairwise, chamfer, composite, repulsion
 from loop2mesh.net import backward, forward, init_params
@@ -73,8 +73,8 @@ def raw_r0_n300(desk_data):
     return _desk_run(desk_data, TrainMode.RAW, 0.0, 300)
 
 
-def _mean_pairwise(ps: PointSet) -> float:
-    d = np.sqrt(((ps.xy[:, None, :] - ps.xy[None, :, :]) ** 2).sum(-1))
+def _mean_pairwise(ps: np.ndarray) -> float:
+    d = np.sqrt(((ps[:, None, :] - ps[None, :, :]) ** 2).sum(-1))
     n = len(ps)
     return float(d.sum() / (n * (n - 1)))
 
@@ -183,7 +183,7 @@ def test_03_repulsion_two_point_closed_form():
 def test_04_trained_points_stay_outside_the_loop(desk_data, clamped_r1):
     """The clamped run with the interior penalty places none of its 400
     points strictly inside the boundary loop, within 5 minutes."""
-    inside = int(points_in_polygon(clamped_r1["pred"].xy,
+    inside = int(points_in_polygon(clamped_r1["pred"],
                                    desk_data["sample"].loop).sum())
     print(f"containment: {inside}/400 points strictly inside "
           f"(training took {clamped_r1['elapsed']:.0f}s)")
@@ -234,11 +234,11 @@ def test_08_kl_evaluator_self_consistency(desk_data):
     """Identical clouds score < 1e-6; every density grid sums to 1 within
     1e-9; a hand-computed two-cell example gives 0.5108 (natural log)."""
     truth = desk_data["sample"].target
-    scores = evaluate(PointSet(truth.xy.copy()), truth)
+    scores = evaluate(truth.copy(), truth)
     assert scores["center"] < 1e-6 and scores["whole"] < 1e-6
 
     rng = np.random.default_rng(0)
-    for cloud in (truth.xy, rng.normal(size=(200, 2))):
+    for cloud in (truth, rng.normal(size=(200, 2))):
         for window in (EvalWindow("w", (-3.0, 3.0), (-3.0, 3.0)),
                        EvalWindow("t", (-0.5, 1.5), (-0.4, 0.4), 64, 64)):
             mass = kde(cloud, window, scott_bandwidth(cloud, window))
@@ -273,10 +273,10 @@ def test_09_parser_fixtures_round_trip(tmp_path):
     # seven well-formed or fuzzed fixtures parse to the expected counts
     assert len(parse_airfoil_dat(GOOD_DAT)) == 5
     assert len(parse_airfoil_dat(HEADERLESS_DAT)) == 4
-    assert np.array_equal(parse_airfoil_dat(FUZZED_DAT).xy,
-                          parse_airfoil_dat(GOOD_DAT).xy)
+    assert np.array_equal(parse_airfoil_dat(FUZZED_DAT),
+                          parse_airfoil_dat(GOOD_DAT))
     assert len(parse_msh_nodes(GOOD_MSH)) == 6
-    assert np.array_equal(parse_msh_nodes(FUZZED_MSH).xy, parse_msh_nodes(GOOD_MSH).xy)
+    assert np.array_equal(parse_msh_nodes(FUZZED_MSH), parse_msh_nodes(GOOD_MSH))
 
     # five malformed fixtures raise the parse error the CLI maps to exit 3
     for bad_dat in (BAD_TOKEN_DAT, NONFINITE_DAT):

@@ -190,14 +190,29 @@ class TestTrain:
 
     def test_divergence_exits_4_but_leaves_run_manifest(self, tmp_path, manifest_path, capsys):
         out = tmp_path / "run"
-        with np.errstate(all="ignore"):
-            code, _, stderr = run_cli(
-                ["train", manifest_path, "--out-dir", out, *FAST, "--lr", "1e155"],
-                capsys)
+        code, _, stderr = run_cli(
+            ["train", manifest_path, "--out-dir", out, *FAST, "--lr", "1e155"], capsys)
         assert code == 4
         assert "epoch" in stderr
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert (out / "run_manifest.json").is_file()
         assert not (out / "checkpoint.l2m").exists()
+
+    def test_overflow_in_the_forward_pass_prints_one_error_line(self, tmp_path, manifest_path,
+                                                                capsys):
+        code, _, stderr = run_cli(
+            ["train", manifest_path, "--out-dir", tmp_path / "run", *FAST, "--lr", "1e300"],
+            capsys)
+        assert code == 4
+        assert stderr == "error: non-finite network output at epoch 2\n"
+
+    def test_one_node_exits_2_before_reading_or_writing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, stderr = run_cli(
+            ["train", tmp_path / "absent.json", "--out-dir", out, "--nodes", "1"], capsys)
+        assert code == 2  # a missing manifest that was read would exit 3
+        assert stderr == "error: n_points must be an integer >= 2, got 1\n"
+        assert not out.exists()
 
 
 # ------------------------------------------------------------------ predict
@@ -276,6 +291,23 @@ class TestPredict:
         assert "viewport" in stderr
         assert not out.exists()
 
+    def test_overflowing_network_exits_3_with_one_error_line(self, tmp_path, trained, capsys):
+        head, rest = trained["checkpoint"].read_bytes().split(b"\n", 1)
+        shapes = json.loads(head)["shapes"]
+        sizes = [math.prod(shapes[name]) for name in ("w1", "b1", "w2", "b2", "w3")]
+        flat = np.frombuffer(rest, dtype="<f8").copy()
+        w1, b1, w2, b2, w3, b3 = np.split(flat, np.cumsum(sizes))  # views, in payload order
+        w2 *= 1e300
+        w3 *= 1e300
+        bad = tmp_path / "huge.l2m"
+        bad.write_bytes(head + b"\n" + flat.tobytes())
+        out = tmp_path / "p"
+        code, _, stderr = run_cli(
+            ["predict", "--checkpoint", bad, "--dat", trained["dat"], "--out-dir", out], capsys)
+        assert code == 3
+        assert stderr == "error: network output contains non-finite coordinates\n"
+        assert not (out / "points.csv").exists()
+
     def test_missing_checkpoint_file_exits_3(self, tmp_path, trained, capsys):
         code, _, _ = run_cli(
             ["predict", "--checkpoint", tmp_path / "none.l2m",
@@ -336,7 +368,7 @@ class TestEvaluate:
         nodes = parse_msh_nodes(trained["msh"].read_text())
         pred_csv = tmp_path / "pred.csv"
         pred_csv.write_text("x,y\n" + "".join(
-            f"{repr(float(x))},{repr(float(y))}\n" for x, y in nodes.xy))
+            f"{repr(float(x))},{repr(float(y))}\n" for x, y in nodes))
         out = tmp_path / "kl.csv"
         code, stdout, _ = run_cli(
             ["evaluate", "--pred", pred_csv, "--truth", trained["msh"],
@@ -366,6 +398,18 @@ class TestEvaluate:
              "--out", tmp_path / "kl.csv"], capsys)
         assert code == 3
         assert "row 2" in stderr
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_csv_cell_exits_3_naming_file_and_row(self, tmp_path, trained, cell,
+                                                             capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x,y\n0.1,0.2\n0.3,{cell}\n")
+        code, _, stderr = run_cli(
+            ["evaluate", "--pred", bad, "--truth", trained["msh"],
+             "--out", tmp_path / "kl.csv"], capsys)
+        assert code == 3
+        assert stderr == f"error: {bad}: row 3: non-finite coordinate ['0.3', '{cell}']\n"
+        assert not (tmp_path / "kl.csv").exists()
 
     def test_pred_and_checkpoint_are_mutually_exclusive(self, tmp_path, trained, capsys):
         for extra in ([], ["--pred", tmp_path / "p.csv",
@@ -435,7 +479,7 @@ class TestEvaluate:
         assert outs[0] == outs[1]
 
     def test_truth_node_that_overflows_the_bandwidth_exits_3(self, tmp_path, trained, capsys):
-        nodes = parse_msh_nodes(trained["msh"].read_text()).xy.tolist() + [[1e200, 1e200]]
+        nodes = parse_msh_nodes(trained["msh"].read_text()).tolist() + [[1e200, 1e200]]
         body = "".join(f"{i} {x!r} {y!r} 0.0\n" for i, (x, y) in enumerate(nodes, start=1))
         truth = tmp_path / "far.msh"
         truth.write_text(f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{len(nodes)}\n"
@@ -602,6 +646,17 @@ class TestSweep:
         assert all(l.split(",")[2] == "0" for l in empties)
         assert len(list((out / "checkpoints").glob("*.l2m"))) == 1
 
+    def test_one_node_cell_fails_as_a_config_error(self, tmp_path, manifest_path, capsys):
+        out = tmp_path / "sweep"
+        code, _, stderr = run_cli(
+            ["sweep", manifest_path, "--ratios", "0", "--nodes", "1",
+             "--out-dir", out, *SWEEP_FAST], capsys)
+        assert code == 0
+        assert "1 cell(s) failed" in stderr
+        assert "ratio=0 nodes=1: n_points must be an integer >= 2, got 1" in stderr
+        assert (out / "kl.csv").read_text().splitlines()[1:] == ["0,c,1,", "0,w,1,"]
+        assert not list((out / "checkpoints").glob("*.l2m"))
+
     def test_cell_checkpoints_are_named_by_the_full_cell_config(self, sweep_run, manifest_path):
         inputs = cli._input_hashes(manifest_path, load_manifest(manifest_path))
         want = set()
@@ -736,6 +791,11 @@ class TestPointsCsv:
     def test_field_over_the_csv_size_limit_is_a_parse_error(self):
         with pytest.raises(ParseError, match="^row 3: field larger than field limit"):
             cli._parse_points_csv("x,y\n0.1,0.2\n" + "1" * 200_000 + ",0.5\n")
+
+    @pytest.mark.parametrize("text", ["", "x,y\n", "x,y\n\n  \n"])
+    def test_no_data_rows_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="^no data rows$"):
+            cli._parse_points_csv(text)
 
 
 # -------------------------------------------------------------- exit codes

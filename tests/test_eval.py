@@ -18,7 +18,6 @@ from loop2mesh.evaluation import (
     scott_bandwidth,
     whole_window,
 )
-from loop2mesh.geometry import PointSet
 
 
 def gauss_cloud(rng, n, center=(0.5, 0.0), spread=(0.6, 0.2)) -> np.ndarray:
@@ -57,7 +56,7 @@ class TestEvalWindow:
         assert w.grid_nx == w.grid_ny == 100
 
     def test_whole_window_pads_truth_bbox_five_percent(self):
-        truth = PointSet([[0.0, -0.2], [1.0, 0.2]])
+        truth = np.array([[0.0, -0.2], [1.0, 0.2]])
         w = whole_window(truth)
         assert w.name == "whole"
         assert w.x_range == pytest.approx((-0.05, 1.05))
@@ -65,7 +64,11 @@ class TestEvalWindow:
 
     def test_whole_window_zero_extent_rejected(self):
         with pytest.raises(DegenerateDataError):
-            whole_window(PointSet([[0.0, 0.0], [1.0, 0.0]]))  # flat in y
+            whole_window(np.array([[0.0, 0.0], [1.0, 0.0]]))  # flat in y
+
+    def test_whole_window_of_an_empty_truth_rejected(self):
+        with pytest.raises(DegenerateDataError, match="^truth cloud is empty$"):
+            whole_window(np.zeros((0, 2)))
 
 
 # ---------------------------------------------------------------- bandwidth
@@ -238,16 +241,25 @@ class TestKlDivergence:
 class TestEvaluate:
     def test_identical_clouds_score_zero_everywhere(self, dataset):
         truth = dataset.samples[0].target
-        scores = evaluate(PointSet(truth.xy.copy()), truth)
+        scores = evaluate(truth.copy(), truth)
         assert set(scores) == {"center", "whole"}
         assert scores["center"] < 1e-6
         assert scores["whole"] < 1e-6
 
+    @pytest.mark.parametrize("pred, truth, error", [
+        ([[0.0, np.nan]], [[0.0, 0.0], [1.0, 1.0]], InvalidInputError),
+        ([[0.0, 0.0]], [[0.0, 0.0, 0.0]], InvalidInputError),
+        ([[0.0, 0.0]], np.zeros((0, 2)), DegenerateDataError),
+    ])
+    def test_bad_clouds_raise_package_errors(self, pred, truth, error):
+        with pytest.raises(error):
+            evaluate(pred, truth)
+
     def test_perturbed_cloud_scores_higher(self, dataset):
         rng = np.random.default_rng(6)
         truth = dataset.samples[0].target
-        noisy = PointSet(truth.xy + rng.normal(scale=0.3, size=truth.xy.shape))
-        clean = evaluate(PointSet(truth.xy.copy()), truth)
+        noisy = truth + rng.normal(scale=0.3, size=truth.shape)
+        clean = evaluate(truth.copy(), truth)
         noisy_scores = evaluate(noisy, truth)
         assert noisy_scores["center"] > clean["center"]
         assert noisy_scores["whole"] > clean["whole"]
@@ -257,8 +269,7 @@ class TestEvaluate:
         # scores change, proving the truth side pins the bandwidth
         rng = np.random.default_rng(7)
         truth = dataset.samples[0].target
-        tight = PointSet(truth.xy[rng.integers(0, len(truth), 40)] * 0.01
-                         + np.array([0.5, 0.0]))
+        tight = truth[rng.integers(0, len(truth), 40)] * 0.01 + np.array([0.5, 0.0])
         a = evaluate(tight, truth, grid=40)["center"]
         b = evaluate(truth, tight, grid=40)["center"]
         assert a != pytest.approx(b, rel=1e-3)
@@ -272,8 +283,7 @@ class TestKlSweep:
         rng = np.random.default_rng(8)
 
         def fake(n):
-            return PointSet(truth.xy[rng.integers(0, len(truth), n)]
-                            + rng.normal(scale=0.01, size=(n, 2)))
+            return truth[rng.integers(0, len(truth), n)] + rng.normal(scale=0.01, size=(n, 2))
 
         preds = {(1.0, 300): fake(300), (0.0, 300): fake(300),
                  (1.0, 400): fake(400), (0.0, 400): fake(400)}
@@ -285,7 +295,7 @@ class TestKlSweep:
 
     def test_missing_cell_emits_empty_row(self, dataset):
         truth = dataset.samples[0].target
-        preds = {(0.0, 100): PointSet(truth.xy.copy()), (1.0, 100): None}
+        preds = {(0.0, 100): truth.copy(), (1.0, 100): None}
         rows = kl_sweep(preds, truth)
         assert len(rows) == 4
         missing = [r for r in rows if r.ratio == 1.0]

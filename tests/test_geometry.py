@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from loop2mesh.errors import DegenerateDataError, InvalidGeometryError, InvalidInputError
 from loop2mesh.geometry import (
     AirfoilLoop,
-    PointSet,
     _is_simple,
     _signed_area,
+    as_point_array,
     edge_query,
     fit_standardize,
     intruders,
@@ -25,26 +25,22 @@ from oracles import even_odd_edge_loop, is_simple_double_loop, nearest_edge_broa
 
 # ------------------------------------------------------------- primitives
 
-class TestPointSet:
-    def test_copies_and_freezes_input(self):
-        src = np.zeros((3, 2))
-        ps = PointSet(src)
-        src[0, 0] = 99.0
-        assert ps.xy[0, 0] == 0.0
-        with pytest.raises(ValueError):
-            ps.xy[0, 0] = 1.0
+class TestAsPointArray:
+    def test_coerces_a_list_to_float64_points(self):
+        xy = as_point_array([[1, 2], [3, 4]])
+        assert xy.dtype == np.float64 and xy.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
-    def test_rejects_empty_and_bad_shapes(self):
+    @pytest.mark.parametrize("bad", [np.zeros((4, 3)), np.zeros(4), [[0.0, np.nan]],
+                                     [[np.inf, 0.0]], [[1e999, 0.0]]])
+    def test_rejects_bad_shapes_and_non_finite(self, bad):
         with pytest.raises(InvalidInputError):
-            PointSet(np.zeros((0, 2)))
-        with pytest.raises(InvalidInputError):
-            PointSet(np.zeros((4, 3)))
-        with pytest.raises(InvalidInputError):
-            PointSet([[0.0, np.nan]])
+            as_point_array(bad)
 
-    def test_len(self):
-        ps = PointSet([[1.0, 2.0], [3.0, 4.0]])
-        assert len(ps) == 2
+    def test_resample_loop_validates_its_contour(self):
+        with pytest.raises(InvalidInputError, match="contour contains non-finite"):
+            resample_loop([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], 4)
+        with pytest.raises(InvalidGeometryError, match="3 distinct points"):
+            resample_loop(np.zeros((0, 2)), 4)
 
 
 class TestAirfoilLoop:
@@ -91,6 +87,13 @@ class TestAirfoilLoop:
             v = np.array(v)
             assert _is_simple(v) is want
             assert is_simple_double_loop(v) is want
+
+    def test_pieces_of_one_straight_side_are_not_crossings(self):
+        # edges 41 and 64 of this resampled pentagon lie on one side, and
+        # rounding gives each an orientation of opposite sign (1.7e-18)
+        # against the other's line, so only their disjoint boxes tell them apart
+        verts = star_polygon(np.random.default_rng(976), 5)
+        assert len(resample_loop(verts, 191)) == 191
 
     def test_signed_area_unit_square(self, unit_square):
         assert _signed_area(unit_square.vertices) == pytest.approx(1.0)
@@ -226,7 +229,7 @@ class TestEdgeQueryMatchesOracle:
         rng = np.random.default_rng(11)
         for code in WORKLOAD_CODES:
             contour = naca4_contour(code)
-            for loop in (AirfoilLoop(contour[:-1]), resample_loop(PointSet(contour), 35)):
+            for loop in (AirfoilLoop(contour[:-1]), resample_loop(contour, 35)):
                 pts = np.vstack([rng.uniform([-0.5, -0.4], [1.5, 0.4], size=(300, 2)),
                                  self.vertices_and_midpoints(loop)])
                 self.assert_bit_equal(pts, loop)
@@ -379,7 +382,7 @@ class TestIntrudersMatchDenseKernel:
     def test_workload_naca_meshes(self):
         for code in ("2220", "0009", "6418"):
             contour = naca4_contour(code)
-            loop = resample_loop(PointSet(contour), 35)
+            loop = resample_loop(contour, 35)
             mesh = synth_fluid_mesh(contour, 2000, seed=3)
             self.assert_matches_dense(loop.vertices[None], mesh[None])
 
@@ -400,12 +403,12 @@ class TestPaddedBbox:
 
 class TestResampleLoop:
     def test_square_resampled_to_own_vertices(self):
-        sq = PointSet([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         loop = resample_loop(sq, 4)
-        assert loop.vertices == pytest.approx(sq.xy)
+        assert loop.vertices == pytest.approx(sq)
 
     def test_square_to_eight_hits_edge_midpoints(self):
-        sq = PointSet([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         loop = resample_loop(sq, 8)
         expect = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 0.5],
                            [1.0, 1.0], [0.5, 1.0], [0.0, 1.0], [0.0, 0.5]])
@@ -413,7 +416,7 @@ class TestResampleLoop:
 
     def test_unit_square_spacing_is_perimeter_over_count(self, unit_square):
         for target in (4, 8, 12, 20):
-            loop = resample_loop(PointSet(unit_square.vertices), target)
+            loop = resample_loop(unit_square.vertices, target)
             closed = np.vstack([loop.vertices, loop.vertices[:1]])
             steps = np.hypot(*np.diff(closed, axis=0).T)
             # a multiple of 4 samples puts one on every corner, so no step cuts a corner
@@ -421,12 +424,12 @@ class TestResampleLoop:
             assert steps.sum() == pytest.approx(4.0)
 
     def test_vertex_count_and_first_vertex(self, contour_2220):
-        loop = resample_loop(PointSet(contour_2220), 35)
+        loop = resample_loop(contour_2220, 35)
         assert len(loop) == 35
         assert loop.vertices[0] == pytest.approx(contour_2220[0])
 
     def test_spacing_is_uniform_along_arc(self, contour_2220):
-        loop = resample_loop(PointSet(contour_2220), 50)
+        loop = resample_loop(contour_2220, 50)
         closed = np.vstack([loop.vertices, loop.vertices[:1]])
         steps = np.hypot(*np.diff(closed, axis=0).T)
         # straight-line steps between consecutive samples may cut corners,
@@ -435,23 +438,23 @@ class TestResampleLoop:
         assert np.median(steps) == pytest.approx(steps.max(), rel=0.05)
 
     def test_closing_duplicate_and_repeats_are_dropped(self):
-        sq = PointSet([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+        sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                        [0.0, 1.0], [0.0, 0.0]])
         loop = resample_loop(sq, 4)
         assert loop.vertices == pytest.approx(
             np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
     def test_orientation_preserved(self, contour_2220):
-        fwd = resample_loop(PointSet(contour_2220), 35)
-        rev = resample_loop(PointSet(contour_2220[::-1]), 35)
+        fwd = resample_loop(contour_2220, 35)
+        rev = resample_loop(contour_2220[::-1], 35)
         assert np.sign(_signed_area(fwd.vertices)) == -np.sign(_signed_area(rev.vertices))
 
     def test_rejects_tiny_targets_and_degenerate_input(self):
-        sq = PointSet([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(InvalidGeometryError):
             resample_loop(sq, 2)
         with pytest.raises(InvalidGeometryError):
-            resample_loop(PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 4)
+            resample_loop(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 4)
 
 
 class TestResampleLoopProperties:
@@ -466,7 +469,7 @@ class TestResampleLoopProperties:
         area = _signed_area(verts)
         contour = np.vstack([verts, verts[:1]]) if closed else verts
         target = 4 * k + extra
-        loop = resample_loop(PointSet(contour), target)
+        loop = resample_loop(contour, target)
         assert len(loop) == target
         assert np.array_equal(loop.vertices[0], verts[0])
         assert not np.all(loop.vertices[1:] == verts[0], axis=1).any()  # no closing repeat
@@ -504,7 +507,7 @@ class TestStandardize:
             fit_standardize(np.array([[2.0, 3.0]]))
 
     def test_loop_standardisation_preserves_containment(self, airfoil_loop, dataset):
-        t = fit_standardize(dataset.samples[0].target.xy)
+        t = fit_standardize(dataset.samples[0].target)
         std_loop = AirfoilLoop(standardize_loop(t, airfoil_loop.vertices))
         rng = np.random.default_rng(9)
         pts = rng.uniform([-0.2, -0.3], [1.2, 0.3], size=(300, 2))

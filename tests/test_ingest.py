@@ -12,10 +12,11 @@ from loop2mesh.errors import (
     DegenerateDataError,
     EmptyDatasetError,
     InvalidGeometryError,
+    InvalidInputError,
     Loop2MeshError,
     ParseError,
 )
-from loop2mesh.geometry import PointSet, intruders
+from loop2mesh.geometry import intruders
 from loop2mesh.ingest import (
     ChordTransform,
     assemble_sample,
@@ -57,7 +58,7 @@ class TestParseAirfoilDat:
     def test_name_line_is_skipped(self):
         ps = parse_airfoil_dat(GOOD_DAT)
         assert len(ps) == 5
-        assert ps.xy[0] == pytest.approx([1.0, 0.00126])
+        assert ps[0] == pytest.approx([1.0, 0.00126])
 
     def test_headerless_file_parses_every_row(self):
         text = "\n".join(line for line in GOOD_DAT.splitlines()[1:]) + "\n"
@@ -112,31 +113,48 @@ class TestParseAirfoilDat:
             eol = "\r\n" if rng.random() < 0.5 else "\n"
             fuzzed = eol.join(lines) + (eol if rng.random() < 0.5 else "")
             got = parse_airfoil_dat(fuzzed)
-            assert np.array_equal(got.xy, base.xy)
+            assert np.array_equal(got, base)
 
 
 class TestChordNormalisation:
     def test_x_shifted_and_scaled_y_scaled_only(self):
-        ps = PointSet([[2.0, 1.0], [4.0, -1.0], [3.0, 0.5]])
+        ps = np.array([[2.0, 1.0], [4.0, -1.0], [3.0, 0.5]])
         out = fit_chord(ps).apply(ps)
-        assert out.xy[:, 0] == pytest.approx([0.0, 1.0, 0.5])
-        assert out.xy[:, 1] == pytest.approx([0.5, -0.5, 0.25])  # y / chord, no shift
+        assert out[:, 0] == pytest.approx([0.0, 1.0, 0.5])
+        assert out[:, 1] == pytest.approx([0.5, -0.5, 0.25])  # y / chord, no shift
 
     def test_unit_chord_input_unchanged(self):
-        ps = PointSet([[0.0, 0.1], [1.0, -0.1], [0.5, 0.0]])
-        assert fit_chord(ps).apply(ps).xy == pytest.approx(ps.xy)
+        ps = np.array([[0.0, 0.1], [1.0, -0.1], [0.5, 0.0]])
+        assert fit_chord(ps).apply(ps) == pytest.approx(ps)
 
     def test_fit_chord_transform_reusable_on_other_sets(self):
-        contour = PointSet([[2.0, 0.0], [4.0, 0.2], [3.0, 1.0]])
+        contour = np.array([[2.0, 0.0], [4.0, 0.2], [3.0, 1.0]])
         t = fit_chord(contour)
         assert t.x_min == pytest.approx(2.0)
         assert t.chord == pytest.approx(2.0)
-        mesh = PointSet([[6.0, 2.0]])
-        assert t.apply(mesh).xy[0] == pytest.approx([2.0, 1.0])
+        mesh = np.array([[6.0, 2.0]])
+        assert t.apply(mesh)[0] == pytest.approx([2.0, 1.0])
+
+    def test_chord_that_overflows_the_points_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="^chord-normalised cloud contains non-finite"):
+            ChordTransform(0.0, 5e-324).apply([[1.0, 1.0]])
+
+    def test_apply_validates_its_points(self):
+        with pytest.raises(InvalidInputError, match=r"must be an \(N, 2\) array"):
+            ChordTransform(0.0, 1.0).apply([1.0, 2.0])
+
+    def test_empty_contour_rejected(self):
+        with pytest.raises(DegenerateDataError, match="^empty contour"):
+            fit_chord(np.zeros((0, 2)))
+
+    def test_fit_chord_validates_its_points(self):
+        assert fit_chord([[0, 1], [2, 3]]) == ChordTransform(0.0, 2.0)
+        with pytest.raises(InvalidInputError, match="^contour contains non-finite"):
+            fit_chord([[0.0, 1.0], [np.nan, 3.0]])
 
     def test_zero_chord_rejected(self):
         with pytest.raises(DegenerateDataError):
-            fit_chord(PointSet([[1.0, 0.0], [1.0, 2.0]]))
+            fit_chord(np.array([[1.0, 0.0], [1.0, 2.0]]))
         with pytest.raises(DegenerateDataError):
             ChordTransform(0.0, 0.0)
 
@@ -147,13 +165,13 @@ class TestParseMshNodes:
     def test_reads_nodes_drops_z(self):
         ps = parse_msh_nodes(GOOD_MSH)
         assert len(ps) == 4
-        assert ps.xy[2] == pytest.approx([-1.0, 0.0])  # z=7.5 discarded
+        assert ps[2] == pytest.approx([-1.0, 0.0])  # z=7.5 discarded
 
     def test_nodes_sorted_by_id(self):
         shuffled = GOOD_MSH.replace(
             "1 0.0 0.5 0.0\n2 1.5 0.25 0.0\n3 -1.0 0.0 7.5\n4 2.0 -0.25 0.0",
             "4 2.0 -0.25 0.0\n2 1.5 0.25 0.0\n1 0.0 0.5 0.0\n3 -1.0 0.0 7.5")
-        assert np.array_equal(parse_msh_nodes(shuffled).xy, parse_msh_nodes(GOOD_MSH).xy)
+        assert np.array_equal(parse_msh_nodes(shuffled), parse_msh_nodes(GOOD_MSH))
 
     def test_count_mismatch_names_declared_and_found(self):
         bad = GOOD_MSH.replace("$Nodes\n4\n", "$Nodes\n5\n")
@@ -190,7 +208,7 @@ class TestParseMshNodes:
                 lines.append(" " * int(rng.integers(0, 3)) + sep.join(toks))
             eol = "\r\n" if rng.random() < 0.5 else "\n"
             got = parse_msh_nodes(eol.join(lines) + eol)
-            assert np.array_equal(got.xy, base.xy)
+            assert np.array_equal(got, base)
 
 
 def _number_text(rng, value: float) -> str:
@@ -262,7 +280,7 @@ class TestParseMshNodesAgainstLineByLineOracle:
         rng = np.random.default_rng(20261018)
         for _ in range(300):
             text, _ = _random_mesh(rng)
-            got = parse_msh_nodes(text).xy
+            got = parse_msh_nodes(text)
             want = parse_msh_nodes_line_by_line(text)
             assert got.tobytes() == want.tobytes(), text
 
@@ -319,11 +337,11 @@ class TestParseMshNodesAgainstLineByLineOracle:
         lines = [f"{i + 1} {x.strip()} {y.strip()} 0"
                  for i, (x, y) in enumerate(zip(spellings, reversed(spellings)))]
         text = GOOD_MSH.split("$Nodes")[0] + "$Nodes\n" + f"{len(lines)}\n" + "\n".join(lines) + "\n$EndNodes\n"
-        assert parse_msh_nodes(text).xy.tobytes() == parse_msh_nodes_line_by_line(text).tobytes()
+        assert parse_msh_nodes(text).tobytes() == parse_msh_nodes_line_by_line(text).tobytes()
 
     def test_non_finite_z_is_accepted_by_both(self):
         text = GOOD_MSH.replace("3 -1.0 0.0 7.5", "3 -1.0 0.0 nan")
-        assert parse_msh_nodes(text).xy.tobytes() == parse_msh_nodes_line_by_line(text).tobytes()
+        assert parse_msh_nodes(text).tobytes() == parse_msh_nodes_line_by_line(text).tobytes()
 
     def test_block_level_errors_match(self):
         rng = np.random.default_rng(11)
@@ -364,34 +382,38 @@ class TestParseMshNodesAgainstLineByLineOracle:
 
 class TestUpsampleTarget:
     def test_downsample_returns_sorted_unique_subset(self):
-        ps = PointSet(np.arange(20, dtype=float).reshape(10, 2))
+        ps = np.arange(20, dtype=float).reshape(10, 2)
         out = upsample_target(ps, 6, seed=0)
         assert len(out) == 6
-        rows = {tuple(r) for r in ps.xy}
-        assert all(tuple(r) in rows for r in out.xy)
-        xs = out.xy[:, 0]
+        rows = {tuple(r) for r in ps}
+        assert all(tuple(r) in rows for r in out)
+        xs = out[:, 0]
         assert np.all(np.diff(xs) > 0)  # original order kept => strictly increasing here
 
     def test_upsample_keeps_every_original_point(self):
-        ps = PointSet([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        ps = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         out = upsample_target(ps, 8, seed=1)
         assert len(out) == 8
-        assert np.array_equal(out.xy[:3], ps.xy)
-        rows = {tuple(r) for r in ps.xy}
-        assert all(tuple(r) in rows for r in out.xy[3:])
+        assert np.array_equal(out[:3], ps)
+        rows = {tuple(r) for r in ps}
+        assert all(tuple(r) in rows for r in out[3:])
 
     def test_exact_count_is_identity(self):
-        ps = PointSet([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-        assert np.array_equal(upsample_target(ps, 3, seed=5).xy, ps.xy)
+        ps = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        assert np.array_equal(upsample_target(ps, 3, seed=5), ps)
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(2)
-        ps = PointSet(rng.normal(size=(30, 2)))
+        ps = rng.normal(size=(30, 2))
         a = upsample_target(ps, 11, seed=9)
         b = upsample_target(ps, 11, seed=9)
         c = upsample_target(ps, 11, seed=10)
-        assert np.array_equal(a.xy, b.xy)
-        assert not np.array_equal(a.xy, c.xy)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_empty_cloud_rejected(self):
+        with pytest.raises(DegenerateDataError, match="^cannot resize an empty point cloud$"):
+            upsample_target(np.zeros((0, 2)), 5, seed=0)
 
 
 # ----------------------------------------------------------- dataset build
@@ -410,7 +432,7 @@ class TestAssembleSample:
     def test_happy_path_counts(self):
         contour = parse_airfoil_dat(_square_contour_text())
         rng = np.random.default_rng(0)
-        nodes = PointSet(rng.uniform([-1.0, -1.5], [2.0, 1.5], size=(300, 2)))
+        nodes = rng.uniform([-1.0, -1.5], [2.0, 1.5], size=(300, 2))
         sample = assemble_sample("hex", contour, nodes, loop_size=6,
                                  target_count=120, seed=0)
         assert sample.name == "hex"
@@ -422,18 +444,18 @@ class TestAssembleSample:
         rng = np.random.default_rng(1)
         outside = rng.uniform([1.5, 0.5], [3.0, 1.5], size=(100, 2))
         inside = np.full((5, 2), [0.5, 0.0])  # dead center of the hexagon
-        nodes = PointSet(np.vstack([outside, inside]))
+        nodes = np.vstack([outside, inside])
         with caplog.at_level(logging.WARNING, logger="loop2mesh.ingest"):
             sample = assemble_sample("hex", contour, nodes, loop_size=6,
                                      target_count=60, seed=0)
         assert any("5" in rec.message for rec in caplog.records)
         assert len(sample.target) == 60
         from loop2mesh.geometry import points_in_polygon
-        assert points_in_polygon(sample.target.xy, sample.loop).sum() == 0
+        assert points_in_polygon(sample.target, sample.loop).sum() == 0
 
     def test_all_interior_nodes_is_degenerate(self):
         contour = parse_airfoil_dat(_square_contour_text())
-        nodes = PointSet(np.tile([[0.5, 0.0]], (10, 1)))
+        nodes = np.tile([[0.5, 0.0]], (10, 1))
         with pytest.raises(DegenerateDataError):
             assemble_sample("hex", contour, nodes, loop_size=6, target_count=5, seed=0)
 
@@ -471,7 +493,7 @@ class TestBuildDatasetAndManifest:
         msh.write_text(_mesh_text(nodes))
         entries = [("first", dat, msh), ("second", dat, msh)]
         ds = build_dataset(entries, loop_size=6, target_count=80, seed=0)
-        assert not np.array_equal(ds.samples[0].target.xy, ds.samples[1].target.xy)
+        assert not np.array_equal(ds.samples[0].target, ds.samples[1].target)
         assert np.array_equal(ds.samples[0].loop.vertices, ds.samples[1].loop.vertices)
 
     def test_empty_dataset_rejected(self):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from loop2mesh.errors import InvalidInputError, ParseError, ShapeMismatchError
-from loop2mesh.geometry import PointSet
 from loop2mesh.net import (
     NetworkParams,
     backward,
@@ -22,14 +21,14 @@ from loop2mesh.net import (
 from oracles import fd_grad_flat, params_to_vector, vector_to_params
 
 
-def tiny_loop(rng, n=3) -> PointSet:
+def tiny_loop(rng, n=3) -> np.ndarray:
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])[:n]
-    return PointSet(base + rng.normal(scale=0.05, size=(n, 2)))
+    return base + rng.normal(scale=0.05, size=(n, 2))
 
 
 def loop_batch(loops) -> np.ndarray:
     # the network input: one row per loop, interleaved x0, y0, x1, y1, ...
-    return np.stack([loop.xy.reshape(-1) for loop in loops])
+    return np.stack([loop.reshape(-1) for loop in loops])
 
 
 def tiny_batch(rng, n=3) -> np.ndarray:
@@ -119,8 +118,8 @@ class TestForward:
         loop = tiny_loop(rng)
         p = init_params(0, 3, 4, 4, 5)
         _, trace = forward(p, loop_batch([loop]))
-        assert np.array_equal(trace.x, loop.xy.reshape(1, -1))
-        assert trace.x[0, 0] == loop.xy[0, 0] and trace.x[0, 1] == loop.xy[0, 1]
+        assert np.array_equal(trace.x, loop.reshape(1, -1))
+        assert trace.x[0, 0] == loop[0, 0] and trace.x[0, 1] == loop[0, 1]
 
     def test_output_shape(self):
         rng = np.random.default_rng(1)
@@ -170,7 +169,7 @@ class TestForward:
     def test_boundary_value_counts_as_clamped(self):
         p = NetworkParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
                           np.zeros(4), np.zeros((2, 4)), np.array([0.3, 1.0]))
-        loop = PointSet([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
+        loop = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
         pred, trace = forward(p, loop_batch([loop]), y_clamp=(-1.0, 1.0))
         assert pred[0] == pytest.approx([0.3, 1.0])
         assert trace.gate[0, 1] == 0.0  # y is exactly at the bound
@@ -180,7 +179,7 @@ class TestForward:
         def bias_only(out):
             return NetworkParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
                                  np.zeros(4), np.zeros((len(out), 4)), np.asarray(out))
-        x = loop_batch([PointSet([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])])
+        x = loop_batch([np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])])
         once, _ = forward(bias_only([5.0, 5.0, -5.0, -5.0, 0.2, 0.3]), x, y_clamp=(-1.0, 1.0))
         assert once[0, 0::2] == pytest.approx([5.0, -5.0, 0.2])  # x untouched
         assert once[0, 1::2] == pytest.approx([1.0, -1.0, 0.3])
@@ -236,7 +235,7 @@ class TestBackward:
         # zero weights/biases make every pre-activation exactly 0.0
         p = NetworkParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
                           np.zeros(4), np.zeros((2, 4)), np.zeros(2))
-        loop = PointSet([[0.2, 0.1], [1.0, 0.3], [0.5, 1.0]])
+        loop = np.array([[0.2, 0.1], [1.0, 0.3], [0.5, 1.0]])
         _, trace = forward(p, loop_batch([loop]))
         gw1, gb1, gw2, gb2, gw3, gb3 = p.split(backward(p, trace, np.ones((1, 2))))
         # d/db3 is direct; everything upstream is killed by z==0 gates

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from oracles import points_csv_text_per_point, svg_text_per_point
 
 from loop2mesh.cli import _points_csv_text
-from loop2mesh.geometry import PointSet
 from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.svg import render_svg
 from loop2mesh.synth import msh_text, naca4_contour, synth_fluid_mesh, write_sample_dataset
@@ -53,13 +52,13 @@ def test_render_svg_bytes_are_pinned(tmp_path):
 
 def test_points_csv_text_is_pinned():
     _, _, pred = _scene()
-    digest = hashlib.sha256(_points_csv_text(PointSet(pred)).encode()).hexdigest()
+    digest = hashlib.sha256(_points_csv_text(pred).encode()).hexdigest()
     assert digest == "e09b41a34b040df9a7bb1d23168368ef1a6b4b979d043a7b120bfadf6a4fd91f"
 
 
 def test_points_csv_round_trips_every_bit():
     _, _, pred = _scene()
-    rows = _points_csv_text(PointSet(pred)).splitlines()[1:]
+    rows = _points_csv_text(pred).splitlines()[1:]
     back = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert back.tobytes() == pred.tobytes()
 
@@ -101,7 +100,7 @@ class TestFormattersAgainstPerPointOracles:
     @FORMATTER_SETTINGS
     @given(CLOUDS.filter(len))
     def test_points_csv_text(self, xy):
-        assert _points_csv_text(PointSet(xy)) == points_csv_text_per_point(xy)
+        assert _points_csv_text(xy) == points_csv_text_per_point(xy)
 
     def test_special_values_reach_the_formatter(self, tmp_path):
         """The pixels of the first viewport hold the values the properties
@@ -175,6 +174,6 @@ def test_two_sample_stand_clamp_training_is_pinned(manifest_path, dataset, tmp_p
     # the one stored transform is the population mean and sigma of both targets
     _, _, t = load_trained(tmp_path / "checkpoint.l2m")
     for axis, mean, scale in ((0, t.mean_x, t.scale_x), (1, t.mean_y, t.scale_y)):
-        values = [v for s in dataset.samples for v in s.target.xy[:, axis].tolist()]
+        values = [v for s in dataset.samples for v in s.target[:, axis].tolist()]
         assert math.isclose(mean, statistics.fmean(values), rel_tol=1e-12)
         assert math.isclose(scale, statistics.pstdev(values), rel_tol=1e-12)

@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
                "Loop2MeshError", "ParseError", "ShapeMismatchError", "TrainingDivergedError"),
     "evaluation": ("EvalWindow", "KLRow", "center_window", "evaluate", "kde",
                    "kl_divergence", "kl_sweep", "scott_bandwidth", "whole_window"),
-    "geometry": ("AirfoilLoop", "PointSet", "StandardizeTransform", "edge_query",
+    "geometry": ("AirfoilLoop", "StandardizeTransform", "as_point_array", "edge_query",
                  "fit_standardize", "intruders", "invert_standardize", "padded_bbox",
                  "points_in_polygon", "resample_loop", "standardize_loop"),
     "ingest": ("ChordTransform", "Dataset", "MeshSample", "assemble_sample", "build_dataset",

@@ -266,7 +266,7 @@ class TestTrain:
     def test_standardised_mode_fits_one_transform_on_pooled_targets(self, small_dataset):
         assert len(small_dataset.samples) > 1
         res = train(small_dataset, small_config(mode=TrainMode.STANDARDISED, epochs=2))
-        pooled = np.vstack([s.target.xy for s in small_dataset.samples])
+        pooled = np.vstack([s.target for s in small_dataset.samples])
         t = res.transform
         assert (t.mean_x, t.mean_y) == pytest.approx(pooled.mean(axis=0).tolist())
         assert (t.scale_x, t.scale_y) == pytest.approx(pooled.std(axis=0).tolist())
@@ -278,7 +278,7 @@ class TestTrain:
         samp = small_dataset.samples[0]
         pred = predict(res.params, res.transform, samp.loop, cfg)
         t = res.transform
-        std_y = (pred.xy[:, 1] - t.mean_y) / t.scale_y
+        std_y = (pred[:, 1] - t.mean_y) / t.scale_y
         assert std_y.min() >= -1.0 - 1e-12
         assert std_y.max() <= 1.0 + 1e-12
 
@@ -317,6 +317,15 @@ class TestTrain:
         assert exc_info.value.epoch == 3
         assert len(calls) == 3
 
+    def test_non_finite_last_step_diverges_instead_of_returning(self, small_dataset, monkeypatch):
+        """No forward pass follows the last Adam step, so its parameters are checked."""
+        monkeypatch.setattr(train_mod, "backward",
+                            lambda params, trace, d_out: np.full_like(params.flat, np.nan))
+        with pytest.raises(TrainingDivergedError,
+                           match="^non-finite parameters after epoch 1$") as exc_info:
+            train(small_dataset, small_config(epochs=1))
+        assert exc_info.value.epoch == 1
+
 # ----------------------------------------------------------------- predict
 
 class TestPredict:
@@ -326,7 +335,7 @@ class TestPredict:
         samp = small_dataset.samples[0]
         got = predict(res.params, None, samp.loop, small_config(epochs=2))
         want, _ = forward(res.params, samp.loop.vertices.reshape(1, -1))
-        assert np.array_equal(got.xy, want.reshape(-1, 2))
+        assert np.array_equal(got, want.reshape(-1, 2))
 
     def test_standardised_prediction_is_forward_in_the_standardised_frame(self, small_dataset):
         from loop2mesh.net import forward
@@ -337,7 +346,7 @@ class TestPredict:
         std_loop = standardize_loop(t, samp.loop.vertices)
         out, _ = forward(res.params, std_loop.reshape(1, -1))
         want = invert_standardize(t, out.reshape(-1, 2))
-        assert np.array_equal(got.xy, want)
+        assert np.array_equal(got, want)
 
     def test_standardised_prediction_has_n_points(self, small_dataset):
         cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
