@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, InvalidInputError, Loop2MeshError, ParseError
-from .evaluation import KLRow, evaluate, kl_csv_text, kl_sweep, write_kl_csv
+from .errors import ConfigError, InputError, Loop2MeshError
+from .evaluation import kl_csv_text, kl_sweep, write_kl_csv
 from .fileio import atomic_write_text
 from .geometry import padded_bbox, points_in_polygon, resample_loop
 from .ingest import build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes, read_parsed
@@ -140,7 +140,7 @@ def _parse_points_csv(text: str) -> np.ndarray:
     try:
         records = list(reader)
     except csv.Error as exc:  # a field over the csv module's size limit
-        raise ParseError(f"row {reader.line_num}: {exc}") from None
+        raise InputError(f"row {reader.line_num}: {exc}") from None
     rows: list[tuple[float, float]] = []
     for lineno, record in enumerate(records, start=1):
         if not record or (len(record) == 1 and not record[0].strip()):
@@ -148,16 +148,16 @@ def _parse_points_csv(text: str) -> np.ndarray:
         if lineno == 1 and record[:2] == ["x", "y"]:
             continue
         if len(record) != 2:
-            raise ParseError(f"row {lineno}: expected two fields, got {len(record)}")
+            raise InputError(f"row {lineno}: expected two fields, got {len(record)}")
         try:
             x, y = float(record[0]), float(record[1])
         except ValueError:
-            raise ParseError(f"row {lineno}: non-numeric coordinate {record!r}") from None
+            raise InputError(f"row {lineno}: non-numeric coordinate {record!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"row {lineno}: non-finite coordinate {record!r}")
+            raise InputError(f"row {lineno}: non-finite coordinate {record!r}")
         rows.append((x, y))
     if not rows:
-        raise ParseError("no data rows")
+        raise InputError("no data rows")
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -167,7 +167,7 @@ def _parse_viewport(text: str) -> tuple[float, float, float, float]:
         raise ConfigError(f"--viewport expects 'xmin,xmax,ymin,ymax', got {text!r}")
     try:
         pixel_scale(vals)
-    except InvalidInputError as err:
+    except InputError as err:
         raise ConfigError(f"--viewport {text!r}: {err}") from None
     return tuple(vals)
 
@@ -216,9 +216,12 @@ def cmd_train(args) -> int:
 
 
 def _prepare_loop(dat_path, config: TrainConfig):
-    contour = read_parsed(dat_path, parse_airfoil_dat)
-    chord = fit_chord(contour)
-    return resample_loop(chord.apply(contour), config.loop_size), chord
+    """The chord-normalised, resampled loop and its chord; every input error names the file."""
+    def parse(text):
+        contour = parse_airfoil_dat(text)
+        chord = fit_chord(contour)
+        return resample_loop(chord.apply(contour), config.loop_size), chord
+    return read_parsed(dat_path, parse)
 
 
 def _checkpoint_prediction(checkpoint, dat):
@@ -271,14 +274,12 @@ def cmd_evaluate(args) -> int:
         pred = read_parsed(args.pred, _parse_points_csv)
         truth = read_parsed(args.truth, parse_msh_nodes)
         if args.dat is not None:
-            chord = fit_chord(read_parsed(args.dat, parse_airfoil_dat))
+            chord = read_parsed(args.dat, lambda text: fit_chord(parse_airfoil_dat(text)))
             truth = chord.apply(truth)
         if ratio is None:
             ratio = 0.0
 
-    scores = evaluate(pred, truth, epsilon=args.epsilon, grid=args.grid)
-    rows = [KLRow(ratio, "c", len(pred), scores["center"]),
-            KLRow(ratio, "w", len(pred), scores["whole"])]
+    rows = kl_sweep({(ratio, len(pred)): pred}, truth, epsilon=args.epsilon, grid=args.grid)
     out_path = Path(args.out) if args.out else Path(args.out_dir) / "kl.csv"
     write_kl_csv(rows, out_path)
     for row in rows:
@@ -427,7 +428,7 @@ def main(argv=None) -> int:
     except (Loop2MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # an unreadable file is an input error, like a parse error
-        return getattr(exc, "exit_code", ParseError.exit_code)
+        return getattr(exc, "exit_code", InputError.exit_code)
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return MEMORY_EXIT_CODE

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one class per exit code.
 
 Each class carries the ``exit_code`` the command line returns for it:
 2 for a configuration or consistency error, 3 for bad input data, 4 for a
@@ -11,33 +11,14 @@ class Loop2MeshError(Exception):
     exit_code = 1
 
 
-class InvalidGeometryError(Loop2MeshError):
-    """Polygon or contour input violates a geometric precondition."""
-    exit_code = 3
-
-
-class DegenerateDataError(Loop2MeshError):
-    """Data lacks the spread needed by the requested operation."""
-    exit_code = 3
-
-
-class ShapeMismatchError(Loop2MeshError):
-    """Array shapes are inconsistent with the declared dimensions."""
+class ConfigError(Loop2MeshError):
+    """Invalid run configuration, or array shapes that disagree with it."""
     exit_code = 2
 
 
-class InvalidInputError(Loop2MeshError):
-    """Operand violates a precondition (empty set, bad epsilon, bad range, ...)."""
-    exit_code = 3
-
-
-class ParseError(Loop2MeshError):
-    """Input file does not conform to its documented grammar."""
-    exit_code = 3
-
-
-class EmptyDatasetError(Loop2MeshError):
-    """No usable training pairs were supplied."""
+class InputError(Loop2MeshError):
+    """Unusable input: a file that breaks its grammar, a degenerate or
+    self-intersecting loop or cloud, or an operand out of its range."""
     exit_code = 3
 
 
@@ -48,13 +29,3 @@ class TrainingDivergedError(Loop2MeshError):
     def __init__(self, epoch: int, message: str):
         super().__init__(message)
         self.epoch = epoch
-
-
-class DegenerateDensityError(Loop2MeshError):
-    """Kernel mass inside the evaluation window is numerically zero."""
-    exit_code = 3
-
-
-class ConfigError(Loop2MeshError):
-    """Invalid run configuration."""
-    exit_code = 2

@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import DegenerateDataError, DegenerateDensityError, InvalidInputError
+from .errors import InputError
 from .fileio import atomic_write_text
 from .geometry import as_point_array, padded_bbox
 
@@ -38,9 +38,9 @@ class EvalWindow:
         object.__setattr__(self, "y_range", (float(self.y_range[0]), float(self.y_range[1])))
         for lo, hi in (self.x_range, self.y_range):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise InvalidInputError(f"window range ({lo}, {hi}) must be finite and non-empty")
+                raise InputError(f"window range ({lo}, {hi}) must be finite and non-empty")
         if self.grid_nx < 2 or self.grid_ny < 2:
-            raise InvalidInputError("grid must be at least 2x2")
+            raise InputError("grid must be at least 2x2")
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         dx = (self.x_range[1] - self.x_range[0]) / self.grid_nx
@@ -62,10 +62,10 @@ def center_window(grid: int = 100) -> EvalWindow:
 def whole_window(truth: np.ndarray, grid: int = 100) -> EvalWindow:
     """Truth cloud (N, 2) bounding box, padded by ``geometry.BBOX_PAD`` of each axis extent."""
     if not len(truth):
-        raise DegenerateDataError("truth cloud is empty")
+        raise InputError("truth cloud is empty")
     lo, hi = padded_bbox(truth)
     if not (lo[0] < hi[0] and lo[1] < hi[1]):  # padding keeps a zero extent zero
-        raise DegenerateDataError("truth cloud has zero extent on an axis")
+        raise InputError("truth cloud has zero extent on an axis")
     return EvalWindow("whole", (lo[0], hi[0]), (lo[1], hi[1]), grid, grid)
 
 
@@ -77,15 +77,15 @@ def scott_bandwidth(xy: np.ndarray, window: EvalWindow) -> tuple[float, float]:
     """
     pts = xy[window.contains(xy)]
     if pts.shape[0] < 2:
-        raise DegenerateDataError("bandwidth fit needs at least 2 points inside the window")
+        raise InputError("bandwidth fit needs at least 2 points inside the window")
     with np.errstate(over="ignore"):  # a far point gives sigma inf, rejected below
         sigma = pts.std(axis=0)
     if sigma[0] == 0.0 or sigma[1] == 0.0:
-        raise DegenerateDataError("zero variance inside the window; cannot fit a bandwidth")
+        raise InputError("zero variance inside the window; cannot fit a bandwidth")
     factor = pts.shape[0] ** (-1.0 / 6.0)
     hx, hy = float(sigma[0] * factor), float(sigma[1] * factor)
     if not (np.isfinite(hx) and np.isfinite(hy) and hx > 0.0 and hy > 0.0):
-        raise InvalidInputError(f"bandwidth must be positive and finite, got ({hx}, {hy})")
+        raise InputError(f"bandwidth must be positive and finite, got ({hx}, {hy})")
     return hx, hy
 
 
@@ -111,7 +111,7 @@ def kde(xy: np.ndarray, window: EvalWindow, bandwidth: tuple[float, float]) -> n
     mass = _gaussian_factor(cx, xy[:, 0], hx) @ _gaussian_factor(cy, xy[:, 1], hy).T
     total = float(mass.sum())
     if not np.isfinite(total) or total <= 0.0:
-        raise DegenerateDensityError("kernel mass inside the window is numerically zero")
+        raise InputError("kernel mass inside the window is numerically zero")
     return mass / total
 
 
@@ -119,7 +119,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, epsilon: float = 1e-10) -> float
     """sum P log(P / (Q + epsilon)) over two masses on one grid, with
     0 log 0 = 0, clipped at zero."""
     if not epsilon > 0.0:
-        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
+        raise InputError(f"epsilon must be positive, got {epsilon}")
     mask = p > 0.0
     val = float(np.sum(p[mask] * np.log(p[mask] / (q[mask] + epsilon))))
     return max(val, 0.0)

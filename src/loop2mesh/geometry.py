@@ -13,18 +13,18 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateDataError, InvalidGeometryError, InvalidInputError
+from .errors import InputError
 
 BBOX_PAD = 0.05  # a padded bounding box's margin, a share of each axis extent
 
 
 def as_point_array(points, *, name: str = "points") -> np.ndarray:
-    """Coerce to a finite (N, 2) float64 array or raise InvalidInputError."""
+    """Coerce to a finite (N, 2) float64 array or raise InputError."""
     xy = np.asarray(points, dtype=np.float64)
     if xy.ndim != 2 or xy.shape[1] != 2:
-        raise InvalidInputError(f"{name} must be an (N, 2) array, got shape {xy.shape}")
+        raise InputError(f"{name} must be an (N, 2) array, got shape {xy.shape}")
     if not np.all(np.isfinite(xy)):
-        raise InvalidInputError(f"{name} contains non-finite coordinates")
+        raise InputError(f"{name} contains non-finite coordinates")
     return xy
 
 
@@ -69,14 +69,14 @@ class AirfoilLoop:
     def __post_init__(self):
         v = as_point_array(self.vertices, name="loop vertices")
         if v.shape[0] < 3:
-            raise InvalidGeometryError(f"a loop needs at least 3 vertices, got {v.shape[0]}")
+            raise InputError(f"a loop needs at least 3 vertices, got {v.shape[0]}")
         if np.any(np.all(v == np.roll(v, -1, axis=0), axis=1)):
-            raise InvalidGeometryError("loop has zero-length edges (repeated consecutive vertices)")
+            raise InputError("loop has zero-length edges (repeated consecutive vertices)")
         span = v.max(axis=0) - v.min(axis=0)
         if abs(_signed_area(v)) <= 1e-14 * max(1.0, float(span[0] + span[1]) ** 2):
-            raise InvalidGeometryError("degenerate loop: enclosed area is numerically zero")
+            raise InputError("degenerate loop: enclosed area is numerically zero")
         if not _is_simple(v):
-            raise InvalidGeometryError("loop is self-intersecting")
+            raise InputError("loop is self-intersecting")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -168,7 +168,7 @@ def resample_loop(raw, target: int) -> AirfoilLoop:
     preserved; interpolation is linear along the polyline.
     """
     if target < 3:
-        raise InvalidGeometryError(f"resample target must be at least 3, got {target}")
+        raise InputError(f"resample target must be at least 3, got {target}")
     v = as_point_array(raw, name="contour")
     keep = np.ones(v.shape[0], dtype=bool)
     keep[1:] = np.any(v[1:] != v[:-1], axis=1)
@@ -176,7 +176,7 @@ def resample_loop(raw, target: int) -> AirfoilLoop:
     if v.shape[0] > 1 and np.all(v[-1] == v[0]):
         v = v[:-1]
     if np.unique(v, axis=0).shape[0] < 3:
-        raise InvalidGeometryError("contour needs at least 3 distinct points")
+        raise InputError("contour needs at least 3 distinct points")
     closed = np.vstack([v, v[:1]])
     seg = np.diff(closed, axis=0)
     seglen = np.hypot(seg[:, 0], seg[:, 1])
@@ -192,7 +192,7 @@ def resample_loop(raw, target: int) -> AirfoilLoop:
 def as_float(value) -> float:
     """A JSON number as a float: an int or a float, never a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidInputError(f"expected a number, got {value!r}")
+        raise InputError(f"expected a number, got {value!r}")
     return float(value)
 
 
@@ -208,9 +208,9 @@ class StandardizeTransform:
     def __post_init__(self):
         vals = (self.mean_x, self.mean_y, self.scale_x, self.scale_y)
         if not all(np.isfinite(vals)):
-            raise InvalidInputError("transform parameters must be finite")
+            raise InputError("transform parameters must be finite")
         if self.scale_x <= 0.0 or self.scale_y <= 0.0:
-            raise InvalidInputError("transform scales must be positive")
+            raise InputError("transform scales must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -231,11 +231,11 @@ class StandardizeTransform:
 def fit_standardize(xy: np.ndarray) -> StandardizeTransform:
     """Fit per-axis mean/sigma on points xy (N, 2); sigma is the population value."""
     if len(xy) < 2:
-        raise DegenerateDataError("standardisation needs at least 2 points")
+        raise InputError("standardisation needs at least 2 points")
     mean = xy.mean(axis=0)
     sigma = xy.std(axis=0)  # divides by N, not N-1
     if sigma[0] == 0.0 or sigma[1] == 0.0:
-        raise DegenerateDataError("zero variance on an axis; cannot standardise")
+        raise InputError("zero variance on an axis; cannot standardise")
     return StandardizeTransform(float(mean[0]), float(mean[1]), float(sigma[0]), float(sigma[1]))
 
 

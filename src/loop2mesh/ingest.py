@@ -16,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    EmptyDatasetError,
-    InvalidGeometryError,
-    InvalidInputError,
-    ParseError,
-)
+from .errors import InputError
 from .geometry import AirfoilLoop, as_point_array, points_in_polygon, resample_loop
 
 log = logging.getLogger(__name__)
@@ -55,15 +49,15 @@ def parse_airfoil_dat(text: str) -> np.ndarray:
             if not saw_content:
                 saw_content = True  # name line
                 continue
-            raise ParseError(f"line {lineno}: expected two numeric coordinates, got {line.strip()!r}")
+            raise InputError(f"line {lineno}: expected two numeric coordinates, got {line.strip()!r}")
         if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-            raise ParseError(f"line {lineno}: non-finite coordinate {line.strip()!r}")
+            raise InputError(f"line {lineno}: non-finite coordinate {line.strip()!r}")
         saw_content = True
         pts.append(pair)
     if not pts:
-        raise ParseError("no coordinate data found")
+        raise InputError("no coordinate data found")
     if len(pts) < 3:
-        raise InvalidGeometryError(f"airfoil contour needs at least 3 points, got {len(pts)}")
+        raise InputError(f"airfoil contour needs at least 3 points, got {len(pts)}")
     return np.asarray(pts, dtype=np.float64)
 
 
@@ -76,12 +70,12 @@ class ChordTransform:
 
     def __post_init__(self):
         if not (math.isfinite(self.x_min) and math.isfinite(self.chord)):
-            raise InvalidInputError("chord transform parameters must be finite")
+            raise InputError("chord transform parameters must be finite")
         if self.chord <= 0.0:
-            raise DegenerateDataError("zero chord length; cannot normalise")
+            raise InputError("zero chord length; cannot normalise")
 
     def apply(self, points) -> np.ndarray:
-        """Points (N, 2) in chord units; InvalidInputError if a tiny chord overflows them."""
+        """Points (N, 2) in chord units; InputError if a tiny chord overflows them."""
         with np.errstate(over="ignore"):
             xy = (as_point_array(points) - (self.x_min, 0.0)) / self.chord
         return as_point_array(xy, name="chord-normalised cloud")
@@ -89,7 +83,7 @@ class ChordTransform:
 
 def fit_chord(points) -> ChordTransform:
     if not len(points):
-        raise DegenerateDataError("empty contour; cannot normalise")
+        raise InputError("empty contour; cannot normalise")
     x = as_point_array(points, name="contour")[:, 0]
     return ChordTransform(float(x.min()), float(x.max() - x.min()))
 
@@ -111,14 +105,14 @@ def _parse_node_block(block: list[str], first_lineno: int) -> np.ndarray:
         if not line:
             continue
         if len(line.split()) != 4:
-            raise ParseError(f"line {lineno}: expected 'id x y z', got {line!r}")
+            raise InputError(f"line {lineno}: expected 'id x y z', got {line!r}")
         try:
             node = _read_nodes([line])[0]
         except ValueError:
-            raise ParseError(f"line {lineno}: malformed node line {line!r}") from None
+            raise InputError(f"line {lineno}: malformed node line {line!r}") from None
         if not (math.isfinite(node["x"]) and math.isfinite(node["y"])):
-            raise ParseError(f"line {lineno}: non-finite coordinate {line!r}")
-    raise ParseError("malformed $Nodes block")
+            raise InputError(f"line {lineno}: non-finite coordinate {line!r}")
+    raise InputError("malformed $Nodes block")
 
 
 def parse_msh_nodes(text: str) -> np.ndarray:
@@ -132,21 +126,21 @@ def parse_msh_nodes(text: str) -> np.ndarray:
     try:
         start = lines.index("$Nodes")
     except ValueError:
-        raise ParseError("missing $Nodes block") from None
+        raise InputError("missing $Nodes block") from None
     if start + 1 >= len(lines):
-        raise ParseError("truncated $Nodes block: node count line missing")
+        raise InputError("truncated $Nodes block: node count line missing")
     try:
         declared = int(lines[start + 1])
     except ValueError:
-        raise ParseError(f"line {start + 2}: invalid node count {lines[start + 1]!r}") from None
+        raise InputError(f"line {start + 2}: invalid node count {lines[start + 1]!r}") from None
     end = (lines + ["$EndNodes"]).index("$EndNodes", start + 2)  # no $EndNodes: the rest
     nodes = _parse_node_block(lines[start + 2:end], start + 3)
     if end == len(lines):
-        raise ParseError("unterminated $Nodes block: $EndNodes missing")
+        raise InputError("unterminated $Nodes block: $EndNodes missing")
     if len(nodes) != declared:
-        raise ParseError(f"node count mismatch: header declares {declared}, found {len(nodes)}")
+        raise InputError(f"node count mismatch: header declares {declared}, found {len(nodes)}")
     if not len(nodes):
-        raise ParseError("mesh contains no nodes")
+        raise InputError("mesh contains no nodes")
     order = np.argsort(nodes["id"], kind="stable")
     return np.column_stack((nodes["x"], nodes["y"]))[order]
 
@@ -159,10 +153,10 @@ def upsample_target(points: np.ndarray, m: int, seed: int) -> np.ndarray:
     the deficit. Duplicates at identical coordinates are acceptable.
     """
     if m < 1:
-        raise InvalidInputError(f"target count must be positive, got {m}")
+        raise InputError(f"target count must be positive, got {m}")
     n = len(points)
     if n == 0:
-        raise DegenerateDataError("cannot resize an empty point cloud")
+        raise InputError("cannot resize an empty point cloud")
     rng = np.random.default_rng(seed)
     if n >= m:
         idx = np.sort(rng.choice(n, size=m, replace=False))
@@ -209,7 +203,7 @@ def assemble_sample(name: str, contour: np.ndarray, mesh_nodes: np.ndarray, *,
         log.warning("%s: dropping %d mesh nodes inside the boundary loop", name, int(inside.sum()))
         mesh = mesh[~inside]
         if mesh.shape[0] == 0:
-            raise DegenerateDataError(f"{name}: every mesh node lies inside the loop")
+            raise InputError("every mesh node lies inside the loop")
     target = upsample_target(mesh, target_count, seed)
     return MeshSample(name, loop, target)
 
@@ -221,28 +215,31 @@ def read_parsed(path, parser):
     try:
         text = path.read_text()
     except ValueError as exc:  # UnicodeDecodeError, or a name open() cannot take
-        raise ParseError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     try:
         return parser(text)
-    except (ParseError, InvalidGeometryError, DegenerateDataError, InvalidInputError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def build_dataset(entries, *, loop_size: int = 35, target_count: int = 1500, seed: int = 0) -> Dataset:
     """Assemble a Dataset from ``(name, dat_path, msh_path)`` entries.
 
-    Sample ``i`` uses upsampling seed ``seed + i``. Parse failures are
-    re-raised with the offending file path prepended.
+    Sample ``i`` uses upsampling seed ``seed + i``. An input error names its
+    file, or its sample if both files parse but cannot form one.
     """
     entries = list(entries)
     if not entries:
-        raise EmptyDatasetError("no (dat, msh) pairs supplied")
+        raise InputError("no (dat, msh) pairs supplied")
     samples = []
     for i, (name, dat_path, msh_path) in enumerate(entries):
         contour = read_parsed(dat_path, parse_airfoil_dat)
         nodes = read_parsed(msh_path, parse_msh_nodes)
-        samples.append(assemble_sample(name, contour, nodes, loop_size=loop_size,
-                                       target_count=target_count, seed=seed + i))
+        try:
+            samples.append(assemble_sample(name, contour, nodes, loop_size=loop_size,
+                                           target_count=target_count, seed=seed + i))
+        except InputError as exc:
+            raise InputError(f"{name}: {exc}") from exc
     return Dataset(tuple(samples), loop_size, target_count)
 
 
@@ -255,13 +252,13 @@ def load_manifest(path) -> list[tuple[str, Path, Path]]:
     try:
         data = json.loads(path.read_text())
     except (ValueError, RecursionError) as exc:  # also an int over 4300 digits, deep nesting
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, list):
-        raise ParseError(f"{path}: manifest must be a JSON list of {{name, dat, msh}} records")
+        raise InputError(f"{path}: manifest must be a JSON list of {{name, dat, msh}} records")
     entries = []
     base = path.parent
     for i, rec in enumerate(data):
         if not isinstance(rec, dict) or not {"name", "dat", "msh"} <= rec.keys():
-            raise ParseError(f"{path}: record {i} must be an object with name/dat/msh keys")
+            raise InputError(f"{path}: record {i} must be an object with name/dat/msh keys")
         entries.append((str(rec["name"]), base / str(rec["dat"]), base / str(rec["msh"])))
     return entries

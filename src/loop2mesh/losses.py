@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InputError
 from .geometry import as_float, intruders
 
 
@@ -64,9 +64,9 @@ def repulsion(pairs, epsilon: float) -> tuple[list[float], np.ndarray]:
     dx, dy, d2 = pairs
     n = d2.shape[1]
     if n < 2:
-        raise InvalidInputError("repulsion needs at least 2 points")
+        raise InputError("repulsion needs at least 2 points")
     if not epsilon > 0.0:
-        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
+        raise InputError(f"epsilon must be positive, got {epsilon}")
     r = np.sqrt(d2 + epsilon)
     values = [1.0 / (total / (n * n)) for total in _off_diagonal(r, np.sum)]  # 1 / mean
     # d(mean)/d(p_i) = (2/N^2) sum_j (p_i - p_j) / r_ij; self-pairs add 0/r = 0.
@@ -117,20 +117,20 @@ class LossWeights:
     def __post_init__(self):
         trio = (self.chamfer, self.repulsion, self.interior)
         if not all(np.isfinite(trio)) or any(w < 0.0 for w in trio):
-            raise InvalidInputError(f"weights must be finite and non-negative, got {trio}")
+            raise InputError(f"weights must be finite and non-negative, got {trio}")
         if not any(w > 0.0 for w in trio):
-            raise InvalidInputError("at least one loss weight must be positive")
+            raise InputError("at least one loss weight must be positive")
         if not self.epsilon > 0.0:
-            raise InvalidInputError(f"epsilon must be positive, got {self.epsilon}")
+            raise InputError(f"epsilon must be positive, got {self.epsilon}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossWeights":
         """Weights from a mapping; missing keys keep their defaults."""
         if not isinstance(d, dict):
-            raise InvalidInputError(f"weights must be a mapping, got {d!r}")
+            raise InputError(f"weights must be a mapping, got {d!r}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
-            raise InvalidInputError(f"unknown weight keys: {sorted(unknown)}")
+            raise InputError(f"unknown weight keys: {sorted(unknown)}")
         return cls(**{f.name: as_float(d[f.name]) for f in fields(cls) if f.name in d})
 
 

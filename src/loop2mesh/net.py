@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError, ShapeMismatchError
+from .errors import ConfigError, InputError
 from .fileio import atomic_write_bytes
 
 _ARRAY_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -54,19 +54,19 @@ class NetworkParams:
     def _bind(self, flat: np.ndarray, shapes) -> None:
         w1, b1, w2, b2, w3, b3 = views = _split(flat, shapes)
         if w1.ndim != 2 or w2.ndim != 2 or w3.ndim != 2:
-            raise ShapeMismatchError("weight matrices must be 2-D")
+            raise ConfigError("weight matrices must be 2-D")
         if w1.shape[1] % 2 or w3.shape[0] % 2:
-            raise ShapeMismatchError("input and output widths must be even (2 per point)")
+            raise ConfigError("input and output widths must be even (2 per point)")
         ok = (b1.shape == (w1.shape[0],)
               and w2.shape[1] == w1.shape[0]
               and b2.shape == (w2.shape[0],)
               and w3.shape[1] == w2.shape[0]
               and b3.shape == (w3.shape[0],))
         if not ok:
-            raise ShapeMismatchError("parameter shapes are mutually inconsistent")
+            raise ConfigError("parameter shapes are mutually inconsistent")
         if not np.isfinite(flat).all():
             name = next(n for n, v in zip(_ARRAY_ORDER, views) if not np.isfinite(v).all())
-            raise InvalidInputError(f"parameter {name} contains non-finite entries")
+            raise InputError(f"parameter {name} contains non-finite entries")
         self.flat = flat
         for name, view in zip(_ARRAY_ORDER, views):
             setattr(self, name, view)
@@ -104,7 +104,7 @@ def init_params(seed: int, loop_size: int, h1: int, h2: int, n_points: int) -> N
     draws them, -bound + 2 bound u, with no per-matrix temporaries.
     """
     if min(loop_size, h1, h2, n_points) < 1:
-        raise InvalidInputError("all layer sizes must be positive")
+        raise InputError("all layer sizes must be positive")
     rng = np.random.default_rng(seed)
     shapes = [(h1, 2 * loop_size), (h1,), (h2, h1), (h2,), (2 * n_points, h2), (2 * n_points,)]
     params = NetworkParams.from_flat(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
@@ -140,8 +140,8 @@ def forward(params: NetworkParams, x: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 2 * params.loop_size:
-        raise ShapeMismatchError(f"input batch has shape {x.shape}, network expects "
-                                 f"(S, {2 * params.loop_size}) for {params.loop_size}-point loops")
+        raise ConfigError(f"input batch has shape {x.shape}, network expects "
+                          f"(S, {2 * params.loop_size}) for {params.loop_size}-point loops")
     z1 = x @ params.w1.T + params.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.w2.T + params.b2
@@ -152,7 +152,7 @@ def forward(params: NetworkParams, x: np.ndarray,
     if y_clamp is not None:
         lo, hi = float(y_clamp[0]), float(y_clamp[1])
         if not lo <= hi:
-            raise InvalidInputError(f"empty clamp range {y_clamp}")
+            raise InputError(f"empty clamp range {y_clamp}")
         final = out.copy()
         ys = out[:, 1::2]
         final[:, 1::2] = np.clip(ys, lo, hi)
@@ -169,7 +169,7 @@ def backward(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray) -
     """
     d_output = np.asarray(d_output, dtype=np.float64)
     if d_output.shape != trace.output.shape:
-        raise ShapeMismatchError(
+        raise ConfigError(
             f"cotangent shape {d_output.shape} does not match output {trace.output.shape}")
     grad = np.empty_like(params.flat)
     gw1, gb1, gw2, gb2, gw3, gb3 = params.split(grad)
@@ -212,36 +212,36 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         payload = (np.fromfile(f, dtype=np.uint8) if f.seekable()
                    else np.frombuffer(bytearray(f.read()), dtype=np.uint8))
     if not line.endswith(b"\n"):
-        raise ParseError(f"{path}: not a checkpoint (missing header line)")
+        raise InputError(f"{path}: not a checkpoint (missing header line)")
     try:
         header = json.loads(line[:-1].decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also an int over 4300 digits, deep nesting
-        raise ParseError(f"{path}: invalid checkpoint header: {exc}") from exc
+        raise InputError(f"{path}: invalid checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
-        raise ParseError(f"{path}: checkpoint header is not a JSON object")
+        raise InputError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format") != _CHECKPOINT_FORMAT:
-        raise ParseError(f"{path}: unrecognised checkpoint format")
+        raise InputError(f"{path}: unrecognised checkpoint format")
     if header.get("version") != _CHECKPOINT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+        raise InputError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
     table = header.get("shapes")
     if not isinstance(table, dict) or "meta" not in header:
-        raise ParseError(f"{path}: checkpoint header needs a 'shapes' object and a 'meta' entry")
+        raise InputError(f"{path}: checkpoint header needs a 'shapes' object and a 'meta' entry")
     shapes = []
     end = 0
     for name in _ARRAY_ORDER:
         if name not in table:
-            raise ParseError(f"{path}: checkpoint header missing array {name!r}")
+            raise InputError(f"{path}: checkpoint header missing array {name!r}")
         shape = table[name]
         if not isinstance(shape, list) or not all(type(k) is int and k >= 0 for k in shape):
-            raise ParseError(f"{path}: array {name!r} has invalid shape {shape!r}")
+            raise InputError(f"{path}: array {name!r} has invalid shape {shape!r}")
         shapes.append(tuple(shape))
         end += 8 * math.prod(shape)
         if end > payload.size:
-            raise ParseError(f"{path}: checkpoint truncated in array {name!r}")
+            raise InputError(f"{path}: checkpoint truncated in array {name!r}")
     if end != payload.size:
-        raise ParseError(f"{path}: {payload.size - end} trailing bytes after parameter arrays")
-    try:  # a header whose shapes cannot form a network is a malformed file
+        raise InputError(f"{path}: {payload.size - end} trailing bytes after parameter arrays")
+    try:  # shapes that cannot form a network, or non-finite weights, make a malformed file
         params = NetworkParams.from_flat(payload.view("<f8").astype(np.float64, copy=False), shapes)
-    except ShapeMismatchError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except (ConfigError, InputError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
     return params, header["meta"]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InputError
 from .fileio import atomic_write_text
 
 _MARGIN = 12.0
@@ -17,13 +17,13 @@ _WIDTH, _HEIGHT = 900, 700  # canvas size in pixels
 
 def pixel_scale(viewport) -> tuple[float, float]:
     """Pixels per world unit along x and y for viewport (xmin, xmax, ymin,
-    ymax); InvalidInputError unless both are finite and positive."""
+    ymax); InputError unless both are finite and positive."""
     xmin, xmax, ymin, ymax = map(float, viewport)
     if not (xmin < xmax and ymin < ymax):
-        raise InvalidInputError(f"viewport {viewport} must have positive extent")
+        raise InputError(f"viewport {viewport} must have positive extent")
     scale = ((_WIDTH - 2 * _MARGIN) / (xmax - xmin), (_HEIGHT - 2 * _MARGIN) / (ymax - ymin))
     if not all(0.0 < k < np.inf for k in scale):  # an extent too small or too large
-        raise InvalidInputError(f"viewport {viewport} has no finite pixel scale")
+        raise InputError(f"viewport {viewport} has no finite pixel scale")
     return scale
 
 

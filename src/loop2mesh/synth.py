@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InputError
 from .fileio import atomic_write_text
 from .geometry import AirfoilLoop, edge_query
 
@@ -27,9 +27,9 @@ def naca4_contour(code: str = "2220", n_points: int = 121) -> np.ndarray:
     sampling); cosine spacing clusters points at the leading edge.
     """
     if len(code) != 4 or not code.isdigit():
-        raise InvalidInputError(f"expected a 4-digit NACA code, got {code!r}")
+        raise InputError(f"expected a 4-digit NACA code, got {code!r}")
     if n_points < 7 or n_points % 2 == 0:
-        raise InvalidInputError(f"n_points must be odd and at least 7, got {n_points}")
+        raise InputError(f"n_points must be odd and at least 7, got {n_points}")
     m = int(code[0]) / 100.0
     p = int(code[1]) / 10.0
     t = int(code[2:]) / 100.0

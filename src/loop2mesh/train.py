@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, ParseError, ShapeMismatchError, TrainingDivergedError
+from .errors import ConfigError, InputError, TrainingDivergedError
 from .fileio import atomic_write_text
 from .geometry import (
     AirfoilLoop,
@@ -58,7 +58,7 @@ def default_interior_weight(mode: TrainMode) -> float:
 
 def _as_int(value) -> int:
     if type(value) is not int:  # a bool is an int subclass, not a count
-        raise InvalidInputError(f"expected an integer, got {value!r}")
+        raise InputError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -124,7 +124,7 @@ class TrainConfig:
         for name, value in d.items():
             try:
                 kw[name] = table[name](value)
-            except (InvalidInputError, TypeError, ValueError, OverflowError) as exc:
+            except (InputError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"invalid {name} {value!r}: {exc}") from None
         cfg = cls(**kw)
         cfg.validate()
@@ -160,9 +160,9 @@ def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState, *,
     Parameters and state are updated in place and returned.
     """
     if t < 1:
-        raise InvalidInputError(f"step count t must be >= 1, got {t}")
+        raise InputError(f"step count t must be >= 1, got {t}")
     if grads.shape != params.flat.shape:
-        raise ShapeMismatchError("gradient shape does not match parameter shape")
+        raise ConfigError("gradient shape does not match parameter shape")
     bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
     scratch = np.empty((2, grads.size))
     for lo in range(0, grads.size, _ADAM_BLOCK):  # elementwise, so block by block
@@ -264,19 +264,19 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
 
 def predict(params: NetworkParams, transform: StandardizeTransform | None,
             loop: AirfoilLoop, config: TrainConfig) -> np.ndarray:
-    """A cloud (N, 2) for a loop, in original coordinates; InvalidInputError if it overflows."""
+    """A cloud (N, 2) for a loop, in original coordinates; InputError if it overflows."""
     if params.n_points != config.n_points or params.loop_size != config.loop_size:
-        raise ShapeMismatchError("checkpoint dimensions do not match the configuration")
+        raise ConfigError("checkpoint dimensions do not match the configuration")
     if config.mode is TrainMode.RAW and transform is not None:
-        raise InvalidInputError("raw mode takes no standardise transform")
+        raise InputError("raw mode takes no standardise transform")
     if config.mode is not TrainMode.RAW and transform is None:
-        raise InvalidInputError("standardised modes require the model's transform")
+        raise InputError("standardised modes require the model's transform")
     inp = loop.vertices if transform is None else standardize_loop(transform, loop.vertices)
     with np.errstate(over="ignore", invalid="ignore"):  # caught below
         out = forward(params, inp.reshape(1, -1), y_clamp=config.y_clamp)[0].reshape(-1, 2)
         out = out if transform is None else invert_standardize(transform, out)
     if not np.isfinite(out).all():
-        raise InvalidInputError("network output contains non-finite coordinates")
+        raise InputError("network output contains non-finite coordinates")
     return out
 
 
@@ -298,17 +298,17 @@ def load_trained(path) -> tuple[NetworkParams, TrainConfig, StandardizeTransform
         config = TrainConfig.from_dict(meta["config"])
         transforms = [StandardizeTransform.from_dict(rec["transform"]) if rec["transform"] else None
                       for rec in meta["samples"]]
-    except (KeyError, TypeError, ValueError, ConfigError, InvalidInputError) as exc:
-        raise ParseError(f"{path}: invalid checkpoint metadata: {exc}") from exc
+    except (KeyError, TypeError, ValueError, ConfigError, InputError) as exc:
+        raise InputError(f"{path}: invalid checkpoint metadata: {exc}") from exc
     if params.n_points != config.n_points or params.loop_size != config.loop_size:
-        raise ParseError(f"{path}: checkpoint arrays disagree with its stored config")
+        raise InputError(f"{path}: checkpoint arrays disagree with its stored config")
     if not transforms:
-        raise ParseError(f"{path}: checkpoint lists no sample")
+        raise InputError(f"{path}: checkpoint lists no sample")
     if config.mode is TrainMode.RAW:
         return params, config, None
     if len(set(transforms)) != 1:
-        raise ParseError(f"{path}: its samples hold different standardise transforms, "
+        raise InputError(f"{path}: its samples hold different standardise transforms, "
                          "one fitted per sample; retrain it to fit one on all samples")
     if transforms[0] is None:
-        raise ParseError(f"{path}: missing standardise transform")
+        raise InputError(f"{path}: missing standardise transform")
     return params, config, transforms[0]

@@ -221,7 +221,9 @@ def is_simple_double_loop(vertices) -> bool:
     """Closed polygon has no two edges that cross properly; pairwise loop.
 
     Shared endpoints and collinear touches do not count as crossings, and
-    adjacent edges (which share a vertex) are skipped.
+    adjacent edges (which share a vertex) are skipped. Two edges cross only
+    if their bounding boxes also meet: rounding can make two disjoint pieces
+    of one straight side straddle each other's line.
     """
     v = [(float(x), float(y)) for x, y in vertices]
     n = len(v)
@@ -232,8 +234,10 @@ def is_simple_double_loop(vertices) -> bool:
     def crosses(a, b, c, d):
         d1, d2 = orient(c, d, a), orient(c, d, b)
         d3, d4 = orient(a, b, c), orient(a, b, d)
+        boxes_meet = all(min(a[k], b[k]) <= max(c[k], d[k]) and min(c[k], d[k]) <= max(a[k], b[k])
+                         for k in (0, 1))
         return ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0 and \
-               ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0
+               ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0 and boxes_meet
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -248,9 +252,9 @@ def parse_msh_nodes_line_by_line(text: str) -> np.ndarray:
     """Gmsh v2 ``$Nodes`` block read one line at a time with ``int``/``float``.
 
     Returns the (n, 2) x/y array sorted stably by node id and raises
-    ``ParseError`` with the same messages as ``ingest.parse_msh_nodes``.
+    ``InputError`` with the same messages as ``ingest.parse_msh_nodes``.
     """
-    from loop2mesh.errors import ParseError
+    from loop2mesh.errors import InputError
 
     lines = text.splitlines()
     start = None
@@ -259,14 +263,14 @@ def parse_msh_nodes_line_by_line(text: str) -> np.ndarray:
             start = i
             break
     if start is None:
-        raise ParseError("missing $Nodes block")
+        raise InputError("missing $Nodes block")
     if start + 1 >= len(lines):
-        raise ParseError("truncated $Nodes block: node count line missing")
+        raise InputError("truncated $Nodes block: node count line missing")
     count_line = lines[start + 1].strip()
     try:
         declared = int(count_line)
     except ValueError:
-        raise ParseError(f"line {start + 2}: invalid node count {count_line!r}") from None
+        raise InputError(f"line {start + 2}: invalid node count {count_line!r}") from None
 
     ids: list[int] = []
     coords: list[tuple[float, float]] = []
@@ -280,23 +284,23 @@ def parse_msh_nodes_line_by_line(text: str) -> np.ndarray:
             continue
         tokens = stripped.split()
         if len(tokens) != 4:
-            raise ParseError(f"line {offset}: expected 'id x y z', got {stripped!r}")
+            raise InputError(f"line {offset}: expected 'id x y z', got {stripped!r}")
         try:
             node_id = int(tokens[0])
             x, y = float(tokens[1]), float(tokens[2])
             float(tokens[3])  # z parsed for validity, then discarded
         except ValueError:
-            raise ParseError(f"line {offset}: malformed node line {stripped!r}") from None
+            raise InputError(f"line {offset}: malformed node line {stripped!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"line {offset}: non-finite coordinate {stripped!r}")
+            raise InputError(f"line {offset}: non-finite coordinate {stripped!r}")
         ids.append(node_id)
         coords.append((x, y))
     if not terminated:
-        raise ParseError("unterminated $Nodes block: $EndNodes missing")
+        raise InputError("unterminated $Nodes block: $EndNodes missing")
     if len(coords) != declared:
-        raise ParseError(f"node count mismatch: header declares {declared}, found {len(coords)}")
+        raise InputError(f"node count mismatch: header declares {declared}, found {len(coords)}")
     if not coords:
-        raise ParseError("mesh contains no nodes")
+        raise InputError("mesh contains no nodes")
     order = np.argsort(np.asarray(ids), kind="stable")
     return np.asarray(coords, dtype=np.float64)[order]
 

@@ -15,7 +15,7 @@ import pytest
 from oracles import brute_chamfer, params_to_vector, vector_to_params
 
 from loop2mesh.cli import main
-from loop2mesh.errors import ParseError
+from loop2mesh.errors import InputError
 from loop2mesh.evaluation import EvalWindow, evaluate, kde, kl_divergence, scott_bandwidth
 from loop2mesh.geometry import AirfoilLoop, points_in_polygon
 from loop2mesh.ingest import build_dataset, load_manifest, parse_airfoil_dat, parse_msh_nodes
@@ -280,10 +280,10 @@ def test_09_parser_fixtures_round_trip(tmp_path):
 
     # five malformed fixtures raise the parse error the CLI maps to exit 3
     for bad_dat in (BAD_TOKEN_DAT, NONFINITE_DAT):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_airfoil_dat(bad_dat)
     for bad_msh in (SHORT_COUNT_MSH, NO_SECTION_MSH, BAD_NODE_MSH):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_msh_nodes(bad_msh)
 
     # ... and exit 3 is what actually comes out of the command line

@@ -11,18 +11,7 @@ from hypothesis import strategies as st
 
 from loop2mesh import cli, evaluation
 from loop2mesh.cli import main
-from loop2mesh.errors import (
-    ConfigError,
-    DegenerateDataError,
-    DegenerateDensityError,
-    EmptyDatasetError,
-    InvalidGeometryError,
-    InvalidInputError,
-    Loop2MeshError,
-    ParseError,
-    ShapeMismatchError,
-    TrainingDivergedError,
-)
+from loop2mesh.errors import ConfigError, InputError, Loop2MeshError, TrainingDivergedError
 from loop2mesh.ingest import load_manifest, parse_msh_nodes
 from loop2mesh.train import TrainConfig
 
@@ -767,6 +756,50 @@ class TestUndecodableInput:
         assert f"error: {cfg}: invalid JSON: " in stderr
 
 
+ZERO_CHORD_DAT = "0 0\n0 1\n0 2\n"
+BOW_TIE_DAT = "0 0\n1 1\n1 0\n0 1\n"
+
+
+class TestUnusableLoop:
+    """A .dat file that parses but cannot form a loop names its file or sample."""
+
+    @pytest.mark.parametrize("text, message", [
+        (ZERO_CHORD_DAT, "zero chord length; cannot normalise"),
+        (BOW_TIE_DAT, "loop is self-intersecting"),
+    ], ids=["zero-chord", "bow-tie"])
+    def test_dat_for_predict_names_the_file(self, tmp_path, trained, text, message, capsys):
+        dat = tmp_path / "wing.dat"
+        dat.write_text(text)
+        code, _, stderr = run_cli(
+            ["predict", "--checkpoint", trained["checkpoint"],
+             "--dat", dat, "--out-dir", tmp_path / "p"], capsys)
+        assert code == 3
+        assert stderr.splitlines() == [f"error: {dat}: {message}"]
+        assert not (tmp_path / "p").exists()
+
+    def test_zero_chord_for_evaluate_pred_names_the_file(self, tmp_path, trained, capsys):
+        dat = tmp_path / "zero.dat"
+        dat.write_text(ZERO_CHORD_DAT)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("x,y\n0.1,0.2\n0.3,0.4\n")
+        code, _, stderr = run_cli(
+            ["evaluate", "--pred", pred, "--truth", trained["msh"], "--dat", dat,
+             "--out", tmp_path / "kl.csv"], capsys)
+        assert code == 3
+        assert stderr.splitlines() == [f"error: {dat}: zero chord length; cannot normalise"]
+
+    def test_bow_tie_in_a_manifest_names_the_sample(self, tmp_path, trained, capsys):
+        (tmp_path / "bowtie.dat").write_text(BOW_TIE_DAT)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"name": "naca2220", "dat": str(trained["dat"]), "msh": str(trained["msh"])},
+            {"name": "tied", "dat": "bowtie.dat", "msh": str(trained["msh"])}]))
+        code, _, stderr = run_cli(
+            ["train", manifest, "--out-dir", tmp_path / "r", *FAST], capsys)
+        assert code == 3
+        assert stderr.splitlines() == ["error: tied: loop is self-intersecting"]
+
+
 # ------------------------------------------------------- points CSV input
 
 CSV_FIELDS = st.one_of(
@@ -785,32 +818,31 @@ class TestPointsCsv:
     def test_fuzzed_text_raises_only_package_errors(self, text):
         try:
             cli._parse_points_csv(text)
-        except Loop2MeshError:
+        except InputError:
             pass
 
     def test_field_over_the_csv_size_limit_is_a_parse_error(self):
-        with pytest.raises(ParseError, match="^row 3: field larger than field limit"):
+        with pytest.raises(InputError, match="^row 3: field larger than field limit"):
             cli._parse_points_csv("x,y\n0.1,0.2\n" + "1" * 200_000 + ",0.5\n")
 
     @pytest.mark.parametrize("text", ["", "x,y\n", "x,y\n\n  \n"])
     def test_no_data_rows_is_a_parse_error(self, text):
-        with pytest.raises(ParseError, match="^no data rows$"):
+        with pytest.raises(InputError, match="^no data rows$"):
             cli._parse_points_csv(text)
 
 
 # -------------------------------------------------------------- exit codes
 
-EXIT_CODES = {
-    Loop2MeshError: 1,
-    ConfigError: 2, ShapeMismatchError: 2,
-    ParseError: 3, InvalidGeometryError: 3, DegenerateDataError: 3,
-    DegenerateDensityError: 3, InvalidInputError: 3, EmptyDatasetError: 3,
-    TrainingDivergedError: 4,
-}
+EXIT_CODES = {Loop2MeshError: 1, ConfigError: 2, InputError: 3, TrainingDivergedError: 4}
 
 
 def test_exit_code_table_covers_every_error_class():
     assert set(EXIT_CODES) == {Loop2MeshError, *Loop2MeshError.__subclasses__()}
+
+
+def test_each_exit_code_belongs_to_exactly_one_class():
+    codes = [cls.exit_code for cls in EXIT_CODES]
+    assert sorted(codes) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda c: c.__name__)

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 from oracles import parse_msh_nodes_line_by_line
 
 import loop2mesh.geometry as geometry_mod
-from loop2mesh.errors import (
-    DegenerateDataError,
-    EmptyDatasetError,
-    InvalidGeometryError,
-    InvalidInputError,
-    Loop2MeshError,
-    ParseError,
-)
+from loop2mesh.errors import InputError
 from loop2mesh.geometry import intruders
 from loop2mesh.ingest import (
     ChordTransform,
@@ -71,30 +64,30 @@ class TestParseAirfoilDat:
 
     def test_bad_line_error_names_one_based_line_number(self):
         bad = GOOD_DAT.replace("0.500000 -0.048000", "0.500000 oops")
-        with pytest.raises(ParseError, match=r"line 5"):
+        with pytest.raises(InputError, match=r"line 5"):
             parse_airfoil_dat(bad)
 
     def test_wrong_token_count_after_data_starts_is_an_error(self):
         bad = GOOD_DAT.replace("0.000000 0.000000", "0.0 0.0 0.0")
-        with pytest.raises(ParseError, match=r"line 4"):
+        with pytest.raises(InputError, match=r"line 4"):
             parse_airfoil_dat(bad)
 
     def test_non_finite_coordinates_rejected(self):
         bad = GOOD_DAT.replace("0.060000", "nan")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_airfoil_dat(bad)
         bad = GOOD_DAT.replace("0.060000", "inf")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_airfoil_dat(bad)
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(InvalidGeometryError):
+        with pytest.raises(InputError):
             parse_airfoil_dat("name\n0.0 0.0\n1.0 0.0\n")
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_airfoil_dat("")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_airfoil_dat("just a name\n")
 
     def test_whitespace_fuzz_never_changes_values(self):
@@ -136,26 +129,26 @@ class TestChordNormalisation:
         assert t.apply(mesh)[0] == pytest.approx([2.0, 1.0])
 
     def test_chord_that_overflows_the_points_is_rejected(self):
-        with pytest.raises(InvalidInputError, match="^chord-normalised cloud contains non-finite"):
+        with pytest.raises(InputError, match="^chord-normalised cloud contains non-finite"):
             ChordTransform(0.0, 5e-324).apply([[1.0, 1.0]])
 
     def test_apply_validates_its_points(self):
-        with pytest.raises(InvalidInputError, match=r"must be an \(N, 2\) array"):
+        with pytest.raises(InputError, match=r"must be an \(N, 2\) array"):
             ChordTransform(0.0, 1.0).apply([1.0, 2.0])
 
     def test_empty_contour_rejected(self):
-        with pytest.raises(DegenerateDataError, match="^empty contour"):
+        with pytest.raises(InputError, match="^empty contour"):
             fit_chord(np.zeros((0, 2)))
 
     def test_fit_chord_validates_its_points(self):
         assert fit_chord([[0, 1], [2, 3]]) == ChordTransform(0.0, 2.0)
-        with pytest.raises(InvalidInputError, match="^contour contains non-finite"):
+        with pytest.raises(InputError, match="^contour contains non-finite"):
             fit_chord([[0.0, 1.0], [np.nan, 3.0]])
 
     def test_zero_chord_rejected(self):
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(InputError):
             fit_chord(np.array([[1.0, 0.0], [1.0, 2.0]]))
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(InputError):
             ChordTransform(0.0, 0.0)
 
 
@@ -175,26 +168,26 @@ class TestParseMshNodes:
 
     def test_count_mismatch_names_declared_and_found(self):
         bad = GOOD_MSH.replace("$Nodes\n4\n", "$Nodes\n5\n")
-        with pytest.raises(ParseError, match=r"5.*4|declares 5, found 4"):
+        with pytest.raises(InputError, match=r"5.*4|declares 5, found 4"):
             parse_msh_nodes(bad)
 
     def test_missing_sections_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_msh_nodes("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_msh_nodes(GOOD_MSH.replace("$EndNodes", "$EndNodez"))
 
     def test_malformed_node_line_rejected(self):
         bad = GOOD_MSH.replace("2 1.5 0.25 0.0", "2 1.5 0.25")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_msh_nodes(bad)
         bad = GOOD_MSH.replace("2 1.5 0.25 0.0", "two 1.5 0.25 0.0")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_msh_nodes(bad)
 
     def test_bad_count_line_rejected(self):
         bad = GOOD_MSH.replace("$Nodes\n4\n", "$Nodes\nfour\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             parse_msh_nodes(bad)
 
     def test_whitespace_fuzz_never_changes_values(self):
@@ -266,9 +259,9 @@ def _gmsh_text(rng, node_lines, declared, end_nodes=True) -> str:
 
 
 def _both_raise(text) -> tuple[str, str]:
-    with pytest.raises(ParseError) as new:
+    with pytest.raises(InputError) as new:
         parse_msh_nodes(text)
-    with pytest.raises(ParseError) as old:
+    with pytest.raises(InputError) as old:
         parse_msh_nodes_line_by_line(text)
     return str(new.value), str(old.value)
 
@@ -369,12 +362,12 @@ class TestParseMshNodesAgainstLineByLineOracle:
         one-call parser does not, and names the line instead."""
         text = GOOD_MSH.replace("2 1.5 0.25 0.0", f"2 {spelling} 0.25 0.0")
         assert len(parse_msh_nodes_line_by_line(text)) == 4
-        with pytest.raises(ParseError, match="^line 7: malformed node line"):
+        with pytest.raises(InputError, match="^line 7: malformed node line"):
             parse_msh_nodes(text)
 
     def test_id_beyond_int64_is_rejected(self):
         text = GOOD_MSH.replace("2 1.5 0.25 0.0", f"{2**63} 1.5 0.25 0.0")
-        with pytest.raises(ParseError, match="^line 7: malformed node line"):
+        with pytest.raises(InputError, match="^line 7: malformed node line"):
             parse_msh_nodes(text)
 
 
@@ -412,7 +405,7 @@ class TestUpsampleTarget:
         assert not np.array_equal(a, c)
 
     def test_empty_cloud_rejected(self):
-        with pytest.raises(DegenerateDataError, match="^cannot resize an empty point cloud$"):
+        with pytest.raises(InputError, match="^cannot resize an empty point cloud$"):
             upsample_target(np.zeros((0, 2)), 5, seed=0)
 
 
@@ -456,7 +449,7 @@ class TestAssembleSample:
     def test_all_interior_nodes_is_degenerate(self):
         contour = parse_airfoil_dat(_square_contour_text())
         nodes = np.tile([[0.5, 0.0]], (10, 1))
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(InputError):
             assemble_sample("hex", contour, nodes, loop_size=6, target_count=5, seed=0)
 
 
@@ -470,6 +463,13 @@ class TestBuildDatasetAndManifest:
         for s in ds.samples:
             assert len(s.loop) == 35
             assert len(s.target) == 200
+
+    def test_sample_that_cannot_form_is_named_once(self, tmp_path):
+        (tmp_path / "hex.dat").write_text(_square_contour_text())
+        (tmp_path / "hex.msh").write_text(_mesh_text(np.tile([[0.5, 0.0]], (10, 1))))
+        entries = [("hex", tmp_path / "hex.dat", tmp_path / "hex.msh")]
+        with pytest.raises(InputError, match="^hex: every mesh node lies inside the loop$"):
+            build_dataset(entries, loop_size=6, target_count=5, seed=0)
 
     def test_one_edge_kernel_call_per_section(self, manifest_path, monkeypatch):
         # assemble_sample drops intruding nodes once; the sample is not checked again
@@ -497,7 +497,7 @@ class TestBuildDatasetAndManifest:
         assert np.array_equal(ds.samples[0].loop.vertices, ds.samples[1].loop.vertices)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(InputError):
             build_dataset([], loop_size=6, target_count=10, seed=0)
 
     def test_missing_file_error_names_path(self, tmp_path):
@@ -512,7 +512,7 @@ class TestBuildDatasetAndManifest:
         dat.write_text("name\n0.0 zero\n1.0 0.0\n0.5 0.5\n")
         msh = tmp_path / "a.msh"
         msh.write_text(GOOD_MSH)
-        with pytest.raises(ParseError, match="bad.dat"):
+        with pytest.raises(InputError, match="bad.dat"):
             build_dataset([("x", dat, msh)], loop_size=3, target_count=4, seed=0)
 
     def test_load_manifest_resolves_relative_paths(self, tmp_path):
@@ -530,13 +530,13 @@ class TestBuildDatasetAndManifest:
     def test_load_manifest_rejects_bad_documents(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text("{not json")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             load_manifest(p)
         p.write_text(json.dumps({"name": "x"}))
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             load_manifest(p)
         p.write_text(json.dumps([{"name": "x", "dat": "a.dat"}]))  # msh missing
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             load_manifest(p)
 
 
@@ -598,15 +598,15 @@ def manifest_dir(tmp_path_factory):
 
 
 class TestFuzzedInputRaisesOnlyPackageErrors:
-    """Malformed input ends in a Loop2MeshError, which the command line turns
-    into its exit code, never in a traceback."""
+    """Malformed input ends in an InputError, which the command line turns
+    into exit 3, never in a traceback or another exit code."""
 
     @FUZZ_SETTINGS
     @given(fuzzed_text(st.lists(TOKENS, max_size=3).map(" ".join)))
     def test_dat(self, text):
         try:
             parse_airfoil_dat(text)
-        except Loop2MeshError:
+        except InputError:
             pass
 
     @FUZZ_SETTINGS
@@ -614,7 +614,7 @@ class TestFuzzedInputRaisesOnlyPackageErrors:
     def test_msh(self, text):
         try:
             parse_msh_nodes(text)
-        except Loop2MeshError:
+        except InputError:
             pass
 
     @FUZZ_SETTINGS
@@ -624,5 +624,5 @@ class TestFuzzedInputRaisesOnlyPackageErrors:
         path.write_text(text)
         try:
             build_dataset(load_manifest(path), loop_size=6, target_count=20, seed=0)
-        except (Loop2MeshError, OSError):  # OSError: a name that is no readable file
+        except (InputError, OSError):  # OSError: a name that is no readable file
             pass

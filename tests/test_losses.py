@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loop2mesh.errors import InvalidInputError
+from loop2mesh.errors import InputError
 from loop2mesh.losses import (
     LossWeights,
     _pairwise,
@@ -171,9 +171,9 @@ class TestRepulsion:
         assert one_repulsion(moved)[0] == pytest.approx(one_repulsion(ps)[0], rel=1e-12)
 
     def test_input_validation(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             one_repulsion([[0.0, 0.0]])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             one_repulsion([[0.0, 0.0], [1.0, 0.0]], epsilon=0.0)
 
 
@@ -234,15 +234,15 @@ class TestLossWeights:
         assert w.epsilon == pytest.approx(1e-8)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             LossWeights(chamfer=-1.0)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             LossWeights(chamfer=0.0, repulsion=0.0, interior=0.0)
 
     def test_bad_epsilon_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             LossWeights(epsilon=0.0)
 
     def test_dict_round_trip(self):
@@ -251,11 +251,11 @@ class TestLossWeights:
 
     @pytest.mark.parametrize("bad", [{"repulsion": True}, {"chamfer": "1"}, {"epsilon": None}])
     def test_from_dict_does_not_coerce(self, bad):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             LossWeights.from_dict(bad)
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(InvalidInputError, match=r"unknown weight keys: \['repulsoin'\]"):
+        with pytest.raises(InputError, match=r"unknown weight keys: \['repulsoin'\]"):
             LossWeights.from_dict({"repulsoin": 1.0})
 
 

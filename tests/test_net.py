@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loop2mesh.errors import InvalidInputError, ParseError, ShapeMismatchError
+from loop2mesh.errors import ConfigError, InputError
 from loop2mesh.net import (
     NetworkParams,
     backward,
@@ -74,18 +75,18 @@ class TestInitParams:
         assert np.array_equal(a.w1, b.w1)
 
     def test_rejects_nonpositive_sizes(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             init_params(0, 0, 4, 4, 5)
 
 
 class TestNetworkParamsValidation:
     def test_inconsistent_shapes_rejected(self):
         p = init_params(0, 3, 4, 4, 5)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError):
             NetworkParams(p.w1, p.b1, p.w2, np.zeros(5), p.w3, p.b3)
 
     def test_odd_widths_rejected(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError):
             NetworkParams(np.zeros((4, 7)), np.zeros(4), np.zeros((4, 4)),
                           np.zeros(4), np.zeros((10, 4)), np.zeros(10))
 
@@ -93,7 +94,7 @@ class TestNetworkParamsValidation:
         p = init_params(0, 3, 4, 4, 5)
         w1 = p.w1.copy()
         w1[0, 0] = np.nan
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             NetworkParams(w1, p.b1, p.w2, p.b2, p.w3, p.b3)
 
     def test_arrays_are_views_of_one_flat_vector(self):
@@ -147,9 +148,9 @@ class TestForward:
     def test_loop_size_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         p = init_params(0, 4, 4, 4, 5)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError):
             forward(p, tiny_batch(rng, n=3))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError):
             forward(p, np.zeros(8))  # one row per loop, not a flat vector
 
     def test_clamp_clips_y_only_and_gates(self):
@@ -189,7 +190,7 @@ class TestForward:
     def test_empty_clamp_range_rejected(self):
         rng = np.random.default_rng(6)
         p = init_params(0, 3, 4, 4, 5)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             forward(p, tiny_batch(rng), y_clamp=(1.0, -1.0))
 
 
@@ -246,9 +247,9 @@ class TestBackward:
         rng = np.random.default_rng(7)
         p = init_params(0, 3, 4, 4, 5)
         _, trace = forward(p, tiny_batch(rng))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError):
             backward(p, trace, np.ones((1, 4)))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError):
             backward(p, trace, np.ones(10))  # one row per sample, not flat
 
     def test_batched_gradient_is_sum_of_per_row_gradients(self):
@@ -312,13 +313,13 @@ class TestCheckpoint:
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "junk.l2m"
         path.write_bytes(b"\x00\x01\x02 binary junk without newline")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             load_checkpoint(path)
 
     def test_wrong_format_marker_rejected(self, tmp_path):
         path = tmp_path / "other.l2m"
         path.write_bytes(b'{"format": "elsewise", "version": 1}\n')
-        with pytest.raises(ParseError, match="format"):
+        with pytest.raises(InputError, match="format"):
             load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -327,7 +328,7 @@ class TestCheckpoint:
         save_checkpoint(path, p)
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
-        with pytest.raises(ParseError, match="truncated"):
+        with pytest.raises(InputError, match="truncated"):
             load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
@@ -335,7 +336,7 @@ class TestCheckpoint:
         path = tmp_path / "net.l2m"
         save_checkpoint(path, p)
         path.write_bytes(path.read_bytes() + b"extra")
-        with pytest.raises(ParseError, match="trailing"):
+        with pytest.raises(InputError, match="trailing"):
             load_checkpoint(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
@@ -346,7 +347,7 @@ class TestCheckpoint:
         head, rest = blob.split(b"\n", 1)
         head = head.replace(b'"version": 1', b'"version": 99')
         path.write_bytes(head + b"\n" + rest)
-        with pytest.raises(ParseError, match="version"):
+        with pytest.raises(InputError, match="version"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [
@@ -365,7 +366,7 @@ class TestCheckpoint:
         save_checkpoint(path, init_params(0, 3, 4, 4, 5))
         head, rest = path.read_bytes().split(b"\n", 1)
         path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + rest)
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("header", [b'{"n": ' + b"1" * 5000 + b"}", b"[" * 5000],
@@ -373,7 +374,7 @@ class TestCheckpoint:
     def test_header_python_cannot_read_raises_parse_error(self, tmp_path, header):
         path = tmp_path / "net.l2m"
         path.write_bytes(header + b"\n")
-        with pytest.raises(ParseError, match="invalid checkpoint header"):
+        with pytest.raises(InputError, match="invalid checkpoint header"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("old, new, message", [
@@ -391,7 +392,7 @@ class TestCheckpoint:
         blob = path.read_bytes()
         assert old in blob
         path.write_bytes(blob.replace(old, new, 1))
-        with pytest.raises(ParseError, match=message):
+        with pytest.raises(InputError, match=message):
             load_checkpoint(path)
 
     def test_non_finite_payload_names_its_array(self, tmp_path):
@@ -399,7 +400,7 @@ class TestCheckpoint:
         p.b2[1] = np.inf
         path = tmp_path / "net.l2m"
         save_checkpoint(path, p)
-        with pytest.raises(InvalidInputError, match="parameter b2 "):
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: parameter b2 "):
             load_checkpoint(path)
 
     def test_loaded_parameters_are_views_of_one_writable_vector(self, tmp_path):

@@ -12,9 +12,7 @@ import loop2mesh
 
 # each module's public names
 PUBLIC_NAMES = {
-    "errors": ("ConfigError", "DegenerateDataError", "DegenerateDensityError",
-               "EmptyDatasetError", "InvalidGeometryError", "InvalidInputError",
-               "Loop2MeshError", "ParseError", "ShapeMismatchError", "TrainingDivergedError"),
+    "errors": ("ConfigError", "InputError", "Loop2MeshError", "TrainingDivergedError"),
     "evaluation": ("EvalWindow", "KLRow", "center_window", "evaluate", "kde",
                    "kl_divergence", "kl_sweep", "scott_bandwidth", "whole_window"),
     "geometry": ("AirfoilLoop", "StandardizeTransform", "as_point_array", "edge_query",

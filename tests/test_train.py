@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 import loop2mesh.losses as losses_mod
 import loop2mesh.train as train_mod
 from loop2mesh import net
-from loop2mesh.errors import (
-    ConfigError,
-    InvalidInputError,
-    Loop2MeshError,
-    ParseError,
-    ShapeMismatchError,
-    TrainingDivergedError,
-)
+from loop2mesh.errors import ConfigError, InputError, TrainingDivergedError
 from loop2mesh.geometry import StandardizeTransform, invert_standardize, standardize_loop
 from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.losses import LossWeights
@@ -104,12 +97,12 @@ class TestAdam:
 
     def test_rejects_bad_step_count(self):
         p = init_params(0, 3, 4, 4, 2)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             adam_step(p, np.zeros_like(p.flat), AdamState.zeros(p), t=0)
 
     def test_rejects_gradient_of_wrong_size(self):
         p = init_params(0, 3, 4, 4, 2)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError):
             adam_step(p, np.zeros(p.flat.size - 1), AdamState.zeros(p), t=1)
 
 
@@ -361,18 +354,18 @@ class TestPredict:
         t_cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
         t_res = train(small_dataset, t_cfg)
         samp = small_dataset.samples[0]
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             predict(res.params, t_res.transform, samp.loop, cfg)
 
     def test_standardised_mode_requires_transform(self, small_dataset):
         cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
         res = train(small_dataset, cfg)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InputError):
             predict(res.params, None, small_dataset.samples[0].loop, cfg)
 
     def test_dimension_mismatch_rejected(self, small_dataset):
         res = train(small_dataset, small_config(epochs=2))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError):
             predict(res.params, None, small_dataset.samples[0].loop,
                     small_config(epochs=2, n_points=99))
 
@@ -413,7 +406,7 @@ class TestSaveLoadTrained:
         head, rest = blob.split(b"\n", 1)
         head = head.replace(b'"n_points": 40', b'"n_points": 41')
         path.write_bytes(head + b"\n" + rest)
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             load_trained(path)
 
     @pytest.mark.parametrize("key, value", [
@@ -427,7 +420,7 @@ class TestSaveLoadTrained:
         header = json.loads(head)
         header["meta"]["samples"][0]["transform"][key] = value
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: invalid checkpoint metadata"):
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: invalid checkpoint metadata"):
             load_trained(path)
 
 
@@ -468,7 +461,7 @@ class TestCheckpointHeaderFuzz:
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
         try:
             load_trained(path)
-        except Loop2MeshError:
+        except InputError:
             pass
 
     def test_config_that_is_a_list_is_a_parse_error(self, tiny_checkpoint):
@@ -476,7 +469,7 @@ class TestCheckpointHeaderFuzz:
         header = json.loads(head)
         header["meta"]["config"] = sorted(header["meta"]["config"])
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-        with pytest.raises(ParseError, match="invalid checkpoint metadata: config must be a mapping"):
+        with pytest.raises(InputError, match="invalid checkpoint metadata: config must be a mapping"):
             load_trained(path)
 
 
