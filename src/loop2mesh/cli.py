@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 other package error, 2 configuration error,
 3 input parse error (or unreadable file), 4 training divergence, 5 out of
-memory (say for a very fine ``--grid``); each error class carries its code
-as ``exit_code``.
+memory; each error class carries its code as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -58,13 +57,6 @@ def _comma_ints(text: str) -> list[int]:
     if not all(v.is_integer() for v in vals):  # nan and inf are not integers
         raise ConfigError(f"expected integers, got {text!r}")
     return [int(v) for v in vals]
-
-
-def _check_kde_flags(args) -> None:
-    if args.grid < 2:
-        raise ConfigError(f"--grid must be an integer >= 2, got {args.grid}")
-    if not (np.isfinite(args.epsilon) and args.epsilon > 0.0):
-        raise ConfigError(f"--epsilon must be finite and positive, got {args.epsilon}")
 
 
 def _load_config_file(path) -> dict:
@@ -224,6 +216,15 @@ def _prepare_loop(dat_path, config: TrainConfig):
     return read_parsed(dat_path, parse)
 
 
+def _read_truth(msh_path, chord):
+    """Truth mesh nodes, in chord units unless ``chord`` is None; every input
+    error, an overflow of the chord normalisation included, names the file."""
+    def parse(text):
+        nodes = parse_msh_nodes(text)
+        return nodes if chord is None else chord.apply(nodes)
+    return read_parsed(msh_path, parse)
+
+
 def _checkpoint_prediction(checkpoint, dat):
     """Predict for a ``.dat`` contour; the network is released on return,
     before the command writes or scores anything."""
@@ -237,21 +238,19 @@ def _checkpoint_prediction(checkpoint, dat):
 def cmd_predict(args) -> int:
     viewport = _parse_viewport(args.viewport) if args.viewport else None
     pred, loop, chord, _ = _checkpoint_prediction(args.checkpoint, args.dat)
+    layers = [(pred, PRED_FILL, 2.0)]
+    if args.truth is not None:
+        layers.insert(0, (_read_truth(args.truth, chord), TRUTH_FILL, 1.5))
+    viewport = viewport or _bbox_viewport(loop.vertices, *(xy for xy, _, _ in layers))
 
     out_dir = Path(args.out_dir)
     csv_path = out_dir / "points.csv"
     svg_path = out_dir / "scatter.svg"
-    atomic_write_text(csv_path, _points_csv_text(pred))
-
-    layers = [(pred, PRED_FILL, 2.0)]
-    clouds = [pred, loop.vertices]
-    if args.truth is not None:
-        truth = chord.apply(read_parsed(args.truth, parse_msh_nodes))
-        layers.insert(0, (truth, TRUTH_FILL, 1.5))
-        clouds.append(truth)
-    render_svg(svg_path, viewport=viewport or _bbox_viewport(*clouds),
+    # the SVG first: it checks the viewport before either file is written
+    render_svg(svg_path, viewport=viewport,
                polylines=[(loop.vertices, LOOP_STROKE, 1.5, True)],
                point_layers=layers)
+    atomic_write_text(csv_path, _points_csv_text(pred))
 
     interior = int(points_in_polygon(pred, loop).sum())
     print(f"wrote {csv_path} ({len(pred)} points)")
@@ -263,23 +262,21 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     if (args.pred is None) == (args.checkpoint is None):
         raise ConfigError("provide exactly one of --pred or --checkpoint")
-    _check_kde_flags(args)
     ratio = args.ratio
     if args.checkpoint is not None:
         pred, _, chord, config = _checkpoint_prediction(args.checkpoint, args.dat)
-        truth = chord.apply(read_parsed(args.truth, parse_msh_nodes))
         if ratio is None:
             ratio = config.weights.repulsion
     else:
         pred = read_parsed(args.pred, _parse_points_csv)
-        truth = read_parsed(args.truth, parse_msh_nodes)
+        chord = None
         if args.dat is not None:
             chord = read_parsed(args.dat, lambda text: fit_chord(parse_airfoil_dat(text)))
-            truth = chord.apply(truth)
         if ratio is None:
             ratio = 0.0
+    truth = _read_truth(args.truth, chord)
 
-    rows = kl_sweep({(ratio, len(pred)): pred}, truth, epsilon=args.epsilon, grid=args.grid)
+    rows = kl_sweep({(ratio, len(pred)): pred}, truth)
     out_path = Path(args.out) if args.out else Path(args.out_dir) / "kl.csv"
     write_kl_csv(rows, out_path)
     for row in rows:
@@ -300,7 +297,6 @@ def cmd_sweep(args) -> int:
     node_counts = _comma_ints(args.nodes)
     if not ratios or not node_counts:
         raise ConfigError("sweep needs at least one ratio and one node count")
-    _check_kde_flags(args)
     args.nodes = None  # per-cell counts; keep them out of the base config
     base = _resolve_config(args)
     entries = _load_entries(args)
@@ -330,7 +326,6 @@ def cmd_sweep(args) -> int:
                 pred = predict(params, transform, sample.loop, cfg)
             except Loop2MeshError as exc:
                 failures.append(f"ratio={ratio:g} nodes={nodes}: {exc}")
-                log.warning("cell ratio=%g nodes=%d failed: %s", ratio, nodes, exc)
                 predictions[(ratio, nodes)] = None
                 continue
             predictions[(ratio, nodes)] = pred
@@ -339,7 +334,7 @@ def cmd_sweep(args) -> int:
                        polylines=[(sample.loop.vertices, LOOP_STROKE, 1.5, True)],
                        point_layers=[(pred, PRED_FILL, 2.0)])
 
-    rows = kl_sweep(predictions, sample.target, epsilon=args.epsilon, grid=args.grid)
+    rows = kl_sweep(predictions, sample.target)
     kl_path = out_dir / "kl.csv"
     write_kl_csv(rows, kl_path)
     _write_run_manifest(out_dir / "run_manifest.json", "sweep", base, input_hashes,
@@ -402,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--dat", help="contour used for chord normalisation")
     p_eval.add_argument("--truth", required=True, help="truth .msh")
     p_eval.add_argument("--ratio", type=float, help="ratio label for the CSV rows")
-    p_eval.add_argument("--grid", type=int, default=100)
-    p_eval.add_argument("--epsilon", type=float, default=1e-10)
     p_eval.add_argument("--out", help="KL CSV path (default <out-dir>/kl.csv)")
     p_eval.add_argument("--out-dir", default="runs/evaluate")
 
@@ -412,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--ratios", required=True, help="comma list, e.g. 0,1,2,3")
     p_sweep.add_argument("--nodes", required=True, help="comma list of point counts")
     p_sweep.add_argument("--out-dir", default="runs/sweep")
-    p_sweep.add_argument("--grid", type=int, default=100)
-    p_sweep.add_argument("--epsilon", type=float, default=1e-10)
     _add_config_flags(p_sweep)
     return parser
 

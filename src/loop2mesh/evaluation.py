@@ -1,14 +1,15 @@
-"""Distributional comparison of point clouds.
+"""Distributional comparison of point clouds: the scoring protocol.
 
 A separable Gaussian-kernel density is summed at the cell centers of a
-uniform grid over a named window and normalised to unit mass; two grids over
-the same window are compared with a stabilised Kullback-Leibler score
-(natural log, epsilon only in the denominator, clipped at zero).
+``GRID`` x ``GRID`` grid over a window ``((xmin, xmax), (ymin, ymax))`` and
+normalised to unit mass; two masses over the same window are compared with a
+stabilised Kullback-Leibler score (natural log, ``EPSILON`` only in the
+denominator, clipped at zero). A prediction is scored over the ``CENTER``
+window and over the truth's padded bounding box, the whole window.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -18,64 +19,35 @@ from .errors import InputError
 from .fileio import atomic_write_text
 from .geometry import as_point_array, padded_bbox
 
-log = logging.getLogger(__name__)
+GRID = 100  # cells per window axis
+EPSILON = 1e-10  # added to the reference mass in the KL denominator
+CENTER = ((-0.5, 1.5), (-0.4, 0.4))  # near field of a chord-normalised airfoil
 
 _REGION_CODE = {"center": "c", "whole": "w"}
 
 
-@dataclass(frozen=True)
-class EvalWindow:
-    """Axis-aligned evaluation window with a fixed cell grid."""
-
-    name: str
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    grid_nx: int = 100
-    grid_ny: int = 100
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_range", (float(self.x_range[0]), float(self.x_range[1])))
-        object.__setattr__(self, "y_range", (float(self.y_range[0]), float(self.y_range[1])))
-        for lo, hi in (self.x_range, self.y_range):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise InputError(f"window range ({lo}, {hi}) must be finite and non-empty")
-        if self.grid_nx < 2 or self.grid_ny < 2:
-            raise InputError("grid must be at least 2x2")
-
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        dx = (self.x_range[1] - self.x_range[0]) / self.grid_nx
-        dy = (self.y_range[1] - self.y_range[0]) / self.grid_ny
-        cx = self.x_range[0] + dx * (np.arange(self.grid_nx) + 0.5)
-        cy = self.y_range[0] + dy * (np.arange(self.grid_ny) + 0.5)
-        return cx, cy
-
-    def contains(self, xy: np.ndarray) -> np.ndarray:
-        return ((xy[:, 0] >= self.x_range[0]) & (xy[:, 0] <= self.x_range[1])
-                & (xy[:, 1] >= self.y_range[0]) & (xy[:, 1] <= self.y_range[1]))
-
-
-def center_window(grid: int = 100) -> EvalWindow:
-    """Near-field window around the airfoil: x in [-0.5, 1.5], y in [-0.4, 0.4]."""
-    return EvalWindow("center", (-0.5, 1.5), (-0.4, 0.4), grid, grid)
-
-
-def whole_window(truth: np.ndarray, grid: int = 100) -> EvalWindow:
+def whole_window(truth: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
     """Truth cloud (N, 2) bounding box, padded by ``geometry.BBOX_PAD`` of each axis extent."""
     if not len(truth):
         raise InputError("truth cloud is empty")
     lo, hi = padded_bbox(truth)
     if not (lo[0] < hi[0] and lo[1] < hi[1]):  # padding keeps a zero extent zero
         raise InputError("truth cloud has zero extent on an axis")
-    return EvalWindow("whole", (lo[0], hi[0]), (lo[1], hi[1]), grid, grid)
+    for a, b in zip(lo, hi):
+        if not (np.isfinite(a) and np.isfinite(b)):  # an extent past the float range
+            raise InputError(f"window range ({a}, {b}) must be finite and non-empty")
+    return (lo[0], hi[0]), (lo[1], hi[1])
 
 
-def scott_bandwidth(xy: np.ndarray, window: EvalWindow) -> tuple[float, float]:
+def scott_bandwidth(xy: np.ndarray, window) -> tuple[float, float]:
     """Scott's rule per axis, (hx, hy), fitted on the points xy (N, 2) that
-    fall inside the window.
+    fall inside the window, its boundary included.
 
     h = sigma * n^(-1/6) for 2D data, with the population sigma.
     """
-    pts = xy[window.contains(xy)]
+    (x0, x1), (y0, y1) = window
+    x, y = xy[:, 0], xy[:, 1]
+    pts = xy[(x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)]
     if pts.shape[0] < 2:
         raise InputError("bandwidth fit needs at least 2 points inside the window")
     with np.errstate(over="ignore"):  # a far point gives sigma inf, rejected below
@@ -99,14 +71,14 @@ def _gaussian_factor(centers: np.ndarray, coords: np.ndarray, h: float) -> np.nd
     return np.exp(f, out=f)
 
 
-def kde(xy: np.ndarray, window: EvalWindow, bandwidth: tuple[float, float]) -> np.ndarray:
+def kde(xy: np.ndarray, window, bandwidth: tuple[float, float]) -> np.ndarray:
     """Gaussian kernel sum of the points xy (N, 2), bandwidth (hx, hy), at the
-    window's cell centers: a (grid_nx, grid_ny) mass normalised to 1.
+    window's cell centers: a (GRID, GRID) mass normalised to 1.
 
     Points outside the window still contribute kernel mass inside it.
     """
     hx, hy = bandwidth
-    cx, cy = window.cell_centers()
+    cx, cy = (lo + (hi - lo) / GRID * (np.arange(GRID) + 0.5) for lo, hi in window)
     # separable kernel: mass[i, j] = sum_p fx[i, p] * fy[j, p]
     mass = _gaussian_factor(cx, xy[:, 0], hx) @ _gaussian_factor(cy, xy[:, 1], hy).T
     total = float(mass.sum())
@@ -115,30 +87,34 @@ def kde(xy: np.ndarray, window: EvalWindow, bandwidth: tuple[float, float]) -> n
     return mass / total
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray, epsilon: float = 1e-10) -> float:
-    """sum P log(P / (Q + epsilon)) over two masses on one grid, with
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """sum P log(P / (Q + EPSILON)) over two masses on one grid, with
     0 log 0 = 0, clipped at zero."""
-    if not epsilon > 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
     mask = p > 0.0
-    val = float(np.sum(p[mask] * np.log(p[mask] / (q[mask] + epsilon))))
+    val = float(np.sum(p[mask] * np.log(p[mask] / (q[mask] + EPSILON))))
     return max(val, 0.0)
 
 
-def evaluate(pred, truth, *, epsilon: float = 1e-10, grid: int = 100) -> dict[str, float]:
+def evaluate(pred, truth) -> dict[str, float]:
     """KL(pred density || truth density) of two clouds (N, 2) over the center
     and whole windows, name -> score.
 
     The bandwidth is fitted on the truth cloud per window and shared by both
-    densities, so identical clouds score exactly zero.
+    densities, so identical clouds score exactly zero. A scoring error names
+    its window and its cloud.
     """
     pred, truth = as_point_array(pred, name="prediction"), as_point_array(truth, name="truth")
     out: dict[str, float] = {}
-    for window in (center_window(grid), whole_window(truth, grid=grid)):
-        bw = scott_bandwidth(truth, window)
-        p_mass = kde(pred, window, bw)
-        q_mass = kde(truth, window, bw)
-        out[window.name] = kl_divergence(p_mass, q_mass, epsilon)
+    for name, window in (("center", CENTER), ("whole", whole_window(truth))):
+        cloud = "truth"
+        try:
+            bw = scott_bandwidth(truth, window)
+            q_mass = kde(truth, window, bw)
+            cloud = "prediction"
+            p_mass = kde(pred, window, bw)
+        except InputError as exc:
+            raise InputError(f"{name} window, {cloud}: {exc}") from exc
+        out[name] = kl_divergence(p_mass, q_mass)
     return out
 
 
@@ -150,29 +126,25 @@ class KLRow:
     kl: Optional[float]  # None marks a missing sweep cell
 
 
-def kl_sweep(predictions: Mapping[tuple[float, int], Optional[np.ndarray]], truth: np.ndarray, *,
-             epsilon: float = 1e-10, grid: int = 100) -> list[KLRow]:
+def kl_sweep(predictions: Mapping[tuple[float, int], Optional[np.ndarray]],
+             truth: np.ndarray) -> list[KLRow]:
     """Score a (ratio x node-count) grid of predictions against one truth cloud.
 
     Rows come out in deterministic order: ratio ascending, region "c" then
-    "w", node count ascending. Missing cells (absent key or None) produce a
-    row with an empty score and a warning.
+    "w", node count ascending. A missing cell (absent key or None) gives
+    rows with an empty score; the caller reports why it is missing.
     """
     ratios = sorted({r for r, _ in predictions})
     node_counts = sorted({n for _, n in predictions})
     scores: dict[tuple[float, int], Optional[dict[str, float]]] = {}
     for key, pred in predictions.items():
-        scores[key] = None if pred is None else evaluate(pred, truth, epsilon=epsilon, grid=grid)
+        scores[key] = None if pred is None else evaluate(pred, truth)
     rows: list[KLRow] = []
     for ratio in ratios:
         for name, region in _REGION_CODE.items():  # center ("c") before whole ("w")
             for nodes in node_counts:
                 cell = scores.get((ratio, nodes))
-                if cell is None:
-                    log.warning("sweep cell ratio=%s nodes=%s is missing; emitting empty row", ratio, nodes)
-                    rows.append(KLRow(ratio, region, nodes, None))
-                else:
-                    rows.append(KLRow(ratio, region, nodes, cell[name]))
+                rows.append(KLRow(ratio, region, nodes, None if cell is None else cell[name]))
     return rows
 
 

@@ -153,9 +153,11 @@ def points_in_polygon(points, loop: AirfoilLoop) -> np.ndarray:
 def padded_bbox(xy: np.ndarray, min_extent: float = 0.0) -> tuple[list[float], list[float]]:
     """Corners [xmin, ymin] and [xmax, ymax] of the bounding box of xy (N, 2),
     each axis padded by ``BBOX_PAD`` of its extent, taken as at least
-    ``min_extent``; a zero extent stays zero unless ``min_extent`` > 0."""
+    ``min_extent``; a zero extent stays zero unless ``min_extent`` > 0. An
+    extent past the float range gives infinite corners for the caller to reject."""
     lo, hi = xy.min(axis=0), xy.max(axis=0)
-    extent = np.maximum(hi - lo, min_extent)
+    with np.errstate(over="ignore"):
+        extent = np.maximum(hi - lo, min_extent)
     return (lo - BBOX_PAD * extent).tolist(), (hi + BBOX_PAD * extent).tolist()
 
 

@@ -7,6 +7,7 @@ The inputs are generated under pytest's temporary directory, never under
 ``perfbench/work/``.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,6 +21,8 @@ sys.path.insert(0, str(PERFBENCH))
 from run import check  # noqa: E402
 from tracer import TRACED  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
+
+from loop2mesh import evaluation, geometry  # noqa: E402
 
 
 def test_traced_desk_session_reports_every_name(tmp_path):
@@ -47,3 +50,13 @@ def test_traced_desk_session_reports_every_name(tmp_path):
     names = [f"{layer}.{func}" for layer, funcs in TRACED.items() for func in funcs]
     uncalled = [name for name in names if trace.get(f"{name}.calls", [0])[0] <= 0]
     assert uncalled == []
+
+
+def test_verifier_scores_with_the_programs_protocol():
+    """The benchmark's verifier recomputes the KL scores with its own copy of
+    the scoring protocol; if the two disagree, no ``kl.csv`` passes its check."""
+    spec = importlib.util.spec_from_file_location("perfbench_verify", PERFBENCH / "verify.py")
+    verify = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(verify)
+    assert (verify.GRID, verify.KL_EPSILON, verify.CENTER, verify.WHOLE_PAD) == (
+        evaluation.GRID, evaluation.EPSILON, evaluation.CENTER, geometry.BBOX_PAD)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import re
 import subprocess
@@ -13,6 +14,7 @@ from loop2mesh import cli, evaluation
 from loop2mesh.cli import main
 from loop2mesh.errors import ConfigError, InputError, Loop2MeshError, TrainingDivergedError
 from loop2mesh.ingest import load_manifest, parse_msh_nodes
+from loop2mesh.synth import msh_text
 from loop2mesh.train import TrainConfig
 
 FAST = ["--nodes", "40", "--epochs", "30", "--h1", "16", "--h2", "24",
@@ -342,14 +344,14 @@ class TestPredict:
 
 # ----------------------------------------------------------------- evaluate
 
-BAD_KDE_FLAGS = [
-    ("--grid", "1", "error: --grid must be an integer >= 2, got 1"),
-    ("--grid", "-3", "error: --grid must be an integer >= 2, got -3"),
-    ("--epsilon", "nan", "error: --epsilon must be finite and positive, got nan"),
-    ("--epsilon", "inf", "error: --epsilon must be finite and positive, got inf"),
-    ("--epsilon", "0", "error: --epsilon must be finite and positive, got 0.0"),
-    ("--epsilon", "-0.5", "error: --epsilon must be finite and positive, got -0.5"),
-]
+def assert_scoring_flags_are_gone(argv, flag, out, capsys):
+    """``--grid`` and ``--epsilon`` are argparse's usage error (exit 2): no file
+    named in ``argv`` is read (each is missing) and ``out`` is not written."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + [flag, "100"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 100" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestEvaluate:
@@ -429,15 +431,13 @@ class TestEvaluate:
         assert lines[1].startswith("1,c,40,")
         assert "region=c" in stdout and "region=w" in stdout
 
-    @pytest.mark.parametrize("flag, value, message", BAD_KDE_FLAGS)
-    def test_bad_kde_flag_exits_2_before_reading_any_file(self, tmp_path, flag, value, message,
-                                                          capsys):
-        missing = tmp_path / "missing"  # reading any input first would exit 3
-        code, _, stderr = run_cli(
+    @pytest.mark.parametrize("flag", ["--grid", "--epsilon"])
+    def test_grid_and_epsilon_are_not_options(self, tmp_path, flag, capsys):
+        missing = tmp_path / "missing"
+        assert_scoring_flags_are_gone(
             ["evaluate", "--checkpoint", missing / "c.l2m", "--dat", missing / "a.dat",
-             "--truth", missing / "t.msh", "--out", tmp_path / "kl.csv", flag, value], capsys)
-        assert code == 2
-        assert stderr.splitlines() == [message]
+             "--truth", missing / "t.msh", "--out", tmp_path / "kl.csv"], flag,
+            tmp_path / "kl.csv", capsys)
 
     def test_failed_allocation_exits_5_with_one_error_line(self, tmp_path, trained, monkeypatch,
                                                            capsys):
@@ -448,8 +448,8 @@ class TestEvaluate:
         monkeypatch.setattr(evaluation, "kde", out_of_memory)
         code, _, stderr = run_cli(
             ["evaluate", "--checkpoint", trained["checkpoint"],
-             "--dat", trained["dat"], "--truth", trained["msh"], "--out", tmp_path / "kl.csv",
-             "--grid", "100000"], capsys)
+             "--dat", trained["dat"], "--truth", trained["msh"], "--out", tmp_path / "kl.csv"],
+            capsys)
         assert code == cli.MEMORY_EXIT_CODE == 5
         assert stderr.splitlines() == ["error: out of memory: Unable to allocate 74.5 GiB for an "
                                        "array with shape (100000, 100000) and data type float64"]
@@ -469,17 +469,44 @@ class TestEvaluate:
 
     def test_truth_node_that_overflows_the_bandwidth_exits_3(self, tmp_path, trained, capsys):
         nodes = parse_msh_nodes(trained["msh"].read_text()).tolist() + [[1e200, 1e200]]
-        body = "".join(f"{i} {x!r} {y!r} 0.0\n" for i, (x, y) in enumerate(nodes, start=1))
         truth = tmp_path / "far.msh"
-        truth.write_text(f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{len(nodes)}\n"
-                         f"{body}$EndNodes\n")
+        truth.write_text(msh_text(nodes))
         out = tmp_path / "kl.csv"
         code, _, stderr = run_cli(
             ["evaluate", "--checkpoint", trained["checkpoint"],
              "--dat", trained["dat"], "--truth", truth, "--out", out], capsys)
         assert code == 3
         assert len(stderr.splitlines()) == 1  # no RuntimeWarning before the error line
-        assert stderr.startswith("error: bandwidth must be positive and finite")
+        assert stderr.startswith("error: whole window, truth: bandwidth must be positive and finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pred_xy, truth_xy, message", [
+        ([[0.1, 0.2], [0.3, 0.4]], [[1e10, 1e10], [1e10 + 1, 1e10], [1e10, 1e10 + 1]],
+         "center window, truth: bandwidth fit needs at least 2 points inside the window"),
+        ([[1e10, 1e10], [1e10 + 1, 1e10]], [[0.1, 0.0], [0.5, 0.1], [0.9, -0.1]],
+         "center window, prediction: kernel mass inside the window is numerically zero"),
+    ], ids=["bandwidth", "kernel-mass"])
+    def test_scoring_error_names_its_window_and_cloud(self, tmp_path, pred_xy, truth_xy, message,
+                                                      capsys):
+        pred, truth, out = tmp_path / "p.csv", tmp_path / "t.msh", tmp_path / "kl.csv"
+        pred.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in pred_xy))
+        truth.write_text(msh_text(truth_xy))
+        code, _, stderr = run_cli(["evaluate", "--pred", pred, "--truth", truth, "--out", out],
+                                  capsys)
+        assert code == 3
+        assert stderr.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_truth_spanning_the_float_range_exits_3_with_one_line(self, tmp_path, capsys):
+        """The whole window's extent overflows; no RuntimeWarning is printed."""
+        pred, truth, out = tmp_path / "p.csv", tmp_path / "t.msh", tmp_path / "kl.csv"
+        pred.write_text("x,y\n0.1,0.2\n0.3,0.4\n")
+        truth.write_text(msh_text([[-1e308, -1e308], [0.5, 0.1], [0.7, -0.1], [1e308, 1e308]]))
+        code, _, stderr = run_cli(["evaluate", "--pred", pred, "--truth", truth, "--out", out],
+                                  capsys)
+        assert code == 3
+        assert stderr.splitlines() == ["error: window range (-inf, inf) must be finite and "
+                                       "non-empty"]
         assert not out.exists()
 
 
@@ -683,15 +710,22 @@ class TestSweep:
         assert code == 2
         assert f"error: expected integers, got {nodes!r}" in stderr
 
-    @pytest.mark.parametrize("flag, value, message", BAD_KDE_FLAGS)
-    def test_bad_kde_flag_exits_2_before_reading_any_file(self, tmp_path, flag, value, message,
-                                                          capsys):
-        code, _, stderr = run_cli(
+    @pytest.mark.parametrize("flag", ["--grid", "--epsilon"])
+    def test_grid_and_epsilon_are_not_options(self, tmp_path, flag, capsys):
+        assert_scoring_flags_are_gone(
             ["sweep", tmp_path / "missing.json", "--ratios", "0", "--nodes", "30",
-             "--out-dir", tmp_path / "s", *SWEEP_FAST, flag, value], capsys)
-        assert code == 2
-        assert stderr.splitlines() == [message]
-        assert not (tmp_path / "s").exists()
+             "--out-dir", tmp_path / "s", *SWEEP_FAST], flag, tmp_path / "s", capsys)
+
+    def test_failed_cell_is_reported_once(self, tmp_path, manifest_path, caplog, capsys):
+        """The summary is the one report of a failed cell: no log record repeats it."""
+        caplog.set_level(logging.INFO)
+        code, _, stderr = run_cli(
+            ["sweep", manifest_path, "--ratios", "0", "--nodes", "1",
+             "--out-dir", tmp_path / "s", *SWEEP_FAST], capsys)
+        assert code == 0
+        assert stderr.splitlines() == ["1 cell(s) failed:",
+                                       "  ratio=0 nodes=1: n_points must be an integer >= 2, got 1"]
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 # ------------------------------------------------------- undecodable input
@@ -798,6 +832,48 @@ class TestUnusableLoop:
             ["train", manifest, "--out-dir", tmp_path / "r", *FAST], capsys)
         assert code == 3
         assert stderr.splitlines() == ["error: tied: loop is self-intersecting"]
+
+
+TINY_CHORD_DAT = "0 0\n1e-300 0\n1e-300 1e-300\n0 1e-300\n"  # a square, chord 1e-300
+FAR_NODES = [[1e10, 1e10], [1e10 + 1, 1e10], [1e10, 1e10 + 1]]
+
+
+class TestTruthInChordUnits:
+    """The truth mesh is read and chord-normalised in one step, so a mesh that
+    overflows once normalised names its file on every route."""
+
+    @pytest.mark.parametrize("route", ["predict", "evaluate --checkpoint", "evaluate --pred"])
+    def test_overflowing_truth_names_the_file(self, tmp_path, trained, route, capsys):
+        dat, truth, out = tmp_path / "tiny.dat", tmp_path / "far.msh", tmp_path / "out"
+        dat.write_text(TINY_CHORD_DAT)
+        truth.write_text(msh_text(FAR_NODES))
+        pred = tmp_path / "p.csv"
+        pred.write_text("x,y\n0.1,0.2\n0.3,0.4\n")
+        source = (["--pred", pred] if route == "evaluate --pred"
+                  else ["--checkpoint", trained["checkpoint"]])
+        target = ["--out-dir", out] if route == "predict" else ["--out", out / "kl.csv"]
+        code, stdout, stderr = run_cli(
+            [route.split()[0], *source, "--dat", dat, "--truth", truth, *target], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            f"error: {truth}: chord-normalised cloud contains non-finite coordinates"]
+        assert not out.exists()
+
+    def test_predict_truth_spanning_the_float_range_writes_nothing(self, tmp_path, trained,
+                                                                   capsys):
+        """The overlay's padded box overflows: one error line, no RuntimeWarning,
+        and the viewport is rejected before any file is written."""
+        truth, out = tmp_path / "t.msh", tmp_path / "out"
+        truth.write_text(msh_text([[-1e308, -1e308], [0.5, 0.1], [1e308, 1e308]]))
+        code, stdout, stderr = run_cli(
+            ["predict", "--checkpoint", trained["checkpoint"], "--dat", trained["dat"],
+             "--truth", truth, "--out-dir", out], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            "error: viewport (-inf, inf, -inf, inf) has no finite pixel scale"]
+        assert not out.exists()
 
 
 # ------------------------------------------------------- points CSV input

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from loop2mesh.errors import InputError
 from loop2mesh.evaluation import (
-    EvalWindow,
+    CENTER,
+    EPSILON,
+    GRID,
     KLRow,
-    center_window,
     evaluate,
     kde,
     kl_csv_text,
@@ -26,41 +27,24 @@ def gauss_cloud(rng, n, center=(0.5, 0.0), spread=(0.6, 0.2)) -> np.ndarray:
 
 # ------------------------------------------------------------------ windows
 
-class TestEvalWindow:
-    def test_cell_centers_count_and_spacing(self):
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 2.0), 4, 5)
-        cx, cy = w.cell_centers()
-        assert len(cx) == 4 and len(cy) == 5
-        assert cx == pytest.approx([0.125, 0.375, 0.625, 0.875])
-        assert cy[0] == pytest.approx(0.2)
-        assert np.diff(cy) == pytest.approx(np.full(4, 0.4))
-
-    def test_contains_is_inclusive_on_the_boundary(self):
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0))
-        xy = np.array([[0.0, 0.5], [1.0, 1.0], [1.0001, 0.5], [0.5, -0.2]])
-        assert w.contains(xy).tolist() == [True, True, False, False]
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            EvalWindow("w", (1.0, 1.0), (0.0, 1.0))
-        with pytest.raises(InputError):
-            EvalWindow("w", (0.0, 1.0), (0.0, 1.0), grid_nx=1)
-        with pytest.raises(InputError):
-            EvalWindow("w", (0.0, np.inf), (0.0, 1.0))
-
-    def test_center_window_fixed_bounds(self):
-        w = center_window()
-        assert w.name == "center"
-        assert w.x_range == (-0.5, 1.5)
-        assert w.y_range == (-0.4, 0.4)
-        assert w.grid_nx == w.grid_ny == 100
+class TestWindows:
+    def test_scoring_protocol_constants(self):
+        assert GRID == 100
+        assert EPSILON == 1e-10
+        assert CENTER == ((-0.5, 1.5), (-0.4, 0.4))
 
     def test_whole_window_pads_truth_bbox_five_percent(self):
         truth = np.array([[0.0, -0.2], [1.0, 0.2]])
-        w = whole_window(truth)
-        assert w.name == "whole"
-        assert w.x_range == pytest.approx((-0.05, 1.05))
-        assert w.y_range == pytest.approx((-0.22, 0.22))
+        (x0, x1), (y0, y1) = whole_window(truth)
+        assert (x0, x1) == pytest.approx((-0.05, 1.05))
+        assert (y0, y1) == pytest.approx((-0.22, 0.22))
+
+    def test_whole_window_of_an_overflowing_extent_rejected(self):
+        """A truth spanning +-1e308 has an extent past the float range: the
+        padded box is infinite and rejected, with no RuntimeWarning."""
+        with pytest.raises(InputError, match=r"^window range \(-inf, inf\) must be finite and "
+                                             r"non-empty$"):
+            whole_window(np.array([[-1e308, -1e308], [1e308, 1e308]]))
 
     def test_whole_window_zero_extent_rejected(self):
         with pytest.raises(InputError):
@@ -78,7 +62,7 @@ class TestScottBandwidth:
         # 64 points: factor = 64^(-1/6) = 0.5
         xs = np.linspace(0.0, 1.0, 64)
         ys = np.linspace(0.0, 0.5, 64)
-        w = EvalWindow("w", (-1.0, 2.0), (-1.0, 2.0))
+        w = ((-1.0, 2.0), (-1.0, 2.0))
         hx, hy = scott_bandwidth(np.column_stack([xs, ys]), w)
         assert hx == pytest.approx(xs.std() * 64 ** (-1 / 6))
         assert hy == pytest.approx(ys.std() * 64 ** (-1 / 6))
@@ -88,19 +72,25 @@ class TestScottBandwidth:
         rng = np.random.default_rng(0)
         inside = rng.uniform(0.0, 1.0, size=(50, 2))
         outliers = np.array([[50.0, 50.0], [-50.0, -50.0]])
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0))
+        w = ((0.0, 1.0), (0.0, 1.0))
         a = scott_bandwidth(inside, w)
         b = scott_bandwidth(np.vstack([inside, outliers]), w)
         assert a == pytest.approx(b)
 
+    def test_window_is_inclusive_on_the_boundary(self):
+        # the first two points lie on the boundary and are fitted, the last two are not
+        xy = np.array([[0.0, 0.5], [1.0, 1.0], [1.0001, 0.5], [0.5, -0.2]])
+        hx, hy = scott_bandwidth(xy, ((0.0, 1.0), (0.0, 1.0)))
+        assert (hx, hy) == pytest.approx((0.5 * 2 ** (-1 / 6), 0.25 * 2 ** (-1 / 6)), rel=1e-12)
+
     def test_too_few_points_in_window_rejected(self):
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0))
+        w = ((0.0, 1.0), (0.0, 1.0))
         xy = np.array([[0.5, 0.5], [3.0, 3.0], [4.0, 4.0]])
         with pytest.raises(InputError):
             scott_bandwidth(xy, w)
 
     def test_bad_bandwidth_rejected(self):
-        w = EvalWindow("w", (-1e201, 1e201), (-1e201, 1e201))
+        w = ((-1e201, 1e201), (-1e201, 1e201))
         with pytest.raises(InputError, match="bandwidth must be positive and finite"):
             scott_bandwidth(np.array([[0.5, 0.5], [1e200, 1e200]]), w)  # sigma is inf
 
@@ -112,26 +102,27 @@ class TestKde:
     def test_mass_sums_to_one(self, seed):
         rng = np.random.default_rng(seed)
         xy = gauss_cloud(rng, 200)
-        w = center_window()
-        mass = kde(xy, w, scott_bandwidth(xy, w))
+        mass = kde(xy, CENTER, scott_bandwidth(xy, CENTER))
         assert float(mass.sum()) == pytest.approx(1.0, abs=1e-9)
         assert np.all(mass >= 0.0)
 
-    def test_single_point_peaks_at_its_cell(self):
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 10, 10)
-        xy = np.array([[0.55, 0.35]])  # exactly the center of cell (5, 3)
-        mass = kde(xy, w, (0.1, 0.1))
-        assert np.unravel_index(mass.argmax(), mass.shape) == (5, 3)
+    @pytest.mark.parametrize("i, j", [(0, 0), (55, 35), (37, 81), (GRID - 1, GRID - 1)])
+    def test_single_point_peaks_at_its_cell(self, i, j):
+        """Cell (i, j) of the window ((0, 1), (0, 2)) is centred at
+        ((i + 0.5) / GRID, 2 (j + 0.5) / GRID)."""
+        xy = np.array([[(i + 0.5) / GRID, 2.0 * (j + 0.5) / GRID]])
+        mass = kde(xy, ((0.0, 1.0), (0.0, 2.0)), (0.1, 0.1))
+        assert mass.shape == (GRID, GRID)
+        assert np.unravel_index(mass.argmax(), mass.shape) == (i, j)
 
     def test_separable_kernel_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         xy = rng.uniform(0.0, 1.0, size=(7, 2))
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 6, 5)
-        mass = kde(xy, w, (0.2, 0.3))
-        cx, cy = w.cell_centers()
-        direct = np.zeros((6, 5))
-        for i, x in enumerate(cx):
-            for j, y in enumerate(cy):
+        mass = kde(xy, ((0.0, 1.0), (0.0, 2.0)), (0.2, 0.3))
+        direct = np.zeros((GRID, GRID))
+        for i in range(GRID):
+            for j in range(GRID):
+                x, y = (i + 0.5) / GRID, 2.0 * (j + 0.5) / GRID
                 for px, py in xy:
                     direct[i, j] += math.exp(-0.5 * ((x - px) / 0.2) ** 2
                                              - 0.5 * ((y - py) / 0.3) ** 2)
@@ -144,9 +135,9 @@ class TestKde:
         factor in one expression with temporaries."""
         rng = np.random.default_rng(seed)
         xy = rng.normal(scale=0.7, size=(int(rng.integers(50, 3000)), 2))
-        for w in (center_window(), EvalWindow("w", (-2.0, 3.0), (-1.0, 1.5), 64, 37)):
+        for w in (CENTER, ((-2.0, 3.0), (-1.0, 1.5))):
             hx, hy = scott_bandwidth(xy, w)
-            cx, cy = w.cell_centers()
+            cx, cy = (lo + (hi - lo) / GRID * (np.arange(GRID) + 0.5) for lo, hi in w)
             fx = np.exp(-0.5 * ((cx[:, None] - xy[None, :, 0]) / hx) ** 2)
             fy = np.exp(-0.5 * ((cy[:, None] - xy[None, :, 1]) / hy) ** 2)
             mass = fx @ fy.T
@@ -154,7 +145,7 @@ class TestKde:
 
     def test_wider_bandwidth_flattens_the_density(self):
         xy = np.array([[0.5, 0.5]])
-        w = EvalWindow("w", (0.0, 1.0), (0.0, 1.0), 20, 20)
+        w = ((0.0, 1.0), (0.0, 1.0))
         sharp = kde(xy, w, (0.05, 0.05))
         flat = kde(xy, w, (5.0, 5.0))
         assert sharp.max() > flat.max()
@@ -163,7 +154,7 @@ class TestKde:
     def test_far_away_cloud_underflows_to_error(self):
         xy = np.array([[1e6, 1e6], [1e6 + 1, 1e6]])
         with pytest.raises(InputError):
-            kde(xy, center_window(grid=10), (1e-3, 1e-3))
+            kde(xy, CENTER, (1e-3, 1e-3))
 
 
 COORD = st.floats(-8.0, 8.0)
@@ -176,8 +167,7 @@ def kde_inputs(draw):
     xy = np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
     x0, y0 = draw(COORD), draw(COORD)
     width, height = draw(st.floats(0.01, 10.0)), draw(st.floats(0.01, 10.0))
-    window = EvalWindow("w", (x0, x0 + width), (y0, y0 + height),
-                        draw(st.integers(2, 30)), draw(st.integers(2, 30)))
+    window = (x0, x0 + width), (y0, y0 + height)
     bandwidth = draw(st.floats(1e-3, 10.0)), draw(st.floats(1e-3, 10.0))
     return xy, window, bandwidth
 
@@ -192,7 +182,7 @@ class TestKdeMassProperties:
         except InputError as exc:  # every kernel underflows inside the window
             assert "kernel mass inside the window is numerically zero" in str(exc)
             return
-        assert mass.shape == (window.grid_nx, window.grid_ny)
+        assert mass.shape == (GRID, GRID)
         assert np.all(np.isfinite(mass)) and np.all(mass >= 0.0)
         assert abs(float(mass.sum()) - 1.0) <= 1e-9
 
@@ -203,8 +193,7 @@ class TestKlDivergence:
     def test_identical_grids_score_zero(self):
         rng = np.random.default_rng(5)
         xy = gauss_cloud(rng, 100)
-        w = center_window(grid=50)
-        g = kde(xy, w, scott_bandwidth(xy, w))
+        g = kde(xy, CENTER, scott_bandwidth(xy, CENTER))
         assert kl_divergence(g, g) < 1e-6
 
     def test_two_cell_hand_example(self):
@@ -226,9 +215,9 @@ class TestKlDivergence:
     def test_zero_reference_cells_stay_finite(self):
         p = np.array([[0.5, 0.5], [0.0, 0.0]])
         q = np.array([[0.0, 0.0], [0.5, 0.5]])
-        val = kl_divergence(p, q, epsilon=1e-10)
+        val = kl_divergence(p, q)
         assert np.isfinite(val)
-        assert val == pytest.approx(math.log(0.5 / 1e-10), rel=1e-6)
+        assert val == pytest.approx(math.log(0.5 / EPSILON), rel=1e-6)
 
     def test_clipped_at_zero(self):
         # the epsilon in the denominator makes the raw sum slightly negative
@@ -271,8 +260,8 @@ class TestEvaluate:
         rng = np.random.default_rng(7)
         truth = dataset.samples[0].target
         tight = truth[rng.integers(0, len(truth), 40)] * 0.01 + np.array([0.5, 0.0])
-        a = evaluate(tight, truth, grid=40)["center"]
-        b = evaluate(truth, tight, grid=40)["center"]
+        a = evaluate(tight, truth)["center"]
+        b = evaluate(truth, tight)["center"]
         assert a != pytest.approx(b, rel=1e-3)
 
 

@@ -13,8 +13,8 @@ import loop2mesh
 # each module's public names
 PUBLIC_NAMES = {
     "errors": ("ConfigError", "InputError", "Loop2MeshError", "TrainingDivergedError"),
-    "evaluation": ("EvalWindow", "KLRow", "center_window", "evaluate", "kde",
-                   "kl_divergence", "kl_sweep", "scott_bandwidth", "whole_window"),
+    "evaluation": ("KLRow", "evaluate", "kde", "kl_divergence", "kl_sweep", "scott_bandwidth",
+                   "whole_window"),
     "geometry": ("AirfoilLoop", "StandardizeTransform", "as_point_array", "edge_query",
                  "fit_standardize", "intruders", "invert_standardize", "padded_bbox",
                  "points_in_polygon", "resample_loop", "standardize_loop"),
