@@ -49,7 +49,7 @@ PHASES = {  # phase -> the (module, attribute) pairs it times
     "msh parse": [(cli, "parse_msh_nodes")],
     "svg": [(cli, "render_svg")],
     "csv": [(cli, "_points_csv_text")],
-    "kde": [(evaluation, "evaluate")],
+    "kde": [(cli, "evaluate")],
     "writes": [(cli, "atomic_write_text"), (svg, "atomic_write_text"),
                (evaluation, "atomic_write_text")],
 }

@@ -22,10 +22,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InputError, Loop2MeshError
-from .evaluation import kl_csv_text, kl_sweep, write_kl_csv
+from .evaluation import evaluate, kl_csv_text, kl_sweep, write_kl_csv
 from .fileio import atomic_write_text
-from .geometry import padded_bbox, points_in_polygon, resample_loop
-from .ingest import build_dataset, fit_chord, load_manifest, parse_airfoil_dat, parse_msh_nodes, read_parsed
+from .geometry import padded_bbox, points_in_polygon
+from .ingest import (build_dataset, contour_loop, fit_chord, load_manifest, parse_airfoil_dat,
+                     parse_msh_nodes, read_parsed)
 from .svg import pixel_scale, render_svg
 from .train import (
     TrainConfig,
@@ -198,10 +199,10 @@ def cmd_train(args) -> int:
     result = train(dataset, config)
     save_trained(ckpt_path, result, config, [s.name for s in dataset.samples])
     result.log.to_csv(log_path)
-    last = result.log.records[-1]
-    print(f"trained {len(dataset.samples)} sample(s) for {last.epoch} epochs: "
-          f"chamfer={last.chamfer:.6g} repulsion={last.repulsion:.6g} "
-          f"interior={last.interior:.6g} total={last.total:.6g}")
+    chamfer, repulsion, interior, total, _ = result.log.terms[-1]
+    print(f"trained {len(dataset.samples)} sample(s) for {config.epochs} epochs: "
+          f"chamfer={chamfer:.6g} repulsion={repulsion:.6g} "
+          f"interior={interior:.6g} total={total:.6g}")
     print(f"wrote {ckpt_path}")
     print(f"wrote {log_path}")
     return 0
@@ -209,19 +210,18 @@ def cmd_train(args) -> int:
 
 def _prepare_loop(dat_path, config: TrainConfig):
     """The chord-normalised, resampled loop and its chord; every input error names the file."""
-    def parse(text):
-        contour = parse_airfoil_dat(text)
-        chord = fit_chord(contour)
-        return resample_loop(chord.apply(contour), config.loop_size), chord
-    return read_parsed(dat_path, parse)
+    return read_parsed(dat_path, lambda text: contour_loop(parse_airfoil_dat(text), config.loop_size))
 
 
 def _read_truth(msh_path, chord):
-    """Truth mesh nodes, in chord units unless ``chord`` is None; every input
-    error, an overflow of the chord normalisation included, names the file."""
+    """Truth mesh nodes, in chord units unless ``chord`` is None; every input error,
+    an overflow of the chord normalisation or of the padded bounding box included, names the file."""
     def parse(text):
         nodes = parse_msh_nodes(text)
-        return nodes if chord is None else chord.apply(nodes)
+        nodes = nodes if chord is None else chord.apply(nodes)
+        if not np.isfinite(padded_bbox(nodes)).all():
+            raise InputError("padded bounding box overflows the float range")
+        return nodes
     return read_parsed(msh_path, parse)
 
 
@@ -276,7 +276,7 @@ def cmd_evaluate(args) -> int:
             ratio = 0.0
     truth = _read_truth(args.truth, chord)
 
-    rows = kl_sweep({(ratio, len(pred)): pred}, truth)
+    rows = kl_sweep({(ratio, len(pred)): evaluate(pred, truth)})
     out_path = Path(args.out) if args.out else Path(args.out_dir) / "kl.csv"
     write_kl_csv(rows, out_path)
     for row in rows:
@@ -308,7 +308,7 @@ def cmd_sweep(args) -> int:
     dataset = build_dataset(entries, loop_size=base.loop_size,
                             target_count=base.upsample_count, seed=base.seed)
     sample = dataset.samples[0]
-    predictions: dict[tuple[float, int], np.ndarray | None] = {}
+    scores: dict[tuple[float, int], dict[str, float] | None] = {}
     failures: list[str] = []
     for ratio in ratios:
         for nodes in node_counts:
@@ -324,17 +324,17 @@ def cmd_sweep(args) -> int:
                                  [s.name for s in dataset.samples])
                 params, cfg, transform = load_trained(ckpt_path)
                 pred = predict(params, transform, sample.loop, cfg)
+                cell = evaluate(pred, sample.target)
+                render_svg(panel_dir / f"cell_r{ratio:g}_n{nodes}.svg",
+                           viewport=_bbox_viewport(pred, sample.loop.vertices),
+                           polylines=[(sample.loop.vertices, LOOP_STROKE, 1.5, True)],
+                           point_layers=[(pred, PRED_FILL, 2.0)])
             except Loop2MeshError as exc:
                 failures.append(f"ratio={ratio:g} nodes={nodes}: {exc}")
-                predictions[(ratio, nodes)] = None
-                continue
-            predictions[(ratio, nodes)] = pred
-            render_svg(panel_dir / f"cell_r{ratio:g}_n{nodes}.svg",
-                       viewport=_bbox_viewport(pred, sample.loop.vertices),
-                       polylines=[(sample.loop.vertices, LOOP_STROKE, 1.5, True)],
-                       point_layers=[(pred, PRED_FILL, 2.0)])
+                cell = None
+            scores[(ratio, nodes)] = cell
 
-    rows = kl_sweep(predictions, sample.target)
+    rows = kl_sweep(scores)
     kl_path = out_dir / "kl.csv"
     write_kl_csv(rows, kl_path)
     _write_run_manifest(out_dir / "run_manifest.json", "sweep", base, input_hashes,

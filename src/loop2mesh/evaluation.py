@@ -64,8 +64,8 @@ def scott_bandwidth(xy: np.ndarray, window) -> tuple[float, float]:
 def _gaussian_factor(centers: np.ndarray, coords: np.ndarray, h: float) -> np.ndarray:
     """exp(-0.5 * ((centers[:, None] - coords) / h) ** 2), built in one buffer."""
     f = np.subtract.outer(centers, coords)
-    f /= h
-    with np.errstate(over="ignore"):  # a far coordinate squares to inf: exp(-inf) = 0
+    with np.errstate(over="ignore"):  # a far coordinate scales or squares to inf: exp(-inf) = 0
+        f /= h
         np.square(f, out=f)
     f *= -0.5
     return np.exp(f, out=f)
@@ -105,9 +105,10 @@ def evaluate(pred, truth) -> dict[str, float]:
     """
     pred, truth = as_point_array(pred, name="prediction"), as_point_array(truth, name="truth")
     out: dict[str, float] = {}
-    for name, window in (("center", CENTER), ("whole", whole_window(truth))):
+    for name in ("center", "whole"):
         cloud = "truth"
         try:
+            window = CENTER if name == "center" else whole_window(truth)
             bw = scott_bandwidth(truth, window)
             q_mass = kde(truth, window, bw)
             cloud = "prediction"
@@ -126,19 +127,15 @@ class KLRow:
     kl: Optional[float]  # None marks a missing sweep cell
 
 
-def kl_sweep(predictions: Mapping[tuple[float, int], Optional[np.ndarray]],
-             truth: np.ndarray) -> list[KLRow]:
-    """Score a (ratio x node-count) grid of predictions against one truth cloud.
+def kl_sweep(scores: Mapping[tuple[float, int], Optional[Mapping[str, float]]]) -> list[KLRow]:
+    """The rows of a (ratio x node-count) grid, given each cell's ``evaluate`` scores.
 
     Rows come out in deterministic order: ratio ascending, region "c" then
     "w", node count ascending. A missing cell (absent key or None) gives
     rows with an empty score; the caller reports why it is missing.
     """
-    ratios = sorted({r for r, _ in predictions})
-    node_counts = sorted({n for _, n in predictions})
-    scores: dict[tuple[float, int], Optional[dict[str, float]]] = {}
-    for key, pred in predictions.items():
-        scores[key] = None if pred is None else evaluate(pred, truth)
+    ratios = sorted({r for r, _ in scores})
+    node_counts = sorted({n for _, n in scores})
     rows: list[KLRow] = []
     for ratio in ratios:
         for name, region in _REGION_CODE.items():  # center ("c") before whole ("w")

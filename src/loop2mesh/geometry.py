@@ -156,9 +156,9 @@ def padded_bbox(xy: np.ndarray, min_extent: float = 0.0) -> tuple[list[float], l
     ``min_extent``; a zero extent stays zero unless ``min_extent`` > 0. An
     extent past the float range gives infinite corners for the caller to reject."""
     lo, hi = xy.min(axis=0), xy.max(axis=0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # the extent or a padded corner past the float range
         extent = np.maximum(hi - lo, min_extent)
-    return (lo - BBOX_PAD * extent).tolist(), (hi + BBOX_PAD * extent).tolist()
+        return (lo - BBOX_PAD * extent).tolist(), (hi + BBOX_PAD * extent).tolist()
 
 
 def resample_loop(raw, target: int) -> AirfoilLoop:

@@ -185,19 +185,24 @@ class Dataset:
     target_count: int
 
 
+def contour_loop(contour: np.ndarray, loop_size: int) -> tuple[AirfoilLoop, ChordTransform]:
+    """A parsed contour (N, 2) as a chord-normalised loop of ``loop_size``
+    arc-length-uniform vertices, and the chord transform fitted on it."""
+    chord = fit_chord(contour)
+    return resample_loop(chord.apply(contour), loop_size), chord
+
+
 def assemble_sample(name: str, contour: np.ndarray, mesh_nodes: np.ndarray, *,
                     loop_size: int = 35, target_count: int = 1500, seed: int = 0) -> MeshSample:
     """Build one training pair from parsed raw inputs.
 
-    Both clouds are chord-normalised by the transform fitted on the contour,
-    the contour is resampled to ``loop_size`` arc-length-uniform vertices, and
-    the mesh is up/down-sampled to ``target_count``. Mesh nodes strictly
-    inside the loop are dropped with a warning before sampling, so they can
-    never enter the target cloud.
+    The contour becomes a loop (``contour_loop``), and the mesh is
+    chord-normalised by the same transform and up/down-sampled to
+    ``target_count``. Mesh nodes strictly inside the loop are dropped with
+    a warning before sampling, so they can never enter the target cloud.
     """
-    ct = fit_chord(contour)
-    loop = resample_loop(ct.apply(contour), loop_size)
-    mesh = ct.apply(mesh_nodes)
+    loop, chord = contour_loop(contour, loop_size)
+    mesh = chord.apply(mesh_nodes)
     inside = points_in_polygon(mesh, loop)
     if inside.any():
         log.warning("%s: dropping %d mesh nodes inside the boundary loop", name, int(inside.sum()))

@@ -137,9 +137,9 @@ class LossWeights:
 def composite(pred: np.ndarray, refs, loops: np.ndarray,
               weights: LossWeights) -> tuple[np.ndarray, np.ndarray]:
     """Weighted sum of the three terms for S clouds (S, N, 2), each against
-    its own reference (one (M, 2) array per cloud) and loop ((S, L, 2)
-    vertices): the terms (S, 5), columns chamfer, repulsion, interior, total
-    and mean pairwise distance, and d(total)/d(pred) (S, N, 2)."""
+    its own (M, 2) reference (refs[s]; train passes an (S, M, 2) stack) and
+    loop ((S, L, 2) vertices): the terms (S, 5), columns chamfer, repulsion,
+    interior, total and mean pairwise distance, and d(total)/d(pred) (S, N, 2)."""
     c_vals, c_grads = zip(*(chamfer(p, g) for p, g in zip(pred, refs)))
     pairs = _pairwise(pred)
     r_vals, r_grad = repulsion(pairs, weights.epsilon)

@@ -14,9 +14,7 @@ checkpoints are bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -140,24 +138,13 @@ _ADAM_BLOCK = 32_768
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators, laid out like ``NetworkParams.flat``."""
-
-    m: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def zeros(cls, params: NetworkParams) -> "AdamState":
-        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
-
-
-def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState, *,
-              lr: float = 1e-3, t: int = 1) -> tuple[NetworkParams, AdamState]:
+def adam_step(params: NetworkParams, grads: np.ndarray, moments: np.ndarray, *,
+              lr: float = 1e-3, t: int = 1) -> tuple[NetworkParams, np.ndarray]:
     """One bias-corrected Adam update (t is the 1-based step count) of the
-    flat parameter vector, given a gradient laid out like ``params.flat``.
+    flat parameter vector, given a gradient laid out like ``params.flat`` and
+    the first and second moments as the rows of one (2, P) array.
 
-    Parameters and state are updated in place and returned.
+    Parameters and moments are updated in place and returned.
     """
     if t < 1:
         raise InputError(f"step count t must be >= 1, got {t}")
@@ -167,7 +154,7 @@ def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState, *,
     scratch = np.empty((2, grads.size))
     for lo in range(0, grads.size, _ADAM_BLOCK):  # elementwise, so block by block
         blk = slice(lo, lo + _ADAM_BLOCK)
-        g, m, v, buf, step = grads[blk], state.m[blk], state.v[blk], *scratch[:, blk]
+        g, m, v, buf, step = grads[blk], *moments[:, blk], *scratch[:, blk]
         m *= BETA1
         m += np.multiply(g, 1.0 - BETA1, out=buf)
         v *= BETA2
@@ -178,33 +165,19 @@ def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState, *,
         np.divide(m, bc1, out=step)
         step *= lr
         params.flat[blk] -= np.divide(step, buf, out=step)
-    return params, state
+    return params, moments
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    epoch: int
-    chamfer: float
-    repulsion: float
-    interior: float
-    total: float
-    mean_pairwise: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainLog:
-    records: tuple[EpochRecord, ...]
+    # (epochs, 5), one row per epoch: the per-sample means of composite's terms
+    terms: np.ndarray
 
-    CSV_HEADER = ("epoch", "chamfer", "repulsion", "interior", "total", "mean_pairwise_distance")
+    CSV_HEADER = "epoch,chamfer,repulsion,interior,total,mean_pairwise_distance\n"
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_HEADER)
-        for r in self.records:
-            writer.writerow([r.epoch, repr(r.chamfer), repr(r.repulsion),
-                             repr(r.interior), repr(r.total), repr(r.mean_pairwise)])
-        return buf.getvalue()
+        rows = np.column_stack((np.arange(1, len(self.terms) + 1), self.terms))
+        return self.CSV_HEADER + ("%d,%r,%r,%r,%r,%r\n" * len(rows)) % tuple(rows.ravel().tolist())
 
     def to_csv(self, path) -> None:
         atomic_write_text(path, self.to_csv_text())
@@ -231,35 +204,33 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     if config.loop_size != dataset.loop_size:
         raise ConfigError(f"config loop_size {config.loop_size} != dataset loop size {dataset.loop_size}")
     params = init_params(config.seed, config.loop_size, config.h1, config.h2, config.n_points)
-    state = AdamState.zeros(params)
+    moments = np.zeros((2, params.flat.size))
 
-    refs = [s.target for s in dataset.samples]
+    targets = np.stack([s.target for s in dataset.samples])  # (S, M, 2)
     loops = np.stack([s.loop.vertices for s in dataset.samples])
     transform = None
     if config.mode is not TrainMode.RAW:
-        transform = fit_standardize(np.concatenate(refs))  # training targets only
-        refs = [standardize_loop(transform, ref) for ref in refs]
+        transform = fit_standardize(targets.reshape(-1, 2))  # training targets only
+        targets = standardize_loop(transform, targets)
         loops = standardize_loop(transform, loops)
     n_samples = len(loops)
     x = loops.reshape(n_samples, -1)  # rows x0, y0, x1, ...
-    records: list[EpochRecord] = []
+    log = TrainLog(np.zeros((config.epochs, 5)))
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is caught below, not warned
         for epoch in range(1, config.epochs + 1):
             out, trace = forward(params, x, y_clamp=config.y_clamp)
             if not np.isfinite(out).all():  # the only non-finite source is numeric blow-up
                 raise TrainingDivergedError(epoch, f"non-finite network output at epoch {epoch}")
-            terms, grad = composite(out.reshape(n_samples, -1, 2), refs, loops, config.weights)
-            # chamfer, repulsion, interior, total, mean pairwise: summed in sample order
-            record = EpochRecord(epoch, *(terms.sum(axis=0) / n_samples).tolist())
-            if not math.isfinite(record.total):
+            terms, grad = composite(out.reshape(n_samples, -1, 2), targets, loops, config.weights)
+            row = np.divide(terms.sum(axis=0), n_samples, out=log.terms[epoch - 1])  # in sample order
+            if not math.isfinite(row[3]):  # the total
                 raise TrainingDivergedError(epoch, f"total loss became non-finite at epoch {epoch}")
             d_out = grad.reshape(n_samples, -1)
             d_out *= 1.0 / n_samples  # the cotangent of the mean loss
-            adam_step(params, backward(params, trace, d_out), state, lr=config.lr, t=epoch)
-            records.append(record)
+            adam_step(params, backward(params, trace, d_out), moments, lr=config.lr, t=epoch)
     if not np.isfinite(params.flat).all():  # the last step, which no forward pass checks
         raise TrainingDivergedError(epoch, f"non-finite parameters after epoch {epoch}")
-    return TrainResult(params, transform, TrainLog(tuple(records)))
+    return TrainResult(params, transform, log)
 
 
 def predict(params: NetworkParams, transform: StandardizeTransform | None,

@@ -40,6 +40,12 @@ def trained(tmp_path_factory, manifest_path):
             "msh": manifest_path.parent / "naca2220.msh"}
 
 
+# truth meshes whose padded bounding box leaves the float range: through the
+# extent, and through the padding of a finite extent
+OVERFLOWING_TRUTHS = [[[-1e308, -1e308], [0.5, 0.1], [0.7, -0.1], [1e308, 1e308]],
+                      [[-1.79e308, 0.0], [-1.0e308, 1.0], [-1.5e308, 0.5]]]
+
+
 # -------------------------------------------------------------------- train
 
 class TestTrain:
@@ -497,16 +503,18 @@ class TestEvaluate:
         assert stderr.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
-    def test_truth_spanning_the_float_range_exits_3_with_one_line(self, tmp_path, capsys):
-        """The whole window's extent overflows; no RuntimeWarning is printed."""
+    @pytest.mark.parametrize("nodes", OVERFLOWING_TRUTHS, ids=["extent", "padding"])
+    def test_truth_spanning_the_float_range_exits_3_with_one_line(self, tmp_path, nodes, capsys):
+        """The whole window (the truth's padded box) overflows: one line naming
+        the truth file, and no RuntimeWarning."""
         pred, truth, out = tmp_path / "p.csv", tmp_path / "t.msh", tmp_path / "kl.csv"
         pred.write_text("x,y\n0.1,0.2\n0.3,0.4\n")
-        truth.write_text(msh_text([[-1e308, -1e308], [0.5, 0.1], [0.7, -0.1], [1e308, 1e308]]))
+        truth.write_text(msh_text(nodes))
         code, _, stderr = run_cli(["evaluate", "--pred", pred, "--truth", truth, "--out", out],
                                   capsys)
         assert code == 3
-        assert stderr.splitlines() == ["error: window range (-inf, inf) must be finite and "
-                                       "non-empty"]
+        assert stderr.splitlines() == [
+            f"error: {truth}: padded bounding box overflows the float range"]
         assert not out.exists()
 
 
@@ -727,6 +735,40 @@ class TestSweep:
                                        "  ratio=0 nodes=1: n_points must be an integer >= 2, got 1"]
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
+    @pytest.mark.parametrize("bad, reason", [
+        ("far", "center window, prediction: kernel mass inside the window is numerically zero"),
+        ("float-limit", "has no finite pixel scale"),
+    ])
+    def test_a_cell_that_cannot_be_scored_or_drawn_fails_alone(self, tmp_path, manifest_path,
+                                                               monkeypatch, bad, reason, capsys):
+        """A far prediction fails in scoring, one reaching +-1e308 in its panel's
+        viewport; either way only that cell's rows are empty."""
+        real_predict = cli.predict
+
+        def predict(params, transform, loop, config):
+            pred = real_predict(params, transform, loop, config)
+            if config.n_points != 40:
+                return pred
+            if bad == "far":
+                return pred + 1e6
+            pred[:2] = [[-1e308, -1e308], [1e308, 1e308]]
+            return pred
+
+        monkeypatch.setattr(cli, "predict", predict)
+        out = tmp_path / "s"
+        code, _, stderr = run_cli(
+            ["sweep", manifest_path, "--ratios", "0", "--nodes", "30,40",
+             "--out-dir", out, *SWEEP_FAST], capsys)
+        assert code == 0
+        failed, cell = stderr.splitlines()
+        assert failed == "1 cell(s) failed:"
+        assert cell.startswith("  ratio=0 nodes=40: ") and cell.endswith(reason)
+        rows = (out / "kl.csv").read_text().splitlines()[1:]
+        assert [r for r in rows if r.endswith(",")] == ["0,c,40,", "0,w,40,"]
+        assert all(float(r.split(",")[3]) >= 0.0 for r in rows if r.split(",")[2] == "30")
+        assert [p.name for p in (out / "panels").glob("*.svg")] == ["cell_r0_n30.svg"]
+        assert (out / "run_manifest.json").exists()
+
 
 # ------------------------------------------------------- undecodable input
 
@@ -860,20 +902,30 @@ class TestTruthInChordUnits:
             f"error: {truth}: chord-normalised cloud contains non-finite coordinates"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("nodes", OVERFLOWING_TRUTHS, ids=["extent", "padding"])
     def test_predict_truth_spanning_the_float_range_writes_nothing(self, tmp_path, trained,
-                                                                   capsys):
-        """The overlay's padded box overflows: one error line, no RuntimeWarning,
-        and the viewport is rejected before any file is written."""
+                                                                   nodes, capsys):
+        """The overlay's padded box overflows: one error line naming the file,
+        no RuntimeWarning, and nothing written."""
         truth, out = tmp_path / "t.msh", tmp_path / "out"
-        truth.write_text(msh_text([[-1e308, -1e308], [0.5, 0.1], [1e308, 1e308]]))
+        truth.write_text(msh_text(nodes))
         code, stdout, stderr = run_cli(
             ["predict", "--checkpoint", trained["checkpoint"], "--dat", trained["dat"],
              "--truth", truth, "--out-dir", out], capsys)
         assert code == 3
         assert stdout == ""
         assert stderr.splitlines() == [
-            "error: viewport (-inf, inf, -inf, inf) has no finite pixel scale"]
+            f"error: {truth}: padded bounding box overflows the float range"]
         assert not out.exists()
+
+    def test_predict_takes_a_truth_of_zero_extent(self, tmp_path, trained, capsys):
+        truth, out = tmp_path / "t.msh", tmp_path / "out"
+        truth.write_text(msh_text([[0.5, 0.3]]))
+        code, _, stderr = run_cli(
+            ["predict", "--checkpoint", trained["checkpoint"], "--dat", trained["dat"],
+             "--truth", truth, "--out-dir", out], capsys)
+        assert code == 0, stderr
+        assert 'fill="green">\n<circle ' in (out / "scatter.svg").read_text()
 
 
 # ------------------------------------------------------- points CSV input

@@ -156,6 +156,13 @@ class TestKde:
         with pytest.raises(InputError):
             kde(xy, CENTER, (1e-3, 1e-3))
 
+    def test_coordinates_near_the_float_limit_add_no_mass_and_no_warning(self):
+        """A coordinate of +-1e308 divided by a small bandwidth overflows to
+        inf: its kernel is exactly zero, and no RuntimeWarning escapes."""
+        xy = np.array([[0.5, 0.0], [0.6, 0.1]])
+        far = np.vstack([xy, [[-1e308, -1e308], [1e308, 1e308]]])
+        assert np.array_equal(kde(far, CENTER, (0.05, 0.05)), kde(xy, CENTER, (0.05, 0.05)))
+
 
 COORD = st.floats(-8.0, 8.0)
 
@@ -245,6 +252,12 @@ class TestEvaluate:
         with pytest.raises(InputError):
             evaluate(pred, truth)
 
+    def test_overflowing_whole_window_names_the_window_and_the_truth(self):
+        truth = np.array([[-1e308, -1e308], [0.5, 0.1], [0.7, -0.1], [0.6, 0.0], [1e308, 1e308]])
+        with pytest.raises(InputError, match=r"^whole window, truth: window range \(-inf, inf\) "
+                                             r"must be finite and non-empty$"):
+            evaluate(truth[1:4], truth)
+
     def test_perturbed_cloud_scores_higher(self, dataset):
         rng = np.random.default_rng(6)
         truth = dataset.samples[0].target
@@ -275,9 +288,9 @@ class TestKlSweep:
         def fake(n):
             return truth[rng.integers(0, len(truth), n)] + rng.normal(scale=0.01, size=(n, 2))
 
-        preds = {(1.0, 300): fake(300), (0.0, 300): fake(300),
-                 (1.0, 400): fake(400), (0.0, 400): fake(400)}
-        rows = kl_sweep(preds, truth)
+        scores = {(1.0, 300): evaluate(fake(300), truth), (0.0, 300): evaluate(fake(300), truth),
+                  (1.0, 400): evaluate(fake(400), truth), (0.0, 400): evaluate(fake(400), truth)}
+        rows = kl_sweep(scores)
         key = [(r.ratio, r.region, r.nodes) for r in rows]
         assert key == [(0.0, "c", 300), (0.0, "c", 400), (0.0, "w", 300), (0.0, "w", 400),
                        (1.0, "c", 300), (1.0, "c", 400), (1.0, "w", 300), (1.0, "w", 400)]
@@ -285,8 +298,8 @@ class TestKlSweep:
 
     def test_missing_cell_emits_empty_row(self, dataset):
         truth = dataset.samples[0].target
-        preds = {(0.0, 100): truth.copy(), (1.0, 100): None}
-        rows = kl_sweep(preds, truth)
+        scores = {(0.0, 100): evaluate(truth.copy(), truth), (1.0, 100): None}
+        rows = kl_sweep(scores)
         assert len(rows) == 4
         missing = [r for r in rows if r.ratio == 1.0]
         assert all(r.kl is None for r in missing)

@@ -19,7 +19,7 @@ PUBLIC_NAMES = {
                  "fit_standardize", "intruders", "invert_standardize", "padded_bbox",
                  "points_in_polygon", "resample_loop", "standardize_loop"),
     "ingest": ("ChordTransform", "Dataset", "MeshSample", "assemble_sample", "build_dataset",
-               "fit_chord", "load_manifest", "parse_airfoil_dat", "parse_msh_nodes",
+               "contour_loop", "fit_chord", "load_manifest", "parse_airfoil_dat", "parse_msh_nodes",
                "read_parsed", "upsample_target"),
     "losses": ("LossWeights", "chamfer", "composite", "interior_penalty",
                "mean_pairwise_distance", "repulsion"),

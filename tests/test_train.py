@@ -17,7 +17,6 @@ from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.losses import LossWeights
 from loop2mesh.net import init_params
 from loop2mesh.train import (
-    AdamState,
     TrainConfig,
     TrainLog,
     TrainMode,
@@ -60,7 +59,7 @@ class TestAdam:
         g = np.zeros_like(p.flat)
         p.split(g)[0][...] = 0.5  # constant gradient on w1
         before = p.w1.copy()
-        adam_step(p, g, AdamState.zeros(p), lr=1e-3, t=1)
+        adam_step(p, g, np.zeros((2, p.flat.size)), lr=1e-3, t=1)
         step = before - p.w1
         # bias-corrected first step is lr * g/(|g| + eps') ~= lr exactly
         assert step == pytest.approx(np.full_like(step, 1e-3), rel=1e-4)
@@ -70,13 +69,13 @@ class TestAdam:
         p = init_params(1, 3, 4, 4, 2)
         snapshots = [a.copy() for _, a in p.arrays()]
         grads_per_step = []
-        state = AdamState.zeros(p)
+        moments = np.zeros((2, p.flat.size))
         for t in range(1, 8):
             g = np.zeros_like(p.flat)
             for arr in p.split(g):
                 arr[...] = rng.normal(size=arr.shape)
             grads_per_step.append([a.copy() for a in p.split(g)])
-            adam_step(p, g, state, lr=1e-2, t=t)
+            adam_step(p, g, moments, lr=1e-2, t=t)
         want = reference_adam(snapshots, grads_per_step, lr=1e-2)
         for (_, got), ref in zip(p.arrays(), want):
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
@@ -86,11 +85,11 @@ class TestAdam:
         for block in (10, 10 ** 9):  # many blocks with a short last one; one block
             monkeypatch.setattr(train_mod, "_ADAM_BLOCK", block)
             p = init_params(2, 3, 4, 5, 2)
-            state = AdamState.zeros(p)
+            moments = np.zeros((2, p.flat.size))
             for t in range(1, 4):
-                adam_step(p, np.random.default_rng(t).normal(size=p.flat.size), state,
+                adam_step(p, np.random.default_rng(t).normal(size=p.flat.size), moments,
                           lr=1e-2, t=t)
-            results.append((p.flat.copy(), state.m.copy(), state.v.copy()))
+            results.append((p.flat.copy(), *moments.copy()))
         assert p.flat.size % 10 != 0
         for blocked, whole in zip(*results):
             assert np.array_equal(blocked, whole)
@@ -98,12 +97,12 @@ class TestAdam:
     def test_rejects_bad_step_count(self):
         p = init_params(0, 3, 4, 4, 2)
         with pytest.raises(InputError):
-            adam_step(p, np.zeros_like(p.flat), AdamState.zeros(p), t=0)
+            adam_step(p, np.zeros_like(p.flat), np.zeros((2, p.flat.size)), t=0)
 
     def test_rejects_gradient_of_wrong_size(self):
         p = init_params(0, 3, 4, 4, 2)
         with pytest.raises(ConfigError):
-            adam_step(p, np.zeros(p.flat.size - 1), AdamState.zeros(p), t=1)
+            adam_step(p, np.zeros(p.flat.size - 1), np.zeros((2, p.flat.size)), t=1)
 
 
 # ------------------------------------------------------------------- config
@@ -180,9 +179,10 @@ class TestTrainConfig:
 class TestTrain:
     def test_log_has_one_record_per_epoch(self, small_dataset):
         res = train(small_dataset, small_config(epochs=15))
-        assert len(res.log.records) == 15
-        assert [r.epoch for r in res.log.records] == list(range(1, 16))
-        assert all(np.isfinite(r.total) for r in res.log.records)
+        assert res.log.terms.shape == (15, 5)
+        epochs = [int(line.split(",")[0]) for line in res.log.to_csv_text().splitlines()[1:]]
+        assert epochs == list(range(1, 16))
+        assert np.isfinite(res.log.terms).all()
 
     def test_one_forward_and_one_backward_per_epoch(self, small_dataset, monkeypatch):
         batches, backward_calls = [], []
@@ -201,6 +201,19 @@ class TestTrain:
         train(small_dataset, small_config(epochs=3))
         assert batches == [(2, 24)] * 3
         assert backward_calls == [(2, 80)] * 3
+
+    def test_standardisation_maps_all_targets_in_one_call_and_all_loops_in_one(
+            self, small_dataset, monkeypatch):
+        calls = []
+
+        def counting_standardize(transform, xy):
+            calls.append(np.shape(xy))
+            return standardize_loop(transform, xy)
+
+        monkeypatch.setattr(train_mod, "standardize_loop", counting_standardize)
+        assert len(small_dataset.samples) == 2
+        train(small_dataset, small_config(mode=TrainMode.STANDARDISED, epochs=1))
+        assert calls == [(2, 150, 2), (2, 12, 2)]
 
     def test_one_pairwise_and_one_edge_kernel_per_epoch(self, small_dataset, monkeypatch):
         calls = []
@@ -232,20 +245,20 @@ class TestTrain:
                      ("intruders", (2, 40, 2), (2, 12, 2)),
                      ("mean_pairwise_distance", pairs)]
         assert calls == per_epoch * 3
-        assert all(r.mean_pairwise > 0.0 for r in res.log.records)
+        assert (res.log.terms[:, 4] > 0.0).all()  # mean pairwise distance
 
     def test_loss_decreases_on_small_run(self, small_dataset):
         res = train(small_dataset, small_config(epochs=150))
-        first, last = res.log.records[0], res.log.records[-1]
-        assert last.total < first.total
-        assert last.chamfer < first.chamfer
+        first, last = res.log.terms[[0, -1]]
+        assert last[3] < first[3]  # total
+        assert last[0] < first[0]  # chamfer
 
     def test_deterministic_given_config(self, small_dataset):
         a = train(small_dataset, small_config(epochs=10))
         b = train(small_dataset, small_config(epochs=10))
         for (_, x), (_, y) in zip(a.params.arrays(), b.params.arrays()):
             assert np.array_equal(x, y)
-        assert a.log == b.log
+        assert np.array_equal(a.log.terms, b.log.terms)
 
     def test_seed_changes_result(self, small_dataset):
         a = train(small_dataset, small_config(epochs=5, seed=0))
@@ -475,16 +488,15 @@ class TestCheckpointHeaderFuzz:
 
 class TestTrainLogCsv:
     def test_header_and_exact_float_round_trip(self):
-        from loop2mesh.train import EpochRecord
-        rec = EpochRecord(1, 1.0 / 3.0, 2.0 / 7.0, 0.0, 1.0 / 3.0 + 2.0 / 7.0, 0.1234)
-        log = TrainLog((rec,))
+        row = [1.0 / 3.0, 2.0 / 7.0, 0.0, 1.0 / 3.0 + 2.0 / 7.0, 0.1234]
+        log = TrainLog(np.array([row]))
         text = log.to_csv_text()
         lines = text.splitlines()
         assert lines[0] == "epoch,chamfer,repulsion,interior,total,mean_pairwise_distance"
         fields = lines[1].split(",")
         assert int(fields[0]) == 1
-        assert float(fields[1]) == rec.chamfer  # repr round-trips exactly
-        assert float(fields[4]) == rec.total
+        assert float(fields[1]) == row[0]  # repr round-trips exactly
+        assert float(fields[4]) == row[3]
         assert text.endswith("\n")
 
     def test_to_csv_writes_file(self, tmp_path, small_dataset):
