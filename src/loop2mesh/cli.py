@@ -246,10 +246,12 @@ def cmd_predict(args) -> int:
     out_dir = Path(args.out_dir)
     csv_path = out_dir / "points.csv"
     svg_path = out_dir / "scatter.svg"
-    # the SVG first: it checks the viewport before either file is written
-    render_svg(svg_path, viewport=viewport,
-               polylines=[(loop.vertices, LOOP_STROKE, 1.5, True)],
-               point_layers=layers)
+    try:  # the SVG first: it checks the viewport before either file is written
+        render_svg(svg_path, viewport=viewport,
+                   polylines=[(loop.vertices, LOOP_STROKE, 1.5, True)],
+                   point_layers=layers)
+    except InputError as exc:  # a finite truth box can overflow once joined with the loop's
+        raise InputError(f"{args.truth}: {exc}; pass --viewport to draw it") if args.truth else exc
     atomic_write_text(csv_path, _points_csv_text(pred))
 
     interior = int(points_in_polygon(pred, loop).sum())

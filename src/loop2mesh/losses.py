@@ -18,9 +18,10 @@ from .errors import InputError
 from .geometry import as_float, intruders
 
 
-def chamfer(P: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray]:
+def chamfer(P: np.ndarray, G: np.ndarray, out=None) -> tuple[float, np.ndarray]:
     """Sum of squared nearest-neighbour distances of P (N, 2) and G (M, 2),
-    both directions, and its gradient (N, 2).
+    both directions, and its gradient (N, 2); the (N, M) matrix of squared
+    distances is built in ``out`` if given.
 
     value = sum_p min_g |p-g|^2  +  sum_g min_p |g-p|^2   (sums, not means).
 
@@ -29,7 +30,9 @@ def chamfer(P: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray]:
     2(p - g*) from the first term plus 2(p - g) for every reference g whose
     nearest predicted point is p.
     """
-    d2 = np.maximum((P ** 2).sum(axis=1)[:, None] + (G ** 2).sum(axis=1) - 2.0 * (P @ G.T), 0.0)
+    d2 = np.matmul(-2.0 * P, G.T, out=out)  # scaling by -2 is exact, so this sums as
+    d2 += (P ** 2).sum(axis=1)[:, None] + (G ** 2).sum(axis=1)  # |p|^2 + |g|^2 - 2 p.g
+    np.maximum(d2, 0.0, out=d2)
     nn_pg, nn_gp = d2.argmin(axis=1), d2.argmin(axis=0)
     value = float(d2[np.arange(P.shape[0]), nn_pg].sum() + d2[nn_gp, np.arange(G.shape[0])].sum())
     grad = 2.0 * (P - G[nn_pg])
@@ -47,9 +50,10 @@ def _pairwise(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _off_diagonal(a: np.ndarray, reduce) -> list[float]:
-    # per (N, N) slice: a mask over the whole batch gives strided rows that sum differently
-    off = ~np.eye(a.shape[1], dtype=bool)
-    return [float(reduce(m[off])) for m in a]
+    # per (N, N) slice, the off-diagonal entries in row-major order as one
+    # contiguous vector: after the first entry, every (N+1)th is diagonal
+    n = a.shape[1]
+    return [float(reduce(m.ravel()[1:].reshape(n - 1, n + 1)[:, :n].ravel())) for m in a]
 
 
 def repulsion(pairs, epsilon: float) -> tuple[list[float], np.ndarray]:
@@ -134,13 +138,14 @@ class LossWeights:
         return cls(**{f.name: as_float(d[f.name]) for f in fields(cls) if f.name in d})
 
 
-def composite(pred: np.ndarray, refs, loops: np.ndarray,
-              weights: LossWeights) -> tuple[np.ndarray, np.ndarray]:
+def composite(pred: np.ndarray, refs, loops: np.ndarray, weights: LossWeights,
+              out=None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted sum of the three terms for S clouds (S, N, 2), each against
-    its own (M, 2) reference (refs[s]; train passes an (S, M, 2) stack) and
-    loop ((S, L, 2) vertices): the terms (S, 5), columns chamfer, repulsion,
-    interior, total and mean pairwise distance, and d(total)/d(pred) (S, N, 2)."""
-    c_vals, c_grads = zip(*(chamfer(p, g) for p, g in zip(pred, refs)))
+    its own (M, 2) reference (refs[s]; train passes an (S, M, 2) stack and an
+    (N, M) ``out`` for ``chamfer``) and loop ((S, L, 2) vertices): the terms
+    (S, 5), columns chamfer, repulsion, interior, total and mean pairwise
+    distance, and d(total)/d(pred) (S, N, 2)."""
+    c_vals, c_grads = zip(*(chamfer(p, g, out) for p, g in zip(pred, refs)))
     pairs = _pairwise(pred)
     r_vals, r_grad = repulsion(pairs, weights.epsilon)
     i_vals, i_grad = interior_penalty(pred, loops)

@@ -160,21 +160,20 @@ def forward(params: NetworkParams, x: np.ndarray,
     return final, ForwardTrace(x, z1, a1, z2, a2, out, gate)
 
 
-def backward(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray) -> np.ndarray:
-    """Exact gradient of a scalar loss, summed over the batch, given
-    d(loss)/d(raw output) of shape (S, 2N); laid out like ``params.flat``.
-
-    ReLU passes gradient only where its pre-activation is strictly positive;
-    the clamp gate zeroes the cotangent of clamped output coordinates.
-    """
+def backward(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """Exact gradient of a scalar loss, summed over the batch, given d(loss)/d(raw
+    output) (S, 2N), into ``out`` (laid out like ``params.flat``) but for w3's
+    slice; returns the gated cotangent g3 (S, 2N), whose w3 gradient g3.T @ a2
+    ``gradient`` adds and ``train.adam_step`` builds a block at a time. ReLU passes
+    gradient only where its pre-activation is strictly positive; the clamp gate
+    zeroes the cotangent of clamped output coordinates."""
     d_output = np.asarray(d_output, dtype=np.float64)
     if d_output.shape != trace.output.shape:
         raise ConfigError(
             f"cotangent shape {d_output.shape} does not match output {trace.output.shape}")
-    grad = np.empty_like(params.flat)
-    gw1, gb1, gw2, gb2, gw3, gb3 = params.split(grad)
+    gw1, gb1, gw2, gb2, _, gb3 = params.split(out)
     g3 = d_output * trace.gate
-    np.matmul(g3.T, trace.a2, out=gw3)
     g3.sum(axis=0, out=gb3)
     dz2 = (g3 @ params.w3) * (trace.z2 > 0.0)
     np.matmul(dz2.T, trace.a1, out=gw2)
@@ -182,6 +181,13 @@ def backward(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray) -
     dz1 = (dz2 @ params.w2) * (trace.z1 > 0.0)
     np.matmul(dz1.T, trace.x, out=gw1)
     dz1.sum(axis=0, out=gb1)
+    return g3
+
+
+def gradient(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray) -> np.ndarray:
+    """The whole gradient in a new vector laid out like ``params.flat``."""
+    grad = np.empty_like(params.flat)
+    np.matmul(backward(params, trace, d_output, grad).T, trace.a2, out=params.split(grad)[4])
     return grad
 
 

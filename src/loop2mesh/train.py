@@ -129,32 +129,39 @@ class TrainConfig:
         return cfg
 
 
-# Adam runs in blocks of this many elements: six float64 slices (1.5 MiB) fit
-# in a 2 MiB L2 cache. Its scratch pair stays full-length: block-sized, it kept
-# glibc's adaptive mmap threshold low, and predict/evaluate then re-faulted
-# their multi-megabyte checkpoint buffers on every call.
+# Adam runs in blocks of this many elements: six float64 slices and a block of
+# w3's gradient fit in a 2 MiB L2 cache, in a scratch train() allocates once.
 _ADAM_BLOCK = 32_768
 # moment decay rates and denominator stabiliser (Kingma & Ba's defaults)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(params: NetworkParams, grads: np.ndarray, moments: np.ndarray, *,
-              lr: float = 1e-3, t: int = 1) -> tuple[NetworkParams, np.ndarray]:
-    """One bias-corrected Adam update (t is the 1-based step count) of the
-    flat parameter vector, given a gradient laid out like ``params.flat`` and
-    the first and second moments as the rows of one (2, P) array.
-
-    Parameters and moments are updated in place and returned.
-    """
+def adam_step(params: NetworkParams, grads: np.ndarray, moments: np.ndarray, scratch: np.ndarray,
+              g3: np.ndarray, a2: np.ndarray, *, lr: float = 1e-3, t: int = 1) -> None:
+    """One bias-corrected Adam update (t is the 1-based step count), in place, of
+    the flat parameters, from ``net.backward``'s gradient (w3's slice unread),
+    its cotangent g3 and w3's input a2: w3's gradient g3.T @ a2 is built a block
+    of rows at a time, just before the block's update, in a (3, B) scratch,
+    B >= max(_ADAM_BLOCK, 2 h2). The moments are the rows of one (2, P) array."""
     if t < 1:
         raise InputError(f"step count t must be >= 1, got {t}")
     if grads.shape != params.flat.shape:
         raise ConfigError("gradient shape does not match parameter shape")
     bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
-    scratch = np.empty((2, grads.size))
-    for lo in range(0, grads.size, _ADAM_BLOCK):  # elementwise, so block by block
-        blk = slice(lo, lo + _ADAM_BLOCK)
-        g, m, v, buf, step = grads[blk], *moments[:, blk], *scratch[:, blk]
+    size, width = params.flat.size, params.w3.shape[1]
+    w3_lo, w3_hi = size - params.b3.size - params.w3.size, size - params.b3.size
+    # w3 goes an even number of rows at a time: 2N is even, so no block is one
+    # row, whose product NumPy would hand to gemv, not gemm, rounding otherwise
+    w3_block = max(2, _ADAM_BLOCK // width & ~1) * width
+    bounds = [*range(0, w3_lo, _ADAM_BLOCK), *range(w3_lo, w3_hi, w3_block),
+              *range(w3_hi, size, _ADAM_BLOCK), size]
+    for lo, hi in zip(bounds, bounds[1:]):  # elementwise, so block by block
+        m, v, (buf, step, g) = *moments[:, lo:hi], scratch[:, :hi - lo]
+        if not w3_lo <= lo < w3_hi:
+            g = grads[lo:hi]
+        else:
+            np.matmul(g3[:, (lo - w3_lo) // width:(hi - w3_lo) // width].T, a2,
+                      out=g.reshape(-1, width))
         m *= BETA1
         m += np.multiply(g, 1.0 - BETA1, out=buf)
         v *= BETA2
@@ -164,8 +171,7 @@ def adam_step(params: NetworkParams, grads: np.ndarray, moments: np.ndarray, *,
         buf += EPS
         np.divide(m, bc1, out=step)
         step *= lr
-        params.flat[blk] -= np.divide(step, buf, out=step)
-    return params, moments
+        params.flat[lo:hi] -= np.divide(step, buf, out=step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,18 +222,22 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     n_samples = len(loops)
     x = loops.reshape(n_samples, -1)  # rows x0, y0, x1, ...
     log = TrainLog(np.zeros((config.epochs, 5)))
+    grads, scratch = np.empty_like(params.flat), np.empty((3, max(_ADAM_BLOCK, 2 * config.h2)))
+    # one Chamfer matrix for all epochs: fresh (N, M) ones made glibc trim and re-fault the heap
+    d2 = np.empty((config.n_points, targets.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is caught below, not warned
         for epoch in range(1, config.epochs + 1):
             out, trace = forward(params, x, y_clamp=config.y_clamp)
             if not np.isfinite(out).all():  # the only non-finite source is numeric blow-up
                 raise TrainingDivergedError(epoch, f"non-finite network output at epoch {epoch}")
-            terms, grad = composite(out.reshape(n_samples, -1, 2), targets, loops, config.weights)
+            terms, grad = composite(out.reshape(n_samples, -1, 2), targets, loops, config.weights, d2)
             row = np.divide(terms.sum(axis=0), n_samples, out=log.terms[epoch - 1])  # in sample order
             if not math.isfinite(row[3]):  # the total
                 raise TrainingDivergedError(epoch, f"total loss became non-finite at epoch {epoch}")
             d_out = grad.reshape(n_samples, -1)
             d_out *= 1.0 / n_samples  # the cotangent of the mean loss
-            adam_step(params, backward(params, trace, d_out), moments, lr=config.lr, t=epoch)
+            g3 = backward(params, trace, d_out, grads)
+            adam_step(params, grads, moments, scratch, g3, trace.a2, lr=config.lr, t=epoch)
     if not np.isfinite(params.flat).all():  # the last step, which no forward pass checks
         raise TrainingDivergedError(epoch, f"non-finite parameters after epoch {epoch}")
     return TrainResult(params, transform, log)

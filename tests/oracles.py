@@ -201,6 +201,57 @@ def reference_adam(params: list[np.ndarray], grads_per_step, lr=1e-3,
     return ps
 
 
+def unfused_backward(params, trace, d_output) -> np.ndarray:
+    """The package's former ``net.backward``, kept as the bit-equality oracle
+    for the fused output layer: the whole gradient in a new vector laid out
+    like ``params.flat``, w3's slice written as one product."""
+    grad = np.empty_like(params.flat)
+    gw1, gb1, gw2, gb2, gw3, gb3 = params.split(grad)
+    g3 = d_output * trace.gate
+    np.matmul(g3.T, trace.a2, out=gw3)
+    g3.sum(axis=0, out=gb3)
+    dz2 = (g3 @ params.w3) * (trace.z2 > 0.0)
+    np.matmul(dz2.T, trace.a1, out=gw2)
+    dz2.sum(axis=0, out=gb2)
+    dz1 = (dz2 @ params.w2) * (trace.z1 > 0.0)
+    np.matmul(dz1.T, trace.x, out=gw1)
+    dz1.sum(axis=0, out=gb1)
+    return grad
+
+
+def unfused_adam_step(flat, grads, moments, *, lr, t, block=32_768) -> None:
+    """The package's former ``train.adam_step``, the bit-equality oracle for
+    the fused update: the same blocked arithmetic over the whole gradient
+    vector, in a full-length (2, P) scratch allocated per call."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    scratch = np.empty((2, grads.size))
+    for lo in range(0, grads.size, block):
+        blk = slice(lo, lo + block)
+        g, m, v, buf, step = grads[blk], *moments[:, blk], *scratch[:, blk]
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=buf)
+        v *= beta2
+        v += np.multiply(np.multiply(g, 1.0 - beta2, out=buf), g, out=buf)
+        np.sqrt(np.divide(v, bc2, out=buf), out=buf)
+        buf += eps
+        np.divide(m, bc1, out=step)
+        step *= lr
+        flat[blk] -= np.divide(step, buf, out=step)
+
+
+def chamfer_matrix_three_temporaries(P, G) -> np.ndarray:
+    """The package's former Chamfer distance matrix (N, M), written out as
+    |p|^2 + |g|^2 - 2 p.g with a temporary per term, clipped at zero."""
+    return np.maximum((P ** 2).sum(axis=1)[:, None] + (G ** 2).sum(axis=1) - 2.0 * (P @ G.T), 0.0)
+
+
+def off_diagonal_by_mask(m) -> np.ndarray:
+    """The off-diagonal entries of a square matrix, row-major, selected by a
+    boolean mask: the package's former selection."""
+    return m[~np.eye(m.shape[0], dtype=bool)]
+
+
 def params_to_vector(params) -> np.ndarray:
     return np.concatenate([a.ravel() for _, a in params.arrays()])
 

@@ -1,13 +1,16 @@
 """End-to-end quality gate: one test per shipped guarantee.
 
 Run ``pytest -v tests/test_acceptance.py`` for a one-line pass/fail view.
-The four shared training runs are desk-scale (single airfoil, 5000 epochs)
-and together take a few minutes; the checks that use them are marked
-``slow``, and everything else is fast (``pytest -m "not slow"``).
+The four shared training runs are desk-scale (single airfoil, 5000 epochs),
+trained two at a time in worker processes, and together take a few minutes;
+the checks that use them or the workers are marked ``slow``, and everything
+else is fast (``pytest -m "not slow"``).
 """
 
 import json
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,14 +23,21 @@ from loop2mesh.evaluation import CENTER, evaluate, kde, kl_divergence, scott_ban
 from loop2mesh.geometry import AirfoilLoop, points_in_polygon
 from loop2mesh.ingest import build_dataset, load_manifest, parse_airfoil_dat, parse_msh_nodes
 from loop2mesh.losses import LossWeights, _pairwise, chamfer, composite, repulsion
-from loop2mesh.net import backward, forward, init_params
+from loop2mesh.net import forward, gradient, init_params
 from loop2mesh.synth import write_sample_dataset
-from loop2mesh.train import TrainConfig, TrainMode, predict, train
+from loop2mesh.train import TrainConfig, TrainLog, TrainMode, predict, train
 
 # ----------------------------------------------------------- shared desk runs
 
 DESK_EPOCHS = 5000
 DESK_INTERIOR_WEIGHT = 10.0
+# the four shared runs: name -> (mode, repulsion ratio, points)
+DESK_RUNS = {"clamped_r1": (TrainMode.STANDARDISED_CLAMPED, 1.0, 400),
+             "clamped_r0": (TrainMode.STANDARDISED_CLAMPED, 0.0, 400),
+             "clamped_r2": (TrainMode.STANDARDISED_CLAMPED, 2.0, 400),
+             "raw_r0_n300": (TrainMode.RAW, 0.0, 300)}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+DESK_WAIT_S = 900  # seconds a test waits on a worker before it fails
 
 
 @pytest.fixture(scope="module")
@@ -41,36 +51,62 @@ def desk_data(tmp_path_factory):
             "sample": dataset.samples[0]}
 
 
-def _desk_run(desk_data, mode, ratio, n_points):
+def _desk_run(dataset, mode, ratio, n_points, epochs=DESK_EPOCHS):
+    """One desk training and its prediction for the dataset's one loop; run
+    in a worker process, so ``elapsed`` times the training there."""
     cfg = TrainConfig(mode=mode, n_points=n_points, loop_size=35,
                       upsample_count=1500,
                       weights=LossWeights(1.0, ratio, DESK_INTERIOR_WEIGHT),
-                      epochs=DESK_EPOCHS, seed=0)
+                      epochs=epochs, seed=0)
     t0 = time.perf_counter()
-    result = train(desk_data["dataset"], cfg)
+    result = train(dataset, cfg)
     elapsed = time.perf_counter() - t0
-    pred = predict(result.params, result.transform, desk_data["sample"].loop, cfg)
+    pred = predict(result.params, result.transform, dataset.samples[0].loop, cfg)
     return {"pred": pred, "terms": result.log.terms, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
-def clamped_r1(desk_data):
-    return _desk_run(desk_data, TrainMode.STANDARDISED_CLAMPED, 1.0, 400)
+def desk_pool():
+    """Two worker processes with one BLAS thread each, started on the first
+    request (so ``-m "not slow"`` starts none) and shut down with the module.
+    A spawned worker reads the thread count from the environment it inherits
+    when it imports NumPy."""
+    with pytest.MonkeyPatch.context() as env:
+        for var in BLAS_THREAD_VARS:
+            env.setenv(var, "1")
+        pool = ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn"))
+        try:
+            yield pool
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 @pytest.fixture(scope="module")
-def clamped_r0(desk_data):
-    return _desk_run(desk_data, TrainMode.STANDARDISED_CLAMPED, 0.0, 400)
+def desk_runs(desk_data, desk_pool):
+    """The four shared desk runs, all submitted on the first request, two
+    training at a time; their futures by name."""
+    return {name: desk_pool.submit(_desk_run, desk_data["dataset"], *run)
+            for name, run in DESK_RUNS.items()}
 
 
 @pytest.fixture(scope="module")
-def clamped_r2(desk_data):
-    return _desk_run(desk_data, TrainMode.STANDARDISED_CLAMPED, 2.0, 400)
+def clamped_r1(desk_runs):
+    return desk_runs["clamped_r1"].result(timeout=DESK_WAIT_S)
 
 
 @pytest.fixture(scope="module")
-def raw_r0_n300(desk_data):
-    return _desk_run(desk_data, TrainMode.RAW, 0.0, 300)
+def clamped_r0(desk_runs):
+    return desk_runs["clamped_r0"].result(timeout=DESK_WAIT_S)
+
+
+@pytest.fixture(scope="module")
+def clamped_r2(desk_runs):
+    return desk_runs["clamped_r2"].result(timeout=DESK_WAIT_S)
+
+
+@pytest.fixture(scope="module")
+def raw_r0_n300(desk_runs):
+    return desk_runs["raw_r0_n300"].result(timeout=DESK_WAIT_S)
 
 
 def _mean_pairwise(ps: np.ndarray) -> float:
@@ -115,7 +151,7 @@ def test_01_network_gradients_match_finite_differences():
 
         out, trace = forward(params, x, y_clamp=clamp)
         terms, grad = composite(out.reshape(1, -1, 2), [truth], loops, weights)
-        analytic = backward(params, trace, grad.reshape(1, -1))
+        analytic = gradient(params, trace, grad.reshape(1, -1))
         f0 = abs(terms[0, 3])  # the total
         # central differences cancel to ~machine-eps * |f| / eps; give the
         # zero-gradient parameters (fully clamped outputs) that much slack
@@ -321,3 +357,18 @@ def test_10_training_runs_are_byte_reproducible(desk_data, tmp_path):
     assert log_a == log_b
     print(f"determinism: checkpoint ({len(ckpt_a)} bytes) and log "
           f"({len(log_a)} bytes) byte-identical across reruns")
+
+
+@pytest.mark.slow
+def test_a_worker_trains_bit_for_bit_as_this_process_does(desk_data, desk_pool):
+    """A run is a pure function of (dataset, config), so a short desk run in a
+    worker process (one BLAS thread) writes the same trainlog bytes and
+    prediction as the same run trained in this process."""
+    run = (desk_data["dataset"], TrainMode.STANDARDISED_CLAMPED, 1.0, 400, 30)
+    there = desk_pool.submit(_desk_run, *run).result(timeout=DESK_WAIT_S)
+    here = _desk_run(*run)
+    log_there = TrainLog(there["terms"]).to_csv_text().encode()
+    assert log_there == TrainLog(here["terms"]).to_csv_text().encode()
+    assert np.array_equal(there["pred"], here["pred"])
+    print(f"worker vs in-process: trainlog ({len(log_there)} bytes) and "
+          f"prediction bit-identical")

@@ -918,6 +918,23 @@ class TestTruthInChordUnits:
             f"error: {truth}: padded bounding box overflows the float range"]
         assert not out.exists()
 
+    def test_predict_truth_near_the_float_limit_names_the_file(self, tmp_path, trained, capsys):
+        """The truth's own padded box is finite, but joined with the loop at
+        x in [0, 1] it overflows: one line naming the file and suggesting
+        ``--viewport``, and nothing written."""
+        truth, out = tmp_path / "t.msh", tmp_path / "out"
+        truth.write_text(msh_text([[1.75e308, -10.0], [1.76e308, 10.0], [1.77e308, 0.0],
+                                   [1.78e308, 5.0], [1.79e308, -5.0]]))
+        code, stdout, stderr = run_cli(
+            ["predict", "--checkpoint", trained["checkpoint"], "--dat", trained["dat"],
+             "--truth", truth, "--out-dir", out], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            f"error: {truth}: viewport (-8.942693819149754e+306, inf, -10.991020336385173, "
+            "10.991020336385173) has no finite pixel scale; pass --viewport to draw it"]
+        assert not out.exists()
+
     def test_predict_takes_a_truth_of_zero_extent(self, tmp_path, trained, capsys):
         truth, out = tmp_path / "t.msh", tmp_path / "out"
         truth.write_text(msh_text([[0.5, 0.3]]))

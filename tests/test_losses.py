@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from loop2mesh.errors import InputError
 from loop2mesh.losses import (
     LossWeights,
+    _off_diagonal,
     _pairwise,
     chamfer,
     composite,
@@ -20,7 +21,9 @@ from oracles import (
     brute_chamfer,
     brute_mean_pairwise,
     brute_repulsion_value,
+    chamfer_matrix_three_temporaries,
     fd_grad_points,
+    off_diagonal_by_mask,
     per_sample_composite,
 )
 from test_geometry import GRID, star_polygon
@@ -105,6 +108,31 @@ class TestChamfer:
 
         _, grad = chamfer(pred, ref)
         assert grad == pytest.approx(fd_grad_points(f, pred), rel=1e-5, abs=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_matrix_and_value_equal_the_three_temporary_formula(self, scale):
+        """The one-buffer matrix, (-2P) @ G.T plus the squared norms, clipped in
+        place (in ``out`` when given), equals |p|^2 + |g|^2 - 2 p.g written out
+        with three temporaries, bit for bit: scaling by -2 is exact, and so the
+        product is the old one negated. Exactness fails only for products in
+        the subnormal range (coordinates below about 1e-154), which round to
+        a coarser grid before doubling than after it; these clouds stay far
+        above it."""
+        rng = np.random.default_rng(int(round(np.log10(scale))) + 10)
+        for n, m in [(1, 1), (7, 13), (40, 150), (400, 1500)]:
+            P = rng.normal(scale=scale, size=(n, 2))
+            G = rng.normal(scale=scale, size=(m, 2)) + scale * 0.1
+            old = chamfer_matrix_three_temporaries(P, G)
+            nn_pg, nn_gp = old.argmin(axis=1), old.argmin(axis=0)
+            old_value = float(old[np.arange(n), nn_pg].sum() + old[nn_gp, np.arange(m)].sum())
+            old_grad = 2.0 * (P - G[nn_pg])
+            np.add.at(old_grad, nn_gp, 2.0 * (P[nn_gp] - G))
+            matrix = np.full((n, m), np.nan)
+            for out in (None, matrix):
+                value, grad = chamfer(P, G, out)
+                assert value == old_value
+                assert np.array_equal(grad, old_grad)
+            assert np.array_equal(matrix, old)
 
     def test_translation_moves_value(self):
         rng = np.random.default_rng(4)
@@ -391,6 +419,20 @@ class TestMeanPairwiseDistance:
         rng = np.random.default_rng(13)
         pts = rng.normal(size=(23, 2))
         assert one_mean_pairwise(pts) == pytest.approx(brute_mean_pairwise(pts), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 400])
+    def test_strided_off_diagonal_equals_the_mask_selection(self, n):
+        """The off-diagonal entries read as a strided view of each flattened
+        (N, N) slice reach the reduction as one contiguous vector holding the
+        boolean-mask copy's elements in its order, so the sums are equal."""
+        a = np.random.default_rng(n).normal(size=(3, n, n))
+        seen = []
+        _off_diagonal(a, lambda v: seen.append(v) or 0.0)
+        for got, m in zip(seen, a, strict=True):
+            assert got.ndim == 1 and got.flags.c_contiguous
+            assert np.array_equal(got, off_diagonal_by_mask(m))
+        for reduce in (np.sum, np.mean):
+            assert _off_diagonal(a, reduce) == [float(reduce(off_diagonal_by_mask(m))) for m in a]
 
     def test_one_value_per_cloud_and_degenerate_sizes(self):
         pts = np.array([[[0.0, 0.0], [3.0, 4.0]], [[1.0, 1.0], [1.0, 2.0]]])

@@ -14,6 +14,7 @@ from loop2mesh.net import (
     NetworkParams,
     backward,
     forward,
+    gradient,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -217,7 +218,7 @@ class TestBackward:
 
         _, trace = forward(p, x)
         _, cot = quadratic_loss_and_cotangent(trace.output, targets)
-        got = backward(p, trace, cot)
+        got = gradient(p, trace, cot)
         want = fd_grad_flat(loss_of, params_to_vector(p), eps=1e-6)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
@@ -228,7 +229,7 @@ class TestBackward:
         assert np.all(trace.gate[:, 1::2] == 0.0)
         cot = np.zeros_like(trace.output)
         cot[:, 1::2] = 123.0  # gradient only through y outputs
-        grads = backward(p, trace, cot)
+        grads = gradient(p, trace, cot)
         assert grads.shape == p.flat.shape
         assert not grads.any()
 
@@ -238,7 +239,7 @@ class TestBackward:
                           np.zeros(4), np.zeros((2, 4)), np.zeros(2))
         loop = np.array([[0.2, 0.1], [1.0, 0.3], [0.5, 1.0]])
         _, trace = forward(p, loop_batch([loop]))
-        gw1, gb1, gw2, gb2, gw3, gb3 = p.split(backward(p, trace, np.ones((1, 2))))
+        gw1, gb1, gw2, gb2, gw3, gb3 = p.split(gradient(p, trace, np.ones((1, 2))))
         # d/db3 is direct; everything upstream is killed by z==0 gates
         assert np.array_equal(gb3, np.ones(2))
         assert not gw2.any() and not gb1.any() and not gw1.any()
@@ -248,9 +249,27 @@ class TestBackward:
         p = init_params(0, 3, 4, 4, 5)
         _, trace = forward(p, tiny_batch(rng))
         with pytest.raises(ConfigError):
-            backward(p, trace, np.ones((1, 4)))
+            backward(p, trace, np.ones((1, 4)), np.empty_like(p.flat))
         with pytest.raises(ConfigError):
-            backward(p, trace, np.ones(10))  # one row per sample, not flat
+            backward(p, trace, np.ones(10), np.empty_like(p.flat))  # one row per sample, not flat
+
+    def test_backward_fills_all_but_w3_and_gradient_adds_w3(self):
+        """``backward`` writes into the caller's vector and leaves w3's slice as
+        it was; ``gradient`` is the same vector with w3's slice g3.T @ a2."""
+        rng = np.random.default_rng(9)
+        p = init_params(0, 3, 4, 4, 5)
+        x = loop_batch([tiny_loop(rng) for _ in range(3)])
+        cot = rng.normal(size=(3, 10))
+        _, trace = forward(p, x, y_clamp=(-0.1, 0.1))
+        out = np.full_like(p.flat, 7.0)
+        g3 = backward(p, trace, cot, out)
+        assert np.array_equal(g3, cot * trace.gate)
+        whole = gradient(p, trace, cot)
+        w3 = p.split(np.arange(p.flat.size))[4].ravel()  # the flat indices of w3
+        assert np.all(out[w3] == 7.0)
+        rest = np.setdiff1d(np.arange(p.flat.size), w3)
+        assert np.array_equal(out[rest], whole[rest])
+        assert np.array_equal(p.split(whole)[4], g3.T @ trace.a2)
 
     def test_batched_gradient_is_sum_of_per_row_gradients(self):
         rng = np.random.default_rng(8)
@@ -258,11 +277,11 @@ class TestBackward:
         x = loop_batch([tiny_loop(rng) for _ in range(4)])
         cot = rng.normal(size=(4, 10))
         _, trace = forward(p, x, y_clamp=(-0.1, 0.1))
-        batched = backward(p, trace, cot)
+        batched = gradient(p, trace, cot)
         rows = []
         for s in range(4):
             _, row_trace = forward(p, x[s:s + 1], y_clamp=(-0.1, 0.1))
-            rows.append(backward(p, row_trace, cot[s:s + 1]))
+            rows.append(gradient(p, row_trace, cot[s:s + 1]))
         assert batched == pytest.approx(np.sum(rows, axis=0), rel=1e-12, abs=1e-15)
         assert not np.array_equal(rows[0], rows[1])  # the rows really differ
 

@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
                "read_parsed", "upsample_target"),
     "losses": ("LossWeights", "chamfer", "composite", "interior_penalty",
                "mean_pairwise_distance", "repulsion"),
-    "net": ("ForwardTrace", "NetworkParams", "backward", "forward", "init_params",
+    "net": ("ForwardTrace", "NetworkParams", "backward", "forward", "gradient", "init_params",
             "load_checkpoint", "save_checkpoint"),
     "train": ("TrainConfig", "TrainLog", "TrainMode", "TrainResult", "load_trained",
               "predict", "save_trained", "train"),

@@ -23,8 +23,9 @@ def test_score_times_reports_each_commands_phases():
 
 
 def test_epoch_times_reports_each_section_count():
-    """``epoch_times.py`` exits 0 and times an epoch at each section count; it
-    rebinds ``train.adam_step``, so a change to that call must keep it running."""
+    """``epoch_times.py`` exits 0 and times an epoch at each section count and
+    in the desk configuration; it rebinds ``train.adam_step``, so a change to
+    that call must keep it running."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "epoch_times.py"),
                            "--epochs", "3"],
@@ -34,3 +35,4 @@ def test_epoch_times_reports_each_section_count():
     assert report["epochs"] == 3
     assert set(report["median_epoch_ms"]) == {"1", "4", "16"}
     assert all(ms > 0.0 for ms in report["median_epoch_ms"].values())
+    assert report["desk_epoch_ms"] > 0.0

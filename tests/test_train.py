@@ -15,7 +15,7 @@ from loop2mesh.errors import ConfigError, InputError, TrainingDivergedError
 from loop2mesh.geometry import StandardizeTransform, invert_standardize, standardize_loop
 from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.losses import LossWeights
-from loop2mesh.net import init_params
+from loop2mesh.net import backward, forward, init_params
 from loop2mesh.train import (
     TrainConfig,
     TrainLog,
@@ -29,7 +29,7 @@ from loop2mesh.train import (
     train,
 )
 
-from oracles import reference_adam
+from oracles import reference_adam, unfused_adam_step, unfused_backward
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +53,19 @@ def small_config(**over) -> TrainConfig:
 
 # --------------------------------------------------------------------- Adam
 
+def no_output_gradient(p, s=1):
+    """A cotangent and activations for ``adam_step`` that give w3 a zero gradient."""
+    return np.zeros((s, p.w3.shape[0])), np.zeros((s, p.w3.shape[1]))
+
+
 class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         p = init_params(0, 3, 4, 4, 2)
         g = np.zeros_like(p.flat)
         p.split(g)[0][...] = 0.5  # constant gradient on w1
         before = p.w1.copy()
-        adam_step(p, g, np.zeros((2, p.flat.size)), lr=1e-3, t=1)
+        adam_step(p, g, np.zeros((2, p.flat.size)), np.empty((3, p.flat.size)),
+                  *no_output_gradient(p), lr=1e-3, t=1)
         step = before - p.w1
         # bias-corrected first step is lr * g/(|g| + eps') ~= lr exactly
         assert step == pytest.approx(np.full_like(step, 1e-3), rel=1e-4)
@@ -74,8 +80,10 @@ class TestAdam:
             g = np.zeros_like(p.flat)
             for arr in p.split(g):
                 arr[...] = rng.normal(size=arr.shape)
+            g3, a2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+            p.split(g)[4][...] = g3.T @ a2  # w3's gradient, which adam_step builds itself
             grads_per_step.append([a.copy() for a in p.split(g)])
-            adam_step(p, g, moments, lr=1e-2, t=t)
+            adam_step(p, g, moments, np.empty((3, p.flat.size)), g3, a2, lr=1e-2, t=t)
         want = reference_adam(snapshots, grads_per_step, lr=1e-2)
         for (_, got), ref in zip(p.arrays(), want):
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
@@ -87,22 +95,59 @@ class TestAdam:
             p = init_params(2, 3, 4, 5, 2)
             moments = np.zeros((2, p.flat.size))
             for t in range(1, 4):
-                adam_step(p, np.random.default_rng(t).normal(size=p.flat.size), moments,
-                          lr=1e-2, t=t)
+                rng = np.random.default_rng(t)
+                adam_step(p, rng.normal(size=p.flat.size), moments, np.empty((3, p.flat.size)),
+                          rng.normal(size=(2, 4)), rng.normal(size=(2, 5)), lr=1e-2, t=t)
             results.append((p.flat.copy(), *moments.copy()))
         assert p.flat.size % 10 != 0
         for blocked, whole in zip(*results):
             assert np.array_equal(blocked, whole)
 
+    @pytest.mark.parametrize("s, loop_size, h1, h2, n_points, block", [
+        (1, 35, 256, 512, 400, None),  # desk: w3's 800 rows are 12.5 blocks of 64
+        (12, 35, 256, 512, 100, None),  # fleet: w3's 200 rows are 3 blocks and 8 rows
+        (2, 3, 4, 6, 5, None),  # w3 (10 x 6) is smaller than one block
+        (3, 3, 4, 300, 55, None),  # 109 rows fit a block, 108 are taken: 108 and 2 rows
+        (2, 3, 4, 6, 5, 4),  # a block shorter than a w3 row: still two rows a block
+    ], ids=["desk", "fleet", "tiny", "even-rows", "short-block"])
+    def test_fused_step_equals_the_unfused_oracle(self, monkeypatch, s, loop_size, h1, h2,
+                                                  n_points, block):
+        """Twenty of train's steps, ``backward`` then ``adam_step`` building w3's
+        gradient a block of rows at a time, leave parameters and moments bit-equal
+        to the former full backward followed by Adam on the whole gradient."""
+        if block is not None:
+            monkeypatch.setattr(train_mod, "_ADAM_BLOCK", block)
+        rng = np.random.default_rng(s * 1000 + n_points + h2)
+        x = rng.normal(size=(s, 2 * loop_size))
+        target = rng.normal(scale=0.3, size=(s, 2 * n_points))
+        fused, oracle = (init_params(0, loop_size, h1, h2, n_points) for _ in range(2))
+        moments, oracle_moments = np.zeros((2, fused.flat.size)), np.zeros((2, fused.flat.size))
+        grads = np.full_like(fused.flat, np.nan)  # w3's slice is never read
+        scratch = np.empty((3, max(train_mod._ADAM_BLOCK, 2 * h2)))
+        start = fused.flat.copy()
+        for t in range(1, 21):
+            _, trace = forward(fused, x, y_clamp=(-0.2, 0.2))
+            g3 = backward(fused, trace, 2.0 * (trace.output - target), grads)
+            adam_step(fused, grads, moments, scratch, g3, trace.a2, lr=1e-2, t=t)
+            _, trace = forward(oracle, x, y_clamp=(-0.2, 0.2))
+            unfused_adam_step(oracle.flat, unfused_backward(oracle, trace, 2.0 * (trace.output - target)),
+                              oracle_moments, lr=1e-2, t=t)
+        assert not trace.gate.all() and trace.gate.any()  # the clamp gate is exercised
+        assert not np.array_equal(fused.flat, start)
+        assert np.array_equal(fused.flat, oracle.flat)
+        assert np.array_equal(moments, oracle_moments)
+
     def test_rejects_bad_step_count(self):
         p = init_params(0, 3, 4, 4, 2)
         with pytest.raises(InputError):
-            adam_step(p, np.zeros_like(p.flat), np.zeros((2, p.flat.size)), t=0)
+            adam_step(p, np.zeros_like(p.flat), np.zeros((2, p.flat.size)),
+                      np.empty((3, p.flat.size)), *no_output_gradient(p), t=0)
 
     def test_rejects_gradient_of_wrong_size(self):
         p = init_params(0, 3, 4, 4, 2)
         with pytest.raises(ConfigError):
-            adam_step(p, np.zeros(p.flat.size - 1), np.zeros((2, p.flat.size)), t=1)
+            adam_step(p, np.zeros(p.flat.size - 1), np.zeros((2, p.flat.size)),
+                      np.empty((3, p.flat.size)), *no_output_gradient(p), t=1)
 
 
 # ------------------------------------------------------------------- config
@@ -191,9 +236,9 @@ class TestTrain:
             batches.append(np.shape(x))
             return net.forward(params, x, y_clamp)
 
-        def counting_backward(params, trace, d_output):
+        def counting_backward(params, trace, d_output, out):
             backward_calls.append(np.shape(d_output))
-            return net.backward(params, trace, d_output)
+            return net.backward(params, trace, d_output, out)
 
         monkeypatch.setattr(train_mod, "forward", counting_forward)
         monkeypatch.setattr(train_mod, "backward", counting_backward)
@@ -238,8 +283,10 @@ class TestTrain:
         assert len(small_dataset.samples) == 2
         res = train(small_dataset, small_config(epochs=3))
         pairs = (3, 2, 40, 40)  # dx, dy and d2 of both clouds
-        per_epoch = [("composite", (2, 40, 2), (2, 150, 2), (2, 12, 2), ()),
-                     ("chamfer", (40, 2), (150, 2)), ("chamfer", (40, 2), (150, 2)),
+        # train passes its one (N, M) Chamfer matrix to composite, which hands it on
+        per_epoch = [("composite", (2, 40, 2), (2, 150, 2), (2, 12, 2), (), (40, 150)),
+                     ("chamfer", (40, 2), (150, 2), (40, 150)),
+                     ("chamfer", (40, 2), (150, 2), (40, 150)),
                      ("_pairwise", (2, 40, 2)), ("repulsion", pairs, ()),
                      ("interior_penalty", (2, 40, 2), (2, 12, 2)),
                      ("intruders", (2, 40, 2), (2, 12, 2)),
@@ -325,8 +372,11 @@ class TestTrain:
 
     def test_non_finite_last_step_diverges_instead_of_returning(self, small_dataset, monkeypatch):
         """No forward pass follows the last Adam step, so its parameters are checked."""
-        monkeypatch.setattr(train_mod, "backward",
-                            lambda params, trace, d_out: np.full_like(params.flat, np.nan))
+        def nan_backward(params, trace, d_out, out):
+            out.fill(np.nan)
+            return np.full_like(d_out, np.nan)
+
+        monkeypatch.setattr(train_mod, "backward", nan_backward)
         with pytest.raises(TrainingDivergedError,
                            match="^non-finite parameters after epoch 1$") as exc_info:
             train(small_dataset, small_config(epochs=1))
