@@ -1,19 +1,15 @@
 #!/usr/bin/env python3
 """Mean KL of trained against held-out sections, per coordinate mode.
 
-Writes the fleet's 12 training sections (synthetic NACA meshes of 2,000
-nodes, mesh seeds 0-11) to a temporary directory and trains the fleet
-configuration (N=100, M=600, repulsion 1, interior 10) on them in ``raw``
-and ``stand`` mode, once per seed. Each model then scores, through
-``loop2mesh evaluate --checkpoint``, the 12 trained sections and the 4
-held-out ones (0012 2417 4417 6418), each against a fresh mesh (mesh seeds
-10,000 and up) that no training saw. Prints one row per mode and seed and
-the mean over seeds: the centre/whole KL, averaged over the trained and
-over the held-out sections.
+Trains fleet-train's config on its trained sections (``perfbench/workloads.py``)
+in ``raw`` and ``stand`` mode, once per seed, and scores each model through
+``loop2mesh evaluate --checkpoint`` on the trained and the unseen sections,
+each against the reference mesh the benchmark draws for it at seed 0, which
+no training saw. Prints one row per mode and seed and the mean over seeds:
+the centre/whole KL, averaged over the trained and over the held-out
+sections. NumPy runs on one BLAS thread.
 
     PYTHONPATH=src python3 scripts/holdout_table.py [--seeds 0,1,2] [--epochs 1500]
-
-NumPy is pinned to one BLAS thread before it is imported.
 """
 
 import os
@@ -25,20 +21,19 @@ import argparse
 import contextlib
 import csv
 import io
+import json
 import statistics
+import sys
 import tempfile
 from pathlib import Path
 
-from loop2mesh import cli
-from loop2mesh.synth import write_sample_dataset
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import SCORE_SEED_BASE, TRAIN_SEED, WORKLOADS  # noqa: E402
 
-TRAINED = ("0009", "0011", "0014", "0017", "0020", "0023", "2411", "2414",
-           "2420", "4414", "4420", "6414")
-HELD_OUT = ("0012", "2417", "4417", "6418")
-MODES = ("raw", "stand")
-MESH_NODES = 2000
-FRESH_MESH_SEED = 10_000
-FLEET = ["--nodes", "100", "--upsample-count", "600", "--ratio", "1", "--interior-weight", "10"]
+from loop2mesh import cli  # noqa: E402
+from loop2mesh.synth import write_sample_dataset  # noqa: E402
+
+FLEET = WORKLOADS["fleet-train"]
 
 
 def _run(argv) -> None:
@@ -70,21 +65,22 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        manifest = write_sample_dataset(tmp / "train", codes=TRAINED, mesh_nodes=MESH_NODES, seed=0)
-        fresh = tmp / "fresh"
-        write_sample_dataset(fresh, codes=TRAINED + HELD_OUT, mesh_nodes=MESH_NODES,
-                             seed=FRESH_MESH_SEED)
+        manifest = write_sample_dataset(tmp / "train", codes=FLEET.trained,
+                                        mesh_nodes=FLEET.mesh_nodes, seed=TRAIN_SEED)
+        fresh = write_sample_dataset(tmp / "fresh", codes=FLEET.trained + FLEET.unseen,
+                                     mesh_nodes=FLEET.mesh_nodes, seed=SCORE_SEED_BASE).parent
+        (config := tmp / "fleet.json").write_text(json.dumps(FLEET.config))
         print("| mode | seed | trained centre/whole | held out centre/whole |")
         print("|---|---|---|---|")
-        for mode in MODES:
+        for mode in ("raw", "stand"):
             means = {"trained": [], "held out": []}
             for seed in seeds:
                 run = tmp / f"{mode}-{seed}"
-                _run(["train", manifest, "--out-dir", run, "--mode", mode, *FLEET,
+                _run(["train", manifest, "--out-dir", run, "--config", config, "--mode", mode,
                       "--epochs", args.epochs, "--seed", seed])
                 ckpt = run / "checkpoint.l2m"
                 row = {}
-                for group, codes in (("trained", TRAINED), ("held out", HELD_OUT)):
+                for group, codes in (("trained", FLEET.trained), ("held out", FLEET.unseen)):
                     row[group] = _mean_pair(_kl(ckpt, fresh, c, run / "kl.csv") for c in codes)
                     means[group].append(row[group])
                 print(f"| {mode} | {seed} | {row['trained'][0]:.3f}/{row['trained'][1]:.3f} "

@@ -68,11 +68,13 @@ def _float_pair(value) -> tuple[float, float]:
 # config-file value -> field value, keyed by the field's annotation
 _CONVERTERS = {"TrainMode": TrainMode.parse, "int": _as_int, "float": as_float,
                "tuple[float, float]": _float_pair, "LossWeights": LossWeights.from_dict}
+# NumPy sizes an array in bytes in its index type: at most this many float64s
+_MAX_FLOATS = int(np.iinfo(np.intp).max) // 8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every int field must be at least its ``min`` (default 1)."""
+    """Each int field is at least its ``min`` (default 1) and sizes arrays NumPy can index."""
 
     mode: TrainMode = TrainMode.RAW
     n_points: int = field(default=400, metadata={"min": 2})  # repulsion needs a pair
@@ -94,6 +96,19 @@ class TrainConfig:
             low = f.metadata.get("min", 1)
             if f.type == "int" and not (type(v) is int and v >= low):
                 raise ConfigError(f"{f.name} must be an integer >= {low}, got {v!r}")
+        n, m, loop, h1, h2 = self.n_points, self.upsample_count, self.loop_size, self.h1, self.h2
+        for names, array, count in (  # float64 arrays that train and build_dataset size
+                ("epochs", "(epochs, 5) log", 5 * self.epochs),
+                ("loop_size", "(L, 2) loop", 2 * loop),
+                ("upsample_count", "(M, 2) target", 2 * m),
+                ("h1", "(h1,) bias", h1), ("h2", "(h2,) bias", h2),
+                ("n_points", "(N, N) pairwise slice", n * n),
+                ("n_points and upsample_count", "(N, M) Chamfer matrix", n * m),
+                ("loop_size, h1, h2 and n_points", "parameter vector",  # w1 b1, w2 b2, w3 b3
+                 h1 * (2 * loop + 1) + h2 * (h1 + 1) + 2 * n * (h2 + 1))):
+            if count > _MAX_FLOATS:
+                raise ConfigError(f"{names} too large: the {array} would hold {count} floats, "
+                                  f"more than NumPy can size")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be positive, got {self.lr}")
         lo, hi = self.clamp_y

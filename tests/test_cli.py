@@ -40,6 +40,10 @@ def trained(tmp_path_factory, manifest_path):
             "msh": manifest_path.parent / "naca2220.msh"}
 
 
+# flags and config keys of the counts that size arrays
+OVERSIZED_FIELDS = [("--nodes", "n_points"), ("--h1", "h1"), ("--upsample-count", "upsample_count"),
+                    ("--epochs", "epochs"), ("--loop-size", "loop_size")]
+
 # truth meshes whose padded bounding box leaves the float range: through the
 # extent, and through the padding of a finite extent
 OVERFLOWING_TRUTHS = [[[-1e308, -1e308], [0.5, 0.1], [0.7, -0.1], [1e308, 1e308]],
@@ -210,6 +214,29 @@ class TestTrain:
         assert code == 2  # a missing manifest that was read would exit 3
         assert stderr == "error: n_points must be an integer >= 2, got 1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [10**20, 2**63])
+    @pytest.mark.parametrize("flag, key", OVERSIZED_FIELDS)
+    def test_count_numpy_cannot_size_exits_2_before_reading_or_writing(
+            self, tmp_path, flag, key, value, capsys):
+        """The config is rejected before the (absent) manifest is read or an
+        array is sized, whether the count comes from a flag or a config file."""
+        out, cfg = tmp_path / "run", tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        for source in ([flag, value], ["--config", cfg]):
+            code, _, stderr = run_cli(
+                ["train", tmp_path / "absent.json", "--out-dir", out, *source], capsys)
+            assert code == 2, source
+            assert re.fullmatch(rf"error: {key} too large: the .* would hold \d+ floats, "
+                                r"more than NumPy can size\n", stderr)
+            assert not out.exists()
+
+    def test_counts_whose_product_numpy_cannot_size_are_named(self):
+        with pytest.raises(ConfigError, match="^n_points and upsample_count too large: "
+                                              r"the \(N, M\) Chamfer matrix"):
+            TrainConfig(n_points=2**29, upsample_count=2**32).validate()
+        with pytest.raises(ConfigError, match="^loop_size, h1, h2 and n_points too large"):
+            TrainConfig(h1=2**30, h2=2**31).validate()
 
 
 # ------------------------------------------------------------------ predict
@@ -679,6 +706,21 @@ class TestSweep:
         assert "1 cell(s) failed" in stderr
         assert "ratio=0 nodes=1: n_points must be an integer >= 2, got 1" in stderr
         assert (out / "kl.csv").read_text().splitlines()[1:] == ["0,c,1,", "0,w,1,"]
+        assert not list((out / "checkpoints").glob("*.l2m"))
+
+    @pytest.mark.parametrize("nodes", [10**20, 2**63])
+    def test_node_count_numpy_cannot_size_fails_its_cell_alone(self, tmp_path, manifest_path,
+                                                              nodes, capsys):
+        out = tmp_path / "sweep"
+        code, _, stderr = run_cli(
+            ["sweep", manifest_path, "--ratios", "0", "--nodes", nodes,
+             "--out-dir", out, *SWEEP_FAST], capsys)
+        assert code == 0
+        assert stderr.splitlines() == [
+            "1 cell(s) failed:",
+            f"  ratio=0 nodes={nodes}: n_points too large: the (N, N) pairwise slice "
+            f"would hold {nodes**2} floats, more than NumPy can size"]
+        assert (out / "kl.csv").read_text().splitlines()[1:] == [f"0,c,{nodes},", f"0,w,{nodes},"]
         assert not list((out / "checkpoints").glob("*.l2m"))
 
     def test_cell_checkpoints_are_named_by_the_full_cell_config(self, sweep_run, manifest_path):
