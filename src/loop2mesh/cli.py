@@ -228,9 +228,9 @@ def _read_truth(msh_path, chord):
 def _checkpoint_prediction(checkpoint, dat):
     """Predict for a ``.dat`` contour; the network is released on return,
     before the command writes or scores anything."""
-    params, config, transform = load_trained(checkpoint)
     if dat is None:
         raise ConfigError("--checkpoint needs --dat to build the input loop")
+    params, config, transform = load_trained(checkpoint)
     loop, chord = _prepare_loop(dat, config)
     return predict(params, transform, loop, config), loop, chord, config
 
@@ -241,14 +241,14 @@ def cmd_predict(args) -> int:
     layers = [(pred, PRED_FILL, 2.0)]
     if args.truth is not None:
         layers.insert(0, (_read_truth(args.truth, chord), TRUTH_FILL, 1.5))
-    viewport = viewport or _bbox_viewport(loop.vertices, *(xy for xy, _, _ in layers))
+    viewport = viewport or _bbox_viewport(loop, *(xy for xy, _, _ in layers))
 
     out_dir = Path(args.out_dir)
     csv_path = out_dir / "points.csv"
     svg_path = out_dir / "scatter.svg"
     try:  # the SVG first: it checks the viewport before either file is written
         render_svg(svg_path, viewport=viewport,
-                   polylines=[(loop.vertices, LOOP_STROKE, 1.5, True)],
+                   polylines=[(loop, LOOP_STROKE, 1.5, True)],
                    point_layers=layers)
     except InputError as exc:  # a finite truth box can overflow once joined with the loop's
         raise InputError(f"{args.truth}: {exc}; pass --viewport to draw it") if args.truth else exc
@@ -309,7 +309,9 @@ def cmd_sweep(args) -> int:
 
     dataset = build_dataset(entries, loop_size=base.loop_size,
                             target_count=base.upsample_count, seed=base.seed)
-    sample = dataset.samples[0]
+    # each cell is scored as `evaluate --checkpoint` scores the first section: on its whole mesh
+    loop, chord = _prepare_loop(entries[0][1], base)
+    truth = _read_truth(entries[0][2], chord)
     scores: dict[tuple[float, int], dict[str, float] | None] = {}
     failures: list[str] = []
     for ratio in ratios:
@@ -317,6 +319,7 @@ def cmd_sweep(args) -> int:
             try:
                 cell_cfg = replace(base, n_points=nodes,
                                    weights=replace(base.weights, repulsion=ratio))
+                cell_cfg.validate()
                 ckpt_path = ckpt_dir / f"ckpt_{_cell_hash(cell_cfg, input_hashes)}.l2m"
                 if ckpt_path.exists():
                     log.info("cell ratio=%g nodes=%d: reusing checkpoint %s", ratio, nodes, ckpt_path.name)
@@ -325,11 +328,11 @@ def cmd_sweep(args) -> int:
                     save_trained(ckpt_path, train(dataset, cell_cfg), cell_cfg,
                                  [s.name for s in dataset.samples])
                 params, cfg, transform = load_trained(ckpt_path)
-                pred = predict(params, transform, sample.loop, cfg)
-                cell = evaluate(pred, sample.target)
+                pred = predict(params, transform, loop, cfg)
+                cell = evaluate(pred, truth)
                 render_svg(panel_dir / f"cell_r{ratio:g}_n{nodes}.svg",
-                           viewport=_bbox_viewport(pred, sample.loop.vertices),
-                           polylines=[(sample.loop.vertices, LOOP_STROKE, 1.5, True)],
+                           viewport=_bbox_viewport(pred, loop),
+                           polylines=[(loop, LOOP_STROKE, 1.5, True)],
                            point_layers=[(pred, PRED_FILL, 2.0)])
             except Loop2MeshError as exc:
                 failures.append(f"ratio={ratio:g} nodes={nodes}: {exc}")

@@ -1,10 +1,11 @@
 """2D geometric primitives shared by every pipeline stage.
 
-One edge kernel (nearest-edge distance, closest point and strict even-odd
-containment in one per-axis pass, over every point or only those in a
-loop's bounding box), padded bounding boxes, arc-length resampling of closed
-contours and per-axis standardisation. Coordinates are float64 ``(N, 2)``
-arrays throughout; every function is pure.
+The one check of a loop, an (L, 2) array; one edge kernel (nearest-edge
+distance, closest point and strict even-odd containment in one per-axis
+pass, over every point or only those in a loop's bounding box), padded
+bounding boxes, arc-length resampling of closed contours and per-axis
+standardisation. Coordinates are float64 ``(N, 2)`` arrays throughout;
+every function is pure.
 """
 
 from __future__ import annotations
@@ -55,34 +56,24 @@ def _is_simple(v: np.ndarray) -> bool:
     return not np.any(np.all((lo[k] <= hi[j]) & (lo[j] <= hi[k]), axis=-1))
 
 
-@dataclass(frozen=True)
-class AirfoilLoop:
-    """Closed simple polygon of boundary vertices.
+def check_loop(vertices) -> np.ndarray:
+    """A closed simple polygon's vertices as an (L, 2) float64 array, or InputError.
 
     The polygon closes implicitly from the last vertex back to the first;
     the vertex list never repeats the first vertex. Its strict interior is
     the region mesh points must not enter.
     """
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = as_point_array(self.vertices, name="loop vertices")
-        if v.shape[0] < 3:
-            raise InputError(f"a loop needs at least 3 vertices, got {v.shape[0]}")
-        if np.any(np.all(v == np.roll(v, -1, axis=0), axis=1)):
-            raise InputError("loop has zero-length edges (repeated consecutive vertices)")
-        span = v.max(axis=0) - v.min(axis=0)
-        if abs(_signed_area(v)) <= 1e-14 * max(1.0, float(span[0] + span[1]) ** 2):
-            raise InputError("degenerate loop: enclosed area is numerically zero")
-        if not _is_simple(v):
-            raise InputError("loop is self-intersecting")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-
-    def __len__(self) -> int:
-        return int(self.vertices.shape[0])
+    v = as_point_array(vertices, name="loop vertices")
+    if v.shape[0] < 3:
+        raise InputError(f"a loop needs at least 3 vertices, got {v.shape[0]}")
+    if np.any(np.all(v == np.roll(v, -1, axis=0), axis=1)):
+        raise InputError("loop has zero-length edges (repeated consecutive vertices)")
+    span = v.max(axis=0) - v.min(axis=0)
+    if abs(_signed_area(v)) <= 1e-14 * max(1.0, float(span[0] + span[1]) ** 2):
+        raise InputError("degenerate loop: enclosed area is numerically zero")
+    if not _is_simple(v):
+        raise InputError("loop is self-intersecting")
+    return v
 
 
 def _edges(v: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -115,10 +106,10 @@ def _edge_kernel(p: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return dist, np.column_stack((qx[near], qy[near])), inside
 
 
-def edge_query(points, loop: AirfoilLoop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def edge_query(points, loop: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest-edge distance (N,), closest edge point (N, 2) and strict
-    containment (bool (N,)) of every point, from (N, L) arrays."""
-    return _edge_kernel(as_point_array(points), _edges(loop.vertices))
+    containment (bool (N,)) of every point against a loop (L, 2), from (N, L) arrays."""
+    return _edge_kernel(as_point_array(points), _edges(loop))
 
 
 def intruders(points: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -142,11 +133,11 @@ def intruders(points: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, ...
     return s[inside], n[inside], dist[inside], closest[inside]
 
 
-def points_in_polygon(points, loop: AirfoilLoop) -> np.ndarray:
-    """Strict containment (bool (N,)) as ``edge_query`` gives it; see ``intruders``."""
+def points_in_polygon(points, loop: np.ndarray) -> np.ndarray:
+    """Strict containment (bool (N,)) in a loop (L, 2) as ``edge_query`` gives it; see ``intruders``."""
     xy = as_point_array(points)
     inside = np.zeros(len(xy), dtype=bool)
-    inside[intruders(xy[None], loop.vertices[None])[1]] = True
+    inside[intruders(xy[None], loop[None])[1]] = True
     return inside
 
 
@@ -161,7 +152,7 @@ def padded_bbox(xy: np.ndarray, min_extent: float = 0.0) -> tuple[list[float], l
         return (lo - BBOX_PAD * extent).tolist(), (hi + BBOX_PAD * extent).tolist()
 
 
-def resample_loop(raw, target: int) -> AirfoilLoop:
+def resample_loop(raw, target: int) -> np.ndarray:
     """Resample a closed contour (N, 2) to ``target`` vertices at uniform arc-length spacing.
 
     Closure is imposed between the last and first vertex (an explicit closing
@@ -188,7 +179,7 @@ def resample_loop(raw, target: int) -> AirfoilLoop:
     idx = np.clip(np.searchsorted(s, tpos, side="right") - 1, 0, seglen.shape[0] - 1)
     frac = (tpos - s[idx]) / seglen[idx]
     pts = closed[idx] + frac[:, None] * seg[idx]
-    return AirfoilLoop(pts)
+    return check_loop(pts)
 
 
 def as_float(value) -> float:

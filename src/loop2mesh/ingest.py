@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .geometry import AirfoilLoop, as_point_array, points_in_polygon, resample_loop
+from .geometry import as_point_array, points_in_polygon, resample_loop
 
 log = logging.getLogger(__name__)
 
@@ -167,25 +167,23 @@ def upsample_target(points: np.ndarray, m: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeshSample:
-    """One training pair: a boundary loop and its target mesh cloud, with no
-    target node inside the loop (``assemble_sample`` builds it)."""
+    """One training pair: a boundary loop (L, 2) and its target mesh cloud
+    (M, 2), with no target node inside the loop (``assemble_sample`` builds it)."""
 
     name: str
-    loop: AirfoilLoop
-    target: np.ndarray  # (target_count, 2)
+    loop: np.ndarray
+    target: np.ndarray
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """At least one sample, each with a ``loop_size``-vertex loop and a
-    ``target_count``-node target (``build_dataset`` builds it)."""
+    """At least one sample, all with one loop size and one target count
+    (``build_dataset`` builds it)."""
 
     samples: tuple[MeshSample, ...]
-    loop_size: int
-    target_count: int
 
 
-def contour_loop(contour: np.ndarray, loop_size: int) -> tuple[AirfoilLoop, ChordTransform]:
+def contour_loop(contour: np.ndarray, loop_size: int) -> tuple[np.ndarray, ChordTransform]:
     """A parsed contour (N, 2) as a chord-normalised loop of ``loop_size``
     arc-length-uniform vertices, and the chord transform fitted on it."""
     chord = fit_chord(contour)
@@ -245,7 +243,7 @@ def build_dataset(entries, *, loop_size: int = 35, target_count: int = 1500, see
                                            target_count=target_count, seed=seed + i))
         except InputError as exc:
             raise InputError(f"{name}: {exc}") from exc
-    return Dataset(tuple(samples), loop_size, target_count)
+    return Dataset(tuple(samples))
 
 
 def load_manifest(path) -> list[tuple[str, Path, Path]]:

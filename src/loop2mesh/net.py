@@ -165,7 +165,7 @@ def backward(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray,
     """Exact gradient of a scalar loss, summed over the batch, given d(loss)/d(raw
     output) (S, 2N), into ``out`` (laid out like ``params.flat``) but for w3's
     slice; returns the gated cotangent g3 (S, 2N), whose w3 gradient g3.T @ a2
-    ``gradient`` adds and ``train.adam_step`` builds a block at a time. ReLU passes
+    ``train.adam_step`` builds a block at a time. ReLU passes
     gradient only where its pre-activation is strictly positive; the clamp gate
     zeroes the cotangent of clamped output coordinates."""
     d_output = np.asarray(d_output, dtype=np.float64)
@@ -182,13 +182,6 @@ def backward(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray,
     np.matmul(dz1.T, trace.x, out=gw1)
     dz1.sum(axis=0, out=gb1)
     return g3
-
-
-def gradient(params: NetworkParams, trace: ForwardTrace, d_output: np.ndarray) -> np.ndarray:
-    """The whole gradient in a new vector laid out like ``params.flat``."""
-    grad = np.empty_like(params.flat)
-    np.matmul(backward(params, trace, d_output, grad).T, trace.a2, out=params.split(grad)[4])
-    return grad
 
 
 def save_checkpoint(path, params: NetworkParams, meta: dict | None = None) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .fileio import atomic_write_text
-from .geometry import AirfoilLoop, edge_query
+from .geometry import check_loop, edge_query
 
 
 def naca4_contour(code: str = "2220", n_points: int = 121) -> np.ndarray:
@@ -86,8 +86,7 @@ def synth_fluid_mesh(contour: np.ndarray, n_nodes: int = 3000, seed: int = 0) ->
     Deterministic in seed.
     """
     contour = np.asarray(contour, dtype=np.float64)
-    body = contour[:-1] if np.all(contour[0] == contour[-1]) else contour
-    poly = AirfoilLoop(body)
+    body = check_loop(contour[:-1] if np.all(contour[0] == contour[-1]) else contour)
     rng = np.random.default_rng(seed)
 
     n_wall = int(round(_WALL_FRAC * n_nodes))
@@ -110,7 +109,7 @@ def synth_fluid_mesh(contour: np.ndarray, n_nodes: int = 3000, seed: int = 0) ->
     while collected < needed:
         cand = np.column_stack([rng.uniform(xmin, xmax, size=4096),
                                 rng.uniform(ymin, ymax, size=4096)])
-        dist, _, inside = edge_query(cand, poly)
+        dist, _, inside = edge_query(cand, body)
         ok = ~inside & (dist >= _WALL_OFFSET) \
             & (rng.uniform(size=4096) < np.exp(-dist / _DECAY))
         accepted = cand[ok]

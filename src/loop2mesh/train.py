@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConfigError, InputError, TrainingDivergedError
 from .fileio import atomic_write_text
 from .geometry import (
-    AirfoilLoop,
     StandardizeTransform,
     as_float,
     fit_standardize,
@@ -222,13 +221,13 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     final parameter vector aborts with the offending epoch.
     """
     config.validate()
-    if config.loop_size != dataset.loop_size:
-        raise ConfigError(f"config loop_size {config.loop_size} != dataset loop size {dataset.loop_size}")
+    loops = np.stack([s.loop for s in dataset.samples])  # (S, L, 2)
+    if config.loop_size != loops.shape[1]:
+        raise ConfigError(f"config loop_size {config.loop_size} != dataset loop size {loops.shape[1]}")
     params = init_params(config.seed, config.loop_size, config.h1, config.h2, config.n_points)
     moments = np.zeros((2, params.flat.size))
 
     targets = np.stack([s.target for s in dataset.samples])  # (S, M, 2)
-    loops = np.stack([s.loop.vertices for s in dataset.samples])
     transform = None
     if config.mode is not TrainMode.RAW:
         transform = fit_standardize(targets.reshape(-1, 2))  # training targets only
@@ -259,15 +258,15 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
 
 
 def predict(params: NetworkParams, transform: StandardizeTransform | None,
-            loop: AirfoilLoop, config: TrainConfig) -> np.ndarray:
-    """A cloud (N, 2) for a loop, in original coordinates; InputError if it overflows."""
+            loop: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """A cloud (N, 2) for a loop (L, 2), in original coordinates; InputError if it overflows."""
     if params.n_points != config.n_points or params.loop_size != config.loop_size:
         raise ConfigError("checkpoint dimensions do not match the configuration")
     if config.mode is TrainMode.RAW and transform is not None:
         raise InputError("raw mode takes no standardise transform")
     if config.mode is not TrainMode.RAW and transform is None:
         raise InputError("standardised modes require the model's transform")
-    inp = loop.vertices if transform is None else standardize_loop(transform, loop.vertices)
+    inp = loop if transform is None else standardize_loop(transform, loop)
     with np.errstate(over="ignore", invalid="ignore"):  # caught below
         out = forward(params, inp.reshape(1, -1), y_clamp=config.y_clamp)[0].reshape(-1, 2)
         out = out if transform is None else invert_standardize(transform, out)

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from loop2mesh.geometry import AirfoilLoop, resample_loop
+from loop2mesh.geometry import check_loop, resample_loop
 from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.synth import naca4_contour, write_sample_dataset
 
@@ -37,10 +37,10 @@ def contour_2220() -> np.ndarray:
 
 
 @pytest.fixture(scope="session")
-def airfoil_loop(contour_2220) -> AirfoilLoop:
+def airfoil_loop(contour_2220) -> np.ndarray:
     return resample_loop(contour_2220[:-1], 35)
 
 
 @pytest.fixture()
-def unit_square() -> AirfoilLoop:
-    return AirfoilLoop(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+def unit_square() -> np.ndarray:
+    return check_loop(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))

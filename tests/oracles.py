@@ -2,7 +2,8 @@
 
 Deliberately written in a different style from the package (plain Python
 loops, winding angles instead of ray casting, no shared helpers) so that a
-bug in the implementation cannot hide in its own test.
+bug in the implementation cannot hide in its own test. The one exception is
+``gradient``, a helper that completes the package's ``net.backward``.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from loop2mesh.net import backward
 
 
 def winding_inside(px: float, py: float, vertices) -> bool:
@@ -216,6 +219,16 @@ def unfused_backward(params, trace, d_output) -> np.ndarray:
     dz1 = (dz2 @ params.w2) * (trace.z1 > 0.0)
     np.matmul(dz1.T, trace.x, out=gw1)
     dz1.sum(axis=0, out=gb1)
+    return grad
+
+
+def gradient(params, trace, d_output) -> np.ndarray:
+    """The whole gradient in a new vector laid out like ``params.flat``: the
+    package's ``net.backward`` plus w3's slice g3.T @ a2, which the package
+    builds only inside ``train.adam_step``. Not independent of the package:
+    it runs ``backward``, so the finite-difference tests check that code."""
+    grad = np.empty_like(params.flat)
+    np.matmul(backward(params, trace, d_output, grad).T, trace.a2, out=params.split(grad)[4])
     return grad
 
 

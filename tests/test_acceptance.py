@@ -15,15 +15,15 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import brute_chamfer, params_to_vector, vector_to_params
+from oracles import brute_chamfer, gradient, params_to_vector, vector_to_params
 
 from loop2mesh.cli import main
 from loop2mesh.errors import InputError
 from loop2mesh.evaluation import CENTER, evaluate, kde, kl_divergence, scott_bandwidth
-from loop2mesh.geometry import AirfoilLoop, points_in_polygon
+from loop2mesh.geometry import check_loop, points_in_polygon
 from loop2mesh.ingest import build_dataset, load_manifest, parse_airfoil_dat, parse_msh_nodes
 from loop2mesh.losses import LossWeights, _pairwise, chamfer, composite, repulsion
-from loop2mesh.net import forward, gradient, init_params
+from loop2mesh.net import forward, init_params
 from loop2mesh.synth import write_sample_dataset
 from loop2mesh.train import TrainConfig, TrainLog, TrainMode, predict, train
 
@@ -145,7 +145,7 @@ def test_01_network_gradients_match_finite_differences():
         rng = np.random.default_rng(seed)
         tri = _random_triangle(rng)
         x = tri.reshape(1, -1)
-        loops = AirfoilLoop(tri).vertices[None]
+        loops = check_loop(tri)[None]
         truth = rng.uniform(-1.0, 1.0, size=(10, 2))
         params = init_params(seed=seed, loop_size=3, h1=4, h2=4, n_points=5)
 

@@ -444,12 +444,17 @@ class TestEvaluate:
             assert code == 2
             assert "exactly one" in stderr
 
-    def test_checkpoint_requires_dat(self, tmp_path, trained, capsys):
-        code, _, stderr = run_cli(
-            ["evaluate", "--checkpoint", trained["checkpoint"],
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_checkpoint_requires_dat(self, tmp_path, trained, exists, capsys):
+        """The missing flag is reported before the checkpoint is read, so a
+        checkpoint file that does not exist makes the same error."""
+        ckpt = trained["checkpoint"] if exists else tmp_path / "missing.l2m"
+        code, stdout, stderr = run_cli(
+            ["evaluate", "--checkpoint", ckpt,
              "--truth", trained["msh"], "--out", tmp_path / "kl.csv"], capsys)
         assert code == 2
-        assert "--dat" in stderr
+        assert stderr == "error: --checkpoint needs --dat to build the input loop\n"
+        assert stdout == "" and not (tmp_path / "kl.csv").exists()
 
     def test_checkpoint_route_labels_rows_with_trained_ratio(self, tmp_path, trained, capsys):
         out = tmp_path / "kl.csv"
@@ -683,6 +688,20 @@ class TestSweep:
         assert (sweep_run / "kl.csv").read_bytes() == csv_before
         assert stdout.count("\n") >= 9  # the CSV is echoed to stdout
 
+    def test_each_row_equals_evaluate_on_its_checkpoint(self, sweep_run, manifest_path,
+                                                        tmp_path, capsys):
+        """A cell is scored as ``evaluate --checkpoint`` scores it: against the
+        first section's whole chord-normalised mesh, not a training subsample."""
+        _, dat, msh = load_manifest(manifest_path)[0]
+        rows = []
+        for i, ckpt in enumerate(sorted((sweep_run / "checkpoints").glob("*.l2m"))):
+            out = tmp_path / f"kl{i}.csv"
+            assert run_cli(["evaluate", "--checkpoint", ckpt, "--dat", dat, "--truth", msh,
+                            "--out", out], capsys)[0] == 0
+            rows += out.read_text().splitlines()[1:]
+        assert len(rows) == 8
+        assert sorted(rows) == sorted((sweep_run / "kl.csv").read_text().splitlines()[1:])
+
     def test_failed_cell_is_recorded_and_sweep_continues(self, tmp_path, manifest_path, capsys):
         out = tmp_path / "sweep"
         code, stdout, stderr = run_cli(
@@ -776,6 +795,18 @@ class TestSweep:
         assert stderr.splitlines() == ["1 cell(s) failed:",
                                        "  ratio=0 nodes=1: n_points must be an integer >= 2, got 1"]
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+    def test_a_cell_whose_config_fails_is_not_announced_as_training(self, tmp_path,
+                                                                     manifest_path, caplog, capsys):
+        """A cell is announced as training only once its config validates."""
+        caplog.set_level(logging.INFO, logger="loop2mesh.cli")
+        code, _, stderr = run_cli(
+            ["sweep", manifest_path, "--ratios", "0", "--nodes", "1,30",
+             "--out-dir", tmp_path / "s", *SWEEP_FAST], capsys)
+        assert code == 0
+        assert "ratio=0 nodes=1: n_points must be an integer >= 2, got 1" in stderr
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "loop2mesh.cli"] == ["cell ratio=0 nodes=30: training"]
 
     @pytest.mark.parametrize("bad, reason", [
         ("far", "center window, prediction: kernel mass inside the window is numerically zero"),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from loop2mesh.errors import InputError
 from loop2mesh.geometry import (
-    AirfoilLoop,
+    check_loop,
     _is_simple,
     _signed_area,
     as_point_array,
@@ -43,23 +43,39 @@ class TestAsPointArray:
             resample_loop(np.zeros((0, 2)), 4)
 
 
-class TestAirfoilLoop:
+class TestCheckLoop:
+    def test_returns_the_vertices_as_a_float64_array(self):
+        loop = check_loop([[0, 0], [1, 0], [0, 1]])
+        assert isinstance(loop, np.ndarray) and loop.dtype == np.float64
+        assert loop.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((4, 3)), r"loop vertices must be an \(N, 2\) array"),
+        ([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], "loop vertices contains non-finite"),
+    ])
+    def test_rejects_bad_shapes_and_non_finite(self, bad, message):
+        with pytest.raises(InputError, match=message):
+            check_loop(bad)
+
     def test_requires_three_vertices(self):
-        with pytest.raises(InputError):
-            AirfoilLoop([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(InputError, match="a loop needs at least 3 vertices, got 2"):
+            check_loop([[0.0, 0.0], [1.0, 0.0]])
 
     def test_rejects_repeated_consecutive_vertices(self):
-        with pytest.raises(InputError):
-            AirfoilLoop([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(InputError, match="loop has zero-length edges"):
+            check_loop([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
     def test_rejects_collinear_zero_area(self):
-        with pytest.raises(InputError):
-            AirfoilLoop([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(InputError, match="degenerate loop: enclosed area is numerically zero"):
+            check_loop([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
 
     def test_rejects_self_intersection(self):
-        bowtie = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
-        with pytest.raises(InputError):
-            AirfoilLoop(bowtie)
+        # lobes of unequal area, so the crossing, not the area, is what fails
+        with pytest.raises(InputError, match="loop is self-intersecting"):
+            check_loop([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 1.0]])
+        # a symmetric bow tie's lobes cancel, so it fails on its zero area first
+        with pytest.raises(InputError, match="degenerate loop"):
+            check_loop([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
     def test_simplicity_check_matches_double_loop_oracle(self):
         rng = np.random.default_rng(7)
@@ -95,14 +111,14 @@ class TestAirfoilLoop:
         verts = star_polygon(np.random.default_rng(976), 5)
         loop = resample_loop(verts, 191)
         assert len(loop) == 191
-        assert is_simple_double_loop(loop.vertices) is True
+        assert is_simple_double_loop(loop) is True
 
     def test_signed_area_unit_square(self, unit_square):
-        assert _signed_area(unit_square.vertices) == pytest.approx(1.0)
+        assert _signed_area(unit_square) == pytest.approx(1.0)
 
     def test_orientation_flips_signed_area(self, unit_square):
-        rev = AirfoilLoop(unit_square.vertices[::-1])
-        assert _signed_area(rev.vertices) == pytest.approx(-1.0)
+        rev = check_loop(unit_square[::-1])
+        assert _signed_area(rev) == pytest.approx(-1.0)
 
 
 # ------------------------------------------------------------ containment
@@ -116,8 +132,8 @@ def star_polygon(rng, k: int) -> np.ndarray:
 
 
 @pytest.fixture()
-def u_notch() -> AirfoilLoop:
-    return AirfoilLoop([[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]])
+def u_notch() -> np.ndarray:
+    return check_loop([[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]])
 
 
 class TestContainment:
@@ -144,7 +160,7 @@ class TestContainment:
 
     def test_horizontal_edge_scanline_robust(self):
         # points level with a horizontal edge must classify correctly
-        tri = AirfoilLoop([[0.0, 0.0], [4.0, 0.0], [2.0, 2.0]])
+        tri = check_loop([[0.0, 0.0], [4.0, 0.0], [2.0, 2.0]])
         assert points_in_polygon([[2.0, 0.5]], tri)[0]
         assert not points_in_polygon([[5.0, 0.0]], tri)[0]
         assert not points_in_polygon([[-1.0, 0.0]], tri)[0]
@@ -153,7 +169,7 @@ class TestContainment:
         rng = np.random.default_rng(42)
         for trial in range(20):
             verts = star_polygon(rng, int(rng.integers(5, 12)))
-            loop = AirfoilLoop(verts)
+            loop = check_loop(verts)
             pts = rng.uniform(-2.5, 2.5, size=(200, 2))
             dist, _, got = edge_query(pts, loop)
             clear = dist > 1e-9  # winding sum is ill-defined on the boundary
@@ -216,22 +232,21 @@ class TestEdgeQueryMatchesOracle:
     @staticmethod
     def assert_bit_equal(pts, loop):
         dist, closest, inside = edge_query(pts, loop)
-        want_dist, want_closest = nearest_edge_broadcast(pts, loop.vertices)
-        want_inside = even_odd_edge_loop(pts, loop.vertices) & (want_dist > 0.0)
+        want_dist, want_closest = nearest_edge_broadcast(pts, loop)
+        want_inside = even_odd_edge_loop(pts, loop) & (want_dist > 0.0)
         assert np.array_equal(dist, want_dist)
         assert np.array_equal(closest, want_closest)
         assert np.array_equal(inside, want_inside)
 
     @staticmethod
     def vertices_and_midpoints(loop):
-        v = loop.vertices
-        return np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0))])
+        return np.vstack([loop, 0.5 * (loop + np.roll(loop, -1, axis=0))])
 
     def test_workload_naca_loops(self):
         rng = np.random.default_rng(11)
         for code in WORKLOAD_CODES:
             contour = naca4_contour(code)
-            for loop in (AirfoilLoop(contour[:-1]), resample_loop(contour, 35)):
+            for loop in (check_loop(contour[:-1]), resample_loop(contour, 35)):
                 pts = np.vstack([rng.uniform([-0.5, -0.4], [1.5, 0.4], size=(300, 2)),
                                  self.vertices_and_midpoints(loop)])
                 self.assert_bit_equal(pts, loop)
@@ -239,7 +254,7 @@ class TestEdgeQueryMatchesOracle:
     def test_random_star_polygons(self):
         rng = np.random.default_rng(12)
         for trial in range(40):
-            loop = AirfoilLoop(star_polygon(rng, int(rng.integers(3, 15))))
+            loop = check_loop(star_polygon(rng, int(rng.integers(3, 15))))
             pts = np.vstack([rng.uniform(-2.5, 2.5, size=(200, 2)),
                              self.vertices_and_midpoints(loop)])
             self.assert_bit_equal(pts, loop)
@@ -247,7 +262,7 @@ class TestEdgeQueryMatchesOracle:
     def test_loops_with_horizontal_edges(self, unit_square, u_notch):
         rng = np.random.default_rng(13)
         for loop in (unit_square, u_notch):
-            lo, hi = loop.vertices.min(axis=0) - 0.5, loop.vertices.max(axis=0) + 0.5
+            lo, hi = loop.min(axis=0) - 0.5, loop.max(axis=0) + 0.5
             # grid points sit level with the horizontal edges and on the vertical ones
             grid = np.stack(np.meshgrid(np.linspace(lo[0], hi[0], 17),
                                         np.linspace(lo[1], hi[1], 17)), axis=-1).reshape(-1, 2)
@@ -285,7 +300,7 @@ class TestContainmentProperties:
     @given(star_and_points())
     def test_agrees_with_winding_number_clear_of_the_boundary(self, case):
         verts, pts = case
-        dist, _, inside = edge_query(pts, AirfoilLoop(verts))
+        dist, _, inside = edge_query(pts, check_loop(verts))
         want = np.array([winding_inside(x, y, verts) for x, y in pts])
         clear = dist > 1e-9
         assert np.array_equal(inside[clear], want[clear])
@@ -294,9 +309,9 @@ class TestContainmentProperties:
     @given(star_and_points(), st.integers(-16, 16))
     def test_unchanged_by_power_of_two_scaling(self, case, k):
         verts, pts = case
-        dist, closest, inside = edge_query(pts, AirfoilLoop(verts))
+        dist, closest, inside = edge_query(pts, check_loop(verts))
         scale = 2.0 ** k  # every rounding step scales exactly, so all bits carry over
-        s_dist, s_closest, s_inside = edge_query(pts * scale, AirfoilLoop(verts * scale))
+        s_dist, s_closest, s_inside = edge_query(pts * scale, check_loop(verts * scale))
         assert np.array_equal(s_inside, inside)
         assert np.array_equal(s_dist, dist * scale)
         assert np.array_equal(s_closest, closest * scale)
@@ -306,8 +321,8 @@ class TestContainmentProperties:
     def test_unchanged_by_dyadic_translation(self, case, ticks):
         verts, pts = case
         shift = np.array(ticks, dtype=np.float64) * GRID
-        dist, _, inside = edge_query(pts, AirfoilLoop(verts))
-        _, _, moved = edge_query(pts + shift, AirfoilLoop(verts + shift))
+        dist, _, inside = edge_query(pts, check_loop(verts))
+        _, _, moved = edge_query(pts + shift, check_loop(verts + shift))
         # the inputs move exactly; only the rounding of a ray's crossing
         # abscissa changes with the offset, which a point clear of the
         # boundary cannot feel
@@ -357,14 +372,14 @@ class TestIntrudersMatchDenseKernel:
     @staticmethod
     def assert_matches_dense(verts, clouds):
         s, n, dist, closest = intruders(clouds, verts)
-        dense = [edge_query(c, AirfoilLoop(v)) for c, v in zip(clouds, verts)]
+        dense = [edge_query(c, check_loop(v)) for c, v in zip(clouds, verts)]
         inside = np.stack([d[2] for d in dense])
         want_s, want_n = np.nonzero(inside)
         assert np.array_equal(s, want_s) and np.array_equal(n, want_n)
         assert np.array_equal(dist, np.stack([d[0] for d in dense])[want_s, want_n])
         assert np.array_equal(closest, np.stack([d[1] for d in dense])[want_s, want_n])
         for c, v, want in zip(clouds, verts, inside):
-            assert np.array_equal(points_in_polygon(c, AirfoilLoop(v)), want)
+            assert np.array_equal(points_in_polygon(c, check_loop(v)), want)
 
     @PROPERTY_SETTINGS
     @given(star_batches())
@@ -386,7 +401,7 @@ class TestIntrudersMatchDenseKernel:
             contour = naca4_contour(code)
             loop = resample_loop(contour, 35)
             mesh = synth_fluid_mesh(contour, 2000, seed=3)
-            self.assert_matches_dense(loop.vertices[None], mesh[None])
+            self.assert_matches_dense(loop[None], mesh[None])
 
 
 class TestPaddedBbox:
@@ -407,19 +422,19 @@ class TestResampleLoop:
     def test_square_resampled_to_own_vertices(self):
         sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         loop = resample_loop(sq, 4)
-        assert loop.vertices == pytest.approx(sq)
+        assert loop == pytest.approx(sq)
 
     def test_square_to_eight_hits_edge_midpoints(self):
         sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         loop = resample_loop(sq, 8)
         expect = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 0.5],
                            [1.0, 1.0], [0.5, 1.0], [0.0, 1.0], [0.0, 0.5]])
-        assert loop.vertices == pytest.approx(expect)
+        assert loop == pytest.approx(expect)
 
     def test_unit_square_spacing_is_perimeter_over_count(self, unit_square):
         for target in (4, 8, 12, 20):
-            loop = resample_loop(unit_square.vertices, target)
-            closed = np.vstack([loop.vertices, loop.vertices[:1]])
+            loop = resample_loop(unit_square, target)
+            closed = np.vstack([loop, loop[:1]])
             steps = np.hypot(*np.diff(closed, axis=0).T)
             # a multiple of 4 samples puts one on every corner, so no step cuts a corner
             assert steps == pytest.approx(np.full(target, 4.0 / target))
@@ -428,11 +443,11 @@ class TestResampleLoop:
     def test_vertex_count_and_first_vertex(self, contour_2220):
         loop = resample_loop(contour_2220, 35)
         assert len(loop) == 35
-        assert loop.vertices[0] == pytest.approx(contour_2220[0])
+        assert loop[0] == pytest.approx(contour_2220[0])
 
     def test_spacing_is_uniform_along_arc(self, contour_2220):
         loop = resample_loop(contour_2220, 50)
-        closed = np.vstack([loop.vertices, loop.vertices[:1]])
+        closed = np.vstack([loop, loop[:1]])
         steps = np.hypot(*np.diff(closed, axis=0).T)
         # straight-line steps between consecutive samples may cut corners,
         # so they can only be <= the uniform arc spacing, and mostly equal
@@ -443,13 +458,13 @@ class TestResampleLoop:
         sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                        [0.0, 1.0], [0.0, 0.0]])
         loop = resample_loop(sq, 4)
-        assert loop.vertices == pytest.approx(
+        assert loop == pytest.approx(
             np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
     def test_orientation_preserved(self, contour_2220):
         fwd = resample_loop(contour_2220, 35)
         rev = resample_loop(contour_2220[::-1], 35)
-        assert np.sign(_signed_area(fwd.vertices)) == -np.sign(_signed_area(rev.vertices))
+        assert np.sign(_signed_area(fwd)) == -np.sign(_signed_area(rev))
 
     def test_rejects_tiny_targets_and_degenerate_input(self):
         sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -473,9 +488,9 @@ class TestResampleLoopProperties:
         target = 4 * k + extra
         loop = resample_loop(contour, target)
         assert len(loop) == target
-        assert np.array_equal(loop.vertices[0], verts[0])
-        assert not np.all(loop.vertices[1:] == verts[0], axis=1).any()  # no closing repeat
-        assert np.sign(_signed_area(loop.vertices)) == np.sign(area)
+        assert np.array_equal(loop[0], verts[0])
+        assert not np.all(loop[1:] == verts[0], axis=1).any()  # no closing repeat
+        assert np.sign(_signed_area(loop)) == np.sign(area)
 
 
 # --------------------------------------------------------- standardisation
@@ -510,7 +525,7 @@ class TestStandardize:
 
     def test_loop_standardisation_preserves_containment(self, airfoil_loop, dataset):
         t = fit_standardize(dataset.samples[0].target)
-        std_loop = AirfoilLoop(standardize_loop(t, airfoil_loop.vertices))
+        std_loop = check_loop(standardize_loop(t, airfoil_loop))
         rng = np.random.default_rng(9)
         pts = rng.uniform([-0.2, -0.3], [1.2, 0.3], size=(300, 2))
         before = points_in_polygon(pts, airfoil_loop)

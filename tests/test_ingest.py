@@ -9,11 +9,12 @@ from oracles import parse_msh_nodes_line_by_line
 
 import loop2mesh.geometry as geometry_mod
 from loop2mesh.errors import InputError
-from loop2mesh.geometry import intruders
+from loop2mesh.geometry import intruders, resample_loop
 from loop2mesh.ingest import (
     ChordTransform,
     assemble_sample,
     build_dataset,
+    contour_loop,
     fit_chord,
     load_manifest,
     parse_airfoil_dat,
@@ -429,8 +430,8 @@ class TestAssembleSample:
         sample = assemble_sample("hex", contour, nodes, loop_size=6,
                                  target_count=120, seed=0)
         assert sample.name == "hex"
-        assert len(sample.loop) == 6
-        assert len(sample.target) == 120
+        assert sample.loop.shape == (6, 2)
+        assert sample.target.shape == (120, 2)
 
     def test_interior_mesh_nodes_dropped_with_warning(self, caplog):
         contour = parse_airfoil_dat(_square_contour_text())
@@ -446,6 +447,13 @@ class TestAssembleSample:
         from loop2mesh.geometry import points_in_polygon
         assert points_in_polygon(sample.target, sample.loop).sum() == 0
 
+    def test_contour_loop_is_the_resampled_array_and_its_chord(self):
+        contour = parse_airfoil_dat(_square_contour_text())
+        loop, chord = contour_loop(contour, 6)
+        assert isinstance(loop, np.ndarray) and loop.shape == (6, 2)
+        assert chord == fit_chord(contour)
+        assert np.array_equal(loop, resample_loop(chord.apply(contour), 6))
+
     def test_all_interior_nodes_is_degenerate(self):
         contour = parse_airfoil_dat(_square_contour_text())
         nodes = np.tile([[0.5, 0.0]], (10, 1))
@@ -457,12 +465,11 @@ class TestBuildDatasetAndManifest:
     def test_build_from_manifest(self, manifest_path):
         ds = build_dataset(load_manifest(manifest_path), loop_size=35,
                            target_count=200, seed=0)
-        assert ds.loop_size == 35
-        assert ds.target_count == 200
         assert [s.name for s in ds.samples] == ["naca2220", "naca4412"]
         for s in ds.samples:
-            assert len(s.loop) == 35
-            assert len(s.target) == 200
+            assert isinstance(s.loop, np.ndarray) and s.loop.dtype == np.float64
+            assert s.loop.shape == (35, 2)
+            assert s.target.shape == (200, 2)
 
     def test_sample_that_cannot_form_is_named_once(self, tmp_path):
         (tmp_path / "hex.dat").write_text(_square_contour_text())
@@ -494,7 +501,7 @@ class TestBuildDatasetAndManifest:
         entries = [("first", dat, msh), ("second", dat, msh)]
         ds = build_dataset(entries, loop_size=6, target_count=80, seed=0)
         assert not np.array_equal(ds.samples[0].target, ds.samples[1].target)
-        assert np.array_equal(ds.samples[0].loop.vertices, ds.samples[1].loop.vertices)
+        assert np.array_equal(ds.samples[0].loop, ds.samples[1].loop)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):

@@ -44,7 +44,7 @@ def one_repulsion(points, epsilon=1e-8):
 
 
 def one_interior(points, loop):
-    values, grad = interior_penalty(xy(points)[None], loop.vertices[None])
+    values, grad = interior_penalty(xy(points)[None], loop[None])
     return values[0], grad[0]
 
 
@@ -54,7 +54,7 @@ def one_mean_pairwise(points) -> float:
 
 def one_composite(pred, ref, loop, weights):
     """The terms (chamfer, repulsion, interior, total, mean pairwise) and the gradient."""
-    terms, grad = composite(pred[None], [ref], loop.vertices[None], weights)
+    terms, grad = composite(pred[None], [ref], loop[None], weights)
     return terms[0], grad[0]
 
 
@@ -390,7 +390,7 @@ class TestCompositeBatch:
         rng = np.random.default_rng(21)
         pred = rng.uniform(-0.5, 1.5, size=(4000, 3, 2))
         refs = list(rng.uniform(-0.5, 1.5, size=(4000, 2, 2)))
-        loops = np.broadcast_to(unit_square.vertices, (4000, 4, 2))
+        loops = np.broadcast_to(unit_square, (4000, 4, 2))
         w = LossWeights(1.0, 1.0, 10.0)
         terms, grad = composite(pred, refs, loops, w)
         want_terms, want_grad = per_sample_composite(pred, refs, loops, w)
@@ -400,7 +400,7 @@ class TestCompositeBatch:
     def test_interior_and_mean_distance_are_per_sample(self, unit_square):
         # sample 0 has an intruder, sample 1 does not
         pred = np.array([[[0.5, 0.3], [5.0, 5.0]], [[2.0, 0.5], [5.0, 5.0]]])
-        loops = np.stack([unit_square.vertices] * 2)
+        loops = np.stack([unit_square] * 2)
         terms, grad = composite(pred, [pred[0], pred[1]], loops, LossWeights(1.0, 1.0, 10.0))
         assert terms[0, 2] == pytest.approx(0.3 ** 2 / 2)
         assert terms[1, 2] == 0.0

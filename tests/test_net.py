@@ -14,13 +14,12 @@ from loop2mesh.net import (
     NetworkParams,
     backward,
     forward,
-    gradient,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
 
-from oracles import fd_grad_flat, params_to_vector, vector_to_params
+from oracles import fd_grad_flat, gradient, params_to_vector, vector_to_params
 
 
 def tiny_loop(rng, n=3) -> np.ndarray:
@@ -255,7 +254,7 @@ class TestBackward:
 
     def test_backward_fills_all_but_w3_and_gradient_adds_w3(self):
         """``backward`` writes into the caller's vector and leaves w3's slice as
-        it was; ``gradient`` is the same vector with w3's slice g3.T @ a2."""
+        it was; the tests' ``gradient`` is the same vector with w3's slice g3.T @ a2."""
         rng = np.random.default_rng(9)
         p = init_params(0, 3, 4, 4, 5)
         x = loop_batch([tiny_loop(rng) for _ in range(3)])

@@ -15,7 +15,7 @@ PUBLIC_NAMES = {
     "errors": ("ConfigError", "InputError", "Loop2MeshError", "TrainingDivergedError"),
     "evaluation": ("KLRow", "evaluate", "kde", "kl_divergence", "kl_sweep", "scott_bandwidth",
                    "whole_window"),
-    "geometry": ("AirfoilLoop", "StandardizeTransform", "as_point_array", "edge_query",
+    "geometry": ("StandardizeTransform", "as_point_array", "check_loop", "edge_query",
                  "fit_standardize", "intruders", "invert_standardize", "padded_bbox",
                  "points_in_polygon", "resample_loop", "standardize_loop"),
     "ingest": ("ChordTransform", "Dataset", "MeshSample", "assemble_sample", "build_dataset",
@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
                "read_parsed", "upsample_target"),
     "losses": ("LossWeights", "chamfer", "composite", "interior_penalty",
                "mean_pairwise_distance", "repulsion"),
-    "net": ("ForwardTrace", "NetworkParams", "backward", "forward", "gradient", "init_params",
+    "net": ("ForwardTrace", "NetworkParams", "backward", "forward", "init_params",
             "load_checkpoint", "save_checkpoint"),
     "train": ("TrainConfig", "TrainLog", "TrainMode", "TrainResult", "load_trained",
               "predict", "save_trained", "train"),

@@ -336,7 +336,7 @@ class TestTrain:
         assert std_y.max() <= 1.0 + 1e-12
 
     def test_loop_size_mismatch_rejected(self, small_dataset):
-        with pytest.raises(ConfigError, match="loop_size"):
+        with pytest.raises(ConfigError, match="^config loop_size 35 != dataset loop size 12$"):
             train(small_dataset, small_config(loop_size=35))
 
     def test_divergence_raises_with_epoch(self, small_dataset):
@@ -390,7 +390,7 @@ class TestPredict:
         res = train(small_dataset, small_config(epochs=2))
         samp = small_dataset.samples[0]
         got = predict(res.params, None, samp.loop, small_config(epochs=2))
-        want, _ = forward(res.params, samp.loop.vertices.reshape(1, -1))
+        want, _ = forward(res.params, samp.loop.reshape(1, -1))
         assert np.array_equal(got, want.reshape(-1, 2))
 
     def test_standardised_prediction_is_forward_in_the_standardised_frame(self, small_dataset):
@@ -399,7 +399,7 @@ class TestPredict:
         res = train(small_dataset, cfg)
         samp, t = small_dataset.samples[0], res.transform
         got = predict(res.params, t, samp.loop, cfg)
-        std_loop = standardize_loop(t, samp.loop.vertices)
+        std_loop = standardize_loop(t, samp.loop)
         out, _ = forward(res.params, std_loop.reshape(1, -1))
         want = invert_standardize(t, out.reshape(-1, 2))
         assert np.array_equal(got, want)
