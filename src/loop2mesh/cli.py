@@ -26,7 +26,7 @@ from .evaluation import evaluate, kl_csv_text, kl_sweep, write_kl_csv
 from .fileio import atomic_write_text
 from .geometry import padded_bbox, points_in_polygon
 from .ingest import (build_dataset, contour_loop, fit_chord, load_manifest, parse_airfoil_dat,
-                     parse_msh_nodes, read_parsed)
+                     parse_msh_nodes, read_parsed, to_chord_units)
 from .svg import pixel_scale, render_svg
 from .train import (
     TrainConfig,
@@ -80,13 +80,9 @@ def _resolve_config(args) -> TrainConfig:
     weights = raw.get("weights", {})
     if not isinstance(weights, dict):
         raise ConfigError(f"invalid weights {weights!r}: not an object")
-    flag_map = {
-        "mode": "mode", "nodes": "n_points", "epochs": "epochs", "seed": "seed",
-        "lr": "lr", "h1": "h1", "h2": "h2",
-        "loop_size": "loop_size", "upsample_count": "upsample_count",
-    }
-    for flag, key in flag_map.items():
-        val = getattr(args, flag, None)
+    for key in ("mode", "n_points", "epochs", "seed", "lr", "h1", "h2", "loop_size",
+                "upsample_count"):  # each flag's dest is its config key
+        val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
     if getattr(args, "clamp_y", None) is not None:
@@ -218,7 +214,7 @@ def _read_truth(msh_path, chord):
     an overflow of the chord normalisation or of the padded bounding box included, names the file."""
     def parse(text):
         nodes = parse_msh_nodes(text)
-        nodes = nodes if chord is None else chord.apply(nodes)
+        nodes = nodes if chord is None else to_chord_units(chord, nodes)
         if not np.isfinite(padded_bbox(nodes)).all():
             raise InputError("padded bounding box overflows the float range")
         return nodes
@@ -295,11 +291,11 @@ def _cell_hash(config: TrainConfig, input_hashes: list[dict]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    ratios = _comma_floats(args.ratios)
-    node_counts = _comma_ints(args.nodes)
+    # each distinct value once, in first-seen order (0 and -0 are one ratio)
+    ratios = list(dict.fromkeys(_comma_floats(args.ratios)))
+    node_counts = list(dict.fromkeys(_comma_ints(args.node_counts)))
     if not ratios or not node_counts:
         raise ConfigError("sweep needs at least one ratio and one node count")
-    args.nodes = None  # per-cell counts; keep them out of the base config
     base = _resolve_config(args)
     entries = _load_entries(args)
     out_dir = Path(args.out_dir)
@@ -386,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a generator from a dataset manifest")
     p_train.add_argument("manifest", help="JSON manifest of {name, dat, msh} records")
     p_train.add_argument("--out-dir", default="runs/train")
-    p_train.add_argument("--nodes", type=int, help="generated point count")
+    p_train.add_argument("--nodes", type=int, dest="n_points", metavar="NODES",
+                         help="generated point count")
     _add_config_flags(p_train)
 
     p_pred = sub.add_parser("predict", help="generate points for an airfoil contour")
@@ -408,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="train/evaluate a (ratio x nodes) grid")
     p_sweep.add_argument("manifest")
     p_sweep.add_argument("--ratios", required=True, help="comma list, e.g. 0,1,2,3")
-    p_sweep.add_argument("--nodes", required=True, help="comma list of point counts")
+    p_sweep.add_argument("--nodes", required=True, dest="node_counts", metavar="NODES",
+                         help="comma list of point counts")
     p_sweep.add_argument("--out-dir", default="runs/sweep")
     _add_config_flags(p_sweep)
     return parser

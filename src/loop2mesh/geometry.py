@@ -3,14 +3,12 @@
 The one check of a loop, an (L, 2) array; one edge kernel (nearest-edge
 distance, closest point and strict even-odd containment in one per-axis
 pass, over every point or only those in a loop's bounding box), padded
-bounding boxes, arc-length resampling of closed contours and per-axis
-standardisation. Coordinates are float64 ``(N, 2)`` arrays throughout;
-every function is pure.
+bounding boxes, arc-length resampling of closed contours and per-axis affine
+maps, each a (2, 2) array with one check. Coordinates are float64 ``(N, 2)``
+arrays throughout; every function is pure.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -189,56 +187,38 @@ def as_float(value) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class StandardizeTransform:
-    """Per-axis affine map to zero mean and unit variance (population sigma)."""
-
-    mean_x: float
-    mean_y: float
-    scale_x: float
-    scale_y: float
-
-    def __post_init__(self):
-        vals = (self.mean_x, self.mean_y, self.scale_x, self.scale_y)
-        if not all(np.isfinite(vals)):
-            raise InputError("transform parameters must be finite")
-        if self.scale_x <= 0.0 or self.scale_y <= 0.0:
-            raise InputError("transform scales must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StandardizeTransform":
-        return cls(**{f.name: as_float(d[f.name]) for f in fields(cls)})
-
-    @property
-    def _mean(self) -> np.ndarray:
-        return np.array([self.mean_x, self.mean_y])
-
-    @property
-    def _scale(self) -> np.ndarray:
-        return np.array([self.scale_x, self.scale_y])
+def check_map(values, *, name: str = "transform") -> np.ndarray:
+    """A per-axis affine map as a (2, 2) float64 array, row 0 the offset and
+    row 1 the scale, both finite and the scales positive, or InputError."""
+    t = np.asarray(values, dtype=np.float64)
+    if t.shape != (2, 2):
+        raise InputError(f"{name} must be a (2, 2) array, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise InputError(f"{name} parameters must be finite")
+    if not np.all(t[1] > 0.0):
+        raise InputError(f"{name} scales must be positive")
+    return t
 
 
-def fit_standardize(xy: np.ndarray) -> StandardizeTransform:
-    """Fit per-axis mean/sigma on points xy (N, 2); sigma is the population value."""
+def fit_standardize(xy: np.ndarray) -> np.ndarray:
+    """The map to zero mean and unit variance of points xy (N, 2): rows mean and
+    sigma, the population value."""
     if len(xy) < 2:
         raise InputError("standardisation needs at least 2 points")
     mean = xy.mean(axis=0)
     sigma = xy.std(axis=0)  # divides by N, not N-1
     if sigma[0] == 0.0 or sigma[1] == 0.0:
         raise InputError("zero variance on an axis; cannot standardise")
-    return StandardizeTransform(float(mean[0]), float(mean[1]), float(sigma[0]), float(sigma[1]))
+    return check_map([mean, sigma])
 
 
-def standardize_loop(t: StandardizeTransform, xy: np.ndarray) -> np.ndarray:
-    """The one forward map: points or loop vertices xy (..., 2) to standardised
-    units. Its scales are positive, so a simple loop stays simple and
-    containment is preserved."""
-    return (xy - t._mean) / t._scale
+def standardize_loop(t: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """The one forward map: points or loop vertices xy (..., 2) through a map t
+    (2, 2), to standardised or chord units. Its scales are positive, so a
+    simple loop stays simple and containment is preserved."""
+    return (xy - t[0]) / t[1]
 
 
-def invert_standardize(t: StandardizeTransform, xy: np.ndarray) -> np.ndarray:
-    """Standardised points xy (..., 2) back to original units."""
-    return xy * t._scale + t._mean
+def invert_standardize(t: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Points xy (..., 2) in a map t's units back to original units."""
+    return xy * t[1] + t[0]

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .geometry import as_point_array, points_in_polygon, resample_loop
+from .geometry import (as_point_array, check_map, points_in_polygon, resample_loop,
+                       standardize_loop)
 
 log = logging.getLogger(__name__)
 
@@ -61,31 +62,22 @@ def parse_airfoil_dat(text: str) -> np.ndarray:
     return np.asarray(pts, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class ChordTransform:
-    """Shift min-x to 0 and scale both axes uniformly so the chord is 1."""
-
-    x_min: float
-    chord: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.chord)):
-            raise InputError("chord transform parameters must be finite")
-        if self.chord <= 0.0:
-            raise InputError("zero chord length; cannot normalise")
-
-    def apply(self, points) -> np.ndarray:
-        """Points (N, 2) in chord units; InputError if a tiny chord overflows them."""
-        with np.errstate(over="ignore"):
-            xy = (as_point_array(points) - (self.x_min, 0.0)) / self.chord
-        return as_point_array(xy, name="chord-normalised cloud")
-
-
-def fit_chord(points) -> ChordTransform:
+def fit_chord(points) -> np.ndarray:
+    """The map (2, 2) shifting min-x to 0 and scaling both axes by the chord to 1."""
     if not len(points):
         raise InputError("empty contour; cannot normalise")
     x = as_point_array(points, name="contour")[:, 0]
-    return ChordTransform(float(x.min()), float(x.max() - x.min()))
+    x_min, chord = x.min(), x.max() - x.min()
+    if chord == 0.0:
+        raise InputError("zero chord length; cannot normalise")
+    return check_map([[x_min, 0.0], [chord, chord]], name="chord transform")
+
+
+def to_chord_units(chord: np.ndarray, points) -> np.ndarray:
+    """Points (N, 2) through a ``fit_chord`` map; InputError if a tiny chord overflows them."""
+    with np.errstate(over="ignore"):
+        xy = standardize_loop(chord, as_point_array(points))
+    return as_point_array(xy, name="chord-normalised cloud")
 
 
 _NODE_DTYPE = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64), ("z", np.float64)])
@@ -183,11 +175,11 @@ class Dataset:
     samples: tuple[MeshSample, ...]
 
 
-def contour_loop(contour: np.ndarray, loop_size: int) -> tuple[np.ndarray, ChordTransform]:
+def contour_loop(contour: np.ndarray, loop_size: int) -> tuple[np.ndarray, np.ndarray]:
     """A parsed contour (N, 2) as a chord-normalised loop of ``loop_size``
-    arc-length-uniform vertices, and the chord transform fitted on it."""
+    arc-length-uniform vertices, and the chord map fitted on it."""
     chord = fit_chord(contour)
-    return resample_loop(chord.apply(contour), loop_size), chord
+    return resample_loop(to_chord_units(chord, contour), loop_size), chord
 
 
 def assemble_sample(name: str, contour: np.ndarray, mesh_nodes: np.ndarray, *,
@@ -195,12 +187,12 @@ def assemble_sample(name: str, contour: np.ndarray, mesh_nodes: np.ndarray, *,
     """Build one training pair from parsed raw inputs.
 
     The contour becomes a loop (``contour_loop``), and the mesh is
-    chord-normalised by the same transform and up/down-sampled to
+    chord-normalised by the same map and up/down-sampled to
     ``target_count``. Mesh nodes strictly inside the loop are dropped with
     a warning before sampling, so they can never enter the target cloud.
     """
     loop, chord = contour_loop(contour, loop_size)
-    mesh = chord.apply(mesh_nodes)
+    mesh = to_chord_units(chord, mesh_nodes)
     inside = points_in_polygon(mesh, loop)
     if inside.any():
         log.warning("%s: dropping %d mesh nodes inside the boundary loop", name, int(inside.sum()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,35 +23,15 @@ _CHECKPOINT_FORMAT = "loop2mesh-checkpoint"
 _CHECKPOINT_VERSION = 1
 
 
-@dataclass
 class NetworkParams:
     """Weights/biases; layer l computes ``x @ w_l.T + b_l`` on row batches.
 
-    The constructor copies the six arrays into one contiguous float64
-    vector, ``flat`` (w1, b1, w2, b2, w3, b3 in C order), and rebinds each
-    name to a view into it, so a whole-model update is one vector operation.
+    The parameters are one contiguous float64 vector, ``flat`` (w1, b1, w2,
+    b2, w3, b3 in C order), taken as given, without a copy, and each name is
+    a view into it, so a whole-model update is one vector operation.
     """
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _ARRAY_ORDER]
-        self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, shapes) -> "NetworkParams":
-        """Parameters viewing ``flat`` (float64) itself, without a copy."""
-        params = cls.__new__(cls)
-        params._bind(flat, shapes)
-        return params
-
-    def _bind(self, flat: np.ndarray, shapes) -> None:
+    def __init__(self, flat: np.ndarray, shapes):
         w1, b1, w2, b2, w3, b3 = views = _split(flat, shapes)
         if w1.ndim != 2 or w2.ndim != 2 or w3.ndim != 2:
             raise ConfigError("weight matrices must be 2-D")
@@ -68,8 +48,7 @@ class NetworkParams:
             name = next(n for n, v in zip(_ARRAY_ORDER, views) if not np.isfinite(v).all())
             raise InputError(f"parameter {name} contains non-finite entries")
         self.flat = flat
-        for name, view in zip(_ARRAY_ORDER, views):
-            setattr(self, name, view)
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = views
 
     @property
     def loop_size(self) -> int:
@@ -107,7 +86,7 @@ def init_params(seed: int, loop_size: int, h1: int, h2: int, n_points: int) -> N
         raise InputError("all layer sizes must be positive")
     rng = np.random.default_rng(seed)
     shapes = [(h1, 2 * loop_size), (h1,), (h2, h1), (h2,), (2 * n_points, h2), (2 * n_points,)]
-    params = NetworkParams.from_flat(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+    params = NetworkParams(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
     for w in (params.w1, params.w2, params.w3):
         bound = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
         rng.random(out=w)
@@ -240,7 +219,7 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     if end != payload.size:
         raise InputError(f"{path}: {payload.size - end} trailing bytes after parameter arrays")
     try:  # shapes that cannot form a network, or non-finite weights, make a malformed file
-        params = NetworkParams.from_flat(payload.view("<f8").astype(np.float64, copy=False), shapes)
+        params = NetworkParams(payload.view("<f8").astype(np.float64, copy=False), shapes)
     except (ConfigError, InputError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     return params, header["meta"]

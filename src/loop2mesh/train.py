@@ -22,13 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, TrainingDivergedError
 from .fileio import atomic_write_text
-from .geometry import (
-    StandardizeTransform,
-    as_float,
-    fit_standardize,
-    invert_standardize,
-    standardize_loop,
-)
+from .geometry import as_float, check_map, fit_standardize, invert_standardize, standardize_loop
 from .ingest import Dataset
 from .losses import LossWeights, composite
 from .net import NetworkParams, backward, forward, init_params, load_checkpoint, save_checkpoint
@@ -206,7 +200,7 @@ class TrainLog:
 @dataclass
 class TrainResult:
     params: NetworkParams
-    transform: StandardizeTransform | None  # None in raw mode
+    transform: np.ndarray | None  # the (2, 2) standardise map; None in raw mode
     log: TrainLog
 
 
@@ -257,7 +251,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     return TrainResult(params, transform, log)
 
 
-def predict(params: NetworkParams, transform: StandardizeTransform | None,
+def predict(params: NetworkParams, transform: np.ndarray | None,
             loop: np.ndarray, config: TrainConfig) -> np.ndarray:
     """A cloud (N, 2) for a loop (L, 2), in original coordinates; InputError if it overflows."""
     if params.n_points != config.n_points or params.loop_size != config.loop_size:
@@ -275,10 +269,15 @@ def predict(params: NetworkParams, transform: StandardizeTransform | None,
     return out
 
 
+# a standardise map's checkpoint record: its (2, 2) entries in C order
+_MAP_KEYS = ("mean_x", "mean_y", "scale_x", "scale_y")
+
+
 def save_trained(path, result: TrainResult, config: TrainConfig, sample_names: list[str]) -> None:
     """Checkpoint the trained parameters, the config and one record per
     training sample, each repeating the model's one transform (null in raw mode)."""
-    transform = result.transform.to_dict() if result.transform is not None else None
+    t = result.transform
+    transform = None if t is None else dict(zip(_MAP_KEYS, t.ravel().tolist()))
     meta = {
         "config": config.to_dict(),
         "samples": [{"name": name, "transform": transform} for name in sample_names],
@@ -286,13 +285,22 @@ def save_trained(path, result: TrainResult, config: TrainConfig, sample_names: l
     save_checkpoint(path, result.params, meta)
 
 
-def load_trained(path) -> tuple[NetworkParams, TrainConfig, StandardizeTransform | None]:
+def _read_map(record) -> np.ndarray | None:
+    """A sample's transform record: null, or an object of exactly the ``_MAP_KEYS`` numbers."""
+    if record is None:
+        return None
+    if not isinstance(record, dict) or record.keys() != set(_MAP_KEYS):
+        raise InputError(f"a transform must be null or an object of keys {list(_MAP_KEYS)}, "
+                         f"got {record!r}")
+    return check_map(np.reshape([as_float(record[k]) for k in _MAP_KEYS], (2, 2)))
+
+
+def load_trained(path) -> tuple[NetworkParams, TrainConfig, np.ndarray | None]:
     """Parameters, config and the model's transform (None in raw mode)."""
     params, meta = load_checkpoint(path)
     try:
         config = TrainConfig.from_dict(meta["config"])
-        transforms = [StandardizeTransform.from_dict(rec["transform"]) if rec["transform"] else None
-                      for rec in meta["samples"]]
+        transforms = [_read_map(rec["transform"]) for rec in meta["samples"]]
     except (KeyError, TypeError, ValueError, ConfigError, InputError) as exc:
         raise InputError(f"{path}: invalid checkpoint metadata: {exc}") from exc
     if params.n_points != config.n_points or params.loop_size != config.loop_size:
@@ -300,8 +308,10 @@ def load_trained(path) -> tuple[NetworkParams, TrainConfig, StandardizeTransform
     if not transforms:
         raise InputError(f"{path}: checkpoint lists no sample")
     if config.mode is TrainMode.RAW:
+        if any(t is not None for t in transforms):
+            raise InputError(f"{path}: raw mode takes no standardise transform")
         return params, config, None
-    if len(set(transforms)) != 1:
+    if len({t if t is None else tuple(t.flat) for t in transforms}) != 1:
         raise InputError(f"{path}: its samples hold different standardise transforms, "
                          "one fitted per sample; retrain it to fit one on all samples")
     if transforms[0] is None:

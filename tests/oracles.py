@@ -2,8 +2,9 @@
 
 Deliberately written in a different style from the package (plain Python
 loops, winding angles instead of ray casting, no shared helpers) so that a
-bug in the implementation cannot hide in its own test. The one exception is
-``gradient``, a helper that completes the package's ``net.backward``.
+bug in the implementation cannot hide in its own test. The exceptions are
+``gradient``, a helper that completes the package's ``net.backward``, and
+``params_from_arrays``, which builds the package's ``net.NetworkParams``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from loop2mesh.net import backward
+from loop2mesh.net import NetworkParams, backward
 
 
 def winding_inside(px: float, py: float, vertices) -> bool:
@@ -265,13 +266,20 @@ def off_diagonal_by_mask(m) -> np.ndarray:
     return m[~np.eye(m.shape[0], dtype=bool)]
 
 
+def params_from_arrays(w1, b1, w2, b2, w3, b3):
+    """``NetworkParams`` holding copies of six arrays, concatenated into one
+    new flat vector (the package's former array-wise constructor)."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2, w3, b3)]
+    return NetworkParams(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
+
+
 def params_to_vector(params) -> np.ndarray:
     return np.concatenate([a.ravel() for _, a in params.arrays()])
 
 
 def vector_to_params(params, vec: np.ndarray):
     """Return a copy of params with values taken from the flat vector."""
-    out = type(params)(*(a for _, a in params.arrays()))  # the constructor copies
+    out = params_from_arrays(*(a for _, a in params.arrays()))
     offset = 0
     for _, a in out.arrays():
         n = a.size
@@ -279,6 +287,24 @@ def vector_to_params(params, vec: np.ndarray):
         offset += n
     assert offset == vec.size
     return out
+
+
+def chord_fields_apply(x_min: float, chord: float, points) -> np.ndarray:
+    """The package's former chord-map arithmetic on its two fields: x shifted
+    by x_min, then both axes divided by the chord."""
+    return (np.asarray(points, dtype=np.float64) - (x_min, 0.0)) / chord
+
+
+def standardize_fields(mean_x: float, mean_y: float, scale_x: float, scale_y: float,
+                       xy) -> np.ndarray:
+    """The package's former standardise forward map on its four fields."""
+    return (np.asarray(xy) - np.array([mean_x, mean_y])) / np.array([scale_x, scale_y])
+
+
+def invert_standardize_fields(mean_x: float, mean_y: float, scale_x: float, scale_y: float,
+                              xy) -> np.ndarray:
+    """The package's former standardise inverse map on its four fields."""
+    return np.asarray(xy) * np.array([scale_x, scale_y]) + np.array([mean_x, mean_y])
 
 
 def is_simple_double_loop(vertices) -> bool:

@@ -15,7 +15,7 @@ from loop2mesh.cli import main
 from loop2mesh.errors import ConfigError, InputError, Loop2MeshError, TrainingDivergedError
 from loop2mesh.ingest import load_manifest, parse_msh_nodes
 from loop2mesh.synth import msh_text
-from loop2mesh.train import TrainConfig
+from loop2mesh.train import TrainConfig, load_trained
 
 FAST = ["--nodes", "40", "--epochs", "30", "--h1", "16", "--h2", "24",
         "--upsample-count", "200", "--seed", "0"]
@@ -807,6 +807,26 @@ class TestSweep:
         assert "ratio=0 nodes=1: n_points must be an integer >= 2, got 1" in stderr
         assert [r.getMessage() for r in caplog.records
                 if r.name == "loop2mesh.cli"] == ["cell ratio=0 nodes=30: training"]
+
+    def test_each_distinct_cell_runs_once(self, tmp_path, manifest_path, caplog, capsys,
+                                          monkeypatch):
+        """0 and -0 are one ratio and a repeated count one count: one cell, trained,
+        loaded, scored and drawn once, gives one pair of rows."""
+        caplog.set_level(logging.INFO, logger="loop2mesh.cli")
+        loads = []
+        monkeypatch.setattr(cli, "load_trained", lambda p: loads.append(p) or load_trained(p))
+        out = tmp_path / "s"
+        code, _, stderr = run_cli(
+            ["sweep", manifest_path, "--ratios", "0,-0", "--nodes", "30,30",
+             "--out-dir", out, *SWEEP_FAST], capsys)
+        assert (code, stderr) == (0, "")
+        assert len(list((out / "checkpoints").glob("*.l2m"))) == 1
+        assert [p.name for p in (out / "panels").glob("*.svg")] == ["cell_r0_n30.svg"]
+        assert [r.split(",")[:3] for r in (out / "kl.csv").read_text().splitlines()[1:]] == [
+            ["0", "c", "30"], ["0", "w", "30"]]
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "loop2mesh.cli"] == ["cell ratio=0 nodes=30: training"]
+        assert len(loads) == 1
 
     @pytest.mark.parametrize("bad, reason", [
         ("far", "center window, prediction: kernel mass inside the window is numerically zero"),

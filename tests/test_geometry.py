@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from loop2mesh.errors import InputError
 from loop2mesh.geometry import (
     check_loop,
+    check_map,
     _is_simple,
     _signed_area,
     as_point_array,
@@ -20,7 +21,14 @@ from loop2mesh.geometry import (
 )
 from loop2mesh.synth import naca4_contour, synth_fluid_mesh
 
-from oracles import even_odd_edge_loop, is_simple_double_loop, nearest_edge_broadcast, winding_inside
+from oracles import (
+    even_odd_edge_loop,
+    invert_standardize_fields,
+    is_simple_double_loop,
+    nearest_edge_broadcast,
+    standardize_fields,
+    winding_inside,
+)
 
 
 # ------------------------------------------------------------- primitives
@@ -495,13 +503,47 @@ class TestResampleLoopProperties:
 
 # --------------------------------------------------------- standardisation
 
+# finite coordinates that include -0.0 and subnormals, and positive scales down
+# to the smallest subnormal (whose quotients overflow)
+COORDS = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
+CLOUDS = st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=20).map(np.array)
+SCALES = st.floats(1e-6, 1e6) | st.sampled_from([5e-324, 1e-310, 2.2e-308])
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and identical float64 bit patterns (so -0.0 != 0.0)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestCheckMap:
+    def test_returns_a_float64_copy_of_a_valid_map(self):
+        t = check_map([[1, -2], [3, 4]])
+        assert t.dtype == np.float64 and t.tolist() == [[1.0, -2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros(4), r"^transform must be a \(2, 2\) array, got shape \(4,\)"),
+        (np.ones((3, 2)), r"^transform must be a \(2, 2\) array"),
+        ([[0.0, np.nan], [1.0, 1.0]], "^transform parameters must be finite"),
+        ([[0.0, 0.0], [np.inf, 1.0]], "^transform parameters must be finite"),
+        ([[0.0, 0.0], [0.0, 1.0]], "^transform scales must be positive"),
+        ([[0.0, 0.0], [1.0, -0.0]], "^transform scales must be positive"),
+        ([[0.0, 0.0], [1.0, -2.0]], "^transform scales must be positive"),
+    ])
+    def test_rejects_bad_shapes_non_finite_entries_and_nonpositive_scales(self, bad, message):
+        with pytest.raises(InputError, match=message):
+            check_map(bad)
+
+    def test_names_the_map_in_its_errors(self):
+        with pytest.raises(InputError, match="^chord transform parameters must be finite"):
+            check_map([[0.0, 0.0], [np.inf, np.inf]], name="chord transform")
+
+
 class TestStandardize:
     def test_population_sigma_two_points(self):
         t = fit_standardize(np.array([[0.0, 10.0], [2.0, 14.0]]))
-        assert t.mean_x == pytest.approx(1.0)
-        assert t.mean_y == pytest.approx(12.0)
-        assert t.scale_x == pytest.approx(1.0)  # population sigma, not sample
-        assert t.scale_y == pytest.approx(2.0)
+        assert t.shape == (2, 2) and t.dtype == np.float64
+        assert t[0] == pytest.approx([1.0, 12.0])  # the mean
+        assert t[1] == pytest.approx([1.0, 2.0])  # population sigma, not sample
 
     def test_apply_gives_zero_mean_unit_variance(self):
         rng = np.random.default_rng(3)
@@ -529,24 +571,14 @@ class TestStandardize:
         rng = np.random.default_rng(9)
         pts = rng.uniform([-0.2, -0.3], [1.2, 0.3], size=(300, 2))
         before = points_in_polygon(pts, airfoil_loop)
-        after = points_in_polygon((pts - [t.mean_x, t.mean_y]) / [t.scale_x, t.scale_y],
-                                  std_loop)
+        after = points_in_polygon((pts - t[0]) / t[1], std_loop)
         assert np.array_equal(before, after)
 
-    def test_transform_dict_round_trip(self):
-        from loop2mesh.geometry import StandardizeTransform
-        t = StandardizeTransform(0.5, -0.1, 0.3, 0.12)
-        assert StandardizeTransform.from_dict(t.to_dict()) == t
-        with pytest.raises(InputError):
-            StandardizeTransform(0.0, 0.0, 0.0, 1.0)
-
-    @pytest.mark.parametrize("key, value", [
-        ("mean_x", True), ("mean_y", "0.5"), ("scale_x", None), ("scale_y", [1.0]),
-    ])
-    def test_transform_from_dict_does_not_coerce(self, key, value):
-        from loop2mesh.geometry import StandardizeTransform
-        d = dict(StandardizeTransform(0.5, -0.1, 0.3, 0.12).to_dict(), **{key: value})
-        with pytest.raises(InputError, match="expected a number"):
-            StandardizeTransform.from_dict(d)
-        # ints are numbers
-        assert StandardizeTransform.from_dict(dict(d, **{key: 1})).to_dict()[key] == 1.0
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(xy=CLOUDS, mean=st.tuples(COORDS, COORDS), scale=st.tuples(SCALES, SCALES))
+    def test_maps_equal_the_four_field_arithmetic_bit_for_bit(self, xy, mean, scale):
+        fields = (*mean, *scale)
+        t = check_map([mean, scale])
+        with np.errstate(over="ignore"):  # a subnormal scale overflows both ways alike
+            assert same_bits(standardize_loop(t, xy), standardize_fields(*fields, xy))
+            assert same_bits(invert_standardize(t, xy), invert_standardize_fields(*fields, xy))

@@ -3,15 +3,14 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import parse_msh_nodes_line_by_line
+from oracles import chord_fields_apply, parse_msh_nodes_line_by_line
 
 import loop2mesh.geometry as geometry_mod
 from loop2mesh.errors import InputError
 from loop2mesh.geometry import intruders, resample_loop
 from loop2mesh.ingest import (
-    ChordTransform,
     assemble_sample,
     build_dataset,
     contour_loop,
@@ -19,6 +18,7 @@ from loop2mesh.ingest import (
     load_manifest,
     parse_airfoil_dat,
     parse_msh_nodes,
+    to_chord_units,
     upsample_target,
 )
 
@@ -110,47 +110,70 @@ class TestParseAirfoilDat:
             assert np.array_equal(got, base)
 
 
+# finite coordinates that include -0.0 and subnormals
+COORDS = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
+
+
 class TestChordNormalisation:
     def test_x_shifted_and_scaled_y_scaled_only(self):
         ps = np.array([[2.0, 1.0], [4.0, -1.0], [3.0, 0.5]])
-        out = fit_chord(ps).apply(ps)
+        out = to_chord_units(fit_chord(ps), ps)
         assert out[:, 0] == pytest.approx([0.0, 1.0, 0.5])
         assert out[:, 1] == pytest.approx([0.5, -0.5, 0.25])  # y / chord, no shift
 
     def test_unit_chord_input_unchanged(self):
         ps = np.array([[0.0, 0.1], [1.0, -0.1], [0.5, 0.0]])
-        assert fit_chord(ps).apply(ps) == pytest.approx(ps)
+        assert to_chord_units(fit_chord(ps), ps) == pytest.approx(ps)
 
-    def test_fit_chord_transform_reusable_on_other_sets(self):
+    def test_fit_chord_map_reusable_on_other_sets(self):
         contour = np.array([[2.0, 0.0], [4.0, 0.2], [3.0, 1.0]])
         t = fit_chord(contour)
-        assert t.x_min == pytest.approx(2.0)
-        assert t.chord == pytest.approx(2.0)
+        assert t.tolist() == [[2.0, 0.0], [2.0, 2.0]]  # offset (x_min, 0), scale (chord, chord)
         mesh = np.array([[6.0, 2.0]])
-        assert t.apply(mesh)[0] == pytest.approx([2.0, 1.0])
+        assert to_chord_units(t, mesh)[0] == pytest.approx([2.0, 1.0])
 
     def test_chord_that_overflows_the_points_is_rejected(self):
         with pytest.raises(InputError, match="^chord-normalised cloud contains non-finite"):
-            ChordTransform(0.0, 5e-324).apply([[1.0, 1.0]])
+            to_chord_units(np.array([[0.0, 0.0], [5e-324, 5e-324]]), [[1.0, 1.0]])
 
-    def test_apply_validates_its_points(self):
+    def test_to_chord_units_validates_its_points(self):
         with pytest.raises(InputError, match=r"must be an \(N, 2\) array"):
-            ChordTransform(0.0, 1.0).apply([1.0, 2.0])
+            to_chord_units(np.array([[0.0, 0.0], [1.0, 1.0]]), [1.0, 2.0])
 
     def test_empty_contour_rejected(self):
         with pytest.raises(InputError, match="^empty contour"):
             fit_chord(np.zeros((0, 2)))
 
     def test_fit_chord_validates_its_points(self):
-        assert fit_chord([[0, 1], [2, 3]]) == ChordTransform(0.0, 2.0)
+        assert fit_chord([[0, 1], [2, 3]]).tolist() == [[0.0, 0.0], [2.0, 2.0]]
         with pytest.raises(InputError, match="^contour contains non-finite"):
             fit_chord([[0.0, 1.0], [np.nan, 3.0]])
 
     def test_zero_chord_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^zero chord length; cannot normalise"):
             fit_chord(np.array([[1.0, 0.0], [1.0, 2.0]]))
-        with pytest.raises(InputError):
-            ChordTransform(0.0, 0.0)
+
+    def test_chord_past_the_float_range_rejected(self):
+        with pytest.raises(InputError, match="^chord transform parameters must be finite"), \
+                np.errstate(over="ignore"):
+            fit_chord(np.array([[-1e308, 0.0], [1e308, 1.0]]))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(contour=st.lists(st.tuples(COORDS, COORDS), min_size=2, max_size=12),
+           cloud=st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=20))
+    def test_equals_the_two_field_arithmetic_bit_for_bit(self, contour, cloud):
+        x = np.array(contour)[:, 0]
+        x_min, chord = float(x.min()), float(x.max() - x.min())
+        assume(chord > 0.0)
+        t = fit_chord(contour)
+        with np.errstate(over="ignore"):  # a subnormal chord overflows the cloud
+            want = chord_fields_apply(x_min, chord, cloud)
+        if not np.isfinite(want).all():
+            with pytest.raises(InputError, match="^chord-normalised cloud"):
+                to_chord_units(t, cloud)
+            return
+        got = to_chord_units(t, cloud)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # -------------------------------------------------------------- .msh files
@@ -451,8 +474,8 @@ class TestAssembleSample:
         contour = parse_airfoil_dat(_square_contour_text())
         loop, chord = contour_loop(contour, 6)
         assert isinstance(loop, np.ndarray) and loop.shape == (6, 2)
-        assert chord == fit_chord(contour)
-        assert np.array_equal(loop, resample_loop(chord.apply(contour), 6))
+        assert np.array_equal(chord, fit_chord(contour))
+        assert np.array_equal(loop, resample_loop(to_chord_units(chord, contour), 6))
 
     def test_all_interior_nodes_is_degenerate(self):
         contour = parse_airfoil_dat(_square_contour_text())

@@ -19,7 +19,8 @@ from loop2mesh.net import (
     save_checkpoint,
 )
 
-from oracles import fd_grad_flat, gradient, params_to_vector, vector_to_params
+from oracles import (fd_grad_flat, gradient, params_from_arrays, params_to_vector,
+                     vector_to_params)
 
 
 def tiny_loop(rng, n=3) -> np.ndarray:
@@ -83,19 +84,19 @@ class TestNetworkParamsValidation:
     def test_inconsistent_shapes_rejected(self):
         p = init_params(0, 3, 4, 4, 5)
         with pytest.raises(ConfigError):
-            NetworkParams(p.w1, p.b1, p.w2, np.zeros(5), p.w3, p.b3)
+            params_from_arrays(p.w1, p.b1, p.w2, np.zeros(5), p.w3, p.b3)
 
     def test_odd_widths_rejected(self):
         with pytest.raises(ConfigError):
-            NetworkParams(np.zeros((4, 7)), np.zeros(4), np.zeros((4, 4)),
-                          np.zeros(4), np.zeros((10, 4)), np.zeros(10))
+            params_from_arrays(np.zeros((4, 7)), np.zeros(4), np.zeros((4, 4)),
+                               np.zeros(4), np.zeros((10, 4)), np.zeros(10))
 
     def test_non_finite_rejected(self):
         p = init_params(0, 3, 4, 4, 5)
         w1 = p.w1.copy()
         w1[0, 0] = np.nan
         with pytest.raises(InputError):
-            NetworkParams(w1, p.b1, p.w2, p.b2, p.w3, p.b3)
+            params_from_arrays(w1, p.b1, p.w2, p.b2, p.w3, p.b3)
 
     def test_arrays_are_views_of_one_flat_vector(self):
         p = init_params(0, 3, 4, 4, 5)
@@ -104,11 +105,12 @@ class TestNetworkParamsValidation:
         p.flat[:] = 0.0
         assert not any(a.any() for _, a in p.arrays())
 
-    def test_constructor_copies(self):
+    def test_constructor_views_the_flat_vector_it_is_given(self):
         p = init_params(0, 3, 4, 4, 5)
-        q = NetworkParams(*(a for _, a in p.arrays()))
+        q = NetworkParams(p.flat, [a.shape for _, a in p.arrays()])
+        assert q.flat is p.flat
         q.w1[0, 0] += 1.0
-        assert p.w1[0, 0] != q.w1[0, 0]
+        assert p.w1[0, 0] == q.w1[0, 0]
 
 
 # ----------------------------------------------------------------- forward
@@ -168,8 +170,8 @@ class TestForward:
         assert np.array_equal(trace.output, raw)  # trace pre-clamp
 
     def test_boundary_value_counts_as_clamped(self):
-        p = NetworkParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
-                          np.zeros(4), np.zeros((2, 4)), np.array([0.3, 1.0]))
+        p = params_from_arrays(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
+                               np.zeros(4), np.zeros((2, 4)), np.array([0.3, 1.0]))
         loop = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
         pred, trace = forward(p, loop_batch([loop]), y_clamp=(-1.0, 1.0))
         assert pred[0] == pytest.approx([0.3, 1.0])
@@ -178,8 +180,8 @@ class TestForward:
     def test_clamp_clips_y_values_and_is_idempotent(self):
         # output (x, y) pairs (5, 5), (-5, -5), (0.2, 0.3) from the biases alone
         def bias_only(out):
-            return NetworkParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
-                                 np.zeros(4), np.zeros((len(out), 4)), np.asarray(out))
+            return params_from_arrays(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
+                                      np.zeros(4), np.zeros((len(out), 4)), np.asarray(out))
         x = loop_batch([np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])])
         once, _ = forward(bias_only([5.0, 5.0, -5.0, -5.0, 0.2, 0.3]), x, y_clamp=(-1.0, 1.0))
         assert once[0, 0::2] == pytest.approx([5.0, -5.0, 0.2])  # x untouched
@@ -234,8 +236,8 @@ class TestBackward:
 
     def test_relu_gate_is_strict_at_zero(self):
         # zero weights/biases make every pre-activation exactly 0.0
-        p = NetworkParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
-                          np.zeros(4), np.zeros((2, 4)), np.zeros(2))
+        p = params_from_arrays(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 4)),
+                               np.zeros(4), np.zeros((2, 4)), np.zeros(2))
         loop = np.array([[0.2, 0.1], [1.0, 0.3], [0.5, 1.0]])
         _, trace = forward(p, loop_batch([loop]))
         gw1, gb1, gw2, gb2, gw3, gb3 = p.split(gradient(p, trace, np.ones((1, 2))))
@@ -325,7 +327,7 @@ class TestCheckpoint:
         p = init_params(11, 5, 8, 8, 9)
         a, b = tmp_path / "a.l2m", tmp_path / "b.l2m"
         save_checkpoint(a, p, {"m": 1})
-        save_checkpoint(b, NetworkParams(*(a for _, a in p.arrays())), {"m": 1})
+        save_checkpoint(b, params_from_arrays(*(a for _, a in p.arrays())), {"m": 1})
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_header_rejected(self, tmp_path):

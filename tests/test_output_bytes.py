@@ -173,7 +173,7 @@ def test_two_sample_stand_clamp_training_is_pinned(manifest_path, dataset, tmp_p
         "562ec2b750d6b43f94a55e822ae07e04a08015ef64de4af4268afd4cb0366f01")
     # the one stored transform is the population mean and sigma of both targets
     _, _, t = load_trained(tmp_path / "checkpoint.l2m")
-    for axis, mean, scale in ((0, t.mean_x, t.scale_x), (1, t.mean_y, t.scale_y)):
+    for axis, (mean, scale) in enumerate(t.T.tolist()):
         values = [v for s in dataset.samples for v in s.target[:, axis].tolist()]
         assert math.isclose(mean, statistics.fmean(values), rel_tol=1e-12)
         assert math.isclose(scale, statistics.pstdev(values), rel_tol=1e-12)

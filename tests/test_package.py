@@ -15,12 +15,12 @@ PUBLIC_NAMES = {
     "errors": ("ConfigError", "InputError", "Loop2MeshError", "TrainingDivergedError"),
     "evaluation": ("KLRow", "evaluate", "kde", "kl_divergence", "kl_sweep", "scott_bandwidth",
                    "whole_window"),
-    "geometry": ("StandardizeTransform", "as_point_array", "check_loop", "edge_query",
+    "geometry": ("as_point_array", "check_loop", "check_map", "edge_query",
                  "fit_standardize", "intruders", "invert_standardize", "padded_bbox",
                  "points_in_polygon", "resample_loop", "standardize_loop"),
-    "ingest": ("ChordTransform", "Dataset", "MeshSample", "assemble_sample", "build_dataset",
-               "contour_loop", "fit_chord", "load_manifest", "parse_airfoil_dat", "parse_msh_nodes",
-               "read_parsed", "upsample_target"),
+    "ingest": ("Dataset", "MeshSample", "assemble_sample", "build_dataset", "contour_loop",
+               "fit_chord", "load_manifest", "parse_airfoil_dat", "parse_msh_nodes", "read_parsed",
+               "to_chord_units", "upsample_target"),
     "losses": ("LossWeights", "chamfer", "composite", "interior_penalty",
                "mean_pairwise_distance", "repulsion"),
     "net": ("ForwardTrace", "NetworkParams", "backward", "forward", "init_params",

@@ -12,7 +12,7 @@ import loop2mesh.losses as losses_mod
 import loop2mesh.train as train_mod
 from loop2mesh import net
 from loop2mesh.errors import ConfigError, InputError, TrainingDivergedError
-from loop2mesh.geometry import StandardizeTransform, invert_standardize, standardize_loop
+from loop2mesh.geometry import invert_standardize, standardize_loop
 from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.losses import LossWeights
 from loop2mesh.net import backward, forward, init_params
@@ -30,6 +30,10 @@ from loop2mesh.train import (
 )
 
 from oracles import reference_adam, unfused_adam_step, unfused_backward
+
+
+# a valid standardise transform's checkpoint record
+RECORD = {"mean_x": 0.5, "mean_y": 0.25, "scale_x": 0.125, "scale_y": 2.0}
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +204,7 @@ class TestTrainConfig:
     def test_desk_checkpoint_header_is_pinned(self, tmp_path):
         cfg = TrainConfig.from_dict(DESK_CONFIG)
         result = TrainResult(init_params(0, 35, 256, 512, 400),
-                             StandardizeTransform(0.5, 0.25, 0.125, 2.0), TrainLog(()))
+                             np.array([[0.5, 0.25], [0.125, 2.0]]), TrainLog(()))
         save_trained(tmp_path / "desk.l2m", result, cfg, ["naca2220"])
         header = (tmp_path / "desk.l2m").read_bytes().split(b"\n", 1)[0]
         assert header == (
@@ -321,8 +325,9 @@ class TestTrain:
         res = train(small_dataset, small_config(mode=TrainMode.STANDARDISED, epochs=2))
         pooled = np.vstack([s.target for s in small_dataset.samples])
         t = res.transform
-        assert (t.mean_x, t.mean_y) == pytest.approx(pooled.mean(axis=0).tolist())
-        assert (t.scale_x, t.scale_y) == pytest.approx(pooled.std(axis=0).tolist())
+        assert t.shape == (2, 2)
+        assert t[0] == pytest.approx(pooled.mean(axis=0))
+        assert t[1] == pytest.approx(pooled.std(axis=0))
 
     def test_clamped_mode_confines_standardised_y(self, small_dataset):
         cfg = small_config(mode=TrainMode.STANDARDISED_CLAMPED, epochs=3,
@@ -331,7 +336,7 @@ class TestTrain:
         samp = small_dataset.samples[0]
         pred = predict(res.params, res.transform, samp.loop, cfg)
         t = res.transform
-        std_y = (pred[:, 1] - t.mean_y) / t.scale_y
+        std_y = (pred[:, 1] - t[0, 1]) / t[1, 1]
         assert std_y.min() >= -1.0 - 1e-12
         assert std_y.max() <= 1.0 + 1e-12
 
@@ -444,9 +449,11 @@ class TestSaveLoadTrained:
         save_trained(path, res, cfg, names)
         params, got_cfg, transform = load_trained(path)
         assert got_cfg == cfg
-        assert transform == res.transform
+        assert np.array_equal(transform, res.transform)
         records = json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]["samples"]
-        assert records == [{"name": n, "transform": res.transform.to_dict()} for n in names]
+        (mean_x, mean_y), (scale_x, scale_y) = res.transform.tolist()
+        record = {"mean_x": mean_x, "mean_y": mean_y, "scale_x": scale_x, "scale_y": scale_y}
+        assert records == [{"name": n, "transform": record} for n in names]
         for (_, a), (_, b) in zip(res.params.arrays(), params.arrays()):
             assert np.array_equal(a, b)
 
@@ -472,19 +479,36 @@ class TestSaveLoadTrained:
         with pytest.raises(InputError):
             load_trained(path)
 
-    @pytest.mark.parametrize("key, value", [
-        ("mean_x", True), ("mean_y", "0.5"), ("scale_x", -1.0), ("scale_y", None),
-    ])
-    def test_transform_metadata_is_not_coerced(self, small_dataset, tmp_path, key, value):
-        cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
+    @pytest.mark.parametrize("mode, record, message", [
+        *((TrainMode.STANDARDISED, dict(RECORD, **{key: value}), "invalid checkpoint metadata")
+          for key, value in (("mean_x", True), ("mean_y", "0.5"), ("scale_x", None),
+                             ("scale_x", -1.0), ("scale_y", None), ("scale_y", [1.0]),
+                             ("extra", 1.0))),  # a wrong number or an extra key
+        (TrainMode.STANDARDISED, {}, "invalid checkpoint metadata"),  # not a missing record
+        (TrainMode.STANDARDISED, [0.5, 0.25, 0.125, 2.0], "invalid checkpoint metadata"),
+        (TrainMode.RAW, RECORD, "raw mode takes no standardise transform"),  # never dropped
+    ], ids=["mean_x-bool", "mean_y-str", "scale_x-null", "scale_x-negative", "scale_y-null",
+            "scale_y-list", "extra-key", "empty", "list", "raw-with-transform"])
+    def test_transform_metadata_is_not_coerced(self, small_dataset, tmp_path, mode, record,
+                                               message):
+        cfg = small_config(mode=mode, epochs=2)
         path = tmp_path / "run.l2m"
         save_trained(path, train(small_dataset, cfg), cfg, [s.name for s in small_dataset.samples])
         head, rest = path.read_bytes().split(b"\n", 1)
         header = json.loads(head)
-        header["meta"]["samples"][0]["transform"][key] = value
+        assert len(header["meta"]["samples"]) > 1
+        header["meta"]["samples"][0]["transform"] = record
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: invalid checkpoint metadata"):
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {message}"):
             load_trained(path)
+
+    def test_integer_transform_entries_load_as_floats(self, tiny_checkpoint):
+        path, head, rest = tiny_checkpoint
+        header = json.loads(head)
+        header["meta"]["samples"][0]["transform"] = dict(RECORD, scale_y=2)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        transform = load_trained(path)[2]
+        assert transform.dtype == np.float64 and transform.tolist() == [[0.5, 0.25], [0.125, 2.0]]
 
 
 # any JSON value, NaN and the infinities included (Python's json reads them)
@@ -499,7 +523,7 @@ def tiny_checkpoint(tmp_path_factory):
     """A valid one-sample stand checkpoint's header and payload."""
     cfg = TrainConfig(mode=TrainMode.STANDARDISED, n_points=5, loop_size=3, h1=4, h2=4)
     result = TrainResult(init_params(0, 3, 4, 4, 5),
-                         StandardizeTransform(0.5, 0.25, 0.125, 2.0), TrainLog(()))
+                         np.array([[0.5, 0.25], [0.125, 2.0]]), TrainLog(()))
     path = tmp_path_factory.mktemp("ckpt") / "tiny.l2m"
     save_trained(path, result, cfg, ["tiny"])
     head, rest = path.read_bytes().split(b"\n", 1)
