@@ -22,15 +22,15 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InputError, Loop2MeshError
-from .evaluation import evaluate, kl_csv_text, kl_sweep, write_kl_csv
+from .evaluation import evaluate, kl_csv_text
 from .fileio import atomic_write_text
 from .geometry import padded_bbox, points_in_polygon
 from .ingest import (build_dataset, contour_loop, fit_chord, load_manifest, parse_airfoil_dat,
                      parse_msh_nodes, read_parsed, to_chord_units)
 from .svg import pixel_scale, render_svg
 from .train import (
+    MODES,
     TrainConfig,
-    TrainMode,
     default_interior_weight,
     load_trained,
     predict,
@@ -60,6 +60,21 @@ def _comma_ints(text: str) -> list[int]:
     return [int(v) for v in vals]
 
 
+def _sweep_ratios(text: str) -> list[float]:
+    """A comma list's distinct ratios in first-seen order (0 and -0 are one), each
+    finite and printing unlike the others under ``%g``, as every output labels it."""
+    ratios = list(dict.fromkeys(_comma_floats(text)))
+    if not all(math.isfinite(r) for r in ratios):  # nan also escapes the dedupe
+        raise ConfigError(f"expected finite numbers, got {text!r}")
+    labels: dict[str, float] = {}
+    for r in ratios:
+        first = labels.setdefault(f"{r:g}", r)
+        if first != r:
+            raise ConfigError(f"ratios {first!r} and {r!r} both print as {r:g}, "
+                              "so their panels and kl rows would clash")
+    return ratios
+
+
 def _load_config_file(path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
@@ -73,7 +88,7 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve_config(args) -> TrainConfig:
-    """Merge defaults <- config file <- command line flags, then validate."""
+    """Merge defaults <- config file <- command line flags into a checked config."""
     raw: dict = {}
     if getattr(args, "config", None):
         raw = _load_config_file(args.config)
@@ -95,8 +110,7 @@ def _resolve_config(args) -> TrainConfig:
     if getattr(args, "interior_weight", None) is not None:
         weights["interior"] = args.interior_weight
     if "interior" not in weights:
-        mode = TrainMode.parse(raw.get("mode", TrainConfig().mode.value))
-        weights["interior"] = default_interior_weight(mode)
+        weights["interior"] = default_interior_weight(raw.get("mode", TrainConfig.mode))
     raw["weights"] = weights
     return TrainConfig.from_dict(raw)
 
@@ -274,11 +288,11 @@ def cmd_evaluate(args) -> int:
             ratio = 0.0
     truth = _read_truth(args.truth, chord)
 
-    rows = kl_sweep({(ratio, len(pred)): evaluate(pred, truth)})
+    scores = evaluate(pred, truth)
     out_path = Path(args.out) if args.out else Path(args.out_dir) / "kl.csv"
-    write_kl_csv(rows, out_path)
-    for row in rows:
-        print(f"ratio={row.ratio:g} region={row.region} nodes={row.nodes} kl={row.kl:.6f}")
+    atomic_write_text(out_path, kl_csv_text({(ratio, len(pred)): scores}))
+    for window, kl in scores.items():  # center, then whole
+        print(f"ratio={ratio:g} region={window[0]} nodes={len(pred)} kl={kl:.6f}")
     print(f"wrote {out_path}")
     return 0
 
@@ -291,9 +305,8 @@ def _cell_hash(config: TrainConfig, input_hashes: list[dict]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    # each distinct value once, in first-seen order (0 and -0 are one ratio)
-    ratios = list(dict.fromkeys(_comma_floats(args.ratios)))
-    node_counts = list(dict.fromkeys(_comma_ints(args.node_counts)))
+    ratios = _sweep_ratios(args.ratios)
+    node_counts = list(dict.fromkeys(_comma_ints(args.node_counts)))  # each count once
     if not ratios or not node_counts:
         raise ConfigError("sweep needs at least one ratio and one node count")
     base = _resolve_config(args)
@@ -315,7 +328,6 @@ def cmd_sweep(args) -> int:
             try:
                 cell_cfg = replace(base, n_points=nodes,
                                    weights=replace(base.weights, repulsion=ratio))
-                cell_cfg.validate()
                 ckpt_path = ckpt_dir / f"ckpt_{_cell_hash(cell_cfg, input_hashes)}.l2m"
                 if ckpt_path.exists():
                     log.info("cell ratio=%g nodes=%d: reusing checkpoint %s", ratio, nodes, ckpt_path.name)
@@ -335,12 +347,12 @@ def cmd_sweep(args) -> int:
                 cell = None
             scores[(ratio, nodes)] = cell
 
-    rows = kl_sweep(scores)
+    text = kl_csv_text(scores)
     kl_path = out_dir / "kl.csv"
-    write_kl_csv(rows, kl_path)
+    atomic_write_text(kl_path, text)
     _write_run_manifest(out_dir / "run_manifest.json", "sweep", base, input_hashes,
                         {"kl": kl_path.name, "checkpoints": ckpt_dir.name, "panels": panel_dir.name})
-    sys.stdout.write(kl_csv_text(rows))
+    sys.stdout.write(text)
     if failures:
         print(f"{len(failures)} cell(s) failed:", file=sys.stderr)
         for f in failures:
@@ -354,8 +366,7 @@ def cmd_sweep(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its keys")
     p.add_argument("--seed", type=int, help="RNG seed (init + upsampling)")
-    p.add_argument("--mode", choices=[m.value for m in TrainMode],
-                   help="coordinate handling mode")
+    p.add_argument("--mode", choices=MODES, help="coordinate handling mode")
     p.add_argument("--ratio", type=float, help="repulsion weight of the composite loss")
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--lr", type=float, help="Adam learning rate")

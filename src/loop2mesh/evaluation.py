@@ -10,20 +10,18 @@ window and over the truth's padded bounding box, the whole window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import InputError
-from .fileio import atomic_write_text
 from .geometry import as_point_array, padded_bbox
 
 GRID = 100  # cells per window axis
 EPSILON = 1e-10  # added to the reference mass in the KL denominator
 CENTER = ((-0.5, 1.5), (-0.4, 0.4))  # near field of a chord-normalised airfoil
 
-_REGION_CODE = {"center": "c", "whole": "w"}
+_WINDOWS = ("center", "whole")  # a KL table names each by its initial
 
 
 def whole_window(truth: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -105,7 +103,7 @@ def evaluate(pred, truth) -> dict[str, float]:
     """
     pred, truth = as_point_array(pred, name="prediction"), as_point_array(truth, name="truth")
     out: dict[str, float] = {}
-    for name in ("center", "whole"):
+    for name in _WINDOWS:
         cloud = "truth"
         try:
             window = CENTER if name == "center" else whole_window(truth)
@@ -119,40 +117,16 @@ def evaluate(pred, truth) -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True)
-class KLRow:
-    ratio: float
-    region: str  # "c" or "w"
-    nodes: int
-    kl: Optional[float]  # None marks a missing sweep cell
-
-
-def kl_sweep(scores: Mapping[tuple[float, int], Optional[Mapping[str, float]]]) -> list[KLRow]:
-    """The rows of a (ratio x node-count) grid, given each cell's ``evaluate`` scores.
-
-    Rows come out in deterministic order: ratio ascending, region "c" then
-    "w", node count ascending. A missing cell (absent key or None) gives
-    rows with an empty score; the caller reports why it is missing.
-    """
-    ratios = sorted({r for r, _ in scores})
-    node_counts = sorted({n for _, n in scores})
-    rows: list[KLRow] = []
+def kl_csv_text(scores: Mapping[tuple[float, int], Optional[Mapping[str, float]]]) -> str:
+    """The KL table of a (ratio x node-count) grid from each cell's ``evaluate`` scores:
+    ratio ascending, region "c" (center) then "w" (whole), node count ascending. A
+    missing cell (absent key or None) gets empty scores; the caller reports why."""
+    lines = ["ratio,region,nodes,kl"]
+    ratios, node_counts = sorted({r for r, _ in scores}), sorted({n for _, n in scores})
     for ratio in ratios:
-        for name, region in _REGION_CODE.items():  # center ("c") before whole ("w")
+        for window in _WINDOWS:
             for nodes in node_counts:
                 cell = scores.get((ratio, nodes))
-                rows.append(KLRow(ratio, region, nodes, None if cell is None else cell[name]))
-    return rows
-
-
-def kl_csv_text(rows: list[KLRow]) -> str:
-    lines = ["ratio,region,nodes,kl"]
-    for r in rows:
-        ratio = f"{r.ratio:g}"
-        kl = "" if r.kl is None else repr(r.kl)
-        lines.append(f"{ratio},{r.region},{r.nodes},{kl}")
+                kl = "" if cell is None else repr(cell[window])
+                lines.append(f"{ratio:g},{window[0]},{nodes},{kl}")
     return "\n".join(lines) + "\n"
-
-
-def write_kl_csv(rows: list[KLRow], path) -> None:
-    atomic_write_text(path, kl_csv_text(rows))

@@ -10,12 +10,12 @@ cache). Each per-sample sum keeps its one-cloud order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import as_float, intruders
+from .geometry import intruders
 
 
 def chamfer(P: np.ndarray, G: np.ndarray, out=None) -> tuple[float, np.ndarray]:
@@ -111,31 +111,12 @@ def interior_penalty(xy: np.ndarray, loops: np.ndarray) -> tuple[list[float], np
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Non-negative weights for the composite objective (at least one > 0)."""
+    """The composite objective's weights; ``train.TrainConfig`` checks them."""
 
     chamfer: float = 1.0
     repulsion: float = 0.0
     interior: float = 0.0
     epsilon: float = 1e-8  # repulsion stabiliser, inside the square root
-
-    def __post_init__(self):
-        trio = (self.chamfer, self.repulsion, self.interior)
-        if not all(np.isfinite(trio)) or any(w < 0.0 for w in trio):
-            raise InputError(f"weights must be finite and non-negative, got {trio}")
-        if not any(w > 0.0 for w in trio):
-            raise InputError("at least one loss weight must be positive")
-        if not self.epsilon > 0.0:
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossWeights":
-        """Weights from a mapping; missing keys keep their defaults."""
-        if not isinstance(d, dict):
-            raise InputError(f"weights must be a mapping, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise InputError(f"unknown weight keys: {sorted(unknown)}")
-        return cls(**{f.name: as_float(d[f.name]) for f in fields(cls) if f.name in d})
 
 
 def composite(pred: np.ndarray, refs, loops: np.ndarray, weights: LossWeights,

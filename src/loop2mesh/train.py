@@ -14,7 +14,6 @@ checkpoints are bit-reproducible.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -28,23 +27,12 @@ from .losses import LossWeights, composite
 from .net import NetworkParams, backward, forward, init_params, load_checkpoint, save_checkpoint
 
 
-class TrainMode(enum.Enum):
-    RAW = "raw"
-    STANDARDISED = "stand"
-    STANDARDISED_CLAMPED = "stand-clamp"
-
-    @classmethod
-    def parse(cls, value) -> "TrainMode":
-        try:
-            return cls(value)
-        except ValueError:
-            raise ConfigError(f"unknown mode {value!r}; expected one of "
-                              f"{[m.value for m in cls]}") from None
+MODES = ("raw", "stand", "stand-clamp")
 
 
-def default_interior_weight(mode: TrainMode) -> float:
+def default_interior_weight(mode: str) -> float:
     """10 when containment relies on the penalty, 0 once clamping confines y."""
-    return 0.0 if mode is TrainMode.STANDARDISED_CLAMPED else 10.0
+    return 0.0 if mode == "stand-clamp" else 10.0
 
 
 def _as_int(value) -> int:
@@ -58,18 +46,37 @@ def _float_pair(value) -> tuple[float, float]:
     return as_float(lo), as_float(hi)
 
 
+def _from_dict(cls, d, name: str):
+    """A ``cls`` record from a mapping, each value converted by its field's annotation."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name} must be a mapping, got {d!r}")
+    table = {f.name: _CONVERTERS[f.type] for f in fields(cls)}
+    unknown = set(d) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    kw: dict = {}
+    for key, value in d.items():
+        try:
+            kw[key] = table[key](value)
+        except (ConfigError, InputError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid {key} {value!r}: {exc}") from None
+    return cls(**kw)
+
+
 # config-file value -> field value, keyed by the field's annotation
-_CONVERTERS = {"TrainMode": TrainMode.parse, "int": _as_int, "float": as_float,
-               "tuple[float, float]": _float_pair, "LossWeights": LossWeights.from_dict}
+_CONVERTERS = {"str": lambda v: v, "int": _as_int, "float": as_float,
+               "tuple[float, float]": _float_pair,
+               "LossWeights": lambda d: _from_dict(LossWeights, d, "weights")}
 # NumPy sizes an array in bytes in its index type: at most this many float64s
 _MAX_FLOATS = int(np.iinfo(np.intp).max) // 8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Each int field is at least its ``min`` (default 1) and sizes arrays NumPy can index."""
+    """Checked on construction (``dataclasses.replace`` too): each int field is at
+    least its ``min`` (default 1) and sizes arrays NumPy can index."""
 
-    mode: TrainMode = TrainMode.RAW
+    mode: str = "raw"  # one of MODES
     n_points: int = field(default=400, metadata={"min": 2})  # repulsion needs a pair
     loop_size: int = field(default=35, metadata={"min": 3})
     upsample_count: int = 1500
@@ -81,9 +88,9 @@ class TrainConfig:
     epochs: int = 5000
     seed: int = field(default=0, metadata={"min": 0})
 
-    def validate(self) -> None:
-        if not isinstance(self.mode, TrainMode):
-            raise ConfigError(f"mode must be one of {[m.value for m in TrainMode]}")
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {list(MODES)}")
         for f in fields(self):
             v = getattr(self, f.name)
             low = f.metadata.get("min", 1)
@@ -107,34 +114,28 @@ class TrainConfig:
         lo, hi = self.clamp_y
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ConfigError(f"clamp_y must be a non-empty interval, got {self.clamp_y}")
-        if not isinstance(self.weights, LossWeights):
+        w = self.weights
+        if not isinstance(w, LossWeights):
             raise ConfigError("weights must be a LossWeights instance")
+        trio = (w.chamfer, w.repulsion, w.interior)
+        if not all(math.isfinite(v) and v >= 0.0 for v in trio):
+            raise ConfigError(f"weights must be finite and non-negative, got {trio}")
+        if not any(v > 0.0 for v in trio):
+            raise ConfigError("at least one loss weight must be positive")
+        if not w.epsilon > 0.0:
+            raise ConfigError(f"epsilon must be positive, got {w.epsilon}")
 
     @property
     def y_clamp(self) -> tuple[float, float] | None:
         """The clamp on the network's y outputs: ``clamp_y`` in stand-clamp mode only."""
-        return self.clamp_y if self.mode is TrainMode.STANDARDISED_CLAMPED else None
+        return self.clamp_y if self.mode == "stand-clamp" else None
 
     def to_dict(self) -> dict:
-        return dict(asdict(self), mode=self.mode.value, clamp_y=list(self.clamp_y))
+        return dict(asdict(self), clamp_y=list(self.clamp_y))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"config must be a mapping, got {d!r}")
-        table = {f.name: _CONVERTERS[f.type] for f in fields(cls)}
-        unknown = set(d) - set(table)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kw: dict = {}
-        for name, value in d.items():
-            try:
-                kw[name] = table[name](value)
-            except (InputError, TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"invalid {name} {value!r}: {exc}") from None
-        cfg = cls(**kw)
-        cfg.validate()
-        return cfg
+        return _from_dict(cls, d, "config")
 
 
 # Adam runs in blocks of this many elements: six float64 slices and a block of
@@ -214,7 +215,6 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     batch, one Adam step per epoch). A non-finite output, epoch total or
     final parameter vector aborts with the offending epoch.
     """
-    config.validate()
     loops = np.stack([s.loop for s in dataset.samples])  # (S, L, 2)
     if config.loop_size != loops.shape[1]:
         raise ConfigError(f"config loop_size {config.loop_size} != dataset loop size {loops.shape[1]}")
@@ -223,7 +223,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
 
     targets = np.stack([s.target for s in dataset.samples])  # (S, M, 2)
     transform = None
-    if config.mode is not TrainMode.RAW:
+    if config.mode != "raw":
         transform = fit_standardize(targets.reshape(-1, 2))  # training targets only
         targets = standardize_loop(transform, targets)
         loops = standardize_loop(transform, loops)
@@ -256,9 +256,9 @@ def predict(params: NetworkParams, transform: np.ndarray | None,
     """A cloud (N, 2) for a loop (L, 2), in original coordinates; InputError if it overflows."""
     if params.n_points != config.n_points or params.loop_size != config.loop_size:
         raise ConfigError("checkpoint dimensions do not match the configuration")
-    if config.mode is TrainMode.RAW and transform is not None:
+    if config.mode == "raw" and transform is not None:
         raise InputError("raw mode takes no standardise transform")
-    if config.mode is not TrainMode.RAW and transform is None:
+    if config.mode != "raw" and transform is None:
         raise InputError("standardised modes require the model's transform")
     inp = loop if transform is None else standardize_loop(transform, loop)
     with np.errstate(over="ignore", invalid="ignore"):  # caught below
@@ -307,7 +307,7 @@ def load_trained(path) -> tuple[NetworkParams, TrainConfig, np.ndarray | None]:
         raise InputError(f"{path}: checkpoint arrays disagree with its stored config")
     if not transforms:
         raise InputError(f"{path}: checkpoint lists no sample")
-    if config.mode is TrainMode.RAW:
+    if config.mode == "raw":
         if any(t is not None for t in transforms):
             raise InputError(f"{path}: raw mode takes no standardise transform")
         return params, config, None

@@ -25,17 +25,17 @@ from loop2mesh.ingest import build_dataset, load_manifest, parse_airfoil_dat, pa
 from loop2mesh.losses import LossWeights, _pairwise, chamfer, composite, repulsion
 from loop2mesh.net import forward, init_params
 from loop2mesh.synth import write_sample_dataset
-from loop2mesh.train import TrainConfig, TrainLog, TrainMode, predict, train
+from loop2mesh.train import TrainConfig, TrainLog, predict, train
 
 # ----------------------------------------------------------- shared desk runs
 
 DESK_EPOCHS = 5000
 DESK_INTERIOR_WEIGHT = 10.0
 # the four shared runs: name -> (mode, repulsion ratio, points)
-DESK_RUNS = {"clamped_r1": (TrainMode.STANDARDISED_CLAMPED, 1.0, 400),
-             "clamped_r0": (TrainMode.STANDARDISED_CLAMPED, 0.0, 400),
-             "clamped_r2": (TrainMode.STANDARDISED_CLAMPED, 2.0, 400),
-             "raw_r0_n300": (TrainMode.RAW, 0.0, 300)}
+DESK_RUNS = {"clamped_r1": ("stand-clamp", 1.0, 400),
+             "clamped_r0": ("stand-clamp", 0.0, 400),
+             "clamped_r2": ("stand-clamp", 2.0, 400),
+             "raw_r0_n300": ("raw", 0.0, 300)}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DESK_WAIT_S = 900  # seconds a test waits on a worker before it fails
 
@@ -364,7 +364,7 @@ def test_a_worker_trains_bit_for_bit_as_this_process_does(desk_data, desk_pool):
     """A run is a pure function of (dataset, config), so a short desk run in a
     worker process (one BLAS thread) writes the same trainlog bytes and
     prediction as the same run trained in this process."""
-    run = (desk_data["dataset"], TrainMode.STANDARDISED_CLAMPED, 1.0, 400, 30)
+    run = (desk_data["dataset"], "stand-clamp", 1.0, 400, 30)
     there = desk_pool.submit(_desk_run, *run).result(timeout=DESK_WAIT_S)
     here = _desk_run(*run)
     log_there = TrainLog(there["terms"]).to_csv_text().encode()

@@ -779,6 +779,29 @@ class TestSweep:
         assert code == 2
         assert f"error: expected integers, got {nodes!r}" in stderr
 
+    @pytest.mark.parametrize("ratios", ["nan", "inf", "-inf", "1e999", "nan,nan"])
+    def test_ratio_that_is_not_finite_exits_2(self, tmp_path, ratios, capsys):
+        """Rejected as the list is parsed: the (absent) manifest is never read."""
+        out = tmp_path / "s"
+        code, stdout, stderr = run_cli(
+            ["sweep", tmp_path / "missing.json", f"--ratios={ratios}", "--nodes", "30",
+             "--out-dir", out, *SWEEP_FAST], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines() == [f"error: expected finite numbers, got {ratios!r}"]
+        assert not out.exists()
+
+    def test_distinct_ratios_that_print_alike_exit_2(self, tmp_path, capsys):
+        """Every output labels a ratio with %g: two that share a label would
+        share a panel file and give rows that cannot be told apart."""
+        out = tmp_path / "s"
+        code, stdout, stderr = run_cli(
+            ["sweep", tmp_path / "missing.json", "--ratios", "0.1,0.1000001", "--nodes", "30",
+             "--out-dir", out, *SWEEP_FAST], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines() == ["error: ratios 0.1 and 0.1000001 both print as 0.1, "
+                                       "so their panels and kl rows would clash"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--grid", "--epsilon"])
     def test_grid_and_epsilon_are_not_options(self, tmp_path, flag, capsys):
         assert_scoring_flags_are_gone(

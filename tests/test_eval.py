@@ -10,12 +10,10 @@ from loop2mesh.evaluation import (
     CENTER,
     EPSILON,
     GRID,
-    KLRow,
     evaluate,
     kde,
     kl_csv_text,
     kl_divergence,
-    kl_sweep,
     scott_bandwidth,
     whole_window,
 )
@@ -290,33 +288,38 @@ class TestKlSweep:
 
         scores = {(1.0, 300): evaluate(fake(300), truth), (0.0, 300): evaluate(fake(300), truth),
                   (1.0, 400): evaluate(fake(400), truth), (0.0, 400): evaluate(fake(400), truth)}
-        rows = kl_sweep(scores)
-        key = [(r.ratio, r.region, r.nodes) for r in rows]
-        assert key == [(0.0, "c", 300), (0.0, "c", 400), (0.0, "w", 300), (0.0, "w", 400),
-                       (1.0, "c", 300), (1.0, "c", 400), (1.0, "w", 300), (1.0, "w", 400)]
-        assert all(r.kl is not None and r.kl >= 0.0 for r in rows)
+        lines = kl_csv_text(scores).splitlines()
+        assert lines[0] == "ratio,region,nodes,kl"
+        assert [tuple(line.split(",")[:3]) for line in lines[1:]] == [
+            ("0", "c", "300"), ("0", "c", "400"), ("0", "w", "300"), ("0", "w", "400"),
+            ("1", "c", "300"), ("1", "c", "400"), ("1", "w", "300"), ("1", "w", "400")]
+        for line in lines[1:]:
+            ratio, region, nodes, kl = line.split(",")
+            cell = scores[(float(ratio), int(nodes))]
+            assert float(kl) == cell["center" if region == "c" else "whole"] >= 0.0
 
     def test_missing_cell_emits_empty_row(self, dataset):
         truth = dataset.samples[0].target
         scores = {(0.0, 100): evaluate(truth.copy(), truth), (1.0, 100): None}
-        rows = kl_sweep(scores)
-        assert len(rows) == 4
-        missing = [r for r in rows if r.ratio == 1.0]
-        assert all(r.kl is None for r in missing)
-        text = kl_csv_text(rows)
-        assert "1,c,100,\n" in text or "1,c,100,\r\n" in text
+        lines = kl_csv_text(scores).splitlines()
+        assert lines[1:] == ["0,c,100,0.0", "0,w,100,0.0", "1,c,100,", "1,w,100,"]
 
     def test_csv_text_golden(self):
-        rows = [KLRow(0.0, "c", 300, 0.125), KLRow(0.0, "w", 300, None),
-                KLRow(2.5, "c", 300, 0.5)]
-        assert kl_csv_text(rows) == (
+        # a None cell and an absent one, (2.5, 10), both give empty scores
+        scores = {(2.5, 300): None, (0.0, 300): {"center": 0.125, "whole": 0.75},
+                  (0.0, 10): {"center": 0.5, "whole": 0.25}}
+        assert kl_csv_text(scores) == (
             "ratio,region,nodes,kl\n"
+            "0,c,10,0.5\n"
             "0,c,300,0.125\n"
-            "0,w,300,\n"
-            "2.5,c,300,0.5\n")
+            "0,w,10,0.25\n"
+            "0,w,300,0.75\n"
+            "2.5,c,10,\n"
+            "2.5,c,300,\n"
+            "2.5,w,10,\n"
+            "2.5,w,300,\n")
 
     def test_csv_floats_round_trip_exactly(self):
         val = 0.1234567890123456789
-        rows = [KLRow(1.0, "c", 10, val)]
-        line = kl_csv_text(rows).splitlines()[1]
+        line = kl_csv_text({(1.0, 10): {"center": val, "whole": 0.0}}).splitlines()[1]
         assert float(line.split(",")[-1]) == val

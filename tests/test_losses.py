@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,31 +258,6 @@ class TestLossWeights:
         w = LossWeights()
         assert (w.chamfer, w.repulsion, w.interior) == (1.0, 0.0, 0.0)
         assert w.epsilon == pytest.approx(1e-8)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InputError):
-            LossWeights(chamfer=-1.0)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(InputError):
-            LossWeights(chamfer=0.0, repulsion=0.0, interior=0.0)
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(InputError):
-            LossWeights(epsilon=0.0)
-
-    def test_dict_round_trip(self):
-        w = LossWeights(1.0, 2.5, 10.0, 1e-9)
-        assert LossWeights.from_dict(asdict(w)) == w
-
-    @pytest.mark.parametrize("bad", [{"repulsion": True}, {"chamfer": "1"}, {"epsilon": None}])
-    def test_from_dict_does_not_coerce(self, bad):
-        with pytest.raises(InputError):
-            LossWeights.from_dict(bad)
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(InputError, match=r"unknown weight keys: \['repulsoin'\]"):
-            LossWeights.from_dict({"repulsoin": 1.0})
 
 
 class TestComposite:

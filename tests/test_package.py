@@ -13,7 +13,7 @@ import loop2mesh
 # each module's public names
 PUBLIC_NAMES = {
     "errors": ("ConfigError", "InputError", "Loop2MeshError", "TrainingDivergedError"),
-    "evaluation": ("KLRow", "evaluate", "kde", "kl_divergence", "kl_sweep", "scott_bandwidth",
+    "evaluation": ("evaluate", "kde", "kl_csv_text", "kl_divergence", "scott_bandwidth",
                    "whole_window"),
     "geometry": ("as_point_array", "check_loop", "check_map", "edge_query",
                  "fit_standardize", "intruders", "invert_standardize", "padded_bbox",
@@ -25,8 +25,8 @@ PUBLIC_NAMES = {
                "mean_pairwise_distance", "repulsion"),
     "net": ("ForwardTrace", "NetworkParams", "backward", "forward", "init_params",
             "load_checkpoint", "save_checkpoint"),
-    "train": ("TrainConfig", "TrainLog", "TrainMode", "TrainResult", "load_trained",
-              "predict", "save_trained", "train"),
+    "train": ("TrainConfig", "TrainLog", "TrainResult", "default_interior_weight",
+              "load_trained", "predict", "save_trained", "train"),
 }
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(loop2mesh.__path__)

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from loop2mesh.ingest import build_dataset, load_manifest
 from loop2mesh.losses import LossWeights
 from loop2mesh.net import backward, forward, init_params
 from loop2mesh.train import (
+    MODES,
     TrainConfig,
     TrainLog,
-    TrainMode,
     TrainResult,
     adam_step,
     default_interior_weight,
@@ -48,7 +49,7 @@ DESK_CONFIG = {"mode": "stand-clamp", "n_points": 400, "loop_size": 35, "upsampl
 
 
 def small_config(**over) -> TrainConfig:
-    base = dict(mode=TrainMode.RAW, n_points=40, loop_size=12, upsample_count=150,
+    base = dict(mode="raw", n_points=40, loop_size=12, upsample_count=150,
                 h1=16, h2=24, weights=LossWeights(1.0, 1.0, 10.0),
                 epochs=40, seed=0)
     base.update(over)
@@ -158,15 +159,45 @@ class TestAdam:
 
 class TestTrainConfig:
     def test_defaults_are_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
+
+    @pytest.mark.parametrize("make", [
+        lambda: TrainConfig(mode="clamped"),
+        lambda: replace(small_config(), n_points=1),  # replace checks again
+        lambda: TrainConfig(weights=LossWeights(chamfer=-1.0)),
+    ], ids=["mode", "replace", "weights"])
+    def test_an_invalid_config_cannot_be_constructed(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
+    def test_weight_checks_keep_their_messages(self):
+        with pytest.raises(ConfigError, match=r"^weights must be finite and non-negative, "
+                                              r"got \(-1\.0, 0\.0, 0\.0\)$"):
+            TrainConfig(weights=LossWeights(chamfer=-1.0))
+        with pytest.raises(ConfigError, match="^at least one loss weight must be positive$"):
+            TrainConfig.from_dict({"weights": {"chamfer": 0.0}})
+        with pytest.raises(ConfigError, match="^epsilon must be positive, got 0.0$"):
+            TrainConfig.from_dict({"weights": {"epsilon": 0}})
 
     def test_dict_round_trip(self):
-        cfg = small_config(mode=TrainMode.STANDARDISED_CLAMPED, clamp_y=(-0.5, 0.5))
+        cfg = small_config(mode="stand-clamp", clamp_y=(-0.5, 0.5))
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_weights_dict_round_trip(self):
+        cfg = small_config(weights=LossWeights(1.0, 2.5, 10.0, 1e-9))
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['epochz'\]$"):
             TrainConfig.from_dict({"epochz": 3})
+        with pytest.raises(ConfigError, match=r"unknown weights keys: \['repulsoin'\]$"):
+            TrainConfig.from_dict({"weights": {"repulsoin": 1.0}})
+
+    def test_records_that_are_not_mappings_are_named(self):
+        with pytest.raises(ConfigError, match="^config must be a mapping, got 5$"):
+            TrainConfig.from_dict(5)
+        with pytest.raises(ConfigError, match="^invalid weights 5: weights must be a mapping"):
+            TrainConfig.from_dict({"weights": 5})
 
     def test_unknown_mode_named_in_error(self):
         with pytest.raises(ConfigError, match="stand-clamp"):
@@ -182,6 +213,11 @@ class TestTrainConfig:
         # no silent coercion: ints stay ints, and a bool is not a number
         {"n_points": 3.7}, {"n_points": 400.0}, {"epochs": True}, {"seed": False},
         {"lr": True}, {"clamp_y": [True, 1.0]}, {"weights": {"repulsion": True}},
+        {"weights": {"chamfer": "1"}}, {"weights": {"epsilon": None}},
+        # the weights' own checks, reached through a config file
+        {"weights": {"chamfer": -1.0}}, {"weights": {"chamfer": 0.0}}, {"weights": {"epsilon": 0.0}},
+        {"weights": {"repulsion": float("nan")}},
+        {"mode": "clamped"}, {"mode": 5},
         # a misspelt weight is not silently dropped
         {"weights": {"repulsoin": 1}},
     ])
@@ -218,9 +254,7 @@ class TestTrainConfig:
             b'"w2": [512, 256], "w3": [800, 512]}, "version": 1}')
 
     def test_default_interior_weight_by_mode(self):
-        assert default_interior_weight(TrainMode.RAW) == 10.0
-        assert default_interior_weight(TrainMode.STANDARDISED) == 10.0
-        assert default_interior_weight(TrainMode.STANDARDISED_CLAMPED) == 0.0
+        assert [default_interior_weight(m) for m in MODES] == [10.0, 10.0, 0.0]
 
 
 # ----------------------------------------------------------------- training
@@ -261,7 +295,7 @@ class TestTrain:
 
         monkeypatch.setattr(train_mod, "standardize_loop", counting_standardize)
         assert len(small_dataset.samples) == 2
-        train(small_dataset, small_config(mode=TrainMode.STANDARDISED, epochs=1))
+        train(small_dataset, small_config(mode="stand", epochs=1))
         assert calls == [(2, 150, 2), (2, 12, 2)]
 
     def test_one_pairwise_and_one_edge_kernel_per_epoch(self, small_dataset, monkeypatch):
@@ -322,7 +356,7 @@ class TestTrain:
 
     def test_standardised_mode_fits_one_transform_on_pooled_targets(self, small_dataset):
         assert len(small_dataset.samples) > 1
-        res = train(small_dataset, small_config(mode=TrainMode.STANDARDISED, epochs=2))
+        res = train(small_dataset, small_config(mode="stand", epochs=2))
         pooled = np.vstack([s.target for s in small_dataset.samples])
         t = res.transform
         assert t.shape == (2, 2)
@@ -330,7 +364,7 @@ class TestTrain:
         assert t[1] == pytest.approx(pooled.std(axis=0))
 
     def test_clamped_mode_confines_standardised_y(self, small_dataset):
-        cfg = small_config(mode=TrainMode.STANDARDISED_CLAMPED, epochs=3,
+        cfg = small_config(mode="stand-clamp", epochs=3,
                            clamp_y=(-1.0, 1.0))
         res = train(small_dataset, cfg)
         samp = small_dataset.samples[0]
@@ -400,7 +434,7 @@ class TestPredict:
 
     def test_standardised_prediction_is_forward_in_the_standardised_frame(self, small_dataset):
         from loop2mesh.net import forward
-        cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
+        cfg = small_config(mode="stand", epochs=2)
         res = train(small_dataset, cfg)
         samp, t = small_dataset.samples[0], res.transform
         got = predict(res.params, t, samp.loop, cfg)
@@ -410,7 +444,7 @@ class TestPredict:
         assert np.array_equal(got, want)
 
     def test_standardised_prediction_has_n_points(self, small_dataset):
-        cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
+        cfg = small_config(mode="stand", epochs=2)
         res = train(small_dataset, cfg)
         samp = small_dataset.samples[0]
         pred = predict(res.params, res.transform, samp.loop, cfg)
@@ -419,14 +453,14 @@ class TestPredict:
     def test_raw_mode_rejects_transform(self, small_dataset):
         cfg = small_config(epochs=2)
         res = train(small_dataset, cfg)
-        t_cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
+        t_cfg = small_config(mode="stand", epochs=2)
         t_res = train(small_dataset, t_cfg)
         samp = small_dataset.samples[0]
         with pytest.raises(InputError):
             predict(res.params, t_res.transform, samp.loop, cfg)
 
     def test_standardised_mode_requires_transform(self, small_dataset):
-        cfg = small_config(mode=TrainMode.STANDARDISED, epochs=2)
+        cfg = small_config(mode="stand", epochs=2)
         res = train(small_dataset, cfg)
         with pytest.raises(InputError):
             predict(res.params, None, small_dataset.samples[0].loop, cfg)
@@ -442,7 +476,7 @@ class TestPredict:
 
 class TestSaveLoadTrained:
     def test_round_trip(self, small_dataset, tmp_path):
-        cfg = small_config(mode=TrainMode.STANDARDISED_CLAMPED, epochs=3)
+        cfg = small_config(mode="stand-clamp", epochs=3)
         res = train(small_dataset, cfg)
         path = tmp_path / "run.l2m"
         names = [s.name for s in small_dataset.samples]
@@ -480,13 +514,13 @@ class TestSaveLoadTrained:
             load_trained(path)
 
     @pytest.mark.parametrize("mode, record, message", [
-        *((TrainMode.STANDARDISED, dict(RECORD, **{key: value}), "invalid checkpoint metadata")
+        *(("stand", dict(RECORD, **{key: value}), "invalid checkpoint metadata")
           for key, value in (("mean_x", True), ("mean_y", "0.5"), ("scale_x", None),
                              ("scale_x", -1.0), ("scale_y", None), ("scale_y", [1.0]),
                              ("extra", 1.0))),  # a wrong number or an extra key
-        (TrainMode.STANDARDISED, {}, "invalid checkpoint metadata"),  # not a missing record
-        (TrainMode.STANDARDISED, [0.5, 0.25, 0.125, 2.0], "invalid checkpoint metadata"),
-        (TrainMode.RAW, RECORD, "raw mode takes no standardise transform"),  # never dropped
+        ("stand", {}, "invalid checkpoint metadata"),  # not a missing record
+        ("stand", [0.5, 0.25, 0.125, 2.0], "invalid checkpoint metadata"),
+        ("raw", RECORD, "raw mode takes no standardise transform"),  # never dropped
     ], ids=["mean_x-bool", "mean_y-str", "scale_x-null", "scale_x-negative", "scale_y-null",
             "scale_y-list", "extra-key", "empty", "list", "raw-with-transform"])
     def test_transform_metadata_is_not_coerced(self, small_dataset, tmp_path, mode, record,
@@ -521,7 +555,7 @@ JSON_VALUES = st.recursive(
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
     """A valid one-sample stand checkpoint's header and payload."""
-    cfg = TrainConfig(mode=TrainMode.STANDARDISED, n_points=5, loop_size=3, h1=4, h2=4)
+    cfg = TrainConfig(mode="stand", n_points=5, loop_size=3, h1=4, h2=4)
     result = TrainResult(init_params(0, 3, 4, 4, 5),
                          np.array([[0.5, 0.25], [0.125, 2.0]]), TrainLog(()))
     path = tmp_path_factory.mktemp("ckpt") / "tiny.l2m"
