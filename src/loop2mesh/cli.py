@@ -275,6 +275,8 @@ def cmd_evaluate(args) -> int:
     if (args.pred is None) == (args.checkpoint is None):
         raise ConfigError("provide exactly one of --pred or --checkpoint")
     ratio = args.ratio
+    if ratio is not None and not math.isfinite(ratio):  # a label, but every row carries it
+        raise ConfigError(f"--ratio must be finite, got {ratio!r}")
     if args.checkpoint is not None:
         pred, _, chord, config = _checkpoint_prediction(args.checkpoint, args.dat)
         if ratio is None:

@@ -23,7 +23,7 @@ from .errors import ConfigError, InputError, TrainingDivergedError
 from .fileio import atomic_write_text
 from .geometry import as_float, check_map, fit_standardize, invert_standardize, standardize_loop
 from .ingest import Dataset
-from .losses import LossWeights, composite
+from .losses import LossWeights, composite, workspace, workspace_shapes
 from .net import NetworkParams, backward, forward, init_params, load_checkpoint, save_checkpoint
 
 
@@ -97,13 +97,15 @@ class TrainConfig:
             if f.type == "int" and not (type(v) is int and v >= low):
                 raise ConfigError(f"{f.name} must be an integer >= {low}, got {v!r}")
         n, m, loop, h1, h2 = self.n_points, self.upsample_count, self.loop_size, self.h1, self.h2
+        _, scratch, stream = workspace_shapes(1, n, m)  # the loss workspace, per sample
         for names, array, count in (  # float64 arrays that train and build_dataset size
                 ("epochs", "(epochs, 5) log", 5 * self.epochs),
                 ("loop_size", "(L, 2) loop", 2 * loop),
                 ("upsample_count", "(M, 2) target", 2 * m),
                 ("h1", "(h1,) bias", h1), ("h2", "(h2,) bias", h2),
-                ("n_points", "(N, N) pairwise slice", n * n),
+                ("n_points", "loss workspace's rolling buffer", math.prod(stream)),
                 ("n_points and upsample_count", "(N, M) Chamfer matrix", n * m),
+                ("n_points and upsample_count", "loss workspace's block scratch", scratch[0]),
                 ("loop_size, h1, h2 and n_points", "parameter vector",  # w1 b1, w2 b2, w3 b3
                  h1 * (2 * loop + 1) + h2 * (h1 + 1) + 2 * n * (h2 + 1))):
             if count > _MAX_FLOATS:
@@ -231,14 +233,14 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     x = loops.reshape(n_samples, -1)  # rows x0, y0, x1, ...
     log = TrainLog(np.zeros((config.epochs, 5)))
     grads, scratch = np.empty_like(params.flat), np.empty((3, max(_ADAM_BLOCK, 2 * config.h2)))
-    # one Chamfer matrix for all epochs: fresh (N, M) ones made glibc trim and re-fault the heap
-    d2 = np.empty((config.n_points, targets.shape[1]))
+    # the loss scratch for all epochs: fresh per-epoch buffers made glibc trim and re-fault the heap
+    work = workspace(n_samples, config.n_points, targets.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is caught below, not warned
         for epoch in range(1, config.epochs + 1):
             out, trace = forward(params, x, y_clamp=config.y_clamp)
             if not np.isfinite(out).all():  # the only non-finite source is numeric blow-up
                 raise TrainingDivergedError(epoch, f"non-finite network output at epoch {epoch}")
-            terms, grad = composite(out.reshape(n_samples, -1, 2), targets, loops, config.weights, d2)
+            terms, grad = composite(out.reshape(n_samples, -1, 2), targets, loops, config.weights, work)
             row = np.divide(terms.sum(axis=0), n_samples, out=log.terms[epoch - 1])  # in sample order
             if not math.isfinite(row[3]):  # the total
                 raise TrainingDivergedError(epoch, f"total loss became non-finite at epoch {epoch}")

@@ -3,8 +3,11 @@
 Deliberately written in a different style from the package (plain Python
 loops, winding angles instead of ray casting, no shared helpers) so that a
 bug in the implementation cannot hide in its own test. The exceptions are
-``gradient``, a helper that completes the package's ``net.backward``, and
-``params_from_arrays``, which builds the package's ``net.NetworkParams``.
+``gradient``, a helper that completes the package's ``net.backward``,
+``params_from_arrays``, which builds the package's ``net.NetworkParams``, and
+the package's former broadcast loss kernels, kept verbatim as the
+bit-equality oracle for the blocked ones (with the package's
+``interior_penalty`` in ``broadcast_composite``).
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import math
 
 import numpy as np
 
+from loop2mesh.errors import InputError
+from loop2mesh.losses import interior_penalty
 from loop2mesh.net import NetworkParams, backward
 
 
@@ -264,6 +269,96 @@ def off_diagonal_by_mask(m) -> np.ndarray:
     """The off-diagonal entries of a square matrix, row-major, selected by a
     boolean mask: the package's former selection."""
     return m[~np.eye(m.shape[0], dtype=bool)]
+
+
+# The package's former broadcast loss kernels, verbatim: one (N, M) norm
+# temporary per Chamfer call and (S, N, N) arrays for the pair terms. The
+# bit-equality oracle for ``losses.composite`` and its blocked kernels.
+
+def chamfer(P: np.ndarray, G: np.ndarray, out=None) -> tuple[float, np.ndarray]:
+    """Sum of squared nearest-neighbour distances of P (N, 2) and G (M, 2),
+    both directions, and its gradient (N, 2); the (N, M) matrix of squared
+    distances is built in ``out`` if given.
+
+    value = sum_p min_g |p-g|^2  +  sum_g min_p |g-p|^2   (sums, not means).
+
+    Nearest-neighbour ties resolve to the lowest index and the gradient
+    flows only through the winning neighbour: each predicted point p gets
+    2(p - g*) from the first term plus 2(p - g) for every reference g whose
+    nearest predicted point is p.
+    """
+    d2 = np.matmul(-2.0 * P, G.T, out=out)  # scaling by -2 is exact, so this sums as
+    d2 += (P ** 2).sum(axis=1)[:, None] + (G ** 2).sum(axis=1)  # |p|^2 + |g|^2 - 2 p.g
+    np.maximum(d2, 0.0, out=d2)
+    nn_pg, nn_gp = d2.argmin(axis=1), d2.argmin(axis=0)
+    value = float(d2[np.arange(P.shape[0]), nn_pg].sum() + d2[nn_gp, np.arange(G.shape[0])].sum())
+    grad = 2.0 * (P - G[nn_pg])
+    np.add.at(grad, nn_gp, 2.0 * (P[nn_gp] - G))
+    return value, grad
+
+
+def _pairwise(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one pairwise kernel of S clouds (S, N, 2): per-axis differences
+    ``dx[s, i, j] = x_i - x_j`` and ``dy`` likewise, and the squared
+    distances, each (S, N, N)."""
+    dx = xy[:, :, 0, None] - xy[:, None, :, 0]
+    dy = xy[:, :, 1, None] - xy[:, None, :, 1]
+    return dx, dy, dx * dx + dy * dy
+
+
+def _off_diagonal(a: np.ndarray, reduce) -> list[float]:
+    # per (N, N) slice, the off-diagonal entries in row-major order as one
+    # contiguous vector: after the first entry, every (N+1)th is diagonal
+    n = a.shape[1]
+    return [float(reduce(m.ravel()[1:].reshape(n - 1, n + 1)[:, :n].ravel())) for m in a]
+
+
+def repulsion(pairs, epsilon: float) -> tuple[list[float], np.ndarray]:
+    """Inverse of the mean pairwise distance of each of S clouds, from their
+    ``_pairwise`` kernel; returns S values and the gradient (S, N, 2).
+
+    The mean runs over all ordered index pairs (divisor N^2); self-pairs
+    contribute exactly zero while every other pair is stabilised as
+    sqrt(|pi-pj|^2 + epsilon), so coincident points stay finite. Larger
+    spread means a smaller value. Needs N >= 2 and epsilon > 0.
+    """
+    dx, dy, d2 = pairs
+    n = d2.shape[1]
+    if n < 2:
+        raise InputError("repulsion needs at least 2 points")
+    if not epsilon > 0.0:
+        raise InputError(f"epsilon must be positive, got {epsilon}")
+    r = np.sqrt(d2 + epsilon)
+    values = [1.0 / (total / (n * n)) for total in _off_diagonal(r, np.sum)]  # 1 / mean
+    # d(mean)/d(p_i) = (2/N^2) sum_j (p_i - p_j) / r_ij; self-pairs add 0/r = 0.
+    # dx/r is antisymmetric, so each row sum is minus the column sum, which
+    # NumPy accumulates row by row in index order.
+    d_mean = -2.0 * np.stack(((dx / r).sum(axis=1), (dy / r).sum(axis=1)), axis=-1) / (n * n)
+    # value ** 2 as a Python float: NumPy's array square can round differently
+    scale = np.array([-(v ** 2) for v in values])
+    return values, scale[:, None, None] * d_mean
+
+
+def mean_pairwise_distance(pairs) -> list[float]:
+    """Mean L2 distance over the distinct point pairs of each of S clouds,
+    from their ``_pairwise`` kernel; 0.0 for clouds of fewer than 2 points."""
+    if pairs[2].shape[1] < 2:
+        return [0.0] * len(pairs[2])
+    return _off_diagonal(np.sqrt(pairs[2]), np.mean)
+
+
+def broadcast_composite(pred, refs, loops, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The package's former ``losses.composite`` on the broadcast kernels above
+    (and the package's ``interior_penalty``): the terms (S, 5) and the gradient."""
+    c_vals, c_grads = zip(*(chamfer(p, g) for p, g in zip(pred, refs)))
+    pairs = _pairwise(pred)
+    r_vals, r_grad = repulsion(pairs, weights.epsilon)
+    i_vals, i_grad = interior_penalty(pred, loops)
+    c, r, i = np.array([c_vals, r_vals, i_vals])
+    total = weights.chamfer * c + weights.repulsion * r + weights.interior * i
+    grad = weights.chamfer * np.stack(c_grads) + weights.repulsion * r_grad
+    grad += weights.interior * i_grad
+    return np.column_stack((c, r, i, total, mean_pairwise_distance(pairs))), grad
 
 
 def params_from_arrays(w1, b1, w2, b2, w3, b3):

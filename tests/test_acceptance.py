@@ -22,7 +22,7 @@ from loop2mesh.errors import InputError
 from loop2mesh.evaluation import CENTER, evaluate, kde, kl_divergence, scott_bandwidth
 from loop2mesh.geometry import check_loop, points_in_polygon
 from loop2mesh.ingest import build_dataset, load_manifest, parse_airfoil_dat, parse_msh_nodes
-from loop2mesh.losses import LossWeights, _pairwise, chamfer, composite, repulsion
+from loop2mesh.losses import LossWeights, _pairs, chamfer, composite, repulsion
 from loop2mesh.net import forward, init_params
 from loop2mesh.synth import write_sample_dataset
 from loop2mesh.train import TrainConfig, TrainLog, predict, train
@@ -210,7 +210,7 @@ def test_03_repulsion_two_point_closed_form():
     """Two points at distance d give exactly the closed form 2/d (within
     1e-6 relative) for d in {0.1, 1, 10} at epsilon=1e-12."""
     for d in (0.1, 1.0, 10.0):
-        values, _ = repulsion(_pairwise(np.array([[[0.0, 0.0], [d, 0.0]]])), epsilon=1e-12)
+        values, _ = repulsion(_pairs(np.array([[[0.0, 0.0], [d, 0.0]]]), 1e-12))
         assert values[0] == pytest.approx(2.0 / d, rel=1e-6), f"d={d}"
     print("repulsion two-point closed form: 2/d at d=0.1, 1, 10")
 

@@ -14,6 +14,7 @@ from loop2mesh import cli, evaluation
 from loop2mesh.cli import main
 from loop2mesh.errors import ConfigError, InputError, Loop2MeshError, TrainingDivergedError
 from loop2mesh.ingest import load_manifest, parse_msh_nodes
+from loop2mesh.losses import workspace_shapes
 from loop2mesh.synth import msh_text
 from loop2mesh.train import TrainConfig, load_trained
 
@@ -549,6 +550,18 @@ class TestEvaluate:
             f"error: {truth}: padded bounding box overflows the float range"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("source", ["--pred", "--checkpoint"])
+    def test_ratio_that_is_not_finite_exits_2(self, tmp_path, source, ratio, capsys):
+        """Rejected before any file is read: the (absent) inputs are never opened."""
+        missing, out = tmp_path / "missing", tmp_path / "kl.csv"
+        code, stdout, stderr = run_cli(
+            ["evaluate", source, missing, "--dat", missing, "--truth", missing,
+             f"--ratio={ratio}", "--out", out], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines() == [f"error: --ratio must be finite, got {float(ratio)!r}"]
+        assert not out.exists()
+
 
 # ------------------------------------------------------ inference transform
 
@@ -735,10 +748,11 @@ class TestSweep:
             ["sweep", manifest_path, "--ratios", "0", "--nodes", nodes,
              "--out-dir", out, *SWEEP_FAST], capsys)
         assert code == 0
+        buffer = math.prod(workspace_shapes(1, nodes, 150)[2])  # the first array it sizes
         assert stderr.splitlines() == [
             "1 cell(s) failed:",
-            f"  ratio=0 nodes={nodes}: n_points too large: the (N, N) pairwise slice "
-            f"would hold {nodes**2} floats, more than NumPy can size"]
+            f"  ratio=0 nodes={nodes}: n_points too large: the loss workspace's rolling buffer "
+            f"would hold {buffer} floats, more than NumPy can size"]
         assert (out / "kl.csv").read_text().splitlines()[1:] == [f"0,c,{nodes},", f"0,w,{nodes},"]
         assert not list((out / "checkpoints").glob("*.l2m"))
 

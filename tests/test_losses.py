@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,19 +7,23 @@ from hypothesis import strategies as st
 
 from loop2mesh.errors import InputError
 from loop2mesh.losses import (
+    _LEAF,
     LossWeights,
-    _off_diagonal,
-    _pairwise,
+    _pairs,
+    _tree_sum,
     chamfer,
     composite,
     interior_penalty,
     mean_pairwise_distance,
     repulsion,
+    workspace,
 )
 
 from oracles import (
+    _off_diagonal,
     brute_chamfer,
     brute_mean_pairwise,
+    broadcast_composite,
     brute_repulsion_value,
     chamfer_matrix_three_temporaries,
     fd_grad_points,
@@ -37,7 +43,7 @@ def xy(points) -> np.ndarray:
 
 # one cloud through the batched terms: its value and its gradient (N, 2)
 def one_repulsion(points, epsilon=1e-8):
-    values, grad = repulsion(_pairwise(xy(points)[None]), epsilon)
+    values, grad = repulsion(_pairs(xy(points)[None], epsilon))
     return values[0], grad[0]
 
 
@@ -47,7 +53,7 @@ def one_interior(points, loop):
 
 
 def one_mean_pairwise(points) -> float:
-    return mean_pairwise_distance(_pairwise(xy(points)[None]))[0]
+    return mean_pairwise_distance(_pairs(xy(points)[None], 1e-8))[0]
 
 
 def one_composite(pred, ref, loop, weights):
@@ -409,6 +415,113 @@ class TestMeanPairwiseDistance:
 
     def test_one_value_per_cloud_and_degenerate_sizes(self):
         pts = np.array([[[0.0, 0.0], [3.0, 4.0]], [[1.0, 1.0], [1.0, 2.0]]])
-        assert mean_pairwise_distance(_pairwise(pts)) == [5.0, 1.0]
+        assert mean_pairwise_distance(_pairs(pts, 1e-8)) == [5.0, 1.0]
         assert one_mean_pairwise([[1.0, 1.0]]) == 0.0
         assert one_mean_pairwise(np.empty((0, 2))) == 0.0
+
+
+# ---------------------------------------------------------- blocked kernels
+
+@st.composite
+def blocked_batches(draw):
+    """S in {1, 2, 12} clouds of 2 to 160 points, each with its own reference,
+    at one scale from 1e-4 to 1e4. On a coarse grid the clouds hold exact
+    Chamfer ties, coincident points and signed zeros (rounding a small
+    negative coordinate gives -0.0). At S = 12 the pair kernel's slabs hold
+    fewer rows than N from N = 53 (mostly not dividing it), N(N-1) needs
+    several tree leaves from N = 92 and the rolling buffer's moves from
+    N = 139."""
+    s, n, m = draw(st.sampled_from([1, 2, 12])), draw(st.integers(2, 160)), draw(st.integers(1, 60))
+    scale = 10.0 ** draw(st.integers(-4, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pred, refs = rng.normal(size=(s, n, 2)), rng.normal(size=(s, m, 2))
+    if draw(st.booleans()):
+        pred, refs = np.round(pred * 2) / 2, np.round(refs * 2) / 2
+    loops = np.broadcast_to(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]),
+                            (s, 4, 2))
+    return scale * pred, scale * refs, scale * loops, draw(st.sampled_from(WEIGHTS))
+
+
+class TestBlockedKernels:
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(blocked_batches())
+    def test_composite_equals_the_broadcast_kernels_bit_for_bit(self, case):
+        pred, refs, loops, w = case
+        want_terms, want_grad = broadcast_composite(pred, refs, loops, w)
+        work = workspace(*pred.shape[:2], refs.shape[1])
+        for array in work:
+            array.fill(np.nan)  # nothing is read before it is written
+        for out in (None, work, work):
+            terms, grad = composite(pred, refs, loops, w, out)
+            assert terms.tobytes() == want_terms.tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 9), (40, 33)])
+    def test_rank_two_products_are_the_broadcast_sum_and_difference(self, rows, cols):
+        """Chamfer adds |p|^2 + |g|^2 as [a, 1] @ [1; b], and the pair kernel
+        takes x_i - x_j as [x_i, 1] @ [1; -x_j]: each product is by exactly
+        1.0, so whatever path BLAS takes, the one rounding is that of the sum,
+        also for zeros, subnormals and values near overflow, and into a
+        buffer of stale NaNs. The difference may differ in the sign of a
+        zero only (-0.0 - 0.0 is -0.0, the product +0.0)."""
+        values = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.75, 1.0,
+                           3.0, 1e300, 8.98846567431158e307, 1.7976931348623157e308])
+        rng = np.random.default_rng(rows * 100 + cols)
+        a, b = rng.choice(values, rows), rng.choice(values, cols)
+        out = np.full((rows, cols), np.nan)
+        lhs, rhs = np.ones((rows, 2)), np.ones((2, cols))
+        lhs[:, 0], rhs[1] = a, b
+        with np.errstate(over="ignore"):
+            want = a[:, None] + b
+            assert np.matmul(lhs, rhs, out=out).tobytes() == want.tobytes()
+            x, y = a * rng.choice([-1.0, 1.0], rows), b * rng.choice([-1.0, 1.0], cols)
+            lhs[:, 0], rhs[1] = x, -y
+            got, want = np.matmul(lhs, rhs, out=out), x[:, None] - y
+        assert np.array_equal(got, want)
+        assert (np.signbit(got) == np.signbit(want))[want != 0.0].all()
+
+    @pytest.mark.parametrize("n", [2, 100, 400, 2000])
+    def test_tree_sum_equals_numpy_sum_and_mean_at_the_pair_counts(self, n):
+        self.check_tree_sum(n * (n - 1), seed=n)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 300_000), st.integers(0, 2 ** 32 - 1))
+    def test_tree_sum_equals_numpy_sum_and_mean_at_any_length(self, length, seed):
+        self.check_tree_sum(length, seed)
+
+    @staticmethod
+    def check_tree_sum(length, seed):
+        """The pair kernel's sums arrive in pieces through a rolling buffer;
+        ``_tree_sum`` must still give np.sum's bits, and np.mean's once divided."""
+        rng = np.random.default_rng(seed)
+        v = rng.random((2, 3, length)) * 10.0 ** rng.uniform(-4, 4, (2, 3, length))
+        cuts = np.sort(rng.choice(np.arange(1, length), min(length - 1, 60), replace=False))
+        pieces = np.split(v, cuts, axis=-1)
+        longest = max(p.shape[-1] for p in pieces)
+        stream = np.full((2, 3, min(length, 2 * _LEAF + longest)), np.nan)
+        got = _tree_sum(pieces, length, stream)
+        sums = [[np.sum(row) for row in rows] for rows in v]
+        means = [[np.mean(row) for row in rows] for rows in v]
+        why = ("the leaf-wise tree sum no longer equals np.sum: NumPy's pairwise_sum "
+               "(numpy/_core/src/umath/loops_utils.h.src) no longer splits a node of n > 128 "
+               "elements at n // 2 rounded down to a multiple of 8, or np.sum and np.mean no "
+               "longer reduce a contiguous float64 vector through it")
+        assert got.tolist() == sums, why
+        assert (got / length).tolist() == means, why
+
+    def test_a_second_call_on_a_workspace_allocates_no_n_by_n_or_n_by_m_array(self, unit_square):
+        s, n, m = 2, 300, 900
+        rng = np.random.default_rng(30)
+        pred, refs = rng.uniform(-0.5, 1.5, (s, n, 2)), rng.uniform(-0.5, 1.5, (s, m, 2))
+        loops, w = np.stack([unit_square] * s), LossWeights(1.0, 1.0, 10.0)
+        work = workspace(s, n, m)
+        composite(pred, refs, loops, w, work)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            composite(pred, refs, loops, w, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all of the call's live arrays together stay below one (N, N) float array
+        assert peak - base < 8 * n * n

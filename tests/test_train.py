@@ -301,15 +301,18 @@ class TestTrain:
     def test_one_pairwise_and_one_edge_kernel_per_epoch(self, small_dataset, monkeypatch):
         calls = []
 
+        def shape(a):  # a tuple's entries may differ in shape: one shape each
+            return tuple(map(shape, a)) if isinstance(a, tuple) else np.shape(a)
+
         def counting(name, fn):
             def wrapper(*args):
-                calls.append((name, *(np.shape(a) for a in args)))
+                calls.append((name, *map(shape, args)))
                 return fn(*args)
             return wrapper
 
         # rebind every loop2mesh global that names the function, as perfbench's
         # tracer does: the loss names it reads must be the ones train calls
-        for name in ("composite", "chamfer", "_pairwise", "repulsion", "interior_penalty",
+        for name in ("composite", "chamfer", "_pairs", "repulsion", "interior_penalty",
                      "intruders", "mean_pairwise_distance"):
             fn = getattr(losses_mod, name)
             wrapped = counting(name, fn)
@@ -320,12 +323,15 @@ class TestTrain:
                             monkeypatch.setattr(mod, key, wrapped)
         assert len(small_dataset.samples) == 2
         res = train(small_dataset, small_config(epochs=3))
-        pairs = (3, 2, 40, 40)  # dx, dy and d2 of both clouds
-        # train passes its one (N, M) Chamfer matrix to composite, which hands it on
-        per_epoch = [("composite", (2, 40, 2), (2, 150, 2), (2, 12, 2), (), (40, 150)),
-                     ("chamfer", (40, 2), (150, 2), (40, 150)),
-                     ("chamfer", (40, 2), (150, 2), (40, 150)),
-                     ("_pairwise", (2, 40, 2)), ("repulsion", pairs, ()),
+        pairs = ((2, 2), (2, 2, 40))  # both clouds' two stream sums and column sums
+        # train passes its one workspace to composite, which hands it on: the
+        # (N, M) Chamfer matrix, the block scratch and the rolling buffer
+        _, scratch, stream = losses_mod.workspace_shapes(2, 40, 150)
+        per_epoch = [("composite", (2, 40, 2), (2, 150, 2), (2, 12, 2), (),
+                      ((40, 150), scratch, stream)),
+                     ("chamfer", (40, 2), (150, 2), (40, 150), scratch),
+                     ("chamfer", (40, 2), (150, 2), (40, 150), scratch),
+                     ("_pairs", (2, 40, 2), (), scratch, stream), ("repulsion", pairs),
                      ("interior_penalty", (2, 40, 2), (2, 12, 2)),
                      ("intruders", (2, 40, 2), (2, 12, 2)),
                      ("mean_pairwise_distance", pairs)]
