@@ -8,7 +8,6 @@ memory; each error class carries its code as ``exit_code``.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -26,7 +25,7 @@ from .evaluation import evaluate, kl_csv_text
 from .fileio import atomic_write_text
 from .geometry import padded_bbox, points_in_polygon
 from .ingest import (build_dataset, contour_loop, fit_chord, load_manifest, parse_airfoil_dat,
-                     parse_msh_nodes, read_parsed, to_chord_units)
+                     parse_msh_nodes, parse_points_csv, read_parsed, to_chord_units)
 from .svg import pixel_scale, render_svg
 from .train import (
     MODES,
@@ -136,32 +135,6 @@ def _write_run_manifest(path, command: str, config: TrainConfig,
 
 def _points_csv_text(xy: np.ndarray) -> str:
     return "x,y\n" + ("%r,%r\n" * len(xy)) % tuple(xy.ravel().tolist())
-
-
-def _parse_points_csv(text: str) -> np.ndarray:
-    reader = csv.reader(text.splitlines())
-    try:
-        records = list(reader)
-    except csv.Error as exc:  # a field over the csv module's size limit
-        raise InputError(f"row {reader.line_num}: {exc}") from None
-    rows: list[tuple[float, float]] = []
-    for lineno, record in enumerate(records, start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        if lineno == 1 and record[:2] == ["x", "y"]:
-            continue
-        if len(record) != 2:
-            raise InputError(f"row {lineno}: expected two fields, got {len(record)}")
-        try:
-            x, y = float(record[0]), float(record[1])
-        except ValueError:
-            raise InputError(f"row {lineno}: non-numeric coordinate {record!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InputError(f"row {lineno}: non-finite coordinate {record!r}")
-        rows.append((x, y))
-    if not rows:
-        raise InputError("no data rows")
-    return np.asarray(rows, dtype=np.float64)
 
 
 def _parse_viewport(text: str) -> tuple[float, float, float, float]:
@@ -282,7 +255,7 @@ def cmd_evaluate(args) -> int:
         if ratio is None:
             ratio = config.weights.repulsion
     else:
-        pred = read_parsed(args.pred, _parse_points_csv)
+        pred = read_parsed(args.pred, parse_points_csv)
         chord = None
         if args.dat is not None:
             chord = read_parsed(args.dat, lambda text: fit_chord(parse_airfoil_dat(text)))

@@ -1,13 +1,13 @@
 """Dataset ingestion.
 
-Selig-style ``.dat`` airfoil contours, Gmsh ASCII v2 ``$Nodes`` blocks,
-chord normalisation, deterministic up/down-sampling of target clouds to a
-fixed count, and assembly of (loop, target) training pairs.
+Selig-style ``.dat`` airfoil contours, Gmsh ASCII v2 ``$Nodes`` blocks and
+points CSVs (all read by ``np.loadtxt``'s number grammar), chord
+normalisation, deterministic up/down-sampling of target clouds to a fixed
+count, and assembly of (loop, target) training pairs.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -22,44 +22,79 @@ from .geometry import (as_point_array, check_map, points_in_polygon, resample_lo
 
 log = logging.getLogger(__name__)
 
+_POINT_DTYPE = np.dtype([("x", np.float64), ("y", np.float64)])
+_NODE_DTYPE = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64), ("z", np.float64)])
 
-def _coordinate_pair(tokens: list[str]) -> tuple[float, float] | None:
-    if len(tokens) != 2:
-        return None
+
+def _loadtxt(lines: list[str], dtype: np.dtype, delimiter: str | None = None) -> np.ndarray:
+    """``np.loadtxt`` of stripped lines, empty if all are blank; ValueError for
+    non-ASCII text, which no number holds and on which NumPy's integer parser
+    can read out of bounds and crash the process."""
+    if not all(map(str.isascii, lines)):
+        raise ValueError("non-ASCII text")
+    if not any(lines):
+        return np.empty(0, dtype)
+    return np.loadtxt(lines, dtype, comments=None, delimiter=delimiter, ndmin=1)
+
+
+def _read_rows(lines: list[str], first_lineno: int, dtype: np.dtype, *,
+               delimiter: str | None = None, record: str | None = None) -> np.ndarray:
+    """Read stripped lines (blank ones skipped) into ``dtype`` records with a
+    finite x and y in one ``np.loadtxt`` call; on failure, re-read them one
+    at a time to name the first bad row (comma-delimited) or line, numbered
+    from ``first_lineno``: a wrong field count, a malformed ``record`` (by
+    default the line itself), or a non-finite x or y."""
     try:
-        return float(tokens[0]), float(tokens[1])
+        rows = _loadtxt(lines, dtype, delimiter)
+        if np.isfinite(rows["x"]).all() and np.isfinite(rows["y"]).all():
+            return rows
     except ValueError:
-        return None
+        pass
+    unit = "row" if delimiter else "line"
+    layout = (delimiter or " ").join(dtype.names)
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if not line:
+            continue
+        if len(line.split(delimiter)) != len(dtype):
+            raise InputError(f"{unit} {lineno}: expected {layout!r}, got {line!r}")
+        try:
+            row = _loadtxt([line], dtype, delimiter)[0]
+        except ValueError:
+            raise InputError(f"{unit} {lineno}: malformed {record or unit} {line!r}") from None
+        if not (math.isfinite(row["x"]) and math.isfinite(row["y"])):
+            raise InputError(f"{unit} {lineno}: non-finite coordinate {line!r}")
+    raise InputError(f"malformed {layout!r} table")
 
 
 def parse_airfoil_dat(text: str) -> np.ndarray:
-    """Parse a Selig-style airfoil contour into its points (N, 2).
+    """Parse a Selig-style airfoil contour into its points (N, 2): an optional
+    name line (a first content line that does not read as two numbers), then
+    one ``x y`` pair per line, blank lines ignored anywhere."""
+    lines = [line.strip() for line in text.splitlines()]
+    first = next((i for i, line in enumerate(lines) if line), 0)
+    try:
+        _loadtxt(lines[first:first + 1], _POINT_DTYPE)
+    except ValueError:
+        first += 1  # the name line
+    xy = _read_rows(lines[first:], first + 1, _POINT_DTYPE)
+    if len(xy) < 3:
+        raise InputError(f"airfoil contour needs at least 3 points, got {len(xy)}")
+    return np.column_stack((xy["x"], xy["y"]))
 
-    Grammar: an optional non-numeric name line, then one ``x y`` pair per
-    line; blank lines are ignored anywhere. Any other content line is a
-    parse error naming the 1-based line number.
+
+def parse_points_csv(text: str) -> np.ndarray:
+    """Parse a points CSV (``predict``'s ``points.csv``) into its points (N, 2).
+
+    Grammar: an optional ``x,y`` header row, then one ``x,y`` row per line;
+    blank rows are ignored. Any other row is a parse error naming the
+    1-based row number.
     """
-    pts: list[tuple[float, float]] = []
-    saw_content = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        pair = _coordinate_pair(tokens)
-        if pair is None:
-            if not saw_content:
-                saw_content = True  # name line
-                continue
-            raise InputError(f"line {lineno}: expected two numeric coordinates, got {line.strip()!r}")
-        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-            raise InputError(f"line {lineno}: non-finite coordinate {line.strip()!r}")
-        saw_content = True
-        pts.append(pair)
-    if not pts:
-        raise InputError("no coordinate data found")
-    if len(pts) < 3:
-        raise InputError(f"airfoil contour needs at least 3 points, got {len(pts)}")
-    return np.asarray(pts, dtype=np.float64)
+    lines = [line.strip() for line in text.splitlines()]
+    first = int(lines[:1] == ["x,y"])
+    xy = _read_rows(lines[first:], first + 1, _POINT_DTYPE, delimiter=",")
+    if not len(xy):
+        raise InputError("no data rows")
+    return np.column_stack((xy["x"], xy["y"]))
 
 
 def fit_chord(points) -> np.ndarray:
@@ -78,33 +113,6 @@ def to_chord_units(chord: np.ndarray, points) -> np.ndarray:
     with np.errstate(over="ignore"):
         xy = standardize_loop(chord, as_point_array(points))
     return as_point_array(xy, name="chord-normalised cloud")
-
-
-_NODE_DTYPE = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64), ("z", np.float64)])
-_read_nodes = functools.partial(np.loadtxt, dtype=_NODE_DTYPE, comments=None, ndmin=1)
-
-
-def _parse_node_block(block: list[str], first_lineno: int) -> np.ndarray:
-    """Parse stripped ``id x y z`` lines (blank ones skipped) in one call; on
-    failure, re-read them one at a time to name the first bad line."""
-    try:
-        nodes = _read_nodes(block) if any(block) else np.empty(0, _NODE_DTYPE)
-        if np.isfinite(nodes["x"]).all() and np.isfinite(nodes["y"]).all():
-            return nodes
-    except ValueError:
-        pass
-    for lineno, line in enumerate(block, start=first_lineno):
-        if not line:
-            continue
-        if len(line.split()) != 4:
-            raise InputError(f"line {lineno}: expected 'id x y z', got {line!r}")
-        try:
-            node = _read_nodes([line])[0]
-        except ValueError:
-            raise InputError(f"line {lineno}: malformed node line {line!r}") from None
-        if not (math.isfinite(node["x"]) and math.isfinite(node["y"])):
-            raise InputError(f"line {lineno}: non-finite coordinate {line!r}")
-    raise InputError("malformed $Nodes block")
 
 
 def parse_msh_nodes(text: str) -> np.ndarray:
@@ -126,7 +134,7 @@ def parse_msh_nodes(text: str) -> np.ndarray:
     except ValueError:
         raise InputError(f"line {start + 2}: invalid node count {lines[start + 1]!r}") from None
     end = (lines + ["$EndNodes"]).index("$EndNodes", start + 2)  # no $EndNodes: the rest
-    nodes = _parse_node_block(lines[start + 2:end], start + 3)
+    nodes = _read_rows(lines[start + 2:end], start + 3, _NODE_DTYPE, record="node line")
     if end == len(lines):
         raise InputError("unterminated $Nodes block: $EndNodes missing")
     if len(nodes) != declared:
@@ -239,7 +247,8 @@ def build_dataset(entries, *, loop_size: int = 35, target_count: int = 1500, see
 
 
 def load_manifest(path) -> list[tuple[str, Path, Path]]:
-    """Read a dataset manifest: a JSON list of {name, dat, msh} records.
+    """Read a dataset manifest: a JSON list of {name, dat, msh} records whose
+    three values are non-empty strings.
 
     File paths are resolved relative to the manifest's directory.
     """
@@ -253,7 +262,8 @@ def load_manifest(path) -> list[tuple[str, Path, Path]]:
     entries = []
     base = path.parent
     for i, rec in enumerate(data):
-        if not isinstance(rec, dict) or not {"name", "dat", "msh"} <= rec.keys():
-            raise InputError(f"{path}: record {i} must be an object with name/dat/msh keys")
-        entries.append((str(rec["name"]), base / str(rec["dat"]), base / str(rec["msh"])))
+        if not (isinstance(rec, dict) and all(isinstance(rec.get(k), str) and rec[k]
+                                              for k in ("name", "dat", "msh"))):
+            raise InputError(f"{path}: record {i} must be an object of non-empty name/dat/msh strings")
+        entries.append((rec["name"], base / rec["dat"], base / rec["msh"]))
     return entries

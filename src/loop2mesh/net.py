@@ -199,7 +199,7 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         raise InputError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format") != _CHECKPOINT_FORMAT:
         raise InputError(f"{path}: unrecognised checkpoint format")
-    if header.get("version") != _CHECKPOINT_VERSION:
+    if type(header.get("version")) is not int or header["version"] != _CHECKPOINT_VERSION:
         raise InputError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
     table = header.get("shapes")
     if not isinstance(table, dict) or "meta" not in header:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from loop2mesh import cli, evaluation
 from loop2mesh.cli import main
 from loop2mesh.errors import ConfigError, InputError, Loop2MeshError, TrainingDivergedError
-from loop2mesh.ingest import load_manifest, parse_msh_nodes
+from loop2mesh.ingest import (load_manifest, parse_airfoil_dat, parse_msh_nodes,
+                              parse_points_csv)
 from loop2mesh.losses import workspace_shapes
 from loop2mesh.synth import msh_text
 from loop2mesh.train import TrainConfig, load_trained
@@ -433,7 +434,7 @@ class TestEvaluate:
             ["evaluate", "--pred", bad, "--truth", trained["msh"],
              "--out", tmp_path / "kl.csv"], capsys)
         assert code == 3
-        assert stderr == f"error: {bad}: row 3: non-finite coordinate ['0.3', '{cell}']\n"
+        assert stderr == f"error: {bad}: row 3: non-finite coordinate '0.3,{cell}'\n"
         assert not (tmp_path / "kl.csv").exists()
 
     def test_pred_and_checkpoint_are_mutually_exclusive(self, tmp_path, trained, capsys):
@@ -1075,35 +1076,49 @@ class TestTruthInChordUnits:
         assert 'fill="green">\n<circle ' in (out / "scatter.svg").read_text()
 
 
-# ------------------------------------------------------- points CSV input
+# ------------------------------------------------------- input tables
 
-CSV_FIELDS = st.one_of(
-    st.floats().map(repr), st.sampled_from(["x", "y", "nan", "1e999", '"1', '"', " ", ""]),
+FIELDS = st.one_of(
+    st.floats().map(repr), st.integers(-3, 2 ** 70).map(str),
+    st.sampled_from(["x", "y", "nan", "1e999", '"1', '"', "1_0", "\u0661", "0x1p3", " ", ""]),
     st.text(max_size=5))
-CSV_TEXTS = st.one_of(
-    st.tuples(st.sampled_from(["\n", "\r\n", "\r"]),
-              st.lists(st.lists(CSV_FIELDS, max_size=3).map(",".join), max_size=8)).map(
-        lambda t: t[0].join(t[1])),
-    st.text(max_size=120))
+ROWS = st.tuples(st.sampled_from([",", " ", "\t"]), st.lists(FIELDS, max_size=5)).map(
+    lambda t: t[0].join(t[1]))
+
+
+@st.composite
+def table_texts(draw):
+    """Comma- or whitespace-separated rows, sometimes inside a ``$Nodes``
+    block, joined by one line ending."""
+    lines = draw(st.lists(ROWS, max_size=8))
+    if draw(st.booleans()):
+        count = draw(st.one_of(st.integers(-1, 9).map(str), FIELDS))
+        lines = ["$Nodes", count, *lines, *draw(st.sampled_from([["$EndNodes"], []]))]
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
 
 
 class TestPointsCsv:
+    @pytest.mark.parametrize("parse", [parse_airfoil_dat, parse_msh_nodes, parse_points_csv],
+                             ids=lambda f: f.__name__)
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
-    @given(CSV_TEXTS)
-    def test_fuzzed_text_raises_only_package_errors(self, text):
+    @given(st.one_of(table_texts(), st.text(max_size=120)))
+    def test_fuzzed_text_raises_only_package_errors(self, parse, text):
+        """Any text ends in an (N, 2) array of finite points or an InputError."""
         try:
-            cli._parse_points_csv(text)
+            xy = parse(text)
         except InputError:
-            pass
+            return
+        assert xy.dtype == np.float64 and xy.ndim == 2 and xy.shape[1] == 2
+        assert np.isfinite(xy).all()
 
-    def test_field_over_the_csv_size_limit_is_a_parse_error(self):
-        with pytest.raises(InputError, match="^row 3: field larger than field limit"):
-            cli._parse_points_csv("x,y\n0.1,0.2\n" + "1" * 200_000 + ",0.5\n")
+    def test_field_past_the_float_range_is_a_non_finite_row(self):
+        with pytest.raises(InputError, match="^row 3: non-finite coordinate '1{5}"):
+            parse_points_csv("x,y\n0.1,0.2\n" + "1" * 200_000 + ",0.5\n")
 
     @pytest.mark.parametrize("text", ["", "x,y\n", "x,y\n\n  \n"])
     def test_no_data_rows_is_a_parse_error(self, text):
         with pytest.raises(InputError, match="^no data rows$"):
-            cli._parse_points_csv(text)
+            parse_points_csv(text)
 
 
 # -------------------------------------------------------------- exit codes

@@ -1,5 +1,10 @@
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import chord_fields_apply, parse_msh_nodes_line_by_line
 
 import loop2mesh.geometry as geometry_mod
+from loop2mesh.cli import _points_csv_text
 from loop2mesh.errors import InputError
 from loop2mesh.geometry import intruders, resample_loop
 from loop2mesh.ingest import (
@@ -18,9 +24,11 @@ from loop2mesh.ingest import (
     load_manifest,
     parse_airfoil_dat,
     parse_msh_nodes,
+    parse_points_csv,
     to_chord_units,
     upsample_target,
 )
+from loop2mesh.synth import dat_text, msh_text
 
 GOOD_DAT = """NACA TEST SECTION
 1.000000 0.001260
@@ -226,6 +234,32 @@ class TestParseMshNodes:
             eol = "\r\n" if rng.random() < 0.5 else "\n"
             got = parse_msh_nodes(eol.join(lines) + eol)
             assert np.array_equal(got, base)
+
+    def test_non_ascii_text_is_a_parse_error(self):
+        """Non-ASCII whitespace splits fields for ``str.split`` but no row
+        may hold it; a non-ASCII id never reaches NumPy's integer parser."""
+        for line in ["2\u00a01.5 0.25 0.0", "\u00e9 1.5 0.25 0.0", "\U000e92da 1.5 0.25 0.0"]:
+            with pytest.raises(InputError, match="^line 7: malformed node line"):
+                parse_msh_nodes(GOOD_MSH.replace("2 1.5 0.25 0.0", line))
+
+    def test_high_code_point_ids_do_not_crash_the_process(self):
+        """NumPy's integer parser reads out of bounds on a high code point,
+        which crashes a process or not by its memory layout: four fresh
+        processes each read an id of every 63rd code point."""
+        script = (
+            "from loop2mesh.errors import InputError\n"
+            "from loop2mesh.ingest import parse_msh_nodes\n"
+            "for cp in range(0x80, 0x110000, 0x3F):\n"
+            "    try:\n"
+            "        parse_msh_nodes(f'$Nodes\\n1\\n{chr(cp)} 1 2 3\\n$EndNodes\\n')\n"
+            "    except InputError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'U+{cp:04X} parsed')\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for _ in range(4):
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, (proc.returncode, proc.stderr[-500:])
 
 
 def _number_text(rng, value: float) -> str:
@@ -569,6 +603,19 @@ class TestBuildDatasetAndManifest:
         with pytest.raises(InputError):
             load_manifest(p)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dat", 5), ("dat", ""), ("msh", None), ("msh", ["a.msh"]), ("name", 7), ("name", ""),
+    ])
+    def test_load_manifest_takes_non_empty_strings_only(self, tmp_path, field, value):
+        """A number would open a file of that name and an empty path the
+        manifest's directory; either is named as the manifest's record."""
+        p = tmp_path / "m.json"
+        good = {"name": "c", "dat": "c.dat", "msh": "c.msh"}
+        p.write_text(json.dumps([good, dict(good, **{field: value})]))
+        with pytest.raises(InputError, match=f"^{re.escape(str(p))}: record 1 must be") as err:
+            load_manifest(p)
+        assert err.value.exit_code == 3
+
 
 # ----------------------------------------------------------- fuzzed input
 
@@ -656,3 +703,39 @@ class TestFuzzedInputRaisesOnlyPackageErrors:
             build_dataset(load_manifest(path), loop_size=6, target_count=20, seed=0)
         except (InputError, OSError):  # OSError: a name that is no readable file
             pass
+
+
+# ------------------------------------------------ the package's own tables
+
+# (writer, reader, header lines, x/y token positions): the writers behind
+# `synth`'s sample data and `predict`'s points.csv, and a repr-spelled .dat
+OWN_TABLES = {
+    "dat": (dat_text, parse_airfoil_dat, 1, (0, 1)),
+    "dat-repr": (lambda xy: "wing\n" + "".join(f"{x!r} {y!r}\n" for x, y in xy.tolist()),
+                 parse_airfoil_dat, 1, (0, 1)),
+    "msh": (msh_text, parse_msh_nodes, 5, (1, 2)),
+    "csv": (_points_csv_text, parse_points_csv, 1, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("table", list(OWN_TABLES))
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(xy=st.lists(st.tuples(COORDS | st.floats(allow_nan=False, allow_infinity=False),
+                             COORDS), min_size=3, max_size=30),
+       rnd=st.randoms(use_true_random=False))
+def test_own_tables_read_as_float_of_each_token(table, xy, rnd):
+    """Each reader returns exactly ``float()`` of each written token, with
+    blank lines, CRLF endings and tabs added, so a change in NumPy's number
+    parser fails here by name."""
+    write, read, head, (ix, iy) = OWN_TABLES[table]
+    lines = write(np.array(xy)).splitlines()
+    rows = [line.replace(",", " ").split() for line in lines[head:head + len(xy)]]
+    want = np.array([[float(row[ix]), float(row[iy])] for row in rows])
+    body = []
+    for line in lines[head:head + len(xy)]:
+        if rnd.random() < 0.2:
+            body.append(rnd.choice(["", " ", "\t"]))
+        body.append(rnd.choice(["", "\t", " "]) + line.replace(" ", rnd.choice([" ", "\t", " \t"]))
+                    + rnd.choice(["", "\t", " "]))
+    text = rnd.choice(["\n", "\r\n"]).join(lines[:head] + body + lines[head + len(xy):])
+    assert read(text).tobytes() == want.tobytes()

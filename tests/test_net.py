@@ -370,6 +370,16 @@ class TestCheckpoint:
         with pytest.raises(InputError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("version", [b"true", b"1.0", b'"1"', b"null"])
+    def test_version_must_be_the_json_integer_1(self, tmp_path, version):
+        path = tmp_path / "net.l2m"
+        save_checkpoint(path, init_params(0, 3, 4, 4, 5))
+        head, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(head.replace(b'"version": 1', b'"version": ' + version) + b"\n" + rest)
+        with pytest.raises(InputError, match="unsupported checkpoint version") as err:
+            load_checkpoint(path)
+        assert err.value.exit_code == 3
+
     @pytest.mark.parametrize("edit", [
         lambda h: [h],                                              # a JSON list
         lambda h: dict(h, shapes=5),                                # shapes not an object

@@ -31,3 +31,14 @@ def test_phase_times_reports_every_figure():
     figures = [report["desk_ms"], report["median_setup_ms"], report["median_epoch_ms"],
                *report["score_ms"].values()]
     assert all(ms > 0.0 for figure in figures for ms in figure.values())
+
+
+def test_holdout_table_prints_a_row_per_mode_and_seed_and_each_mean():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "holdout_table.py"),
+                           "--seeds", "0", "--epochs", "2"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("|")[1:3] for line in proc.stdout.splitlines()[2:]]
+    assert [[c.strip() for c in row] for row in rows] == [
+        ["raw", "0"], ["raw", "mean"], ["stand", "0"], ["stand", "mean"]]
