@@ -342,7 +342,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its keys")
     p.add_argument("--seed", type=int, help="RNG seed (init + upsampling)")
     p.add_argument("--mode", choices=MODES, help="coordinate handling mode")
-    p.add_argument("--ratio", type=float, help="repulsion weight of the composite loss")
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--lr", type=float, help="Adam learning rate")
     p.add_argument("--h1", type=int, help="first hidden width")
@@ -370,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out-dir", default="runs/train")
     p_train.add_argument("--nodes", type=int, dest="n_points", metavar="NODES",
                          help="generated point count")
+    p_train.add_argument("--ratio", type=float, help="repulsion weight of the composite loss")
     _add_config_flags(p_train)
 
     p_pred = sub.add_parser("predict", help="generate points for an airfoil contour")
@@ -388,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="KL CSV path (default <out-dir>/kl.csv)")
     p_eval.add_argument("--out-dir", default="runs/evaluate")
 
-    p_sweep = sub.add_parser("sweep", help="train/evaluate a (ratio x nodes) grid")
+    # no abbreviations, or train's --ratio would read as --ratios
+    p_sweep = sub.add_parser("sweep", help="train/evaluate a (ratio x nodes) grid", allow_abbrev=False)
     p_sweep.add_argument("manifest")
     p_sweep.add_argument("--ratios", required=True, help="comma list, e.g. 0,1,2,3")
     p_sweep.add_argument("--nodes", required=True, dest="node_counts", metavar="NODES",

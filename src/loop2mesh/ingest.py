@@ -24,6 +24,14 @@ log = logging.getLogger(__name__)
 
 _POINT_DTYPE = np.dtype([("x", np.float64), ("y", np.float64)])
 _NODE_DTYPE = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64), ("z", np.float64)])
+# an error quotes at most this many characters of the line at fault
+_QUOTE = 120
+
+
+def _quote(line: str) -> str:
+    """``repr`` of a line at fault, cut to its first _QUOTE characters."""
+    cut = len(line) - _QUOTE
+    return repr(line) if cut <= 0 else f"{line[:_QUOTE]!r}... ({cut} more characters)"
 
 
 def _loadtxt(lines: list[str], dtype: np.dtype, delimiter: str | None = None) -> np.ndarray:
@@ -56,13 +64,13 @@ def _read_rows(lines: list[str], first_lineno: int, dtype: np.dtype, *,
         if not line:
             continue
         if len(line.split(delimiter)) != len(dtype):
-            raise InputError(f"{unit} {lineno}: expected {layout!r}, got {line!r}")
+            raise InputError(f"{unit} {lineno}: expected {layout!r}, got {_quote(line)}")
         try:
             row = _loadtxt([line], dtype, delimiter)[0]
         except ValueError:
-            raise InputError(f"{unit} {lineno}: malformed {record or unit} {line!r}") from None
+            raise InputError(f"{unit} {lineno}: malformed {record or unit} {_quote(line)}") from None
         if not (math.isfinite(row["x"]) and math.isfinite(row["y"])):
-            raise InputError(f"{unit} {lineno}: non-finite coordinate {line!r}")
+            raise InputError(f"{unit} {lineno}: non-finite coordinate {_quote(line)}")
     raise InputError(f"malformed {layout!r} table")
 
 
@@ -132,7 +140,7 @@ def parse_msh_nodes(text: str) -> np.ndarray:
     try:
         declared = int(lines[start + 1])
     except ValueError:
-        raise InputError(f"line {start + 2}: invalid node count {lines[start + 1]!r}") from None
+        raise InputError(f"line {start + 2}: invalid node count {_quote(lines[start + 1])}") from None
     end = (lines + ["$EndNodes"]).index("$EndNodes", start + 2)  # no $EndNodes: the rest
     nodes = _read_rows(lines[start + 2:end], start + 3, _NODE_DTYPE, record="node line")
     if end == len(lines):

@@ -111,53 +111,43 @@ def chamfer(P: np.ndarray, G: np.ndarray, out=None, scratch=None) -> tuple[float
     return value, grad
 
 
-def _split(n: int):
-    """NumPy's pairwise_sum tree of n elements down to nodes of at most _LEAF:
-    a leaf is its length, an inner node the pair of its halves, the left one
-    n // 2 rounded down to a multiple of 8."""
-    if n <= _LEAF:
-        return n
-    half = n // 2 - n // 2 % 8
-    return _split(half), _split(n - half)
-
-
-def _leaves(tree) -> list[int]:
-    return [tree] if isinstance(tree, int) else _leaves(tree[0]) + _leaves(tree[1])
-
-
-def _fold(tree, sums):
-    """The tree's sum from its leaves' sums (an iterator, in order), added as NumPy adds them."""
-    return next(sums) if isinstance(tree, int) else _fold(tree[0], sums) + _fold(tree[1], sums)
-
-
 def _tree_sum(pieces, n: int, stream: np.ndarray) -> np.ndarray:
     """``np.sum`` along the last axis of a stream of n entries, bit for bit,
     without holding it: ``pieces`` are arrays whose leading axes match
     ``stream``'s and whose other axes, in C order, are the stream's next
-    entries. They pass through the rolling buffer ``stream``; each leaf of
-    NumPy's pairwise_sum tree is summed by ``np.sum`` once whole, and the leaf
-    sums are added up the tree as NumPy adds them. ``stream`` holds at least
-    min(n, 2 _LEAF + the longest piece) entries per row. A piece that
-    would overrun it then finds its end past 2 _LEAF, so the open leaf's
-    entries (fewer than _LEAF) start past _LEAF and move to the front
-    without overlapping themselves, which NumPy would copy through a
-    temporary."""
-    tree = _split(n)
-    leaves, sums = iter(_leaves(tree)), []
-    lead = stream.shape[:-1]
-    leaf, start, end = next(leaves), 0, 0  # the open leaf's length and start, the buffer's end
-    for piece in pieces:
-        k = piece.size // math.prod(lead)
-        if end + k > stream.shape[-1]:  # the open leaf's entries move to the front
-            stream[..., :end - start] = stream[..., start:end]
-            start, end = 0, end - start
-        stream[..., end:end + k].reshape(piece.shape)[...] = piece  # splits the last axis: a view
-        end += k
-        while leaf is not None and start + leaf <= end:
-            sums.append(stream[..., start:start + leaf].sum(axis=-1))
-            start += leaf
-            leaf = next(leaves, None)
-    return _fold(tree, iter(sums))
+    entries. Each leaf of ``_walk``'s tree, pulled into the rolling buffer
+    ``stream`` piece by piece, is summed by ``np.sum`` once whole. ``stream``
+    holds at least min(n, 2 _LEAF + the longest piece) entries per row. A
+    piece that would overrun it then finds its end past 2 _LEAF, so the open
+    leaf's entries (fewer than _LEAF) start past _LEAF and move to the front
+    without overlapping themselves, which NumPy would copy through a temporary."""
+    pieces, rows = iter(pieces), math.prod(stream.shape[:-1])
+    start = end = 0  # the open leaf's start and the buffer's end
+
+    def leaf(k: int) -> np.ndarray:
+        nonlocal start, end
+        while start + k > end:
+            piece = next(pieces)
+            size = piece.size // rows
+            if end + size > stream.shape[-1]:  # the open leaf's entries move to the front
+                stream[..., :end - start] = stream[..., start:end]
+                start, end = 0, end - start
+            stream[..., end:end + size].reshape(piece.shape)[...] = piece  # splits the last axis: a view
+            end += size
+        start += k
+        return stream[..., start - k:start].sum(axis=-1)
+
+    return _walk(n, leaf)
+
+
+def _walk(k: int, leaf):
+    """The sum of a node of k entries of NumPy's pairwise_sum tree: its two
+    halves' (the left k // 2 rounded down to a multiple of 8) or, at most
+    _LEAF, ``leaf(k)``. Not a closure: one that calls itself outlives its call."""
+    if k <= _LEAF:
+        return leaf(k)
+    half = k // 2 - k // 2 % 8
+    return _walk(half, leaf) + _walk(k - half, leaf)
 
 
 def _pairs(xy: np.ndarray, epsilon: float, scratch=None, stream=None):
@@ -235,9 +225,17 @@ def repulsion(pairs) -> tuple[list[float], np.ndarray]:
     # d(mean)/d(p_i) = (2/N^2) sum_j (p_i - p_j) / r_ij; self-pairs add 0/r = 0.
     # (p - p')/r is antisymmetric, so each row sum is minus the kernel's column sum.
     d_mean = -2.0 * np.stack(tuple(cols), axis=-1) / (n * n)
-    # value ** 2 as a Python float: NumPy's array square can round differently
-    scale = np.array([-(v ** 2) for v in values])
-    return values, scale[:, None, None] * d_mean
+    scale = np.array([-_square(v) for v in values])
+    with np.errstate(invalid="ignore"):  # an infinite scale times a zero is nan
+        return values, scale[:, None, None] * d_mean
+
+
+def _square(v: float) -> float:
+    """Python's v ** 2 (NumPy's array square can round differently), inf where it overflows."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
 
 def mean_pairwise_distance(pairs) -> list[float]:

@@ -16,7 +16,7 @@ from loop2mesh.errors import ConfigError, InputError, Loop2MeshError, TrainingDi
 from loop2mesh.ingest import (load_manifest, parse_airfoil_dat, parse_msh_nodes,
                               parse_points_csv)
 from loop2mesh.losses import workspace_shapes
-from loop2mesh.synth import msh_text
+from loop2mesh.synth import msh_text, write_sample_dataset
 from loop2mesh.train import TrainConfig, load_trained
 
 FAST = ["--nodes", "40", "--epochs", "30", "--h1", "16", "--h2", "24",
@@ -208,6 +208,22 @@ class TestTrain:
             capsys)
         assert code == 4
         assert stderr == "error: non-finite network output at epoch 2\n"
+
+    def test_epsilon_whose_repulsion_square_overflows_exits_4_with_one_line(self, tmp_path,
+                                                                           capsys):
+        """Seed 3 puts all six points on one spot, so 1 / mean is about 5e160
+        and its square overflows: a divergence (exit 4), not a traceback."""
+        manifest = write_sample_dataset(tmp_path / "data", codes=("2220",), mesh_nodes=1500,
+                                        seed=0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "stand", "weights": {
+            "repulsion": 1, "interior": 10, "epsilon": 5e-324}}))
+        code, _, stderr = run_cli(
+            ["train", manifest, "--out-dir", tmp_path / "run", "--config", cfg, "--epochs", "1",
+             "--nodes", "6", "--h1", "4", "--h2", "4", "--upsample-count", "20", "--seed", "3"],
+            capsys)
+        assert code == 4
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
     def test_one_node_exits_2_before_reading_or_writing(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -673,6 +689,16 @@ def sweep_run(tmp_path_factory, manifest_path):
 
 
 class TestSweep:
+    def test_ratio_flag_is_a_usage_error(self, tmp_path, capsys):
+        """Each cell's repulsion weight comes from ``--ratios``; ``--ratio`` is train's."""
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(tmp_path / "absent.json"), "--ratios", "0,1", "--nodes", "30",
+                  "--out-dir", str(out), "--ratio", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ratio 7" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_produces_checkpoints_panels_and_rows(self, sweep_run, capsys):
         capsys.readouterr()
         ckpts = sorted((sweep_run / "checkpoints").glob("ckpt_*.l2m"))
@@ -1114,6 +1140,18 @@ class TestPointsCsv:
     def test_field_past_the_float_range_is_a_non_finite_row(self):
         with pytest.raises(InputError, match="^row 3: non-finite coordinate '1{5}"):
             parse_points_csv("x,y\n0.1,0.2\n" + "1" * 200_000 + ",0.5\n")
+
+    @pytest.mark.parametrize("parse, text, where", [
+        (parse_points_csv, "x,y\n0.1,0.2\n" + "1" * 200_000 + ",0.5\n", "row 3: "),
+        (parse_points_csv, "x,y\n0.1,0.2\n" + "1" * 200_000 + ",0.5,7\n", "row 3: "),
+        (parse_msh_nodes, "$Nodes\n" + "9" * 200_000 + "x\n", "line 2: "),
+    ], ids=["non-finite row", "field count", "node count"])
+    def test_a_long_line_is_quoted_as_a_bounded_excerpt(self, parse, text, where):
+        with pytest.raises(InputError) as exc:
+            parse(text)
+        message = str(exc.value)
+        assert message.startswith(where) and len(message) < 300
+        assert message.endswith(" more characters)")
 
     @pytest.mark.parametrize("text", ["", "x,y\n", "x,y\n\n  \n"])
     def test_no_data_rows_is_a_parse_error(self, text):

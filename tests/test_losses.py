@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +147,27 @@ class TestChamfer:
         val, _ = chamfer(a, b)
         assert val == pytest.approx(16 * 100.0, rel=0.5)  # ~ n * d^2 both ways
 
+    @pytest.mark.parametrize("n, m", [(37, 99), (40, 64)])  # M mod 8 < 4: no edge columns
+    def test_blas_canary_product_entries_round_as_one_fma(self, n, m):
+        """Chamfer's one product -2P @ G.T, as ``chamfer`` calls it: each entry
+        is fma(-2 p_y, g_y, round(-2 p_x g_x)), one rounding of the exact sum,
+        on the BLAS build every pinned training digest was computed with."""
+        rng = np.random.default_rng(2026)
+        P, G = rng.uniform(-1.5, 1.5, (n, 2)), rng.uniform(-1.5, 1.5, (m, 2))
+        got = np.matmul(-2.0 * P, G.T, out=np.empty((n, m))).tolist()
+        fma, two_roundings = [], []
+        for (px, py), (gx, gy) in itertools.product(P.tolist(), G.tolist()):
+            first = (-2.0 * px) * gx
+            fma.append(float(Fraction(-2.0 * py) * Fraction(gy) + Fraction(first)))
+            two_roundings.append(first + (-2.0 * py) * gy)
+        assert sum(a != b for a, b in zip(fma, two_roundings)) > 100  # the rule is told apart
+        bad = sum(a != b for a, b in zip(sum(got, []), fma))
+        assert not bad, (
+            f"{bad} of {n * m} entries of -2P @ G.T no longer round as one fused "
+            "multiply-add: this BLAS kernel rounds Chamfer's product differently, so "
+            "every SHA-256 pin of a training checkpoint or trainlog in tests/ will fail "
+            "for this reason, not for a change in loop2mesh")
+
 
 # ---------------------------------------------------------------- repulsion
 
@@ -201,6 +224,18 @@ class TestRepulsion:
         ps = cloud(rng, 8)
         moved = ps + [123.0, -45.0]
         assert one_repulsion(moved)[0] == pytest.approx(one_repulsion(ps)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-308, 2.2250738585072014e-308, 5e-324])
+    def test_a_square_past_the_float_range_is_minus_inf_not_an_error(self, eps):
+        """1 / mean is above 1.3e154 here, so Python's v ** 2 overflows: the
+        gradient's scale is -inf, times the zero d(mean) of coincident points
+        nan, with no exception and no warning, for train's divergence checks."""
+        (value,), grad = repulsion(_pairs(np.zeros((1, 2, 2)), eps))
+        assert value == 4.0 / (2.0 * np.sqrt(eps))
+        assert np.isnan(grad).all()
+        # apart along x, the x gradients are infinite, and descent moves each point away
+        _, grad = repulsion(_pairs(np.array([[[0.0, 0.0], [1e-170, 0.0]]]), eps))
+        assert grad[0, :, 0].tolist() == [np.inf, -np.inf]
 
     def test_input_validation(self):
         with pytest.raises(InputError):
